@@ -9,7 +9,9 @@ Plate: 2l x 1l rectangle clamped at the bottom, loaded on a strip of the
 top edge at a random position omega with a random inclination alpha, and
 weakened in a random disc at xi. The alpha-average of the compliance is
 analytic (two unit solves per omega node), the omega integral is a fixed
-trapezoid, and only xi is sampled; each xi requires its own factorization.
+trapezoid, and only xi is sampled. The weakness changes the stiffness of
+only a few elements, so all xi of one call share one factorization of the
+unweakened design, each served by an exact low-rank update of it.
 
 Both builders rescale their load so the initial design's compliance at the
 distribution-mean parameter equals 1, making the default cap c_max = 1.5
@@ -30,6 +32,7 @@ from .mesh_fem import (
     build_disc_mesh,
     build_rect_mesh,
     element_quadratic_forms,
+    low_rank_updates,
 )
 from .smoothing import SmoothingParams, h_deriv, h_eval
 
@@ -396,15 +399,12 @@ class PlateProblem(_ProblemBase):
 
     # -- evaluation ------------------------------------------------------
 
-    def _factorize(self, rho, xi) -> FactorizedSystem:
-        return assemble_stiffness(self.mesh, self.stiffness_field(rho, xi))
-
     def angle_averaged_block(self, system: FactorizedSystem,
                              FxB: np.ndarray, FyB: np.ndarray):
         """Per-omega angle-averaged compliances plus the solved states."""
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
-        Ux = system.solve(FxB)
-        Uy = system.solve(FyB)
+        U = system.solve(np.hstack([FxB, FyB]))
+        Ux, Uy = U[:, :FxB.shape[1]], U[:, FxB.shape[1]:]
         cxx = np.einsum("db,db->b", FxB, Ux)
         cyy = np.einsum("db,db->b", FyB, Uy)
         cxy = np.einsum("db,db->b", FxB, Uy)
@@ -412,45 +412,67 @@ class PlateProblem(_ProblemBase):
         cbar = (ix * cxx + iy * cyy + ixy * (cxy + cyx)) / width
         return cbar, Ux, Uy
 
-    def xi_eval(self, rho, xi, want_grad: bool = True):
-        """One record: omega-trapezoid of h(angle-averaged compliance - cap).
+    def _weakened_blocks(self, rho, xis, want_states: bool):
+        """Yield (cbar, Ux, Uy) of the design weakened at each xi in turn.
 
-        One factorization, 2 * n_omega right-hand sides.
+        K(xi) differs from the unweakened K0 only on the few elements the
+        weakness reaches, so one factorization of K0 and one block solve
+        of the 2 * n_omega loads serve every xi through an exact low-rank
+        update. The states are None unless wanted.
         """
-        rho = np.asarray(rho, dtype=float)
-        system = self._factorize(rho, xi)
-        FxB, FyB = self.load_block()
-        cbar, Ux, Uy = self.angle_averaged_block(system, FxB, FyB)
-        t = cbar - self.smoothing.c_max
-        value = float(self.omega_weights @ h_eval(t, self.smoothing))
-        if not want_grad:
-            return value, None
-
+        s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
+                                      mesh=self.mesh)
+        system = assemble_stiffness(self.mesh, s0)
+        cbar0, Ux0, Uy0 = self.angle_averaged_block(system,
+                                                    *self.load_block())
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
-        qxx = element_quadratic_forms(self.mesh, Ux, Ux)
-        qyy = element_quadratic_forms(self.mesh, Uy, Uy)
-        qxy = element_quadratic_forms(self.mesh, Ux, Uy)
-        dcbar_ds = -(ix * qxx + iy * qyy + 2.0 * ixy * qxy) / width
-        coef = self.omega_weights * h_deriv(t, self.smoothing)
-        grad_s = coef @ dcbar_ds
-        grad_s = grad_s * (1.0 - self.weakness(xi))
-        grad = df.backprop_to_design(grad_s, rho, self.filt, self.simp,
-                                     mesh=self.mesh)
-        return value, grad
+        fields = (s0 * (1.0 - self.weakness(xi)) for xi in xis)
+        for update in low_rank_updates(system, self.mesh, s0, fields):
+            drop = (ix * update.form_drop(Ux0, Ux0)
+                    + iy * update.form_drop(Uy0, Uy0)
+                    + ixy * (update.form_drop(Ux0, Uy0)
+                             + update.form_drop(Uy0, Ux0))) / width
+            if want_states:
+                yield cbar0 - drop, update.solve(Ux0), update.solve(Uy0)
+            else:
+                yield cbar0 - drop, None, None
 
     def evaluate_records(self, rho, params, want_grads: bool = True):
+        """Records for a batch of xi, from one factorization of the design.
+
+        A record is the omega-trapezoid of h(angle-averaged compliance -
+        cap), with its design gradient when wanted.
+        """
+        rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
+        ix, iy, ixy, width = angle_integrals(*self.angle_range)
         values, grads = [], []
-        for xi in xis:
-            v, g = self.xi_eval(rho, xi, want_grad=want_grads)
-            values.append(v)
-            grads.append(g)
-        values = np.array(values)
-        return values, (np.stack(grads) if want_grads else None)
+        blocks = self._weakened_blocks(rho, xis, want_states=want_grads)
+        for xi, (cbar, Ux, Uy) in zip(xis, blocks):
+            t = cbar - self.smoothing.c_max
+            values.append(float(self.omega_weights
+                                @ h_eval(t, self.smoothing)))
+            if not want_grads:
+                continue
+            # sum_b coef_b (ix qxx + iy qyy + 2 ixy qxy)_b as one contraction
+            # of 2 * n_omega columns; k_e is symmetric, so qyx = qxy
+            coef = np.tile(self.omega_weights * h_deriv(t, self.smoothing), 2)
+            q = element_quadratic_forms(
+                self.mesh, np.hstack([Ux, Uy]),
+                np.hstack([ix * Ux + ixy * Uy, iy * Uy + ixy * Ux]) * coef)
+            grad_s = -q.sum(axis=0) / width * (1.0 - self.weakness(xi))
+            grads.append(df.backprop_to_design(grad_s, rho, self.filt,
+                                               self.simp, mesh=self.mesh))
+        return np.array(values), (np.stack(grads) if want_grads else None)
+
+    def xi_eval(self, rho, xi, want_grad: bool = True):
+        """One record: evaluate_records for the single xi."""
+        values, grads = self.evaluate_records(rho, [xi], want_grads=want_grad)
+        return float(values[0]), (grads[0] if want_grad else None)
 
     def angle_averaged_compliance(self, rho, xi, omega: float) -> float:
-        """Single (xi, omega) angle-averaged compliance."""
-        system = self._factorize(rho, xi)
+        """Single (xi, omega) angle-averaged compliance, by direct assembly."""
+        system = assemble_stiffness(self.mesh, self.stiffness_field(rho, xi))
         Fx, Fy = self.load_pair(omega)
         return angle_reduced_compliance(system, Fx, Fy, self.angle_range)
 
@@ -499,23 +521,22 @@ class PlateProblem(_ProblemBase):
         return (5, 5)
 
     def dense_raw(self, rho, spec=None):
-        """Angle-averaged compliances on a xi trapezoid grid x omega nodes."""
+        """Angle-averaged compliances on a xi trapezoid grid x omega nodes.
+
+        Every grid point is served by one factorization of the design.
+        """
         n1, n2 = spec if spec is not None else self.default_verify_spec
         pts, lam = self._trapezoid_grid(int(n1), int(n2))
-        FxB, FyB = self.load_block()
-        values = np.empty((pts.shape[0], self.n_omega))
-        for i, xi in enumerate(pts):
-            system = self._factorize(rho, xi)
-            values[i], _, _ = self.angle_averaged_block(system, FxB, FyB)
+        rho = np.asarray(rho, dtype=float)
+        values = np.stack([cbar for cbar, _, _ in
+                           self._weakened_blocks(rho, pts, want_states=False)])
         weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
         return values.ravel(), weights
 
     def h1_values(self, rho, xi_points) -> np.ndarray:
         """Omega-averaged steepened h per xi (the damage sensitivity map)."""
-        out = np.empty(len(xi_points))
-        for i, xi in enumerate(np.atleast_2d(xi_points)):
-            out[i], _ = self.xi_eval(rho, xi, want_grad=False)
-        return out
+        values, _ = self.evaluate_records(rho, xi_points, want_grads=False)
+        return values
 
 
 def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,

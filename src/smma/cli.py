@@ -24,6 +24,8 @@ from .driver import METHODS, RunConfig, run
 from .verify import dense_cc
 
 DESIGN_MAGIC = "smma-design 1"
+# geometry keys of each mesh kind in a design header
+DESIGN_GEOMETRY = {"rect": ("height", "width"), "disc": ("r_inner", "r_rim")}
 
 
 class ConfigError(Exception):
@@ -237,27 +239,58 @@ def save_design(path, problem, rho: np.ndarray) -> None:
 
 
 def load_design(path) -> tuple[dict, np.ndarray]:
+    """(header, values) of a file written by save_design.
+
+    A malformed file raises ConfigError naming the file and the line: a
+    blank or malformed header line, a header without one of the keys that
+    save_design writes, and a truncated, unparsable or non-finite value.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != DESIGN_MAGIC:
         raise ConfigError(f"{path}: not a design file (bad magic)")
+
+    def bad(i: int, what: str) -> ConfigError:   # i indexes lines
+        return ConfigError(f"{path}:{i + 1}: {what}")
+
     header: dict = {}
-    i = 1
-    while i < len(lines):
+    for i in range(1, len(lines)):
         parts = lines[i].split()
-        i += 1
-        if parts[0] == "values":
-            n = int(parts[1])
-            vals = np.array([float(v) for v in lines[i:i + n]])
-            if vals.size != n:
-                raise ConfigError(f"{path}: truncated design values")
+        if not parts:
+            raise bad(i, "blank line in the header")
+        key = parts[0]
+        if key == "values":
+            need = ("kind", "shape", "simp", "rmin",
+                    *DESIGN_GEOMETRY.get(header.get("kind"), ()))
+            missing = [k for k in need if k not in header]
+            if missing:
+                raise bad(i, f"no {missing[0]!r} line before the values")
+            try:
+                n = int(parts[1])
+            except (IndexError, ValueError):
+                raise bad(i, "malformed 'values' line") from None
+            if n < 0 or i + n >= len(lines):
+                raise bad(i, "truncated design values")
+            vals = np.empty(n)
+            for k in range(i + 1, i + 1 + n):
+                try:
+                    vals[k - i - 1] = float(lines[k])
+                except ValueError:
+                    raise bad(k, "design value is not a number") from None
+                if not np.isfinite(vals[k - i - 1]):
+                    raise bad(k, "design value is not finite")
             header["n_values"] = n
             return header, vals
-        if parts[0] in ("kind",):
-            header[parts[0]] = parts[1]
-        elif parts[0] == "shape":
-            header["shape"] = (int(parts[1]), int(parts[2]))
-        else:
-            header[parts[0]] = float(parts[1])
+        try:
+            if key == "kind":
+                if parts[1] not in DESIGN_GEOMETRY:
+                    raise bad(i, f"unknown mesh kind {parts[1]!r}")
+                header["kind"] = parts[1]
+            elif key == "shape":
+                header["shape"] = (int(parts[1]), int(parts[2]))
+            else:
+                header[key] = float(parts[1])
+        except (IndexError, ValueError):
+            raise bad(i, f"malformed {key!r} line") from None
     raise ConfigError(f"{path}: missing values section")
 
 

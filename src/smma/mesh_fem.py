@@ -4,7 +4,9 @@ Meshes are bilinear Q4 grids: a uniform rectangle or a polar-mapped annulus
 (the wheel domain, with the region inside the clamped radius removed).
 Assembly scales a unit-modulus element stiffness by a per-element factor,
 Dirichlet dofs are eliminated, and the reduced SPD system is factorized once
-per design so that many load cases can be solved against it.
+per design so that many load cases can be solved against it. Designs that
+differ from a factorized one in a few element factors are solved against
+the same factorization by an exact low-rank (Woodbury) update.
 """
 from __future__ import annotations
 
@@ -313,6 +315,89 @@ def assemble_stiffness(mesh: StructuredMesh,
     return FactorizedSystem(lu=lu, free_dofs=free, n_dofs=mesh.n_dofs)
 
 
+# unit columns of K0^-1 solved in one block: at most this many float64
+# entries (32 MB; the solve holds a few copies), so that a call with many
+# fields on a large mesh does not hold n_dofs columns at once
+_UPDATE_BLOCK_ENTRIES = 2 ** 22
+
+
+@dataclass
+class LowRankUpdate:
+    """K = K0 + P dK P^T, served exactly by the factorization of K0.
+
+    P holds the unit columns of the free dofs S where K differs from K0.
+    By the Woodbury identity K^-1 = K0^-1 - Z M Z^T, with Z = K0^-1 P and
+    M = (I + dK Z_S)^-1 dK, where Z_S = P^T Z is the S-block of K0^-1.
+    An empty S is the rank-0 update K = K0.
+    """
+
+    dofs: np.ndarray   # S: sorted free dof indices
+    Z: np.ndarray      # (n_dofs, |S|)
+    M: np.ndarray      # (|S|, |S|)
+
+    def solve(self, U0: np.ndarray) -> np.ndarray:
+        """K^-1 F from U0 = K0^-1 F, for one load or a block of them."""
+        return U0 - self.Z @ (self.M @ U0[self.dofs])
+
+    def form_drop(self, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
+        """F1^T K0^-1 F2 - F1^T K^-1 F2 per column, from U_i = K0^-1 F_i.
+
+        K0 is symmetric, so Z^T F_i = P^T U_i: no state of K is needed.
+        """
+        return np.sum(U1[self.dofs] * (self.M @ U2[self.dofs]), axis=0)
+
+
+def _element_update(mesh: StructuredMesh, s0: np.ndarray, s: np.ndarray):
+    """(S, dK_SS) for K(s) - K(s0): the free dofs of the elements whose
+    factor differs, and sum_e (s_e - s0_e) k_e restricted to them."""
+    touched = np.nonzero(s != s0)[0]
+    edof = mesh.edof[touched]
+    dofs, local = np.unique(edof, return_inverse=True)
+    local = local.reshape(edof.shape)
+    dK = np.zeros((dofs.size, dofs.size))
+    blocks = ((s - s0)[touched, None, None]
+              * mesh.template.element_matrices()[touched])
+    np.add.at(dK, (local[:, :, None], local[:, None, :]), blocks)
+    free = ~np.isin(dofs, mesh.dirichlet_dofs)
+    return dofs[free], dK[np.ix_(free, free)]
+
+
+def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh,
+                     s0, fields):
+    """Yield one LowRankUpdate per stiffness field, in order.
+
+    system is the factorization of K(s0). Fields that change only a few
+    element factors give low-rank updates; Z for the union of their dofs
+    comes from one block solve of unit columns. When that block would
+    exceed _UPDATE_BLOCK_ENTRIES, the fields are split into consecutive
+    groups with one block solve each.
+    """
+    s0 = np.asarray(s0, dtype=float)
+    budget = max(1, _UPDATE_BLOCK_ENTRIES // mesh.n_dofs)
+    group: list = []
+    columns: set = set()
+    for s in fields:
+        dofs, dK = _element_update(mesh, s0, np.asarray(s, dtype=float))
+        grown = columns.union(dofs.tolist())
+        if group and len(grown) > budget:
+            yield from _solve_group(system, group, columns)
+            group, grown = [], set(dofs.tolist())
+        group.append((dofs, dK))
+        columns = grown
+    yield from _solve_group(system, group, columns)
+
+
+def _solve_group(system: FactorizedSystem, group, columns):
+    union = np.array(sorted(columns), dtype=int)
+    P = np.zeros((system.n_dofs, union.size))
+    P[union, np.arange(union.size)] = 1.0
+    Z = system.solve(P)
+    for dofs, dK in group:
+        Zs = Z[:, np.searchsorted(union, dofs)]
+        M = np.linalg.solve(np.eye(dofs.size) + dK @ Zs[dofs], dK)
+        yield LowRankUpdate(dofs=dofs, Z=Zs, M=M)
+
+
 def solve_multi_rhs(system: FactorizedSystem, rhs_block) -> np.ndarray:
     """Solve against a block of right-hand sides (one column per load)."""
     rhs = np.asarray(rhs_block, dtype=float)
@@ -343,8 +428,11 @@ def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,
     e1 = np.asarray(U1)[mesh.edof]
     e2 = np.asarray(U2)[mesh.edof]
     if e1.ndim == 2:
-        return np.einsum("ei,eij,ej->e", e1, mats, e2)
-    return np.einsum("eib,eij,ejb->be", e1, mats, e2)
+        k_e2 = np.matmul(mats, e2[:, :, None])[:, :, 0]
+        return np.einsum("ei,ei->e", e1, k_e2)
+    # a batched matmul, then a two-operand contraction: np.einsum runs a
+    # three-operand contraction as one unoptimized loop, several times slower
+    return np.einsum("eib,eib->be", e1, np.matmul(mats, e2))
 
 
 def compliance_gradient_wrt_stiffness(mesh: StructuredMesh,

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smma import design_field as df
 from smma.benchmarks import (
     angle_integrals,
     angle_reduced_compliance,
     plate_problem,
     wheel_problem,
 )
-from smma.mesh_fem import assemble_stiffness, build_rect_mesh
+from smma.mesh_fem import (
+    assemble_stiffness,
+    build_rect_mesh,
+    element_quadratic_forms,
+)
+from smma.smoothing import h_deriv, h_eval
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +237,106 @@ class TestPlate:
         vals, w = plate.dense_raw(rho, (3, 3))
         assert vals.shape == w.shape == (9 * plate.n_omega,)
         assert w.sum() == pytest.approx(1.0)
+
+
+def direct_record(plate, rho, xi):
+    """Oracle: (cbar, value, gradient) from factorizing K(xi) itself and
+    the three per-pair sensitivity contractions."""
+    system = assemble_stiffness(plate.mesh, plate.stiffness_field(rho, xi))
+    cbar, Ux, Uy = plate.angle_averaged_block(system, *plate.load_block())
+    t = cbar - plate.smoothing.c_max
+    value = plate.omega_weights @ h_eval(t, plate.smoothing)
+    ix, iy, ixy, width = angle_integrals(*plate.angle_range)
+    qxx = element_quadratic_forms(plate.mesh, Ux, Ux)
+    qyy = element_quadratic_forms(plate.mesh, Uy, Uy)
+    qxy = element_quadratic_forms(plate.mesh, Ux, Uy)
+    dcbar_ds = -(ix * qxx + iy * qyy + 2.0 * ixy * qxy) / width
+    grad_s = ((plate.omega_weights * h_deriv(t, plate.smoothing)) @ dcbar_ds
+              * (1.0 - plate.weakness(xi)))
+    grad = df.backprop_to_design(grad_s, rho, plate.filt, plate.simp,
+                                 mesh=plate.mesh)
+    return cbar, value, grad
+
+
+def touched_elements(plate, rho, xi):
+    s0 = df.interpolate_stiffness(rho, plate.filt, plate.simp,
+                                  mesh=plate.mesh)
+    return np.nonzero(plate.stiffness_field(rho, xi) != s0)[0]
+
+
+def assert_records_match_direct(plate, rho, xis):
+    values, grads = plate.evaluate_records(rho, xis)
+    h1 = plate.h1_values(rho, xis)
+    for xi, value, grad, h in zip(xis, values, grads, h1, strict=True):
+        _, want_value, want_grad = direct_record(plate, rho, xi)
+        assert value == pytest.approx(want_value, rel=1e-10, abs=0)
+        assert h == pytest.approx(want_value, rel=1e-10, abs=0)
+        scale = np.abs(want_grad).max()
+        assert np.abs(grad - want_grad).max() <= 1e-10 * scale
+
+
+# the benchmark's element size: a xi weakens 0-2 elements in floating point
+FINE = plate_problem(nx=60, ny=30, n_omega=4)
+FINE_RHO = np.random.default_rng(21).uniform(0.3, 0.9, FINE.n_design)
+
+# a wide weakness touching a dozen elements, some of them clamped, and a
+# load angle interval whose cos*sin moment (zero by default) is not
+WIDE = plate_problem(nx=16, ny=8, n_omega=4)
+WIDE.bump_radius = 0.3
+WIDE.angle_range = (0.2, 1.3)
+WIDE_RHO = np.random.default_rng(22).uniform(0.3, 0.9, WIDE.n_design)
+
+
+def xi_points(plate, max_size=4):
+    (x0, x1), (y0, y1) = plate.xi_range
+    point = st.tuples(st.floats(x0, x1), st.floats(y0, y1))
+    return st.lists(point, min_size=1, max_size=max_size).map(np.array)
+
+
+class TestPlateReanalysis:
+    """Every xi of a call is served by one factorization of the design;
+    records, dense values and H1 values agree with factorizing K(xi)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(xis=xi_points(FINE))
+    def test_records_match_direct(self, xis):
+        assert_records_match_direct(FINE, FINE_RHO, xis)
+
+    @settings(max_examples=15, deadline=None)
+    @given(xis=xi_points(WIDE))
+    def test_records_match_direct_wide_weakness(self, xis):
+        assert_records_match_direct(WIDE, WIDE_RHO, xis)
+
+    def test_rank_zero_xi(self, plate):
+        # a mesh node 0.088 from the nearest centroids, beyond the radius
+        rho = np.random.default_rng(23).uniform(0.3, 0.9, plate.n_design)
+        xi = np.array([0.5, 0.5])
+        assert touched_elements(plate, rho, xi).size == 0
+        assert_records_match_direct(plate, rho, xi[None])
+
+    def test_xi_on_an_element_edge(self):
+        # midway between two centroids: both are touched, barely
+        xi = np.array([20.0 / 30.0, 15.5 / 30.0])
+        assert touched_elements(FINE, FINE_RHO, xi).size == 2
+        assert_records_match_direct(FINE, FINE_RHO,
+                                    np.array([xi, [0.9, 0.3], xi]))
+
+    def test_touched_element_with_dirichlet_dofs(self):
+        plate = plate_problem(nx=4, ny=2, n_omega=4)
+        rho = np.random.default_rng(24).uniform(0.3, 0.9, plate.n_design)
+        xi = plate.mesh.element_centroids[1]
+        touched = touched_elements(plate, rho, xi)
+        assert touched.tolist() == [1]
+        assert np.isin(plate.mesh.edof[1], plate.mesh.dirichlet_dofs).any()
+        assert_records_match_direct(plate, rho, np.array([xi, [1.0, 0.5]]))
+
+    @pytest.mark.parametrize("problem,rho", [(FINE, FINE_RHO),
+                                             (WIDE, WIDE_RHO)],
+                             ids=["fine", "wide"])
+    def test_dense_raw_matches_direct(self, problem, rho):
+        values, weights = problem.dense_raw(rho, (4, 3))
+        pts, _ = problem.baseline_nodes((4, 3))
+        want = np.concatenate([direct_record(problem, rho, xi)[0]
+                               for xi in pts])
+        np.testing.assert_allclose(values, want, rtol=1e-10)
+        assert weights.sum() == pytest.approx(1.0)

@@ -168,6 +168,70 @@ class TestDesignFiles:
             load_design(path)
 
 
+def saved_design_lines(tmp_path):
+    """Lines of a valid 4x10 wheel design file, values all 0.5."""
+    problem = wheel_problem(n_radial=4, n_angular=10, simp_s=3.0)
+    path = tmp_path / "good.txt"
+    save_design(path, problem, np.full(problem.mesh.n_elements, 0.5))
+    return path.read_text().splitlines()
+
+
+class TestBadDesignFiles:
+    """Malformed design files exit 2 and name the file and the line."""
+
+    def render_error(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["render", str(path), "--out",
+                     str(tmp_path / "bad.pgm")]) == 2
+        assert not (tmp_path / "bad.pgm").exists()
+        return capsys.readouterr().err
+
+    def test_blank_header_line(self, tmp_path, capsys):
+        lines = saved_design_lines(tmp_path)
+        lines.insert(2, "")
+        err = self.render_error(tmp_path, capsys, lines)
+        assert "bad.txt:3: blank line" in err
+
+    @pytest.mark.parametrize("key", ["kind", "shape"])
+    def test_missing_header_key(self, tmp_path, capsys, key):
+        lines = [ln for ln in saved_design_lines(tmp_path)
+                 if not ln.startswith(key + " ")]
+        values_line = next(i for i, ln in enumerate(lines)
+                           if ln.startswith("values ")) + 1
+        err = self.render_error(tmp_path, capsys, lines)
+        assert f"bad.txt:{values_line}: no {key!r} line" in err
+
+    def test_malformed_shape_line(self, tmp_path, capsys):
+        lines = saved_design_lines(tmp_path)
+        lines[2] = "shape 4"
+        assert "bad.txt:3: malformed 'shape' line" in self.render_error(
+            tmp_path, capsys, lines)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "half"])
+    def test_bad_value(self, tmp_path, capsys, text):
+        lines = saved_design_lines(tmp_path)
+        lines[-3] = text
+        err = self.render_error(tmp_path, capsys, lines)
+        assert f"bad.txt:{len(lines) - 2}: design value is not" in err
+
+    def test_truncated_values(self, tmp_path, capsys):
+        lines = saved_design_lines(tmp_path)[:-1]
+        assert "truncated design values" in self.render_error(
+            tmp_path, capsys, lines)
+
+    def test_verify_rejects_nan_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_WHEEL, out=tmp_path / "o")
+        lines = saved_design_lines(tmp_path)
+        lines[-1] = "nan"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path), str(cfg), "--points", "8",
+                     "--out", str(tmp_path / "v.csv")]) == 2
+        assert "design value is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
+
+
 class TestVerifyCommand:
     def test_verify_writes_csv_idempotently(self, tmp_path):
         out = tmp_path / "out"

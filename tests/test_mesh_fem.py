@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smma import mesh_fem
 from smma.mesh_fem import (
     FactorizedSystem,
     assemble_stiffness,
@@ -9,6 +10,7 @@ from smma.mesh_fem import (
     compliance,
     compliance_gradient_wrt_stiffness,
     element_quadratic_forms,
+    low_rank_updates,
     q4_unit_stiffness,
     solve_multi_rhs,
 )
@@ -291,3 +293,98 @@ class TestComplianceGradient:
         for j in range(5):
             np.testing.assert_allclose(
                 block[j], element_quadratic_forms(mesh, U[:, j]), atol=1e-12)
+
+
+def quadratic_forms_einsum(mesh, U1, U2):
+    """Reference kernel: one three-operand einsum per call."""
+    mats = mesh.template.element_matrices()
+    e1, e2 = U1[mesh.edof], U2[mesh.edof]
+    if e1.ndim == 2:
+        return np.einsum("ei,eij,ej->e", e1, mats, e2)
+    return np.einsum("eib,eij,ejb->be", e1, mats, e2)
+
+
+class TestElementQuadraticForms:
+    @pytest.mark.parametrize("mesh", [
+        build_rect_mesh(7, 4, 2.0, 1.0),
+        build_disc_mesh(4, 12, 0.1, 0.9),   # rotated per-band templates
+    ], ids=["rect", "disc"])
+    @pytest.mark.parametrize("columns", [None, 1, 5])
+    def test_matches_three_operand_einsum(self, mesh, columns):
+        rng = np.random.default_rng(11)
+        shape = (mesh.n_dofs,) if columns is None else (mesh.n_dofs, columns)
+        U1, U2 = rng.standard_normal(shape), rng.standard_normal(shape)
+        got = element_quadratic_forms(mesh, U1, U2)
+        want = quadratic_forms_einsum(mesh, U1, U2)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-14 * np.abs(want).max())
+
+
+class TestLowRankUpdates:
+    """Woodbury reanalysis against factorizing each modified design."""
+
+    def fields(self, mesh, s0, rng, n):
+        out = []
+        for k in range(n):
+            s = s0.copy()
+            touched = rng.choice(mesh.n_elements, size=k % 4, replace=False)
+            s[touched] *= rng.uniform(0.01, 3.0, touched.size)
+            out.append(s)
+        return out
+
+    @pytest.mark.parametrize("mesh", [
+        build_rect_mesh(5, 3, 2.0, 1.0),
+        build_disc_mesh(3, 10, 0.1, 0.9),
+    ], ids=["rect", "disc"])
+    def test_matches_direct_solves(self, mesh):
+        rng = np.random.default_rng(12)
+        s0 = rng.uniform(0.2, 1.0, mesh.n_elements)
+        system = assemble_stiffness(mesh, s0)
+        F = rng.standard_normal((mesh.n_dofs, 3))
+        F[mesh.dirichlet_dofs] = 0.0
+        U0 = system.solve(F)
+        fields = self.fields(mesh, s0, rng, 8)
+        updates = list(low_rank_updates(system, mesh, s0, fields))
+        assert len(updates) == len(fields)
+        for s, update in zip(fields, updates):
+            U = assemble_stiffness(mesh, s).solve(F)
+            assert update.dofs.size <= 8 * np.count_nonzero(s != s0)
+            assert not np.isin(update.dofs, mesh.dirichlet_dofs).any()
+            np.testing.assert_allclose(update.solve(U0), U, rtol=0,
+                                       atol=1e-10 * np.abs(U).max())
+            drop = np.einsum("db,db->b", F, U0) - np.einsum("db,db->b", F, U)
+            np.testing.assert_allclose(update.form_drop(U0, U0), drop,
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_rank_zero_update_is_identity(self):
+        mesh = build_rect_mesh(3, 2, 1.0, 1.0)
+        s0 = np.linspace(0.5, 1.0, mesh.n_elements)
+        system = assemble_stiffness(mesh, s0)
+        (update,) = low_rank_updates(system, mesh, s0, [s0.copy()])
+        assert update.dofs.size == 0
+        U0 = np.arange(mesh.n_dofs, dtype=float)
+        np.testing.assert_array_equal(update.solve(U0), U0)
+        assert update.form_drop(U0, U0) == 0.0
+
+    def test_large_calls_split_into_bounded_block_solves(self, monkeypatch):
+        mesh = build_rect_mesh(6, 4, 2.0, 1.0)
+        rng = np.random.default_rng(13)
+        s0 = rng.uniform(0.2, 1.0, mesh.n_elements)
+        system = assemble_stiffness(mesh, s0)
+        budget = 20
+        monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES",
+                            budget * mesh.n_dofs)
+        widths = []
+        solve = system.solve
+        system.solve = lambda rhs: widths.append(rhs.shape[1]) or solve(rhs)
+        fields = self.fields(mesh, s0, rng, 12)
+        updates = list(low_rank_updates(system, mesh, s0, fields))
+        assert len(widths) > 1 and max(widths) <= budget
+        f = np.zeros(mesh.n_dofs)
+        f[-1] = 1.0
+        u0 = solve(f)
+        for s, update in zip(fields, updates, strict=True):
+            u = assemble_stiffness(mesh, s).solve(f)
+            np.testing.assert_allclose(update.solve(u0), u, rtol=0,
+                                       atol=1e-10 * np.abs(u).max())
