@@ -369,8 +369,7 @@ def cmd_run(config_path: str, out_root: str | None) -> int:
             memory_cap=rc.memory_cap, pseudo_points=rc.pseudo_points,
             empirical_weights=rc.empirical_weights,
             simp_schedule=rc.simp_schedule, baseline_spec=rc.baseline_spec,
-            verify_every=rc.verify_every, verify_spec=rc.verify_spec,
-            log_timing=rc.log_timing)
+            verify_every=rc.verify_every, verify_spec=rc.verify_spec)
         name = f"{rc.problem_name}_{rc.method}_b{batch}_tau{tau:g}_seed{seed}"
         run_dir = out_base / name
         run_dir.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,20 @@ parameter discretization is assigned to the closest stored record in a
 joint design/parameter metric, and the record's weight is the total
 quadrature mass routed to it. Weights double as importance scores for the
 limited-memory eviction policy.
+
+The squared joint distance from (u, x) to record k is q_k(x) + o_k with
+q_k(x) = param_scale * param_dist2(x, x_k) >= 0 and the offset
+o_k = design_scale * design_dist2(u_k, u), which is the same for every
+point x. The owner search visits the records in ascending order of o_k,
+in chunks of 8, 16, 32, ... records, and retires a point as soon as its
+best squared distance so far is below the smallest offset of the next
+chunk. That bound is exact in floating point: fl(q + o) >= o for q >= 0,
+so no later record can reach the point's minimum. Distances are evaluated
+only for the points still active, with the same expressions as the dense
+(T, K) table, so the owners equal its argmin bit for bit. Ties go to the
+smallest record index: inside a chunk the indices are sorted and the
+first minimum is taken, and a later chunk replaces an owner only with a
+strictly smaller distance or an equal one at a smaller index.
 """
 from __future__ import annotations
 
@@ -105,8 +119,26 @@ class SampleRecord:
             raise ValueError("gradient length must equal design length")
 
 
+def _reserved(a: np.ndarray, used: int, need: int) -> np.ndarray:
+    """a itself when it has need rows, else a larger copy of its used rows."""
+    if need <= len(a):
+        return a
+    grown = np.empty((max(need, 2 * len(a), 16),) + a.shape[1:], dtype=a.dtype)
+    grown[:used] = a[:used]
+    return grown
+
+
 class SampleStore:
-    """Ordered collection of samples with cached stacked arrays.
+    """Ordered collection of samples held in growable arrays.
+
+    Row k of params, values, gradients and iteration_born is record k.
+    Consecutive records that share one design array (a batch drawn at one
+    design) store that design once: record k's design is row
+    design_index[k] of the distinct designs. append checks a record and
+    queues it; the next read copies the queue into the arrays, so a queued
+    record's arrays must not change before then. Reads return read-only
+    views, which keep() overwrites in place; designs and records return
+    copies.
 
     capacity is bookkeeping for the limited-memory mode; the driver is
     responsible for evicting back below it at the end of an iteration
@@ -118,49 +150,150 @@ class SampleStore:
             raise ValueError("capacity must be positive when set")
         self.metric = metric
         self.capacity = capacity
-        self.records: list[SampleRecord] = []
-        self._stacks: dict | None = None
+        self._queue: list[SampleRecord] = []
+        self._width = 0          # design length of the stored records
+        self._size = 0           # records copied into _rows
+        self._n_designs = 0      # distinct designs copied into _designs
+        self._allocate(0)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._size + len(self._queue)
 
     def append(self, record: SampleRecord) -> None:
-        self.records.append(record)
-        self._stacks = None
+        design = record.design_snapshot
+        if record.param.shape != (len(self.metric.coords),):
+            raise ValueError(
+                f"parameter of shape {record.param.shape} does not match the "
+                f"metric's {len(self.metric.coords)} coordinates")
+        if (design.ndim != 1 or design.size == 0
+                or record.inner_gradient.shape != design.shape):
+            raise ValueError(
+                "design and gradient must be nonempty vectors of one length")
+        if len(self) and design.shape[0] != self._width:
+            raise ValueError(
+                f"design length {design.shape[0]} does not match the stored "
+                f"records' {self._width}")
+        self._width = design.shape[0]
+        self._queue.append(record)
 
     def clear(self) -> None:
-        self.records.clear()
-        self._stacks = None
+        self._queue.clear()
+        self._size = self._n_designs = 0
 
-    def _stacked(self) -> dict:
-        if self._stacks is None:
-            if not self.records:
-                raise ValueError("sample store is empty")
-            self._stacks = {
-                "designs": np.stack([r.design_snapshot for r in self.records]),
-                "params": np.stack([r.param for r in self.records]),
-                "values": np.array([r.inner_value for r in self.records]),
-                "gradients": np.stack([r.inner_gradient for r in self.records]),
-            }
-        return self._stacks
+    def _allocate(self, width: int) -> None:
+        self._rows = {"params": np.empty((0, len(self.metric.coords))),
+                      "values": np.empty(0),
+                      "gradients": np.empty((0, width)),
+                      "born": np.empty(0, dtype=int),
+                      "design_index": np.empty(0, dtype=int)}
+        self._designs = np.empty((0, width))
+
+    def _pack(self) -> None:
+        """Copy the queued records into the arrays, growing them as needed."""
+        queue = self._queue
+        if not queue:
+            return
+        n, width = self._size, self._width
+        if self._designs.shape[1] != width:   # first records, or after clear
+            self._allocate(width)
+        fresh = [k == 0 or r.design_snapshot is not queue[k - 1].design_snapshot
+                 for k, r in enumerate(queue)]
+        rows = {name: _reserved(a, n, n + len(queue))
+                for name, a in self._rows.items()}
+        designs = _reserved(self._designs, self._n_designs,
+                            self._n_designs + sum(fresh))
+        d = self._n_designs - 1
+        for i, (r, new) in enumerate(zip(queue, fresh), start=n):
+            if new:
+                d += 1
+                designs[d] = r.design_snapshot
+            rows["design_index"][i] = d
+            rows["params"][i] = r.param
+            rows["values"][i] = r.inner_value
+            rows["gradients"][i] = r.inner_gradient
+            rows["born"][i] = r.iteration_born
+        self._rows, self._designs = rows, designs
+        self._size, self._n_designs = n + len(queue), d + 1
+        queue.clear()
+
+    def _view(self, name: str) -> np.ndarray:
+        self._pack()
+        if self._size == 0:
+            raise ValueError("sample store is empty")
+        view = self._rows[name][:self._size]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._view("params")
 
     @property
     def values(self) -> np.ndarray:
-        return self._stacked()["values"]
+        return self._view("values")
 
     @property
     def gradients(self) -> np.ndarray:
-        return self._stacked()["gradients"]
+        return self._view("gradients")
+
+    @property
+    def iteration_born(self) -> np.ndarray:
+        return self._view("born")
+
+    @property
+    def designs(self) -> np.ndarray:
+        """(K, n) design of every record, as a copy."""
+        index = self._view("design_index")
+        return self._designs[index]
+
+    @property
+    def records(self) -> list[SampleRecord]:
+        """The stored records, built from copies of their rows."""
+        if len(self) == 0:
+            return []
+        return [SampleRecord(d, p.copy(), float(v), g.copy(), int(b))
+                for d, p, v, g, b in zip(self.designs, self.params,
+                                         self.values, self.gradients,
+                                         self.iteration_born)]
+
+    def design_offsets(self, u) -> np.ndarray:
+        """design_scale * design_dist2(design_k, u) for every record k.
+
+        Each distinct design is evaluated once, with the metric's own
+        expression, so every record's value equals a per-record evaluation.
+        """
+        index = self._view("design_index")
+        m = self.metric
+        if m.design_scale == 0.0:
+            return np.zeros(len(index))
+        d2 = m.design_scale * m.design_dist2(self._designs[:self._n_designs],
+                                             np.asarray(u, dtype=float))
+        return d2[index]
 
     def keep(self, indices: np.ndarray) -> None:
-        """Retain the given record indices, preserving order."""
-        indices = np.sort(np.asarray(indices, dtype=int))
-        self.records = [self.records[i] for i in indices]
-        self._stacks = None
+        """Retain the given record indices, preserving order, in place."""
+        self._pack()
+        indices = np.asarray(indices, dtype=int)
+        if indices.ndim != 1:
+            raise ValueError("record indices must be a vector")
+        indices = np.sort(indices)
+        if indices.size and (indices[0] < 0 or indices[-1] >= self._size):
+            raise IndexError("record index out of range")
+        if np.any(indices[1:] == indices[:-1]):
+            raise ValueError("record indices must be distinct")
+        rows = self._rows
+        for a in rows.values():
+            a[:indices.size] = a[indices]
+        self._size = indices.size
+        # drop the designs no kept record uses; np.unique keeps their order
+        used, index = np.unique(rows["design_index"][:self._size],
+                                return_inverse=True)
+        rows["design_index"][:self._size] = index
+        self._designs[:used.size] = self._designs[used]
+        self._n_designs = used.size
 
     def save(self, path) -> None:
         """Binary dump for restarts; round-trips exactly."""
-        st = self._stacked() if self.records else None
         meta = {
             "version": STORE_FORMAT_VERSION,
             "capacity": -1 if self.capacity is None else self.capacity,
@@ -171,12 +304,12 @@ class SampleStore:
                               for c in self.metric.coords],
             "coord_scales": [c.scale for c in self.metric.coords],
         }
-        arrays = {
-            "born": np.array([r.iteration_born for r in self.records], dtype=int),
-        }
-        if st is not None:
-            arrays.update(designs=st["designs"], params=st["params"],
-                          values=st["values"], gradients=st["gradients"])
+        if len(self):
+            arrays = {"born": self.iteration_born, "designs": self.designs,
+                      "params": self.params, "values": self.values,
+                      "gradients": self.gradients}
+        else:
+            arrays = {"born": np.zeros(0, dtype=int)}
         np.savez(path, meta_version=meta["version"],
                  meta_capacity=meta["capacity"],
                  meta_design_scale=meta["design_scale"],
@@ -205,35 +338,72 @@ class SampleStore:
                 param_scale=float(z["meta_param_scale"])),
                 capacity=None if cap < 0 else cap)
             if "values" in z:
-                born = z["born"]
-                for i in range(z["values"].shape[0]):
+                # each z[...] reads the whole array from the file: once here
+                designs, params, values, gradients, born = (
+                    z[k] for k in ("designs", "params", "values",
+                                   "gradients", "born"))
+                design = None
+                for i in range(len(values)):
+                    # equal consecutive designs share one array, as saved
+                    if design is None or not np.array_equal(designs[i],
+                                                            design):
+                        design = designs[i]
                     store.append(SampleRecord(
-                        design_snapshot=z["designs"][i],
-                        param=z["params"][i],
-                        inner_value=float(z["values"][i]),
-                        inner_gradient=z["gradients"][i],
+                        design_snapshot=design, param=params[i],
+                        inner_value=float(values[i]),
+                        inner_gradient=gradients[i],
                         iteration_born=int(born[i])))
         return store
 
 
-def _record_offsets(store: SampleStore, u_current) -> np.ndarray:
-    """Design-distance part of the squared joint distance, per record."""
+_FIRST_CHUNK = 8   # records in the first chunk of the owner search
+
+
+def _owners(store: SampleStore, u, points: np.ndarray) -> np.ndarray:
+    """Index of the nearest record to (u, x) for each row x of points.
+
+    Exact offset-pruned search (see the module docstring): the owners,
+    ties included, equal the argmin over the dense (T, K) table
+    param_scale * param_dist2(points[:, None], params[None]) + offsets.
+    """
+    if len(store) == 0:
+        raise ValueError("sample store is empty")
+    u = np.asarray(u, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(points).all()):
+        raise ValueError("design and parameter points must be finite")
     m = store.metric
-    if m.design_scale == 0.0:
-        return np.zeros(len(store))
-    designs = store._stacked()["designs"]
-    return m.design_scale * m.design_dist2(designs,
-                                           np.asarray(u_current, dtype=float))
+    params = store.params
+    offsets = store.design_offsets(u)
+    K = len(offsets)
+
+    order = np.argsort(offsets, kind="stable")
+    best = np.full(len(points), np.inf)
+    owner = np.full(len(points), K)   # none yet; an inf distance still wins
+    active = np.arange(len(points))
+    start, size = 0, _FIRST_CHUNK
+    while start < K and active.size:
+        chunk = np.sort(order[start:start + size])
+        d2 = (m.param_scale * m.param_dist2(points[active, None, :],
+                                            params[None, chunk, :])
+              + offsets[chunk])
+        first = np.argmin(d2, axis=1)
+        value = d2[np.arange(active.size), first]
+        cand = chunk[first]
+        held, held_owner = best[active], owner[active]
+        wins = (value < held) | ((value == held) & (cand < held_owner))
+        best[active] = np.where(wins, value, held)
+        owner[active] = np.where(wins, cand, held_owner)
+        start += size
+        size *= 2
+        if start < K:
+            active = active[best[active] >= offsets[order[start]]]
+    return owner
 
 
 def nearest_index(store: SampleStore, u, x) -> int:
     """Index of the closest record to (u, x); ties go to the smallest index."""
-    if len(store) == 0:
-        raise ValueError("sample store is empty")
-    m = store.metric
-    d2 = _record_offsets(store, u) + m.param_scale * m.param_dist2(
-        store._stacked()["params"], np.atleast_1d(np.asarray(x, dtype=float)))
-    return int(np.argmin(d2))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return int(_owners(store, u, x[None, :])[0])
 
 
 def pseudoexact_weights(store: SampleStore, u_current, quad_points,
@@ -242,29 +412,22 @@ def pseudoexact_weights(store: SampleStore, u_current, quad_points,
 
     quad_points: (T, m) parameter discretization distributed according to
     the parameter measure; quad_weights: (T,) nonnegative, summing to 1.
+    Raises ValueError on an empty store and on non-finite u_current or
+    quadrature points.
     """
-    if len(store) == 0:
-        raise ValueError("sample store is empty")
     pts = np.atleast_2d(np.asarray(quad_points, dtype=float))
     w = np.asarray(quad_weights, dtype=float)
     if w.shape != (pts.shape[0],):
         raise ValueError("quadrature weights must match point count")
     if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("quadrature weights must be nonnegative and sum to 1")
-
-    m = store.metric
-    params = store._stacked()["params"]
-    # (T, K) squared distances; design part is constant per record
-    d2 = (m.param_scale * m.param_dist2(pts[:, None, :], params[None, :, :])
-          + _record_offsets(store, u_current)[None, :])
-    owner = np.argmin(d2, axis=1)   # ties resolve to the smallest index
-    alpha = np.bincount(owner, weights=w, minlength=len(store))
-    return alpha
+    owner = _owners(store, u_current, pts)
+    return np.bincount(owner, weights=w, minlength=len(store))
 
 
 def empirical_weights(store: SampleStore, u_current) -> np.ndarray:
     """Pseudoexact weights with the records' own parameters as points."""
-    params = store._stacked()["params"]
+    params = store.params
     T = params.shape[0]
     return pseudoexact_weights(store, u_current, params, np.full(T, 1.0 / T))
 

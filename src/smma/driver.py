@@ -48,7 +48,6 @@ class RunConfig:
     verify_every: int = 10
     verify_spec: object = None             # dense rule; None: problem default
     smoothing_override: object = None      # SmoothingParams replacing problem's
-    log_timing: bool = False               # wall_ms values in CSV output
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -177,8 +176,9 @@ def run_smma(problem, cfg: RunConfig, callback=None):
         params = [phase.sample_param(rng) for _ in range(cfg.batch_size)]
         values, grads = phase.evaluate_records(rho, np.stack(params))
         for b in range(cfg.batch_size):
+            # one design array for the batch: the store keeps it once
             store.append(cw.SampleRecord(
-                design_snapshot=rho.copy(), param=params[b],
+                design_snapshot=rho, param=params[b],
                 inner_value=float(values[b]), inner_gradient=grads[b],
                 iteration_born=k))
 

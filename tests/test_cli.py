@@ -108,6 +108,16 @@ class TestRunCommand:
             assert (out1 / d / name).read_bytes() == \
                 (out2 / d / name).read_bytes()
 
+    def test_log_timing_fills_wall_ms_column(self, tmp_path):
+        for flag, timed in (("false", False), ("true", True)):
+            out = tmp_path / flag
+            cfg = write_config(tmp_path, TINY_WHEEL + f"log_timing = {flag}\n",
+                               out=out)
+            assert main(["run", str(cfg)]) == 0
+            log = out / "wheel_smma_b2_tau0.5_seed0" / "log.csv"
+            rows = log.read_text().splitlines()[1:]
+            assert [r.rsplit(",", 1)[1] != "" for r in rows] == [timed] * 3
+
     def test_manifest_reproduces_run(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, TINY_WHEEL, out=out)

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smma.csg_weights import (
     JointMetric,
     ParamCoord,
     SampleRecord,
     SampleStore,
+    _owners,
     aggregate,
     aggregate_precomposed,
     empirical_weights,
@@ -289,21 +294,21 @@ class TestEviction:
                            [[0.1], [0.5], [0.9]])
         evict_min_weight(store, np.array([0.5, 0.0, 0.5]), 1)
         assert len(store) == 2
-        np.testing.assert_allclose(store._stacked()["params"].ravel(),
+        np.testing.assert_allclose(store.params.ravel(),
                                    [0.1, 0.9])
 
     def test_batch_eviction_order_preserved(self):
         store = make_store(flat_metric(), np.zeros((5, 2)),
                            [[0.1], [0.2], [0.3], [0.4], [0.5]])
         evict_min_weight(store, np.array([0.05, 0.4, 0.05, 0.1, 0.4]), 3)
-        np.testing.assert_allclose(store._stacked()["params"].ravel(),
+        np.testing.assert_allclose(store.params.ravel(),
                                    [0.2, 0.5])
 
     def test_tie_break_smallest_index(self):
         store = make_store(flat_metric(), np.zeros((3, 2)),
                            [[0.1], [0.5], [0.9]])
         evict_min_weight(store, np.array([0.25, 0.25, 0.5]), 1)
-        np.testing.assert_allclose(store._stacked()["params"].ravel(),
+        np.testing.assert_allclose(store.params.ravel(),
                                    [0.5, 0.9])
 
     def test_cannot_drain_store(self):
@@ -345,3 +350,282 @@ class TestStoreIO:
             assert a.inner_value == b.inner_value
             np.testing.assert_array_equal(a.inner_gradient, b.inner_gradient)
             assert a.iteration_born == b.iteration_born
+
+
+# -- the pruned owner search against the dense argmin it replaced ------------
+
+def dense_owners(store, u, points):
+    """Argmin over the whole (T, K) distance table: the oracle of _owners."""
+    m = store.metric
+    records = store.records
+    params = np.stack([r.param for r in records])
+    if m.design_scale == 0.0:
+        offsets = np.zeros(len(records))
+    else:
+        designs = np.stack([r.design_snapshot for r in records])
+        offsets = m.design_scale * m.design_dist2(designs, np.asarray(u, float))
+    d2 = (m.param_scale * m.param_dist2(points[:, None, :], params[None, :, :])
+          + offsets[None, :])
+    return np.argmin(d2, axis=1)
+
+
+def assert_owners_match(store, u, points):
+    points = np.asarray(points, dtype=float)
+    want = dense_owners(store, u, points)
+    np.testing.assert_array_equal(_owners(store, u, points), want)
+    w = np.full(len(points), 1.0 / len(points))
+    alpha = pseudoexact_weights(store, u, points, w)
+    np.testing.assert_array_equal(
+        alpha, np.bincount(want, weights=w, minlength=len(store)))
+    assert np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) < 1e-12
+    for t in range(0, len(points), 7):
+        assert nearest_index(store, u, points[t]) == want[t]
+
+
+# dyadic grids make exact distance ties common; uniform draws do not
+_dyadic = st.integers(0, 16).map(lambda i: i / 16)
+_uniform = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def owner_cases(draw, coords, design_scale, values):
+    n_coords = len(coords)
+    metric = JointMetric(coords=coords, design_scale=design_scale,
+                         param_scale=draw(st.sampled_from([0.5, 1.0, 3.0])))
+    K = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 3))
+    # a few distinct designs shared by consecutive batches, as in a run
+    n_designs = draw(st.integers(1, K))
+    designs = [np.array(draw(st.lists(values, min_size=n, max_size=n)))
+               for _ in range(n_designs)]
+    batch = -(-K // n_designs)
+    store = SampleStore(metric=metric)
+    pool = draw(st.lists(st.lists(values, min_size=n_coords,
+                                  max_size=n_coords), min_size=1, max_size=K))
+    for k in range(K):
+        param = pool[draw(st.integers(0, len(pool) - 1))]   # duplicates
+        store.append(SampleRecord(designs[k // batch], param, 0.0,
+                                  np.zeros(n), k))
+    u = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    T = draw(st.integers(1, 80))
+    points = np.array(draw(st.lists(st.lists(values, min_size=n_coords,
+                                             max_size=n_coords),
+                                    min_size=T, max_size=T)))
+    return store, u, points
+
+
+CIRCLE = (ParamCoord("circular", period=1.0),)
+PLANE = (ParamCoord("flat"), ParamCoord("flat", scale=0.5))
+
+
+class TestPrunedOwners:
+    @settings(max_examples=100, deadline=None)
+    @given(owner_cases(CIRCLE, 1.0, _dyadic))
+    def test_circular_dyadic_ties(self, case):
+        assert_owners_match(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(owner_cases(CIRCLE, 1.0, _uniform))
+    def test_circular_uniform(self, case):
+        assert_owners_match(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(owner_cases(PLANE, 2.0, _dyadic))
+    def test_flat_2d_dyadic_ties(self, case):
+        assert_owners_match(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(owner_cases(PLANE, 0.7, _uniform))
+    def test_flat_2d_uniform(self, case):
+        assert_owners_match(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(owner_cases(CIRCLE, 0.0, _dyadic))
+    def test_zero_design_scale_all_offsets_equal(self, case):
+        assert_owners_match(*case)
+
+    def test_equal_offsets_midpoint_goes_to_smallest_index(self):
+        # records 0 and 1 share a design; 0.5 is exactly midway
+        for params in ([[0.75], [0.25]], [[0.25], [0.75]]):
+            store = make_store(flat_metric(), np.zeros((2, 2)), params)
+            assert_owners_match(store, np.zeros(2), [[0.5], [0.25], [0.75]])
+            assert nearest_index(store, np.zeros(2), [0.5]) == 0
+
+    def test_tie_with_a_smaller_index_in_a_later_chunk(self):
+        # record 0 has offset 0.25 and sits on the point; records 1..8
+        # have offset 0 and sit 0.5 away, so they fill the first chunk and
+        # tie at 0.25 with record 0, which opens the second chunk at offset
+        # 0.25 and must still win
+        designs = np.array([[0.5]] + [[0.0]] * 8)
+        params = np.array([[0.5]] + [[0.0]] * 8)
+        store = make_store(flat_metric(), designs, params)
+        assert_owners_match(store, np.zeros(1), [[0.5], [0.0], [0.25]])
+        assert nearest_index(store, np.zeros(1), [0.5]) == 0
+
+    def test_records_at_zero_and_just_below_period(self):
+        period = 2 * np.pi
+        eps = np.spacing(period)
+        m = circle_metric(period=period)
+        for params in ([[0.0], [period - eps]], [[period - eps], [0.0]]):
+            store = make_store(m, np.zeros((2, 3)), params)
+            pts = np.array([[0.0], [eps], [period - eps], [period - 2 * eps],
+                            [np.pi], [np.pi - eps / 2], [period / 4]])
+            assert_owners_match(store, np.zeros(3), pts)
+
+    def test_many_records_without_pruning(self):
+        rng = np.random.default_rng(21)
+        store = make_store(circle_metric(), np.zeros((300, 2)),
+                           rng.uniform(0, 2 * np.pi, size=(300, 1)))
+        pts = np.linspace(0, 2 * np.pi, 512, endpoint=False)[:, None]
+        assert_owners_match(store, np.zeros(2), pts)
+
+    def test_non_finite_inputs_rejected(self):
+        store = make_store(flat_metric(), np.zeros((3, 2)),
+                           [[0.1], [0.5], [0.9]])
+        pts, w = np.array([[0.2], [0.6]]), np.array([0.5, 0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pseudoexact_weights(store, np.array([0.0, bad]), pts, w)
+            with pytest.raises(ValueError, match="finite"):
+                pseudoexact_weights(store, np.zeros(2), [[0.2], [bad]], w)
+            with pytest.raises(ValueError, match="finite"):
+                nearest_index(store, np.zeros(2), [bad])
+
+
+# -- the array-backed store ---------------------------------------------------
+
+def assert_store_matches(store, model):
+    assert len(store) == len(model)
+    if not model:
+        assert store.records == []
+        with pytest.raises(ValueError):
+            store.values
+        return
+    np.testing.assert_array_equal(
+        store.designs, np.stack([r.design_snapshot for r in model]))
+    np.testing.assert_array_equal(store.params,
+                                  np.stack([r.param for r in model]))
+    np.testing.assert_array_equal(store.values,
+                                  [r.inner_value for r in model])
+    np.testing.assert_array_equal(store.gradients,
+                                  np.stack([r.inner_gradient for r in model]))
+    np.testing.assert_array_equal(store.iteration_born,
+                                  [r.iteration_born for r in model])
+
+
+_store_ops = st.lists(st.one_of(
+    st.tuples(st.just("batch"), st.integers(1, 12), st.booleans()),
+    st.tuples(st.just("keep"), st.lists(st.booleans(), max_size=80)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("read")),
+), max_size=25)
+
+
+class TestArrayStore:
+    @settings(max_examples=100, deadline=None)
+    @given(_store_ops, st.integers(0, 2**32 - 1))
+    def test_arrays_equal_stacked_records(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        m = flat_metric(dim=2)
+        store, model, born = SampleStore(metric=m), [], 0
+        for op in ops:
+            if op[0] == "batch":
+                # shared=True appends one design array for the whole batch
+                n_new, shared = op[1], op[2]
+                design = rng.uniform(size=4)
+                for _ in range(n_new):
+                    born += 1
+                    rec = SampleRecord(
+                        design if shared else rng.uniform(size=4),
+                        rng.uniform(size=2), float(rng.standard_normal()),
+                        rng.standard_normal(4), born)
+                    store.append(rec)
+                    model.append(rec)
+            elif op[0] == "keep":
+                mask = (op[1] + [True] * len(model))[:len(model)]
+                kept = np.flatnonzero(mask)
+                store.keep(rng.permutation(kept))
+                model = [model[i] for i in kept]
+            elif op[0] == "clear":
+                store.clear()
+                model = []
+            assert_store_matches(store, model)
+        for a, b in zip(store.records, model):
+            np.testing.assert_array_equal(a.design_snapshot, b.design_snapshot)
+            assert a.inner_value == b.inner_value
+
+    def test_views_are_read_only(self):
+        store = make_store(flat_metric(), np.zeros((2, 2)), [[0.1], [0.9]])
+        for view in (store.params, store.values, store.gradients,
+                     store.iteration_born):
+            with pytest.raises(ValueError):
+                view[0] = 1
+
+    def test_param_length_must_match_metric(self):
+        store = SampleStore(metric=flat_metric(dim=2))
+        with pytest.raises(ValueError, match=r"shape \(1,\)"):
+            store.append(SampleRecord(np.zeros(3), [0.5], 0.0, np.zeros(3), 0))
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            store.append(SampleRecord(np.zeros(3), [0.1, 0.2, 0.3], 0.0,
+                                      np.zeros(3), 0))
+        assert len(store) == 0
+
+    def test_design_length_must_match_stored_records(self):
+        store = make_store(flat_metric(), np.zeros((2, 3)), [[0.1], [0.9]])
+        with pytest.raises(ValueError, match="design length 4"):
+            store.append(SampleRecord(np.zeros(4), [0.5], 0.0, np.zeros(4), 2))
+        rec = SampleRecord(np.zeros(3), [0.5], 0.0, np.zeros(3), 2)
+        rec.inner_gradient = np.zeros(2)
+        with pytest.raises(ValueError, match="one length"):
+            store.append(rec)
+        assert len(store) == 2
+        store.clear()   # an empty store takes a new design length
+        store.append(SampleRecord(np.ones(4), [0.5], 1.0, np.ones(4), 3))
+        np.testing.assert_array_equal(store.designs, np.ones((1, 4)))
+
+    def test_keep_rejects_bad_indices(self):
+        store = make_store(flat_metric(), np.zeros((3, 2)),
+                           [[0.1], [0.5], [0.9]])
+        with pytest.raises(IndexError):
+            store.keep([0, 3])
+        with pytest.raises(IndexError):
+            store.keep([-1])
+        with pytest.raises(ValueError):
+            store.keep([1, 1])
+        assert len(store) == 3
+
+    def test_round_trip_after_eviction_with_shared_designs(self, tmp_path):
+        rng = np.random.default_rng(19)
+        store = SampleStore(metric=circle_metric(), capacity=6)
+        for k in range(4):
+            design = rng.uniform(size=5)
+            for _ in range(3):
+                store.append(SampleRecord(design, rng.uniform(size=1),
+                                          float(rng.standard_normal()),
+                                          rng.standard_normal(5), k))
+        store.keep([0, 4, 5, 9, 11])
+        store.save(tmp_path / "s.npz")
+        loaded = SampleStore.load(tmp_path / "s.npz")
+        assert_store_matches(loaded, store.records)
+        empty = SampleStore(metric=circle_metric())
+        empty.save(tmp_path / "e.npz")
+        assert len(SampleStore.load(tmp_path / "e.npz")) == 0
+
+    def test_load_reads_each_array_once(self, tmp_path):
+        # 100 records of width 200 hold 0.32 MB; a row taken from a fresh
+        # read of the whole array per record pins 100 copies (32 MB)
+        rng = np.random.default_rng(23)
+        store = SampleStore(metric=flat_metric())
+        for k in range(100):
+            store.append(SampleRecord(rng.uniform(size=200), [0.5], 0.0,
+                                      rng.standard_normal(200), k))
+        store.save(tmp_path / "s.npz")
+        tracemalloc.start()
+        try:
+            loaded = SampleStore.load(tmp_path / "s.npz")
+            loaded.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert_store_matches(loaded, store.records)
