@@ -6,7 +6,8 @@ Submodules:
     smoothing     smoothed indicator family and constraint aggregation
     csg_weights   sample store and nearest-neighbor integration weights
     mma_core      moving-asymptote approximations and subproblem solver
-    driver        sMMA / limited-memory sMMA / fixed-quadrature MMA loops
+    driver        one MMA loop for sMMA, limited-memory sMMA and the
+                  fixed-quadrature baseline
     benchmarks    wheel and plate problem builders
     verify        dense-quadrature ground-truth evaluation
     cli           command-line entry point

@@ -63,17 +63,8 @@ def angle_reduced_compliance(system: FactorizedSystem, Fx: np.ndarray,
             + ixy * (float(Fx @ uy) + float(Fy @ ux))) / width
 
 
-def _backprop_batch(grads_wrt_s: np.ndarray, rho: np.ndarray,
-                    filt: df.FilterMatrix, simp: df.SimpParams,
-                    mesh: StructuredMesh) -> np.ndarray:
-    """backprop_to_design for a (B, n_elements) block of gradients."""
-    y = filt.apply(rho)
-    inner = (simp.s * y ** (simp.s - 1.0)
-             * (simp.e_solid - simp.e_void)) * grads_wrt_s
-    if mesh.fixed_density:
-        inner = inner.copy()
-        inner[..., mesh.fixed_density_idx] = 0.0
-    return filt.apply_transpose(inner.T).T
+# perfbench/tracer.py TARGETS looks this name up; delete both together
+_backprop_batch = df.backprop_to_design
 
 
 class _ProblemBase:
@@ -84,7 +75,6 @@ class _ProblemBase:
     simp: df.SimpParams
     smoothing: SmoothingParams
     name: str = ""
-    aggregate_mode: str = "wrap_h"
     initial_value: float = 0.75
 
     @property
@@ -121,7 +111,6 @@ class _ProblemBase:
 
 
 class WheelProblem(_ProblemBase):
-    aggregate_mode = "wrap_h"
     name = "wheel"
 
     def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
@@ -202,9 +191,9 @@ class WheelProblem(_ProblemBase):
         return df.interpolate_stiffness(rho, self.filt, self.simp,
                                         mesh=self.mesh)
 
-    def evaluate_records(self, rho, params, want_grads: bool = True):
-        """Raw compliances (and design gradients) for a batch of omegas."""
-        omegas = np.asarray(params, dtype=float).reshape(-1)
+    def compliances(self, rho, omegas, want_grads: bool = False):
+        """Compliances (and their design gradients) for a batch of omegas."""
+        omegas = np.asarray(omegas, dtype=float).reshape(-1)
         system = assemble_stiffness(self.mesh, self.stiffness_field(rho))
         F = self.load_block(omegas)
         U = system.solve(F)
@@ -212,9 +201,17 @@ class WheelProblem(_ProblemBase):
         if not want_grads:
             return values, None
         grads_s = -element_quadratic_forms(self.mesh, U, U)
-        grads = _backprop_batch(grads_s, np.asarray(rho, dtype=float),
-                                self.filt, self.simp, self.mesh)
-        return values, grads
+        return values, df.backprop_to_design(
+            grads_s, rho, self.filt, self.simp, mesh=self.mesh)
+
+    def evaluate_records(self, rho, params, want_grads: bool = True):
+        """Records for a batch of omegas: h(c - cap) and h'(c - cap) grad c."""
+        c, dc = self.compliances(rho, params, want_grads=want_grads)
+        t = c - self.smoothing.c_max
+        values = h_eval(t, self.smoothing)
+        if not want_grads:
+            return values, None
+        return values, h_deriv(t, self.smoothing)[:, None] * dc
 
     # -- parameter space -----------------------------------------------
 
@@ -242,7 +239,7 @@ class WheelProblem(_ProblemBase):
         """Raw compliances on an equispaced circle rule (periodic trapezoid)."""
         n = int(spec) if spec is not None else self.default_verify_spec
         pts, w = self.pseudo_quadrature(n)
-        values, _ = self.evaluate_records(rho, pts, want_grads=False)
+        values, _ = self.compliances(rho, pts)
         return values, w
 
 
@@ -265,8 +262,7 @@ def wheel_problem(n_radial: int = 18, n_angular: int = 72,
     problem = WheelProblem(mesh, filt, simp, smoothing,
                            initial_value=initial_value)
     # pin the compliance scale at the mean direction of the uniform omega
-    values, _ = problem.evaluate_records(problem.initial_design(),
-                                         np.array([np.pi]), want_grads=False)
+    values, _ = problem.compliances(problem.initial_design(), [np.pi])
     problem.load_scale = 1.0 / np.sqrt(float(values[0]))
     problem.smoothing = SmoothingParams(
         a1=a1, a2=a2, a3=a3, c_max=1.5 if c_max is None else c_max,
@@ -275,7 +271,6 @@ def wheel_problem(n_radial: int = 18, n_angular: int = 72,
 
 
 class PlateProblem(_ProblemBase):
-    aggregate_mode = "precomposed"
     name = "plate"
 
     def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
@@ -464,11 +459,6 @@ class PlateProblem(_ProblemBase):
             grads.append(df.backprop_to_design(grad_s, rho, self.filt,
                                                self.simp, mesh=self.mesh))
         return np.array(values), (np.stack(grads) if want_grads else None)
-
-    def xi_eval(self, rho, xi, want_grad: bool = True):
-        """One record: evaluate_records for the single xi."""
-        values, grads = self.evaluate_records(rho, [xi], want_grads=want_grad)
-        return float(values[0]), (grads[0] if want_grad else None)
 
     def angle_averaged_compliance(self, rho, xi, omega: float) -> float:
         """Single (xi, omega) angle-averaged compliance, by direct assembly."""

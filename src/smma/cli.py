@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import plate_problem, wheel_problem
-from .driver import METHODS, RunConfig, run
+from .driver import METHODS, RunConfig, run_smma
 from .verify import dense_cc
 
 DESIGN_MAGIC = "smma-design 1"
@@ -360,20 +360,26 @@ def cmd_run(config_path: str, out_root: str | None) -> int:
     entries = parse_config(Path(config_path).read_text())
     rc = resolve_config(entries)
     out_base = Path(out_root) if out_root else Path(rc.out)
+    runs = []
+    for batch, tau, seed in product(rc.batches, rc.taus, rc.seeds):
+        try:   # every run's values are checked before the first one starts
+            runs.append((batch, tau, seed, RunConfig(
+                method=rc.method, batch_size=batch, iterations=rc.iterations,
+                seed=seed, tau=tau, tau_schedule=rc.tau_schedule,
+                memory_cap=rc.memory_cap, pseudo_points=rc.pseudo_points,
+                empirical_weights=rc.empirical_weights,
+                simp_schedule=rc.simp_schedule,
+                baseline_spec=rc.baseline_spec,
+                verify_every=rc.verify_every, verify_spec=rc.verify_spec)))
+        except ValueError as exc:
+            raise ConfigError(f"batch {batch}, tau {tau:g}: {exc}") from None
     problem = build_problem(rc)
 
-    for batch, tau, seed in product(rc.batches, rc.taus, rc.seeds):
-        cfg = RunConfig(
-            method=rc.method, batch_size=batch, iterations=rc.iterations,
-            seed=seed, tau=tau, tau_schedule=rc.tau_schedule,
-            memory_cap=rc.memory_cap, pseudo_points=rc.pseudo_points,
-            empirical_weights=rc.empirical_weights,
-            simp_schedule=rc.simp_schedule, baseline_spec=rc.baseline_spec,
-            verify_every=rc.verify_every, verify_spec=rc.verify_spec)
+    for batch, tau, seed, cfg in runs:
         name = f"{rc.problem_name}_{rc.method}_b{batch}_tau{tau:g}_seed{seed}"
         run_dir = out_base / name
         run_dir.mkdir(parents=True, exist_ok=True)
-        rho, log = run(problem, cfg)
+        rho, log = run_smma(problem, cfg)
         log.to_csv(run_dir / "log.csv", include_timing=rc.log_timing)
         save_design(run_dir / "design.txt", problem, rho)
         _write_manifest(run_dir / "manifest.txt", rc, batch, tau, seed)

@@ -112,14 +112,14 @@ def backprop_to_design(grad_wrt_stiffness: np.ndarray, rho: np.ndarray,
 
     Returns F^T (s y^(s-1) (E1 - E0) * g), with pinned elements' entries
     zeroed before the transpose (their stiffness does not depend on rho).
+    g is one (n,) gradient or a (B, n) block of them, one per row.
     """
     g = np.asarray(grad_wrt_stiffness, dtype=float)
     y = filt.apply(np.asarray(rho, dtype=float))
     inner = simp.s * y ** (simp.s - 1.0) * (simp.e_solid - simp.e_void) * g
     if mesh is not None and mesh.fixed_density:
-        inner = inner.copy()
-        inner[mesh.fixed_density_idx] = 0.0
-    return filt.apply_transpose(inner)
+        inner[..., mesh.fixed_density_idx] = 0.0
+    return filt.apply_transpose(inner.T).T
 
 
 def rvol(rho: np.ndarray, filt: FilterMatrix,

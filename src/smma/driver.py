@@ -1,25 +1,30 @@
-"""Outer optimization loops.
+"""The optimization loop: sMMA, limited-memory sMMA and the quadrature
+baseline.
 
-run_smma draws a fresh parameter batch per iteration, stores the sampled
-values/gradients, recombines everything stored through nearest-neighbor
-integration weights, and feeds the estimate to an MMA step. With a memory
-cap it evicts the lowest-weight records at the end of each iteration.
-run_mma_quadrature is the deterministic baseline: the same MMA step driven
-by a fixed quadrature rule re-evaluated at every iterate.
+run_smma feeds an MMA step with a weighted sum of sampled chance-constraint
+integrands; the methods differ only in the weights. sMMA draws a fresh
+parameter batch per iteration, stores the records, and weights everything
+stored by nearest-neighbor integration weights; with a memory cap it
+evicts the lowest-weight records at the end of each iteration. The
+mma-quadrature baseline evaluates a fixed rule (nodes, lambda) at every
+iterate and weights by lambda, with no store and no random draws.
 
 Problems are duck-typed; they provide (see benchmarks for the two built-in
 ones): initial_design, free_mask, smoothing, simp, with_simp,
 evaluate_records, sample_param, metric, pseudo_quadrature, baseline_nodes,
 default_baseline_spec, dense_raw, rvol, pvol, rvol_gradient,
-aggregate_mode, default_simp_schedule, default_verify_spec,
-default_pseudo_points.
+default_simp_schedule, default_verify_spec, default_pseudo_points.
+
+Record contract: evaluate_records(rho, params) returns, per parameter, the
+integrand already composed with the smoothed indicator h and its design
+gradient, so the constraint estimate is the weighted sum of both.
+dense_raw returns raw compliances; verification applies h itself.
 
 RNG draw order is fixed: per iteration, batch member by batch member, one
 parameter vector each (coordinates in the problem's declared order).
 """
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
@@ -47,7 +52,6 @@ class RunConfig:
     baseline_spec: object = None           # nodes of the quadrature baseline
     verify_every: int = 10
     verify_spec: object = None             # dense rule; None: problem default
-    smoothing_override: object = None      # SmoothingParams replacing problem's
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -56,6 +60,12 @@ class RunConfig:
             raise ValueError("batch size and iterations must be positive")
         if self.memory_cap is not None and self.memory_cap < self.batch_size:
             raise ValueError("memory cap must be at least the batch size")
+        if not self.tau > 0.0:
+            raise ValueError("move limit tau must be positive")
+        if self.tau_schedule is not None and not (
+                self.tau_schedule[0] >= 1 and self.tau_schedule[1] > 0.0):
+            raise ValueError("tau schedule needs a period of at least 1 "
+                             "and a positive factor")
 
 
 @dataclass
@@ -112,16 +122,6 @@ def _simp_at(schedule, k: int) -> float:
     return s
 
 
-def _prepare(problem, cfg: RunConfig):
-    if cfg.smoothing_override is not None:
-        problem = copy.copy(problem)
-        problem.smoothing = cfg.smoothing_override
-    rho = problem.initial_design().astype(float)
-    free = problem.free_mask
-    state = mma.MmaState.initial(int(free.sum()), tau=cfg.tau)
-    return problem, rho, free, state
-
-
 def _mma_step(problem, cfg: RunConfig, state, rho, free, g_val, g_grad):
     """One asymptote update + subproblem solve; returns the next design."""
     z = rho[free]
@@ -146,50 +146,58 @@ def _verify_maybe(problem, cfg: RunConfig, rho, k: int):
 
 
 def run_smma(problem, cfg: RunConfig, callback=None):
-    """Alg.-style stochastic MMA loop (capacity-capped when configured).
+    """Run cfg.iterations MMA steps of cfg.method from the initial design.
 
     Returns (final design, IterationLog). callback(iteration, design,
-    store, row) runs after each iteration when given.
+    store, row) runs after each iteration when given; the store is None
+    for the quadrature baseline.
     """
-    if cfg.method not in ("smma", "smma-limited"):
-        raise ValueError("run_smma expects method smma or smma-limited")
-    problem, rho, free, state = _prepare(problem, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rho = problem.initial_design().astype(float)
+    free = problem.free_mask
+    state = mma.MmaState.initial(int(free.sum()), tau=cfg.tau)
     schedule = _simp_schedule(problem, cfg)
-    cap = cfg.memory_cap if cfg.method == "smma-limited" else None
-
-    store = cw.SampleStore(metric=problem.metric(), capacity=cap)
-    quad = None
-    if not cfg.empirical_weights:
-        T = cfg.pseudo_points or problem.default_pseudo_points
-        quad = problem.pseudo_quadrature(T)
-
     phase = problem.with_simp(_simp_at(schedule, 1))
+
+    store = quad = cap = None
+    if cfg.method == "mma-quadrature":
+        spec = cfg.baseline_spec
+        if spec is None:
+            spec = problem.default_baseline_spec(cfg.batch_size)
+        nodes, lam = phase.baseline_nodes(spec)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        cap = cfg.memory_cap if cfg.method == "smma-limited" else None
+        store = cw.SampleStore(metric=problem.metric(), capacity=cap)
+        if not cfg.empirical_weights:
+            T = cfg.pseudo_points or problem.default_pseudo_points
+            quad = problem.pseudo_quadrature(T)
+
     log = IterationLog()
     for k in range(1, cfg.iterations + 1):
         start = time.perf_counter()
         s_now = _simp_at(schedule, k)
         if s_now != phase.simp.s:
             phase = problem.with_simp(s_now)
-            store.clear()   # gradients under the old exponent are stale
+            if store is not None:
+                store.clear()   # gradients under the old exponent are stale
 
-        params = [phase.sample_param(rng) for _ in range(cfg.batch_size)]
-        values, grads = phase.evaluate_records(rho, np.stack(params))
-        for b in range(cfg.batch_size):
-            # one design array for the batch: the store keeps it once
-            store.append(cw.SampleRecord(
-                design_snapshot=rho, param=params[b],
-                inner_value=float(values[b]), inner_gradient=grads[b],
-                iteration_born=k))
-
-        if quad is None:
-            alpha = cw.empirical_weights(store, rho)
+        if store is None:
+            values, grads = phase.evaluate_records(rho, nodes)
+            g_hat, dg_hat = float(lam @ values), lam @ grads
         else:
-            alpha = cw.pseudoexact_weights(store, rho, quad[0], quad[1])
-        if phase.aggregate_mode == "wrap_h":
-            g_hat, dg_hat = cw.aggregate(store, alpha, phase.smoothing)
-        else:
-            g_hat, dg_hat = cw.aggregate_precomposed(store, alpha)
+            params = [phase.sample_param(rng) for _ in range(cfg.batch_size)]
+            values, grads = phase.evaluate_records(rho, np.stack(params))
+            for b in range(cfg.batch_size):
+                # one design array for the batch: the store keeps it once
+                store.append(cw.SampleRecord(
+                    design_snapshot=rho, param=params[b],
+                    inner_value=float(values[b]), inner_gradient=grads[b],
+                    iteration_born=k))
+            if quad is None:
+                alpha = cw.empirical_weights(store, rho)
+            else:
+                alpha = cw.pseudoexact_weights(store, rho, quad[0], quad[1])
+            g_hat, dg_hat = cw.aggregate(store, alpha)
 
         row_stats = (phase.rvol(rho), phase.pvol(rho))
         dense = _verify_maybe(phase, cfg, rho, k)
@@ -203,63 +211,10 @@ def run_smma(problem, cfg: RunConfig, callback=None):
             iteration=k, rvol=row_stats[0], pvol=row_stats[1],
             g_internal=g_hat, g_dense_smooth=dense[0],
             g_dense_steepened=dense[1], g_dense_nonsmooth=dense[2],
-            tau=state.tau, store_size=len(store),
+            tau=state.tau, store_size=0 if store is None else len(store),
             wall_ms=1e3 * (time.perf_counter() - start))
         log.rows.append(row)
         rho = rho_new
         if callback is not None:
             callback(k, rho, store, row)
     return rho, log
-
-
-def run_mma_quadrature(problem, cfg: RunConfig, callback=None):
-    """Deterministic MMA on a fixed discretization of the constraint."""
-    if cfg.method != "mma-quadrature":
-        raise ValueError("run_mma_quadrature expects method mma-quadrature")
-    problem, rho, free, state = _prepare(problem, cfg)
-    schedule = _simp_schedule(problem, cfg)
-    spec = cfg.baseline_spec
-    if spec is None:
-        spec = problem.default_baseline_spec(cfg.batch_size)
-
-    phase = problem.with_simp(_simp_at(schedule, 1))
-    nodes, lam = phase.baseline_nodes(spec)
-    log = IterationLog()
-    for k in range(1, cfg.iterations + 1):
-        start = time.perf_counter()
-        s_now = _simp_at(schedule, k)
-        if s_now != phase.simp.s:
-            phase = problem.with_simp(s_now)
-
-        values, grads = phase.evaluate_records(rho, nodes)
-        if phase.aggregate_mode == "wrap_h":
-            from .smoothing import h_deriv, h_eval
-            t = values - phase.smoothing.c_max
-            g_val = float(lam @ h_eval(t, phase.smoothing))
-            g_grad = (lam * h_deriv(t, phase.smoothing)) @ grads
-        else:
-            g_val = float(lam @ values)
-            g_grad = lam @ grads
-
-        row_stats = (phase.rvol(rho), phase.pvol(rho))
-        dense = _verify_maybe(phase, cfg, rho, k)
-        state, rho_new = _mma_step(phase, cfg, state, rho, free, g_val,
-                                   g_grad)
-        row = IterationRow(
-            iteration=k, rvol=row_stats[0], pvol=row_stats[1],
-            g_internal=g_val, g_dense_smooth=dense[0],
-            g_dense_steepened=dense[1], g_dense_nonsmooth=dense[2],
-            tau=state.tau, store_size=0,
-            wall_ms=1e3 * (time.perf_counter() - start))
-        log.rows.append(row)
-        rho = rho_new
-        if callback is not None:
-            callback(k, rho, None, row)
-    return rho, log
-
-
-def run(problem, cfg: RunConfig, callback=None):
-    """Dispatch on cfg.method."""
-    if cfg.method == "mma-quadrature":
-        return run_mma_quadrature(problem, cfg, callback)
-    return run_smma(problem, cfg, callback)

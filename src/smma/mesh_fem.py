@@ -398,23 +398,6 @@ def _solve_group(system: FactorizedSystem, group, columns):
         yield LowRankUpdate(dofs=dofs, Z=Zs, M=M)
 
 
-def solve_multi_rhs(system: FactorizedSystem, rhs_block) -> np.ndarray:
-    """Solve against a block of right-hand sides (one column per load)."""
-    rhs = np.asarray(rhs_block, dtype=float)
-    if rhs.ndim == 1:
-        rhs = rhs[:, None]
-    return system.solve(rhs)
-
-
-def compliance(F: np.ndarray, U: np.ndarray) -> float:
-    """Work of the load, F^T U."""
-    F = np.asarray(F, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if F.shape != U.shape:
-        raise ValueError("force and displacement lengths differ")
-    return float(F @ U)
-
-
 def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,
                             U2: np.ndarray | None = None) -> np.ndarray:
     """Per-element u1_e^T k0_e u2_e.
@@ -434,8 +417,3 @@ def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,
     # three-operand contraction as one unoptimized loop, several times slower
     return np.einsum("eib,eib->be", e1, np.matmul(mats, e2))
 
-
-def compliance_gradient_wrt_stiffness(mesh: StructuredMesh,
-                                      U: np.ndarray) -> np.ndarray:
-    """d(F^T U)/ds_e = -u_e^T k0_e u_e for the self-adjoint state problem."""
-    return -element_quadratic_forms(mesh, U)

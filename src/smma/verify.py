@@ -55,8 +55,7 @@ def relative_compliance(design, problem, param) -> float:
         c = problem.angle_averaged_compliance(design, param[:2],
                                               float(param[2]))
     else:
-        values, _ = problem.evaluate_records(design, param[:1],
-                                             want_grads=False)
+        values, _ = problem.compliances(design, param[:1])
         c = float(values[0])
     return c / problem.smoothing.c_max
 

@@ -89,8 +89,7 @@ class TestWheel:
         assert wheel.intensity(0.0, np.pi) == pytest.approx(0.0, abs=1e-12)
 
     def test_initial_compliance_calibrated_to_one(self, wheel):
-        v, _ = wheel.evaluate_records(wheel.initial_design(),
-                                      np.array([np.pi]), want_grads=False)
+        v, _ = wheel.compliances(wheel.initial_design(), [np.pi])
         assert v[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_load_zero_at_dirichlet_dofs(self, wheel):
@@ -119,10 +118,8 @@ class TestWheel:
         rho_grid = rho.reshape(nr, na)
         rho_rot = np.roll(rho_grid, -1, axis=1).ravel()
 
-        c0, _ = wheel.evaluate_records(rho, np.array([omega]),
-                                       want_grads=False)
-        c1, _ = wheel.evaluate_records(rho_rot, np.array([omega + dtheta]),
-                                       want_grads=False)
+        c0, _ = wheel.compliances(rho, [omega])
+        c1, _ = wheel.compliances(rho_rot, [omega + dtheta])
         assert abs(c1[0] - c0[0]) < 1e-8 * abs(c0[0])
 
     def test_dense_raw_rotation_invariant_constraint(self, wheel):
@@ -140,11 +137,12 @@ class TestWheel:
         assert abs(g0 - g1) < 1e-6
 
     def test_record_gradient_matches_finite_differences(self, wheel):
+        # the compliance gradient; records compose it with h' (next test)
         rng = np.random.default_rng(4)
         rho = rng.uniform(0.3, 0.8, wheel.mesh.n_elements)
         rho[~wheel.free_mask] = 1.0
         omega = np.array([2.2])
-        _, grads = wheel.evaluate_records(rho, omega)
+        _, grads = wheel.compliances(rho, omega, want_grads=True)
         step = 1e-6
         idx = rng.choice(np.nonzero(wheel.free_mask)[0], size=8,
                          replace=False)
@@ -152,10 +150,27 @@ class TestWheel:
             up, dn = rho.copy(), rho.copy()
             up[j] += step
             dn[j] -= step
-            cu, _ = wheel.evaluate_records(up, omega, want_grads=False)
-            cd, _ = wheel.evaluate_records(dn, omega, want_grads=False)
+            cu, _ = wheel.compliances(up, omega)
+            cd, _ = wheel.compliances(dn, omega)
             fd = (cu[0] - cd[0]) / (2 * step)
             assert abs(grads[0][j] - fd) / max(abs(fd), 1e-10) < 1e-5
+
+    def test_records_are_h_composed_compliances(self, wheel):
+        # compliances about 0.55, 1.35, 1.85 and 15 against the cap 1.5
+        omegas = np.array([0.4, 1.9, 3.3, 5.0])
+        for lo, hi in ((0.7, 0.9), (0.65, 0.8), (0.6, 0.8), (0.3, 0.8)):
+            rng = np.random.default_rng(6)
+            r = rng.uniform(lo, hi, wheel.mesh.n_elements)
+            r[~wheel.free_mask] = 1.0
+            c, dc = wheel.compliances(r, omegas, want_grads=True)
+            t = c - wheel.smoothing.c_max
+            values, grads = wheel.evaluate_records(r, omegas)
+            np.testing.assert_array_equal(values, h_eval(t, wheel.smoothing))
+            np.testing.assert_array_equal(
+                grads, h_deriv(t, wheel.smoothing)[:, None] * dc)
+            only, none = wheel.evaluate_records(r, omegas, want_grads=False)
+            np.testing.assert_array_equal(only, values)
+            assert none is None
 
 
 class TestPlate:
@@ -217,16 +232,16 @@ class TestPlate:
         rng = np.random.default_rng(5)
         rho = rng.uniform(0.3, 0.8, problem.mesh.n_elements)
         xi = np.array([0.9, 0.55])
-        value, grad = problem.xi_eval(rho, xi)
+        _, grads = problem.evaluate_records(rho, [xi])
         step = 1e-6
         for j in range(0, problem.mesh.n_elements, 3):
             up, dn = rho.copy(), rho.copy()
             up[j] += step
             dn[j] -= step
-            vu, _ = problem.xi_eval(up, xi, want_grad=False)
-            vd, _ = problem.xi_eval(dn, xi, want_grad=False)
-            fd = (vu - vd) / (2 * step)
-            assert abs(grad[j] - fd) <= 1e-4 * max(abs(fd), 1e-8) + 1e-10
+            vu, _ = problem.evaluate_records(up, [xi], want_grads=False)
+            vd, _ = problem.evaluate_records(dn, [xi], want_grads=False)
+            fd = (vu[0] - vd[0]) / (2 * step)
+            assert abs(grads[0][j] - fd) <= 1e-4 * max(abs(fd), 1e-8) + 1e-10
 
     def test_weakening_flag_disables_modifier(self):
         problem = plate_problem(nx=8, ny=4, n_omega=4, weakening=False)

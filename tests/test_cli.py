@@ -150,6 +150,28 @@ class TestRunCommand:
         cfg.write_text("method = smma\n")   # problem key missing
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("edit,message", [
+        (("iterations = 3", "iterations = 0"), "must be positive"),
+        (("batch = 2", "batch = 0"), "must be positive"),
+        (("batch = 2", "batch = 2 8\nmemory_cap = 4"), "memory cap"),
+        (("tau = 0.5", "tau = -1"), "tau must be positive"),
+        (("tau = 0.5", "tau = 0"), "tau must be positive"),
+        (("tau = 0.5", "tau = 0.5\ntau_period = 0\ntau_factor = 0.5"),
+         "tau schedule"),
+        (("tau = 0.5", "tau = 0.5\ntau_period = 2\ntau_factor = -1"),
+         "tau schedule"),
+    ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
+            "tau-zero", "tau-period-0", "tau-factor-negative"])
+    def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "out"
+        text = TINY_WHEEL.replace(*edit)
+        assert text != TINY_WHEEL
+        cfg = write_config(tmp_path, text, out=out)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()   # rejected before any run starts
+
     def test_plate_baseline_run(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, TINY_PLATE, out=out)

@@ -12,7 +12,6 @@ from smma.csg_weights import (
     SampleStore,
     _owners,
     aggregate,
-    aggregate_precomposed,
     empirical_weights,
     evict_min_weight,
     joint_distance,
@@ -67,6 +66,43 @@ class TestJointDistance:
         m = flat_metric(dim=2)
         with pytest.raises(ValueError):
             joint_distance(m, np.zeros(2), [0.1], np.zeros(2), [0.1, 0.2])
+
+
+def two_remainder_dist2(metric, x1, x2):
+    """The circular wrap as min(d % p, (-d) % p): the oracle of param_dist2."""
+    diff = np.abs(np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float))
+    total = 0.0
+    for c, coord in enumerate(metric.coords):
+        d = diff[..., c]
+        if coord.kind == "circular":
+            d = np.minimum(d % coord.period, (-d) % coord.period)
+        total = total + (d / coord.scale) ** 2
+    return total
+
+
+_periods = st.sampled_from([1.0, 2 * np.pi, 0.3, 7.0])
+_coordinate = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+class TestParamDist2:
+    @settings(max_examples=200, deadline=None)
+    @given(_periods, st.lists(st.tuples(_coordinate, _coordinate),
+                              min_size=1, max_size=40))
+    def test_one_remainder_wrap_equals_two(self, period, pairs):
+        m = circle_metric(period=period, scale=1.3)
+        x1, x2 = (np.array(v)[:, None] for v in zip(*pairs))
+        np.testing.assert_array_equal(m.param_dist2(x1, x2),
+                                      two_remainder_dist2(m, x1, x2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_periods, st.integers(-20, 20), _coordinate)
+    def test_exact_multiples_of_the_period(self, period, n, x):
+        m = JointMetric(coords=(ParamCoord("circular", period=period),
+                                ParamCoord("flat", scale=2.0)))
+        x1 = np.array([[n * period, x], [x, x], [0.0, 0.0]])
+        x2 = np.array([[0.0, 0.0], [x + n * period, x], [n * period, 1.0]])
+        np.testing.assert_array_equal(m.param_dist2(x1, x2),
+                                      two_remainder_dist2(m, x1, x2))
 
 
 class TestNearestIndex:
@@ -211,29 +247,22 @@ class TestEmpiricalWeights:
 
 
 class TestAggregate:
+    """The estimator over records that hold h(c - c_max) and its gradient."""
+
     def smoothing(self):
         return SmoothingParams(a1=35.0, a2=0.05, a3=5.0, c_max=2.0,
                                p_level=0.05)
-
-    def test_single_record(self):
-        p = self.smoothing()
-        grad = np.array([0.5, -1.0])
-        store = make_store(flat_metric(), np.zeros((1, 2)), [[0.1]],
-                           values=[2.3], grads=[grad])
-        g, dg = aggregate(store, np.array([1.0]), p)
-        from smma.smoothing import h_deriv
-        assert g == pytest.approx(h_eval(0.3, p))
-        np.testing.assert_allclose(dg, h_deriv(0.3, p) * grad)
 
     def test_identical_records_any_weights(self):
         p = self.smoothing()
         grad = np.array([1.0, 2.0, 3.0])
         store = make_store(flat_metric(), np.zeros((3, 3)),
                            [[0.1], [0.5], [0.9]],
-                           values=[2.5] * 3, grads=[grad] * 3)
+                           values=[h_eval(0.5, p)] * 3, grads=[grad] * 3)
         for w in ([1, 0, 0], [0.2, 0.3, 0.5]):
-            g, dg = aggregate(store, np.array(w, dtype=float), p)
+            g, dg = aggregate(store, np.array(w, dtype=float))
             assert g == pytest.approx(h_eval(0.5, p))
+            np.testing.assert_allclose(dg, grad)
 
     def test_analytic_integrand_matches_dense_trapezoid(self):
         # c(omega) = 2 + cos(omega), omega uniform on the circle; weights
@@ -241,13 +270,13 @@ class TestAggregate:
         p = self.smoothing()
         rng = np.random.default_rng(11)
         omegas = rng.uniform(0, 2 * np.pi, size=200)
-        values = 2.0 + np.cos(omegas)
+        values = h_eval(2.0 + np.cos(omegas) - p.c_max, p)
         store = make_store(circle_metric(), np.zeros((200, 2)),
                            omegas[:, None], values=values)
         T = 4096
         pts = np.linspace(0, 2 * np.pi, T, endpoint=False)[:, None]
         alpha = pseudoexact_weights(store, np.zeros(2), pts, np.full(T, 1 / T))
-        g_hat, _ = aggregate(store, alpha, p)
+        g_hat, _ = aggregate(store, alpha)
 
         dense = np.linspace(0, 2 * np.pi, 10_000, endpoint=False)
         g_ref = np.mean(h_eval(2.0 + np.cos(dense) - p.c_max, p))
@@ -266,10 +295,10 @@ class TestAggregate:
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 om = rng.uniform(0, 2 * np.pi, size=n)
-                store = make_store(circle_metric(), np.zeros((n, 1)),
-                                   om[:, None], values=2.0 + np.cos(om))
+                store = make_store(circle_metric(), np.zeros((n, 1)), om[:, None],
+                                   values=h_eval(2.0 + np.cos(om) - p.c_max, p))
                 alpha = pseudoexact_weights(store, np.zeros(1), pts, w)
-                g_hat, _ = aggregate(store, alpha, p)
+                g_hat, _ = aggregate(store, alpha)
                 per_seed.append(abs(g_hat - g_ref))
             errs.append(np.median(per_seed))
         assert errs[0] >= errs[1] >= errs[2]
@@ -278,14 +307,18 @@ class TestAggregate:
         grads = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
         store = make_store(flat_metric(), np.zeros((2, 2)), [[0.2], [0.8]],
                            values=[0.3, 0.7], grads=grads)
-        g, dg = aggregate_precomposed(store, np.array([0.25, 0.75]))
+        g, dg = aggregate(store, np.array([0.25, 0.75]))
         assert g == pytest.approx(0.25 * 0.3 + 0.75 * 0.7)
         np.testing.assert_allclose(dg, [0.25, 1.5])
 
     def test_bad_weights(self):
         store = make_store(flat_metric(), np.zeros((2, 2)), [[0.2], [0.8]])
         with pytest.raises(ValueError):
-            aggregate(store, np.array([0.7, 0.5]), self.smoothing())
+            aggregate(store, np.array([0.7, 0.5]))
+        with pytest.raises(ValueError):
+            aggregate(store, np.array([1.5, -0.5]))
+        with pytest.raises(ValueError):
+            aggregate(store, np.array([1.0]))
 
 
 class TestEviction:

@@ -11,7 +11,11 @@ from smma.design_field import (
     rvol,
     rvol_gradient,
 )
-from smma.mesh_fem import assemble_stiffness, build_rect_mesh, compliance
+from smma.mesh_fem import (
+    assemble_stiffness,
+    build_rect_mesh,
+    element_quadratic_forms,
+)
 
 
 def dense(filt):
@@ -177,13 +181,12 @@ class TestBackprop:
 
         def comp(r):
             sys = assemble_stiffness(mesh, interpolate_stiffness(r, filt, simp))
-            return compliance(f, sys.solve(f))
+            return f @ sys.solve(f)
 
-        from smma.mesh_fem import compliance_gradient_wrt_stiffness
         sys = assemble_stiffness(mesh, interpolate_stiffness(rho, filt, simp))
         u = sys.solve(f)
         grad = backprop_to_design(
-            compliance_gradient_wrt_stiffness(mesh, u), rho, filt, simp)
+            -element_quadratic_forms(mesh, u), rho, filt, simp)
 
         step = 1e-6
         for j in range(mesh.n_elements):
@@ -192,6 +195,22 @@ class TestBackprop:
             dn[j] -= step
             fd = (comp(up) - comp(dn)) / (2 * step)
             assert abs(grad[j] - fd) / max(abs(fd), 1e-10) < 1e-5
+
+    def test_block_rows_equal_single_calls(self):
+        from smma.mesh_fem import build_disc_mesh
+        mesh = build_disc_mesh(4, 12, 0.1, 0.85)
+        filt = build_filter(mesh, 0.3)
+        simp = SimpParams(s=3.0)
+        rng = np.random.default_rng(9)
+        rho = rng.uniform(0.2, 0.8, mesh.n_elements)
+        block = rng.standard_normal((5, mesh.n_elements))
+        kept = block.copy()
+        out = backprop_to_design(block, rho, filt, simp, mesh=mesh)
+        assert out.shape == block.shape
+        np.testing.assert_array_equal(block, kept)   # input left untouched
+        for row, g in zip(out, block):
+            np.testing.assert_array_equal(
+                row, backprop_to_design(g, rho, filt, simp, mesh=mesh))
 
     def test_pinned_elements_zero_gradient_and_solid(self):
         from smma.mesh_fem import build_disc_mesh

@@ -3,20 +3,20 @@ import pytest
 
 from smma.benchmarks import wheel_problem
 from smma.design_field import SimpParams
-from smma.driver import CSV_HEADER, IterationLog, RunConfig, run, run_smma
+from smma.driver import CSV_HEADER, IterationLog, RunConfig, run_smma
 from smma.csg_weights import JointMetric, ParamCoord
-from smma.smoothing import SmoothingParams
+from smma.smoothing import SmoothingParams, h_deriv, h_eval
 
 
 class ToyProblem:
     """Analytic problem with a point-mass parameter distribution.
 
-    Inner value c(rho, x) = c0 - w . rho + x; volume objective is the
-    plain mean of rho. Exercises the driver without any FEM.
+    Inner value c(rho, x) = c0 - w . rho + x; a record is h(c - c_max)
+    with its design gradient. The volume objective is the plain mean of
+    rho. Exercises the driver without any FEM.
     """
 
     name = "toy"
-    aggregate_mode = "wrap_h"
 
     def __init__(self, n=4, x0=0.0):
         self.n = n
@@ -66,15 +66,18 @@ class ToyProblem:
     def default_baseline_spec(self, batch_size):
         return 1
 
+    def compliances(self, rho, params):
+        return self.c0 - float(self.w @ rho) + np.atleast_2d(params)[:, 0]
+
     def evaluate_records(self, rho, params, want_grads=True):
-        params = np.atleast_2d(params)
-        values = self.c0 - float(self.w @ rho) + params[:, 0]
-        grads = np.tile(-self.w, (len(params), 1)) if want_grads else None
-        return values, grads
+        t = self.compliances(rho, params) - self.smoothing.c_max
+        values = h_eval(t, self.smoothing)
+        if not want_grads:
+            return values, None
+        return values, h_deriv(t, self.smoothing)[:, None] * -self.w
 
     def dense_raw(self, rho, spec=None):
-        v, _ = self.evaluate_records(rho, [[self.x0]], want_grads=False)
-        return v, np.array([1.0])
+        return self.compliances(rho, [[self.x0]]), np.array([1.0])
 
 
 def tiny_wheel():
@@ -182,7 +185,7 @@ class TestBaselineLoop:
         problem = tiny_wheel()
         cfg = RunConfig(method="mma-quadrature", batch_size=4, iterations=5,
                         seed=0, verify_every=0)
-        rho, log = run(problem, cfg)
+        rho, log = run_smma(problem, cfg)
         assert len(log.rows) == 5
         assert all(r.store_size == 0 for r in log.rows)
 
@@ -190,8 +193,8 @@ class TestBaselineLoop:
         problem = tiny_wheel()
         base = dict(method="mma-quadrature", batch_size=4, iterations=4,
                     verify_every=0)
-        r1, _ = run(problem, RunConfig(seed=0, **base))
-        r2, _ = run(problem, RunConfig(seed=99, **base))
+        r1, _ = run_smma(problem, RunConfig(seed=0, **base))
+        r2, _ = run_smma(problem, RunConfig(seed=99, **base))
         assert np.array_equal(r1, r2)
 
     def test_point_mass_equals_single_node_baseline(self):
@@ -201,8 +204,8 @@ class TestBaselineLoop:
                              seed=5, verify_every=0)
         base_cfg = RunConfig(method="mma-quadrature", batch_size=1,
                              iterations=k, seed=5, verify_every=0)
-        r1, log1 = run(problem, smma_cfg)
-        r2, log2 = run(problem, base_cfg)
+        r1, log1 = run_smma(problem, smma_cfg)
+        r2, log2 = run_smma(problem, base_cfg)
         assert np.array_equal(r1, r2)
         for a, b in zip(log1.rows, log2.rows):
             assert a.g_internal == b.g_internal
@@ -214,7 +217,7 @@ class TestLogFormat:
         problem = ToyProblem()
         cfg = RunConfig(method="smma", batch_size=1, iterations=3, seed=0,
                         verify_every=2)
-        _, log = run(problem, cfg)
+        _, log = run_smma(problem, cfg)
         path = tmp_path / "log.csv"
         log.to_csv(path, include_timing=False)
         lines = path.read_text().splitlines()
@@ -231,8 +234,8 @@ class TestLogFormat:
         problem = tiny_wheel()
         cfg = RunConfig(method="smma", batch_size=2, iterations=4, seed=11,
                         verify_every=2, verify_spec=24)
-        _, log1 = run(problem, cfg)
-        _, log2 = run(problem, cfg)
+        _, log1 = run_smma(problem, cfg)
+        _, log2 = run_smma(problem, cfg)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         log1.to_csv(p1, include_timing=False)
         log2.to_csv(p2, include_timing=False)
@@ -247,3 +250,15 @@ class TestConfigValidation:
     def test_cap_below_batch(self):
         with pytest.raises(ValueError):
             RunConfig(method="smma-limited", batch_size=8, memory_cap=4)
+
+    @pytest.mark.parametrize("bad", [
+        dict(iterations=0), dict(batch_size=0), dict(tau=0.0),
+        dict(tau=-1.0), dict(tau=float("nan")), dict(tau_schedule=(0, 0.5)),
+        dict(tau_schedule=(2, 0.0)), dict(tau_schedule=(2, -1.0)),
+    ])
+    def test_rejected_values(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+    def test_schedule_period_one_accepted(self):
+        assert RunConfig(tau_schedule=(1, 0.5)).tau_schedule == (1, 0.5)

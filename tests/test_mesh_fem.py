@@ -7,12 +7,9 @@ from smma.mesh_fem import (
     assemble_stiffness,
     build_disc_mesh,
     build_rect_mesh,
-    compliance,
-    compliance_gradient_wrt_stiffness,
     element_quadratic_forms,
     low_rank_updates,
     q4_unit_stiffness,
-    solve_multi_rhs,
 )
 
 
@@ -201,7 +198,7 @@ class TestSolve:
         sys = assemble_stiffness(mesh, rng.uniform(0.3, 1.0, mesh.n_elements))
         F = rng.standard_normal((mesh.n_dofs, 64))
         F[mesh.dirichlet_dofs] = 0.0
-        U = solve_multi_rhs(sys, F)
+        U = sys.solve(F)
         assert U.shape == F.shape
         for j in (0, 13, 63):
             np.testing.assert_array_equal(U[:, j], sys.solve(F[:, j]))
@@ -222,17 +219,11 @@ class TestSolve:
         f[2 * outer + 1] = mesh.nodes[outer, 0]
         u = sys.solve(f)
         assert np.all(np.isfinite(u))
-        assert compliance(f, u) > 0
+        assert f @ u > 0
 
 
 class TestCompliance:
-    def test_zero_force(self):
-        assert compliance(np.zeros(6), np.ones(6)) == 0.0
-
-    def test_unit_vectors(self):
-        e = np.zeros(8)
-        e[3] = 1.0
-        assert compliance(e, e) == 1.0
+    """The compliance F^T U and its stiffness sensitivity -u_e^T k_e u_e."""
 
     def test_positive_for_solved_state(self):
         rng = np.random.default_rng(5)
@@ -240,18 +231,14 @@ class TestCompliance:
         sys = assemble_stiffness(mesh, rng.uniform(0.5, 1.0, mesh.n_elements))
         f = rng.standard_normal(mesh.n_dofs)
         f[mesh.dirichlet_dofs] = 0.0
-        assert compliance(f, sys.solve(f)) > 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compliance(np.zeros(3), np.zeros(4))
+        assert f @ sys.solve(f) > 0.0
 
 
 class TestComplianceGradient:
     def test_zero_state(self):
         mesh = build_rect_mesh(2, 2, 1.0, 1.0)
         np.testing.assert_array_equal(
-            compliance_gradient_wrt_stiffness(mesh, np.zeros(mesh.n_dofs)),
+            -element_quadratic_forms(mesh, np.zeros(mesh.n_dofs)),
             np.zeros(4))
 
     def test_nonpositive(self):
@@ -260,7 +247,7 @@ class TestComplianceGradient:
         sys = assemble_stiffness(mesh, rng.uniform(0.2, 1.0, mesh.n_elements))
         f = rng.standard_normal(mesh.n_dofs)
         f[mesh.dirichlet_dofs] = 0.0
-        g = compliance_gradient_wrt_stiffness(mesh, sys.solve(f))
+        g = -element_quadratic_forms(mesh, sys.solve(f))
         assert np.all(g <= 1e-14)
 
     def test_matches_finite_differences_3x3(self):
@@ -271,7 +258,7 @@ class TestComplianceGradient:
         top = np.nonzero(np.abs(mesh.nodes[:, 1] - 1.0) < 1e-12)[0]
         f[2 * top + 1] = -1.0
         u = assemble_stiffness(mesh, s).solve(f)
-        grad = compliance_gradient_wrt_stiffness(mesh, u)
+        grad = -element_quadratic_forms(mesh, u)
 
         step = 1e-6
         for e in range(mesh.n_elements):
@@ -279,8 +266,8 @@ class TestComplianceGradient:
             sp[e] += step
             sm = s.copy()
             sm[e] -= step
-            cp = compliance(f, assemble_stiffness(mesh, sp).solve(f))
-            cm = compliance(f, assemble_stiffness(mesh, sm).solve(f))
+            cp = f @ assemble_stiffness(mesh, sp).solve(f)
+            cm = f @ assemble_stiffness(mesh, sm).solve(f)
             fd = (cp - cm) / (2 * step)
             assert abs(grad[e] - fd) / max(abs(fd), 1e-12) < 1e-5
 
