@@ -3,7 +3,10 @@
 Wheel: annulus of radius 1, clamped at the hub, prescribed material on the
 outer rim, loaded by a sharply localized normal traction whose direction
 omega is uniform on the circle. Uncertainty enters the right-hand side
-only, so one factorization serves a whole batch of load cases.
+only, so one factorization serves a whole batch of load cases. Every load
+lives on the rim dofs R, so a compliance is F_R^T (K^-1)_RR F_R: dense
+verification with more load cases than R has dofs solves for the |R|
+columns of K^-1 at R once instead of one column per load case.
 
 Plate: 2l x 1l rectangle clamped at the bottom, loaded on a strip of the
 top edge at a random position omega with a random inclination alpha, and
@@ -134,7 +137,8 @@ class WheelProblem(_ProblemBase):
     def _build_rim_quadrature(self, na: int) -> None:
         """Consistent rim traction: integrate f * n against the linear
         shape functions over each rim edge (composite Gauss in the angle),
-        precomputed as a sparse operator so F(omega) = scale * (A @ f).
+        precomputed as a sparse operator so F_R(omega) = scale * (A @ f)
+        on the rim dofs R, the only dofs the load reaches.
 
         The traction is much narrower than an edge, so sub-edge panels are
         needed; node-sampled lumping would make the resultant oscillate at
@@ -163,11 +167,11 @@ class WheelProblem(_ProblemBase):
         cols = np.tile(np.arange(theta.size), 4)
         vals = np.concatenate([w * (1 - phi) * nx, w * (1 - phi) * ny,
                                w * phi * nx, w * phi * ny])
-        self._rim_theta = theta
         self._rim_beta = np.arctan2(np.cos(theta), np.sin(theta))
+        self._rim_dofs, rim_rows = np.unique(rows, return_inverse=True)
         self._rim_op = sp.coo_matrix(
-            (vals, (rows, cols)),
-            shape=(self.mesh.n_dofs, theta.size)).tocsr()
+            (vals, (rim_rows, cols)),
+            shape=(self._rim_dofs.size, theta.size)).tocsr()
 
     # -- loads ---------------------------------------------------------
 
@@ -176,14 +180,17 @@ class WheelProblem(_ProblemBase):
         return 1.0 + np.tanh(1e3 * (np.cos(np.asarray(beta) - omega) - 1.0)
                              + 1e-1)
 
-    def load(self, omega: float) -> np.ndarray:
-        f = self.intensity(self._rim_beta, omega) * self.load_scale
-        return self._rim_op @ f
-
-    def load_block(self, omegas: np.ndarray) -> np.ndarray:
+    def rim_loads(self, omegas) -> np.ndarray:
+        """(|R|, n) loads on the rim dofs R, one column per omega."""
         f = self.intensity(self._rim_beta[:, None],
                            np.asarray(omegas)[None, :]) * self.load_scale
         return self._rim_op @ f
+
+    def load_block(self, omegas: np.ndarray) -> np.ndarray:
+        """(n_dofs, n) loads, one column per omega."""
+        F = np.zeros((self.mesh.n_dofs, np.size(omegas)))
+        F[self._rim_dofs] = self.rim_loads(omegas)
+        return F
 
     # -- evaluation ----------------------------------------------------
 
@@ -225,6 +232,9 @@ class WheelProblem(_ProblemBase):
             design_scale=1.0, param_scale=1.0)
 
     def pseudo_quadrature(self, n_points: int):
+        if n_points < 1:
+            raise ValueError(f"an equispaced circle rule needs at least 1 "
+                             f"point, got {n_points}")
         pts = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
         return pts[:, None], np.full(n_points, 1.0 / n_points)
 
@@ -236,11 +246,25 @@ class WheelProblem(_ProblemBase):
         return batch_size
 
     def dense_raw(self, rho, spec=None):
-        """Raw compliances on an equispaced circle rule (periodic trapezoid)."""
+        """Raw compliances on an equispaced circle rule (periodic trapezoid).
+
+        Costs one factorization plus min(n, |R|) solved columns. Up to |R|
+        points, the loads themselves are solved, as in `compliances`.
+        Beyond, the |R| unit columns at the rim dofs R are solved once,
+        G = (K^-1)_RR, and c = F_R^T G F_R for every point; the switch
+        point also keeps that (n_dofs, |R|) block below the direct (n_dofs,
+        n) one.
+        """
         n = int(spec) if spec is not None else self.default_verify_spec
         pts, w = self.pseudo_quadrature(n)
-        values, _ = self.compliances(rho, pts)
-        return values, w
+        rim = self._rim_dofs
+        if n <= rim.size:
+            values, _ = self.compliances(rho, pts)
+            return values, w
+        system = assemble_stiffness(self.mesh, self.stiffness_field(rho))
+        G = system.unit_columns(rim)[rim]
+        FR = self.rim_loads(pts[:, 0])
+        return np.sum(FR * (G @ FR), axis=0), w
 
 
 def wheel_problem(n_radial: int = 18, n_angular: int = 72,
@@ -491,6 +515,9 @@ class PlateProblem(_ProblemBase):
         return pts, np.full(n * n, 1.0 / (n * n))
 
     def _trapezoid_grid(self, n1: int, n2: int):
+        if min(n1, n2) < 1:
+            raise ValueError(f"a xi trapezoid grid needs at least 1 point "
+                             f"per axis, got {n1} x {n2}")
         (x0, x1), (y0, y1) = self.xi_range
         gx = np.linspace(x0, x1, n1)
         gy = np.linspace(y0, y1, n2)

@@ -108,6 +108,13 @@ def _pair(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _check_counts(name: str, spec, line: int | None = None) -> None:
+    """A quadrature rule's point count, or each count of a grid, is >= 1."""
+    if spec is not None and min(np.atleast_1d(spec)) < 1:
+        raise ConfigError(f"{name} needs at least 1 point per count, "
+                          f"got {spec}", line)
+
+
 @dataclass
 class ResolvedConfig:
     problem_name: str
@@ -164,16 +171,19 @@ def resolve_config(entries: dict[str, _Entry]) -> ResolvedConfig:
             val = _get(entries, key, conv)
             if val is not None:
                 kwargs[key] = val
-        verify_spec = _get(entries, "verify_points", int)
-        baseline_spec = _get(entries, "baseline_nodes", int)
+        spec_keys, spec_conv = ("verify_points", "baseline_nodes"), int
     else:
         for key, conv in (("nx", int), ("ny", int), ("ell", float),
                           ("n_omega", int)):
             val = _get(entries, key, conv)
             if val is not None:
                 kwargs[key] = val
-        verify_spec = _get(entries, "verify_grid", _pair)
-        baseline_spec = _get(entries, "baseline_grid", _pair)
+        spec_keys, spec_conv = ("verify_grid", "baseline_grid"), _pair
+    verify_spec, baseline_spec = (_get(entries, key, spec_conv)
+                                  for key in spec_keys)
+    for key, spec in zip(spec_keys, (verify_spec, baseline_spec)):
+        if spec is not None:
+            _check_counts(repr(key), spec, entries[key].line)
 
     switch_iter = _get(entries, "simp_switch_iter", int)
     switch_value = _get(entries, "simp_switch_value", float)
@@ -432,6 +442,14 @@ def cmd_verify(design_path: str, config_path: str, points: int | None,
                grid: tuple[int, int] | None, out: str | None) -> int:
     entries = parse_config(Path(config_path).read_text())
     rc = resolve_config(entries)
+    # the wheel's rule is a point count, the plate's a grid
+    foreign, value = (("--grid", grid) if rc.problem_name == "wheel"
+                      else ("--points", points))
+    if value is not None:
+        raise ConfigError(f"{foreign} does not apply to the "
+                          f"{rc.problem_name} problem")
+    _check_counts("--points", points)
+    _check_counts("--grid", grid)
     problem = build_problem(rc)
     _, rho = load_design(design_path)
     if rho.size != problem.mesh.n_elements:

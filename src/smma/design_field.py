@@ -75,12 +75,11 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
         vals.extend(w[keep].tolist())
     M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     rowsum = np.asarray(M.sum(axis=1)).ravel()
-    empty = rowsum == 0.0
-    if np.any(empty):
-        # isolated rows (r_min below spacing) fall back to identity
-        idx = np.nonzero(empty)[0]
-        M = M + sp.coo_matrix((np.ones(idx.size), (idx, idx)), shape=(n, n))
-        rowsum[empty] = 1.0
+    # a row holding only its own element (r_min below the spacing) is an
+    # identity row; its one weight, r_min, may be too small to invert
+    alone = np.diff(M.indptr) == 1
+    M.data[M.indptr[:-1][alone]] = 1.0
+    rowsum[alone] = 1.0
     M = sp.diags(1.0 / rowsum) @ M
     return FilterMatrix(matrix=M.tocsr(), r_min=r_min)
 

@@ -50,7 +50,7 @@ class RunConfig:
     empirical_weights: bool = False        # skip the fixed discretization
     simp_schedule: tuple[tuple[int, float], ...] | None = None
     baseline_spec: object = None           # nodes of the quadrature baseline
-    verify_every: int = 10
+    verify_every: int = 10                 # 0: never verify
     verify_spec: object = None             # dense rule; None: problem default
 
     def __post_init__(self):
@@ -60,6 +60,10 @@ class RunConfig:
             raise ValueError("batch size and iterations must be positive")
         if self.memory_cap is not None and self.memory_cap < self.batch_size:
             raise ValueError("memory cap must be at least the batch size")
+        if self.pseudo_points is not None and self.pseudo_points < 1:
+            raise ValueError("pseudo_points must be positive")
+        if self.verify_every < 0:
+            raise ValueError("verify_every must be nonnegative (0: never)")
         if not self.tau > 0.0:
             raise ValueError("move limit tau must be positive")
         if self.tau_schedule is not None and not (
@@ -140,7 +144,7 @@ def _mma_step(problem, cfg: RunConfig, state, rho, free, g_val, g_grad):
 
 
 def _verify_maybe(problem, cfg: RunConfig, rho, k: int):
-    if cfg.verify_every and cfg.verify_every > 0 and k % cfg.verify_every == 0:
+    if cfg.verify_every and k % cfg.verify_every == 0:
         return dense_cc(rho, problem, cfg.verify_spec)
     return (None, None, None)
 
@@ -169,8 +173,9 @@ def run_smma(problem, cfg: RunConfig, callback=None):
         cap = cfg.memory_cap if cfg.method == "smma-limited" else None
         store = cw.SampleStore(metric=problem.metric(), capacity=cap)
         if not cfg.empirical_weights:
-            T = cfg.pseudo_points or problem.default_pseudo_points
-            quad = problem.pseudo_quadrature(T)
+            quad = problem.pseudo_quadrature(
+                problem.default_pseudo_points if cfg.pseudo_points is None
+                else cfg.pseudo_points)
 
     log = IterationLog()
     for k in range(1, cfg.iterations + 1):

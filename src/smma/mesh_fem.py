@@ -7,6 +7,10 @@ Dirichlet dofs are eliminated, and the reduced SPD system is factorized once
 per design so that many load cases can be solved against it. Designs that
 differ from a factorized one in a few element factors are solved against
 the same factorization by an exact low-rank (Woodbury) update.
+
+`FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
+of dofs in one block. The low-rank updates take their Z = K^-1 P from it,
+and the wheel's dense verification its rim block of K^-1.
 """
 from __future__ import annotations
 
@@ -284,6 +288,17 @@ class FactorizedSystem:
         u[self.free_dofs] = self.lu.solve(np.ascontiguousarray(rhs[self.free_dofs]))
         return u
 
+    def unit_columns(self, dofs) -> np.ndarray:
+        """K^-1 P, (n_dofs, len(dofs)), for the unit columns P of dofs.
+
+        One block solve; column j is the response to a unit load at
+        dofs[j] (zero for a Dirichlet dof).
+        """
+        dofs = np.asarray(dofs, dtype=int)
+        P = np.zeros((self.n_dofs, dofs.size))
+        P[dofs, np.arange(dofs.size)] = 1.0
+        return self.solve(P)
+
 
 def assemble_stiffness(mesh: StructuredMesh,
                        stiffness_per_element) -> FactorizedSystem:
@@ -389,9 +404,7 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh,
 
 def _solve_group(system: FactorizedSystem, group, columns):
     union = np.array(sorted(columns), dtype=int)
-    P = np.zeros((system.n_dofs, union.size))
-    P[union, np.arange(union.size)] = 1.0
-    Z = system.solve(P)
+    Z = system.unit_columns(union)
     for dofs, dK in group:
         Zs = Z[:, np.searchsorted(union, dofs)]
         M = np.linalg.solve(np.eye(dofs.size) + dK @ Zs[dofs], dK)

@@ -17,6 +17,9 @@ import numpy as np
 
 # |a3*t| beyond this, t/(1+exp(a3*t)) is replaced by its limit (0 or t).
 _EXP_CUTOFF = 40.0
+# |a*t| beyond this, tanh, the sigmoid and exp(-|a*t|) have reached their
+# float64 limits, so a*t is clipped here rather than allowed to overflow
+_SATURATION = 800.0
 
 FLAVORS = ("nonsmooth", "tanh", "steepened")
 
@@ -45,10 +48,17 @@ class SmoothingParams:
             raise ValueError("p_level must lie in (0, 1)")
 
 
+def _scaled(a, t):
+    """a*t clipped to +-_SATURATION, finite for every finite t."""
+    bound = _SATURATION / a
+    # minimum/maximum: a third of np.clip's call overhead on short arrays
+    return a * np.minimum(np.maximum(t, -bound), bound)
+
+
 def _smoothmax_fraction(t, a3):
     """t / (1 + exp(a3*t)) with overflow-safe saturation branches."""
     t = np.asarray(t, dtype=float)
-    x = a3 * t
+    x = _scaled(a3, t)
     safe = np.clip(x, -_EXP_CUTOFF, _EXP_CUTOFF)
     core = t / (1.0 + np.exp(safe))
     return np.where(x > _EXP_CUTOFF, 0.0, np.where(x < -_EXP_CUTOFF, t, core))
@@ -71,7 +81,7 @@ def _sigmoid(x):
 def h_eval(t, params: SmoothingParams):
     """Steepened smooth indicator h(t); finite for all finite t."""
     t = np.asarray(t, dtype=float)
-    base = 0.5 * (np.tanh(params.a1 * t) + 1.0)
+    base = 0.5 * (np.tanh(_scaled(params.a1, t)) + 1.0)
     steep = params.a2 * (t - _smoothmax_fraction(t, params.a3))
     out = base + steep
     return float(out) if out.ndim == 0 else out
@@ -80,16 +90,18 @@ def h_eval(t, params: SmoothingParams):
 def h_tanh(t, params: SmoothingParams):
     """Plain tanh approximation (the a2 = 0 member of the family)."""
     t = np.asarray(t, dtype=float)
-    out = 0.5 * (np.tanh(params.a1 * t) + 1.0)
+    out = 0.5 * (np.tanh(_scaled(params.a1, t)) + 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 def h_deriv(t, params: SmoothingParams):
     """Derivative of h_eval, from the closed form."""
     t = np.asarray(t, dtype=float)
-    sig = _sigmoid(params.a3 * t)
-    smax_slope = sig + params.a3 * t * sig * (1.0 - sig)
-    out = 0.5 * params.a1 * _sech2(params.a1 * t) + params.a2 * smax_slope
+    x = _scaled(params.a3, t)
+    sig = _sigmoid(x)
+    smax_slope = sig + x * sig * (1.0 - sig)
+    out = (0.5 * params.a1 * _sech2(_scaled(params.a1, t))
+           + params.a2 * smax_slope)
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smma import benchmarks
 from smma import design_field as df
 from smma.benchmarks import (
     angle_integrals,
@@ -11,6 +12,7 @@ from smma.benchmarks import (
     wheel_problem,
 )
 from smma.mesh_fem import (
+    FactorizedSystem,
     assemble_stiffness,
     build_rect_mesh,
     element_quadratic_forms,
@@ -93,7 +95,7 @@ class TestWheel:
         assert v[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_load_zero_at_dirichlet_dofs(self, wheel):
-        F = wheel.load(0.7)
+        F = wheel.load_block([0.7, 2.0])
         assert np.all(F[wheel.mesh.dirichlet_dofs] == 0.0)
 
     def test_rim_elements_not_design_variables(self, wheel):
@@ -171,6 +173,77 @@ class TestWheel:
             only, none = wheel.evaluate_records(r, omegas, want_grads=False)
             np.testing.assert_array_equal(only, values)
             assert none is None
+
+
+# the benchmark's wheel: 72 rim nodes, so |R| = 144 loaded dofs
+DEFAULT_WHEEL = wheel_problem()
+
+
+def random_wheel_design(problem, seed):
+    rho = np.random.default_rng(seed).uniform(0.3, 0.9, problem.n_design)
+    rho[~problem.free_mask] = 1.0
+    return rho
+
+
+class TestWheelDenseRaw:
+    """Beyond |R| points, dense_raw contracts the rim block of K^-1; up to
+    |R| it solves the loads themselves, as `compliances` does."""
+
+    def test_rim_dofs_are_the_loaded_dofs(self):
+        rim = DEFAULT_WHEEL._rim_dofs
+        assert rim.size == 144
+        F = DEFAULT_WHEEL.load_block(np.linspace(0.0, 6.0, 40))
+        loaded = np.nonzero(np.any(F != 0.0, axis=1))[0]
+        np.testing.assert_array_equal(loaded, rim)
+
+    @pytest.mark.parametrize("n", [145, 1080, 1081])
+    @pytest.mark.parametrize("design", ["initial", "random"])
+    def test_rim_block_route_matches_direct(self, n, design):
+        problem = DEFAULT_WHEEL
+        rho = (problem.initial_design() if design == "initial"
+               else random_wheel_design(problem, 31))
+        values, w = problem.dense_raw(rho, n)
+        pts, want_w = problem.pseudo_quadrature(n)
+        want, _ = problem.compliances(rho, pts)
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(w, want_w)
+
+    @pytest.mark.parametrize("n", [72, 144])
+    @pytest.mark.parametrize("design", ["initial", "random"])
+    def test_direct_route_up_to_rim_size(self, n, design):
+        problem = DEFAULT_WHEEL
+        rho = (problem.initial_design() if design == "initial"
+               else random_wheel_design(problem, 31))
+        values, _ = problem.dense_raw(rho, n)
+        want, _ = problem.compliances(rho, problem.pseudo_quadrature(n)[0])
+        np.testing.assert_array_equal(values, want)
+
+    @pytest.mark.parametrize("n,columns", [(1080, 144), (72, 72)])
+    def test_one_assembly_and_one_solve(self, monkeypatch, n, columns):
+        assembled, solved = [], []
+        assemble, solve = benchmarks.assemble_stiffness, FactorizedSystem.solve
+
+        def counting_assemble(*args, **kwargs):
+            assembled.append(1)
+            return assemble(*args, **kwargs)
+
+        def counting_solve(system, rhs):
+            solved.append(rhs.shape[1])
+            return solve(system, rhs)
+
+        monkeypatch.setattr(benchmarks, "assemble_stiffness",
+                            counting_assemble)
+        monkeypatch.setattr(FactorizedSystem, "solve", counting_solve)
+        DEFAULT_WHEEL.dense_raw(DEFAULT_WHEEL.initial_design(), n)
+        assert assembled == [1]
+        assert solved == [columns]
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_rule_rejected(self, wheel, n):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            wheel.dense_raw(wheel.initial_design(), n)
+        with pytest.raises(ValueError, match="at least 1 point"):
+            wheel.baseline_nodes(n)
 
 
 class TestPlate:
@@ -252,6 +325,11 @@ class TestPlate:
         vals, w = plate.dense_raw(rho, (3, 3))
         assert vals.shape == w.shape == (9 * plate.n_omega,)
         assert w.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("grid", [(0, 3), (3, -1)])
+    def test_empty_grid_rejected(self, plate, grid):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            plate.dense_raw(plate.initial_design(), grid)
 
 
 def direct_record(plate, rho, xi):

@@ -4,6 +4,7 @@ import pytest
 from smma.benchmarks import wheel_problem
 from smma.cli import (
     ConfigError,
+    build_problem,
     load_design,
     main,
     parse_config,
@@ -160,8 +161,21 @@ class TestRunCommand:
          "tau schedule"),
         (("tau = 0.5", "tau = 0.5\ntau_period = 2\ntau_factor = -1"),
          "tau schedule"),
+        (("tau = 0.5", "tau = 0.5\npseudo_points = 0"),
+         "pseudo_points must be positive"),
+        (("tau = 0.5", "tau = 0.5\npseudo_points = -5"),
+         "pseudo_points must be positive"),
+        (("verify_every = 2", "verify_every = -1"),
+         "verify_every must be nonnegative"),
+        (("verify_points = 20", "verify_points = 0"),
+         "line 13: 'verify_points' needs at least 1 point"),
+        (("verify_points = 20", "verify_points = -3"),
+         "line 13: 'verify_points' needs at least 1 point"),
     ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
-            "tau-zero", "tau-period-0", "tau-factor-negative"])
+            "tau-zero", "tau-period-0", "tau-factor-negative",
+            "pseudo-points-0", "pseudo-points-negative",
+            "verify-every-negative", "verify-points-0",
+            "verify-points-negative"])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace(*edit)
@@ -171,6 +185,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert not out.exists()   # rejected before any run starts
+
+    @pytest.mark.parametrize("edit,message", [
+        (("verify_grid = 2 2", "verify_grid = 0 3"),
+         "line 9: 'verify_grid' needs at least 1 point"),
+        (("baseline_grid = 2 2", "baseline_grid = 2 -1"),
+         "line 8: 'baseline_grid' needs at least 1 point"),
+    ], ids=["verify-grid-0", "baseline-grid-negative"])
+    def test_bad_plate_grid_exit_2(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "out"
+        text = TINY_PLATE.replace(*edit)
+        assert text != TINY_PLATE
+        assert main(["run", str(write_config(tmp_path, text, out=out))]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plate_baseline_run(self, tmp_path):
         out = tmp_path / "out"
@@ -280,6 +308,27 @@ class TestVerifyCommand:
         header, row = v1.read_text().splitlines()
         assert header == "g_smooth,g_steepened,g_nonsmooth"
         assert len(row.split(",")) == 3
+
+    @pytest.mark.parametrize("problem,flags,message", [
+        ("wheel", ["--points", "0"], "--points needs at least 1 point"),
+        ("wheel", ["--points", "-3"], "--points needs at least 1 point"),
+        ("plate", ["--grid", "0", "3"], "--grid needs at least 1 point"),
+        ("plate", ["--points", "5"], "--points does not apply to the plate"),
+        ("wheel", ["--grid", "3", "3"], "--grid does not apply to the wheel"),
+    ], ids=["points-0", "points-negative", "grid-0", "points-on-plate",
+            "grid-on-wheel"])
+    def test_bad_rule_exit_2(self, tmp_path, capsys, problem, flags,
+                             message):
+        text = TINY_WHEEL if problem == "wheel" else TINY_PLATE
+        cfg = write_config(tmp_path, text, out=tmp_path / "o")
+        design = tmp_path / "design.txt"
+        built = build_problem(resolve_config(parse_config(text)))
+        save_design(design, built, built.initial_design())
+        out = tmp_path / "v.csv"
+        assert main(["verify", str(design), str(cfg), *flags,
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_design_length_exit_2(self, tmp_path):
         out = tmp_path / "out"

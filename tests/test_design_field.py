@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smma.design_field import (
     FilterMatrix,
@@ -13,9 +15,14 @@ from smma.design_field import (
 )
 from smma.mesh_fem import (
     assemble_stiffness,
+    build_disc_mesh,
     build_rect_mesh,
     element_quadratic_forms,
 )
+
+
+RECT = build_rect_mesh(9, 5, 1.8, 1.0)
+DISC = build_disc_mesh(5, 16, 0.1, 0.9)
 
 
 def dense(filt):
@@ -40,6 +47,17 @@ class TestFilter:
             rowsums = np.asarray(f.matrix.sum(axis=1)).ravel()
             np.testing.assert_allclose(rowsums, 1.0, atol=1e-12)
             assert f.matrix.data.min() >= 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["rect", "disc"]),
+           r_min=st.floats(0.0, 1.5))
+    def test_rows_sum_to_one_for_any_radius(self, kind, r_min):
+        mesh = RECT if kind == "rect" else DISC
+        f = build_filter(mesh, r_min)
+        rowsums = np.asarray(f.matrix.sum(axis=1)).ravel()
+        np.testing.assert_allclose(rowsums, 1.0, rtol=0, atol=1e-12)
+        assert f.matrix.data.min() >= 0.0
+        assert (f.matrix.diagonal() > 0.0).all()
 
     def test_three_element_strip_hat_weights(self):
         # hat weights at spacing h with r = 1.5h: (0.5h, 1.5h, 0.5h),

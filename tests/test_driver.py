@@ -255,6 +255,8 @@ class TestConfigValidation:
         dict(iterations=0), dict(batch_size=0), dict(tau=0.0),
         dict(tau=-1.0), dict(tau=float("nan")), dict(tau_schedule=(0, 0.5)),
         dict(tau_schedule=(2, 0.0)), dict(tau_schedule=(2, -1.0)),
+        dict(pseudo_points=0), dict(pseudo_points=-5),
+        dict(verify_every=-1),
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ValueError):

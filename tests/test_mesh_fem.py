@@ -203,6 +203,22 @@ class TestSolve:
         for j in (0, 13, 63):
             np.testing.assert_array_equal(U[:, j], sys.solve(F[:, j]))
 
+    def test_unit_columns_are_columns_of_the_inverse(self):
+        rng = np.random.default_rng(2)
+        mesh = build_rect_mesh(4, 3, 2.0, 1.5)
+        sys = assemble_stiffness(mesh, rng.uniform(0.3, 1.0, mesh.n_elements))
+        dofs = np.array([mesh.free_dofs[5], mesh.dirichlet_dofs[0],
+                         mesh.free_dofs[0]])
+        Z = sys.unit_columns(dofs)
+        assert Z.shape == (mesh.n_dofs, 3)
+        np.testing.assert_array_equal(Z[:, 1], 0.0)
+        for j in (0, 2):
+            e = np.zeros(mesh.n_dofs)
+            e[dofs[j]] = 1.0
+            np.testing.assert_array_equal(Z[:, j], sys.solve(e))
+        # K^-1 is symmetric
+        assert Z[dofs[2], 0] == pytest.approx(Z[dofs[0], 2], rel=1e-12)
+
     def test_rhs_length_mismatch(self):
         mesh = build_rect_mesh(2, 2, 1.0, 1.0)
         sys = assemble_stiffness(mesh, np.ones(4))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smma.smoothing import (
     SmoothingParams,
@@ -77,6 +79,27 @@ class TestHDeriv:
         fd = fd_deriv(lambda s: h_eval(s, p), t)
         err = np.abs(h_deriv(t, p) - fd) / np.maximum(1.0, np.abs(fd))
         assert err.max() < 1e-7
+
+
+# the tanh variant (a2 = 0) and the steepened one, with the published
+# constants of both benchmarks among the draws
+smoothing_params = st.builds(
+    params,
+    a1=st.floats(0.1, 1e3),
+    a2=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    a3=st.floats(0.1, 1e3),
+) | st.sampled_from([params(a1=50.0, a2=0.1), params()])
+finite_t = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max])
+
+
+class TestFiniteEverywhere:
+    @settings(max_examples=300, deadline=None)
+    @given(p=smoothing_params, t=finite_t)
+    def test_h_and_its_derivative_finite(self, p, t):
+        for f in (h_eval, h_tanh, h_deriv):
+            assert np.isfinite(f(t, p))
+            assert np.isfinite(f(np.array([t, -t, 0.0]), p)).all()
 
 
 class TestIndicator:
