@@ -550,11 +550,6 @@ class PlateProblem(_ProblemBase):
         weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
         return values.ravel(), weights
 
-    def h1_values(self, rho, xi_points) -> np.ndarray:
-        """Omega-averaged steepened h per xi (the damage sensitivity map)."""
-        values, _ = self.evaluate_records(rho, xi_points, want_grads=False)
-        return values
-
 
 def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                   n_omega: int = 32, r_min: float | None = None,

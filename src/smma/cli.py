@@ -10,7 +10,6 @@ Exit codes: 0 ok, 1 runtime failure, 2 bad config/arguments.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -470,6 +469,8 @@ def cmd_verify(design_path: str, config_path: str, points: int | None,
 
 
 def cmd_render(design_path: str, out: str | None, size: int) -> int:
+    if size < 1:
+        raise ConfigError(f"--size must be at least 1, got {size}")
     header, rho = load_design(design_path)
     data = render_pgm(header, rho, size=size)
     out_path = Path(out) if out else Path(design_path).with_suffix(".pgm")
@@ -501,12 +502,6 @@ def main(argv=None) -> int:
     p_ren.add_argument("--size", type=int, default=360)
 
     args = parser.parse_args(argv)
-    threads = os.environ.get("SMMA_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     try:
         if args.command == "run":
             return cmd_run(args.config, args.out)

@@ -1,11 +1,13 @@
 """Sample store and nearest-neighbor integration weights.
 
-Each optimization step deposits (design snapshot, parameter draw, inner
-value, inner gradient) records. The constraint integral is then estimated
-by the piecewise-constant nearest-neighbor surrogate: every point of a
-parameter discretization is assigned to the closest stored record in a
-joint design/parameter metric, and the record's weight is the total
-quadrature mass routed to it. Weights double as importance scores for the
+Each optimization step deposits one batch of (design snapshot, parameter
+draw, inner value, inner gradient) records, all drawn at the step's design;
+SampleStore.append copies the batch in at call time and keeps the design
+once per batch. The constraint integral is then estimated by the
+piecewise-constant nearest-neighbor surrogate: every point of a parameter
+discretization is assigned to the closest stored record in a joint
+design/parameter metric, and the record's weight is the total quadrature
+mass routed to it. Weights double as importance scores for the
 limited-memory eviction policy.
 
 The squared joint distance from (u, x) to record k is q_k(x) + o_k with
@@ -24,11 +26,9 @@ strictly smaller distance or an equal one at a smaller index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-STORE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -95,30 +95,6 @@ class JointMetric:
         return np.sum((u1 - u2) ** 2, axis=-1) / u1.shape[-1]
 
 
-def joint_distance(metric: JointMetric, u1, x1, u2, x2) -> float:
-    """Distance between two (design, parameter) points."""
-    d2 = (metric.design_scale * metric.design_dist2(np.atleast_1d(u1),
-                                                    np.atleast_1d(u2))
-          + metric.param_scale * metric.param_dist2(x1, x2))
-    return float(np.sqrt(d2))
-
-
-@dataclass
-class SampleRecord:
-    design_snapshot: np.ndarray
-    param: np.ndarray
-    inner_value: float
-    inner_gradient: np.ndarray
-    iteration_born: int
-
-    def __post_init__(self):
-        self.design_snapshot = np.asarray(self.design_snapshot, dtype=float)
-        self.param = np.atleast_1d(np.asarray(self.param, dtype=float))
-        self.inner_gradient = np.asarray(self.inner_gradient, dtype=float)
-        if self.inner_gradient.shape != self.design_snapshot.shape:
-            raise ValueError("gradient length must equal design length")
-
-
 def _reserved(a: np.ndarray, used: int, need: int) -> np.ndarray:
     """a itself when it has need rows, else a larger copy of its used rows."""
     if need <= len(a):
@@ -132,52 +108,67 @@ class SampleStore:
     """Ordered collection of samples held in growable arrays.
 
     Row k of params, values, gradients and iteration_born is record k.
-    Consecutive records that share one design array (a batch drawn at one
-    design) store that design once: record k's design is row
-    design_index[k] of the distinct designs. append checks a record and
-    queues it; the next read copies the queue into the arrays, so a queued
-    record's arrays must not change before then. Reads return read-only
-    views, which keep() overwrites in place; designs and records return
-    copies.
-
-    capacity is bookkeeping for the limited-memory mode; the driver is
-    responsible for evicting back below it at the end of an iteration
-    (weights are computed over the fresh batch first).
+    append takes one batch of records drawn at one design and copies it
+    into the arrays at call time, so the caller may change its arrays
+    afterwards; the design is stored once per call, and record k's design
+    is row design_index[k] of the stored designs. Reads return read-only
+    views, which keep() overwrites in place; designs returns a copy.
     """
 
-    def __init__(self, metric: JointMetric, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive when set")
+    def __init__(self, metric: JointMetric):
         self.metric = metric
-        self.capacity = capacity
-        self._queue: list[SampleRecord] = []
-        self._width = 0          # design length of the stored records
-        self._size = 0           # records copied into _rows
-        self._n_designs = 0      # distinct designs copied into _designs
+        self._size = 0           # records in _rows
+        self._n_designs = 0      # designs in _designs
         self._allocate(0)
 
     def __len__(self) -> int:
-        return self._size + len(self._queue)
+        return self._size
 
-    def append(self, record: SampleRecord) -> None:
-        design = record.design_snapshot
-        if record.param.shape != (len(self.metric.coords),):
+    def append(self, design, params, values, gradients,
+               iteration: int) -> None:
+        """Add a batch of B >= 1 records drawn at one design.
+
+        design (n,), params (B, m), values (B,), gradients (B, n), with m
+        the metric's coordinate count and n the stored records' design
+        length (any n >= 1 when the store is empty); every record is born
+        at iteration. A batch that does not fit raises ValueError and
+        leaves the store unchanged.
+        """
+        design = np.asarray(design, dtype=float)
+        params = np.asarray(params, dtype=float)
+        values = np.asarray(values, dtype=float)
+        gradients = np.asarray(gradients, dtype=float)
+        if design.ndim != 1 or design.size == 0:
+            raise ValueError("design must be a nonempty vector")
+        width = design.shape[0]
+        if self._size and width != self._designs.shape[1]:
             raise ValueError(
-                f"parameter of shape {record.param.shape} does not match the "
-                f"metric's {len(self.metric.coords)} coordinates")
-        if (design.ndim != 1 or design.size == 0
-                or record.inner_gradient.shape != design.shape):
-            raise ValueError(
-                "design and gradient must be nonempty vectors of one length")
-        if len(self) and design.shape[0] != self._width:
-            raise ValueError(
-                f"design length {design.shape[0]} does not match the stored "
-                f"records' {self._width}")
-        self._width = design.shape[0]
-        self._queue.append(record)
+                f"design length {width} does not match the stored "
+                f"records' {self._designs.shape[1]}")
+        B = len(values) if values.ndim == 1 else 0
+        if B == 0:
+            raise ValueError(f"values of shape {values.shape}: a batch needs "
+                             "a nonempty vector")
+        for name, a, shape in (
+                ("params", params, (B, len(self.metric.coords))),
+                ("gradients", gradients, (B, width))):
+            if a.shape != shape:
+                raise ValueError(f"{name} of shape {a.shape}, expected {shape}")
+        if self._designs.shape[1] != width:   # first batch, or after clear
+            self._allocate(width)
+        n, d = self._size, self._n_designs
+        rows = self._rows = {name: _reserved(a, n, n + B)
+                             for name, a in self._rows.items()}
+        rows["params"][n:n + B] = params
+        rows["values"][n:n + B] = values
+        rows["gradients"][n:n + B] = gradients
+        rows["born"][n:n + B] = iteration
+        rows["design_index"][n:n + B] = d
+        self._designs = _reserved(self._designs, d, d + 1)
+        self._designs[d] = design
+        self._size, self._n_designs = n + B, d + 1
 
     def clear(self) -> None:
-        self._queue.clear()
         self._size = self._n_designs = 0
 
     def _allocate(self, width: int) -> None:
@@ -188,36 +179,7 @@ class SampleStore:
                       "design_index": np.empty(0, dtype=int)}
         self._designs = np.empty((0, width))
 
-    def _pack(self) -> None:
-        """Copy the queued records into the arrays, growing them as needed."""
-        queue = self._queue
-        if not queue:
-            return
-        n, width = self._size, self._width
-        if self._designs.shape[1] != width:   # first records, or after clear
-            self._allocate(width)
-        fresh = [k == 0 or r.design_snapshot is not queue[k - 1].design_snapshot
-                 for k, r in enumerate(queue)]
-        rows = {name: _reserved(a, n, n + len(queue))
-                for name, a in self._rows.items()}
-        designs = _reserved(self._designs, self._n_designs,
-                            self._n_designs + sum(fresh))
-        d = self._n_designs - 1
-        for i, (r, new) in enumerate(zip(queue, fresh), start=n):
-            if new:
-                d += 1
-                designs[d] = r.design_snapshot
-            rows["design_index"][i] = d
-            rows["params"][i] = r.param
-            rows["values"][i] = r.inner_value
-            rows["gradients"][i] = r.inner_gradient
-            rows["born"][i] = r.iteration_born
-        self._rows, self._designs = rows, designs
-        self._size, self._n_designs = n + len(queue), d + 1
-        queue.clear()
-
     def _view(self, name: str) -> np.ndarray:
-        self._pack()
         if self._size == 0:
             raise ValueError("sample store is empty")
         view = self._rows[name][:self._size]
@@ -246,16 +208,6 @@ class SampleStore:
         index = self._view("design_index")
         return self._designs[index]
 
-    @property
-    def records(self) -> list[SampleRecord]:
-        """The stored records, built from copies of their rows."""
-        if len(self) == 0:
-            return []
-        return [SampleRecord(d, p.copy(), float(v), g.copy(), int(b))
-                for d, p, v, g, b in zip(self.designs, self.params,
-                                         self.values, self.gradients,
-                                         self.iteration_born)]
-
     def design_offsets(self, u) -> np.ndarray:
         """design_scale * design_dist2(design_k, u) for every record k.
 
@@ -272,7 +224,6 @@ class SampleStore:
 
     def keep(self, indices: np.ndarray) -> None:
         """Retain the given record indices, preserving order, in place."""
-        self._pack()
         indices = np.asarray(indices, dtype=int)
         if indices.ndim != 1:
             raise ValueError("record indices must be a vector")
@@ -291,69 +242,6 @@ class SampleStore:
         rows["design_index"][:self._size] = index
         self._designs[:used.size] = self._designs[used]
         self._n_designs = used.size
-
-    def save(self, path) -> None:
-        """Binary dump for restarts; round-trips exactly."""
-        meta = {
-            "version": STORE_FORMAT_VERSION,
-            "capacity": -1 if self.capacity is None else self.capacity,
-            "design_scale": self.metric.design_scale,
-            "param_scale": self.metric.param_scale,
-            "coord_kinds": [c.kind for c in self.metric.coords],
-            "coord_periods": [0.0 if c.period is None else c.period
-                              for c in self.metric.coords],
-            "coord_scales": [c.scale for c in self.metric.coords],
-        }
-        if len(self):
-            arrays = {"born": self.iteration_born, "designs": self.designs,
-                      "params": self.params, "values": self.values,
-                      "gradients": self.gradients}
-        else:
-            arrays = {"born": np.zeros(0, dtype=int)}
-        np.savez(path, meta_version=meta["version"],
-                 meta_capacity=meta["capacity"],
-                 meta_design_scale=meta["design_scale"],
-                 meta_param_scale=meta["param_scale"],
-                 meta_coord_kinds=np.array(meta["coord_kinds"]),
-                 meta_coord_periods=np.array(meta["coord_periods"]),
-                 meta_coord_scales=np.array(meta["coord_scales"]),
-                 **arrays)
-
-    @classmethod
-    def load(cls, path) -> "SampleStore":
-        with np.load(path, allow_pickle=False) as z:
-            if int(z["meta_version"]) != STORE_FORMAT_VERSION:
-                raise ValueError("unsupported store format version")
-            coords = tuple(
-                ParamCoord(kind=str(k),
-                           period=None if p == 0.0 else float(p),
-                           scale=float(s))
-                for k, p, s in zip(z["meta_coord_kinds"],
-                                   z["meta_coord_periods"],
-                                   z["meta_coord_scales"]))
-            cap = int(z["meta_capacity"])
-            store = cls(metric=JointMetric(
-                coords=coords,
-                design_scale=float(z["meta_design_scale"]),
-                param_scale=float(z["meta_param_scale"])),
-                capacity=None if cap < 0 else cap)
-            if "values" in z:
-                # each z[...] reads the whole array from the file: once here
-                designs, params, values, gradients, born = (
-                    z[k] for k in ("designs", "params", "values",
-                                   "gradients", "born"))
-                design = None
-                for i in range(len(values)):
-                    # equal consecutive designs share one array, as saved
-                    if design is None or not np.array_equal(designs[i],
-                                                            design):
-                        design = designs[i]
-                    store.append(SampleRecord(
-                        design_snapshot=design, param=params[i],
-                        inner_value=float(values[i]),
-                        inner_gradient=gradients[i],
-                        iteration_born=int(born[i])))
-        return store
 
 
 _FIRST_CHUNK = 8   # records in the first chunk of the owner search
@@ -398,12 +286,6 @@ def _owners(store: SampleStore, u, points: np.ndarray) -> np.ndarray:
         if start < K:
             active = active[best[active] >= offsets[order[start]]]
     return owner
-
-
-def nearest_index(store: SampleStore, u, x) -> int:
-    """Index of the closest record to (u, x); ties go to the smallest index."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return int(_owners(store, u, x[None, :])[0])
 
 
 def pseudoexact_weights(store: SampleStore, u_current, quad_points,

@@ -171,7 +171,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
     else:
         rng = np.random.default_rng(cfg.seed)
         cap = cfg.memory_cap if cfg.method == "smma-limited" else None
-        store = cw.SampleStore(metric=problem.metric(), capacity=cap)
+        store = cw.SampleStore(metric=problem.metric())
         if not cfg.empirical_weights:
             quad = problem.pseudo_quadrature(
                 problem.default_pseudo_points if cfg.pseudo_points is None
@@ -190,14 +190,10 @@ def run_smma(problem, cfg: RunConfig, callback=None):
             values, grads = phase.evaluate_records(rho, nodes)
             g_hat, dg_hat = float(lam @ values), lam @ grads
         else:
-            params = [phase.sample_param(rng) for _ in range(cfg.batch_size)]
-            values, grads = phase.evaluate_records(rho, np.stack(params))
-            for b in range(cfg.batch_size):
-                # one design array for the batch: the store keeps it once
-                store.append(cw.SampleRecord(
-                    design_snapshot=rho, param=params[b],
-                    inner_value=float(values[b]), inner_gradient=grads[b],
-                    iteration_born=k))
+            params = np.stack([phase.sample_param(rng)
+                               for _ in range(cfg.batch_size)])
+            values, grads = phase.evaluate_records(rho, params)
+            store.append(rho, params, values, grads, k)
             if quad is None:
                 alpha = cw.empirical_weights(store, rho)
             else:

@@ -395,3 +395,14 @@ class TestRenderCommand:
         assert main(["render", str(path), "--out", str(out),
                      "--size", "32"]) == 0
         assert out.read_bytes().startswith(b"P5\n32 32\n255\n")
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_cli_render_size_below_one_exit_2(self, tmp_path, capsys, size):
+        problem = wheel_problem(n_radial=4, n_angular=10, simp_s=3.0)
+        path = tmp_path / "d.txt"
+        save_design(path, problem, np.ones(problem.mesh.n_elements))
+        out = tmp_path / "d.pgm"
+        assert main(["render", str(path), "--out", str(out),
+                     "--size", size]) == 2
+        assert "--size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()

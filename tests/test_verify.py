@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smma.benchmarks import plate_problem, wheel_problem
-from smma.verify import dense_cc, h1_map, histogram, relative_compliance
+from smma.verify import dense_cc
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,8 @@ class TestDenseCC:
         n = 180
         _, _, g_nonsmooth = dense_cc(rho, wheel, n)
         omegas = np.linspace(0, 2 * np.pi, n, endpoint=False)
-        count = sum(relative_compliance(rho, wheel, [om]) > 1.0
+        c_max = wheel.smoothing.c_max
+        count = sum(wheel.compliances(rho, [om])[0][0] / c_max > 1.0
                     for om in omegas)
         assert g_nonsmooth == pytest.approx(count / n, abs=1e-12)
 
@@ -56,65 +57,3 @@ class TestDenseCC:
         assert all(np.isfinite(v) for v in g)
         # initial design is calibrated to compliance 1 < c_max = 1.5
         assert g[2] == 0.0
-
-
-class TestRelativeCompliance:
-    def test_unit_at_cap(self, wheel):
-        # scale a design so one direction sits exactly at the cap
-        rho = wheel.initial_design()
-        c = relative_compliance(rho, wheel, [np.pi])
-        assert c == pytest.approx(1.0 / wheel.smoothing.c_max, rel=1e-9)
-
-    def test_plate_param_shape(self, plate):
-        rho = plate.initial_design()
-        val = relative_compliance(rho, plate, [1.0, 0.5, 0.5])
-        assert np.isfinite(val) and val > 0
-        with pytest.raises(ValueError):
-            relative_compliance(rho, plate, [1.0, 0.5])
-
-
-class TestH1Map:
-    def test_constant_when_weakening_disabled(self):
-        problem = plate_problem(nx=10, ny=5, n_omega=4, weakening=False)
-        rho = problem.initial_design()
-        pts, vals = h1_map(rho, problem, (3, 2))
-        assert pts.shape == (6, 2)
-        np.testing.assert_allclose(vals, vals[0], atol=1e-12)
-
-    def test_solid_design_below_half_everywhere(self):
-        problem = plate_problem(nx=10, ny=5, n_omega=4, c_max=3.0)
-        rho = np.ones(problem.mesh.n_elements)
-        _, vals = h1_map(rho, problem, (3, 3))
-        assert np.all(vals < 0.5)
-
-    def test_grid_matches_requested_cadence(self):
-        problem = plate_problem(nx=10, ny=5, n_omega=4)
-        pts, vals = h1_map(problem.initial_design(), problem, (5, 4))
-        assert pts.shape == (20, 2)
-        assert vals.shape == (20,)
-
-    def test_wheel_rejected(self, wheel):
-        with pytest.raises(ValueError):
-            h1_map(wheel.initial_design(), wheel, (3, 3))
-
-
-class TestHistogram:
-    def test_empty(self):
-        edges, probs = histogram([], 0.1)
-        assert edges.size == 0 and probs.size == 0
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        vals = rng.uniform(0, 4, 1000)
-        edges, probs = histogram(vals, 0.1)
-        assert probs.sum() == pytest.approx(1.0)
-        assert np.all(np.diff(edges) > 0)
-
-    def test_bin_width_alignment(self):
-        edges, probs = histogram([0.05, 0.15, 0.17, 0.25], 0.1)
-        np.testing.assert_allclose(edges, [0.0, 0.1, 0.2, 0.3], atol=1e-12)
-        np.testing.assert_allclose(probs, [0.25, 0.5, 0.25])
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], 0.0)
