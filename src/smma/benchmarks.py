@@ -130,7 +130,7 @@ class WheelProblem(_ProblemBase):
         self._outer_nodes = nr * na + np.arange(na)
         self._build_rim_quadrature(na)
 
-        self.default_simp_schedule = ((1, simp.s), (200, 15.0))
+        self.default_simp_schedule = ((200, 15.0),)
         self.default_verify_spec = 1080
         self.default_pseudo_points = 1024
 
@@ -300,8 +300,7 @@ class PlateProblem(_ProblemBase):
     def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
                  simp: df.SimpParams, smoothing: SmoothingParams,
                  ell: float = 1.0, n_omega: int = 32,
-                 load_scale: float = 1.0, weakening: bool = True,
-                 initial_value: float = 0.65):
+                 load_scale: float = 1.0, initial_value: float = 0.65):
         self.mesh = mesh
         self.filt = filt
         self.simp = simp
@@ -309,7 +308,6 @@ class PlateProblem(_ProblemBase):
         self.ell = ell
         self.n_omega = n_omega
         self.load_scale = load_scale
-        self.weakening = weakening
         self.initial_value = initial_value
 
         self.omega_range = (ell / 5.0, 4.0 * ell / 5.0)
@@ -330,7 +328,7 @@ class PlateProblem(_ProblemBase):
         self._gauss = np.polynomial.legendre.leggauss(8)
         self._bump_panels = 32
 
-        self.default_simp_schedule = ((1, simp.s),)
+        self.default_simp_schedule = ()
         self.default_verify_spec = (50, 50)
         self.default_pseudo_points = 32
 
@@ -347,8 +345,6 @@ class PlateProblem(_ProblemBase):
 
     def weakness(self, xi) -> np.ndarray:
         """Stiffness reduction field g_xi at the element centroids."""
-        if not self.weakening:
-            return np.zeros(self.mesh.n_elements)
         xi = np.asarray(xi, dtype=float)
         r2 = self.bump_radius ** 2
         d2 = np.sum((self.mesh.element_centroids - xi) ** 2, axis=1)
@@ -556,7 +552,6 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                   simp_s: float = 5.0, a1: float = 35.0, a2: float = 0.05,
                   a3: float = 5.0, p_level: float = 0.05,
                   c_max: float | None = None, poisson: float = 0.3,
-                  weakening: bool = True,
                   initial_value: float = 0.65) -> PlateProblem:
     """Plate benchmark; load scaled so the initial compliance is 1."""
     mesh = build_rect_mesh(nx, ny, 2.0 * ell, ell, poisson=poisson)
@@ -567,8 +562,7 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     smoothing = SmoothingParams(a1=a1, a2=a2, a3=a3, c_max=1.0,
                                 p_level=p_level)
     problem = PlateProblem(mesh, filt, simp, smoothing, ell=ell,
-                           n_omega=n_omega, weakening=weakening,
-                           initial_value=initial_value)
+                           n_omega=n_omega, initial_value=initial_value)
     xi_mean = np.array([np.mean(problem.xi_range[0]),
                         np.mean(problem.xi_range[1])])
     omega_mean = float(np.mean(problem.omega_range))

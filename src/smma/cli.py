@@ -3,7 +3,9 @@
 Configs are plain key = value text (lists are whitespace-separated; '#'
 starts a comment). `run` sweeps the cartesian product of list-valued
 batch / tau / seed, writing one directory per run with the iteration CSV,
-the final design file, and a manifest that reproduces the run exactly.
+the final design file, and a manifest: the config with the run's one
+batch, tau and seed in place of the lists, and without `out`, which
+reproduces the run exactly.
 
 Exit codes: 0 ok, 1 runtime failure, 2 bad config/arguments.
 """
@@ -14,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,16 +45,6 @@ class ConfigError(Exception):
 class _Entry:
     raw: str
     line: int
-
-
-_COMMON_KEYS = {
-    "problem", "method", "iterations", "batch", "tau", "tau_period",
-    "tau_factor", "seed", "memory_cap", "pseudo_points", "empirical_weights",
-    "verify_every", "c_max", "p_level", "a1", "a2", "a3", "rmin", "poisson",
-    "log_timing", "simp", "simp_switch_iter", "simp_switch_value", "out",
-}
-_WHEEL_KEYS = {"n_radial", "n_angular", "verify_points", "baseline_nodes"}
-_PLATE_KEYS = {"nx", "ny", "ell", "n_omega", "verify_grid", "baseline_grid"}
 
 
 def parse_config(text: str) -> dict[str, _Entry]:
@@ -107,6 +100,12 @@ def _pair(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _method(raw: str) -> str:
+    if raw not in METHODS:
+        raise ValueError(f"unknown method {raw!r}")
+    return raw
+
+
 def _check_counts(name: str, spec, line: int | None = None) -> None:
     """A quadrature rule's point count, or each count of a grid, is >= 1."""
     if spec is not None and min(np.atleast_1d(spec)) < 1:
@@ -114,119 +113,111 @@ def _check_counts(name: str, spec, line: int | None = None) -> None:
                           f"got {spec}", line)
 
 
+class _ProblemKeys(NamedTuple):
+    builder: Callable
+    keys: dict                  # config key -> (builder keyword, converter)
+    rule_keys: tuple[str, str]  # keys of the verify and the baseline rule
+    rule_conv: Callable
+
+
+# keys every problem's builder takes
+_MODEL_KEYS = {
+    "c_max": ("c_max", float), "p_level": ("p_level", float),
+    "a1": ("a1", float), "a2": ("a2", float), "a3": ("a3", float),
+    "rmin": ("r_min", float), "poisson": ("poisson", float),
+    "simp": ("simp_s", float),
+}
+_PROBLEMS = {
+    "wheel": _ProblemKeys(
+        wheel_problem,
+        {**_MODEL_KEYS, "n_radial": ("n_radial", int),
+         "n_angular": ("n_angular", int)},
+        ("verify_points", "baseline_nodes"), int),
+    "plate": _ProblemKeys(
+        plate_problem,
+        {**_MODEL_KEYS, "nx": ("nx", int), "ny": ("ny", int),
+         "ell": ("ell", float), "n_omega": ("n_omega", int)},
+        ("verify_grid", "baseline_grid"), _pair),
+}
+# config key -> converter, for the RunConfig field of the same name
+_RUN_KEYS = {"method": _method, "iterations": int, "memory_cap": int,
+             "pseudo_points": int, "empirical_weights": _bool,
+             "verify_every": int}
+# the problem, the sweep lists, the key pairs of the two schedules, and
+# what to do with the output
+_OWN_KEYS = {"problem", "batch", "tau", "seed", "tau_period", "tau_factor",
+             "simp_switch_iter", "simp_switch_value", "log_timing", "out"}
+
+
 @dataclass
 class ResolvedConfig:
     problem_name: str
-    problem_kwargs: dict
-    method: str
-    iterations: int
+    problem_kwargs: dict        # builder keyword arguments
+    run_kwargs: dict            # RunConfig fields besides batch, tau, seed
     batches: list[int]
     taus: list[float]
     seeds: list[int]
-    tau_schedule: tuple[int, float] | None
-    memory_cap: int | None
-    pseudo_points: int | None
-    empirical_weights: bool
-    verify_every: int
-    verify_spec: object
-    baseline_spec: object
-    simp_schedule: tuple | None
     log_timing: bool
     out: str
 
 
+def _together(entries, first, first_conv, second, second_conv):
+    """(first, second) when both keys are given, None when neither is."""
+    a = _get(entries, first, first_conv)
+    b = _get(entries, second, second_conv)
+    if (a is None) != (b is None):
+        raise ConfigError(f"{first} and {second} must be given together")
+    return None if a is None else (a, b)
+
+
 def resolve_config(entries: dict[str, _Entry]) -> ResolvedConfig:
     problem_name = _get(entries, "problem", str, required=True)
-    if problem_name not in ("wheel", "plate"):
+    if problem_name not in _PROBLEMS:
         raise ConfigError(f"unknown problem {problem_name!r}",
                           entries["problem"].line)
-    allowed = _COMMON_KEYS | (_WHEEL_KEYS if problem_name == "wheel"
-                              else _PLATE_KEYS)
+    spec = _PROBLEMS[problem_name]
+    allowed = (_OWN_KEYS | _RUN_KEYS.keys() | spec.keys.keys()
+               | set(spec.rule_keys))
     for key, e in entries.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} for problem "
                               f"{problem_name!r}", e.line)
 
-    method = _get(entries, "method", str, default="smma")
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}",
-                          entries["method"].line)
+    problem_kwargs = {kw: _get(entries, key, conv)
+                      for key, (kw, conv) in spec.keys.items()
+                      if key in entries}
+    run = {key: _get(entries, key, conv)
+           for key, conv in _RUN_KEYS.items() if key in entries}
+    for key, field in zip(spec.rule_keys, ("verify_spec", "baseline_spec")):
+        if key in entries:
+            run[field] = _get(entries, key, spec.rule_conv)
+            _check_counts(repr(key), run[field], entries[key].line)
+    run["tau_schedule"] = _together(entries, "tau_period", int,
+                                    "tau_factor", float)
+    switch = _together(entries, "simp_switch_iter", int,
+                       "simp_switch_value", float)
+    run["simp_schedule"] = None if switch is None else (switch,)
 
-    kwargs: dict = {}
-    for key, conv in (("c_max", float), ("p_level", float), ("a1", float),
-                      ("a2", float), ("a3", float), ("poisson", float)):
-        val = _get(entries, key, conv)
-        if val is not None:
-            kwargs[key] = val
-    rmin = _get(entries, "rmin", float)
-    if rmin is not None:
-        kwargs["r_min"] = rmin
-    simp = _get(entries, "simp", float)
-    if simp is not None:
-        kwargs["simp_s"] = simp
-
-    if problem_name == "wheel":
-        for key, conv in (("n_radial", int), ("n_angular", int)):
-            val = _get(entries, key, conv)
-            if val is not None:
-                kwargs[key] = val
-        spec_keys, spec_conv = ("verify_points", "baseline_nodes"), int
-    else:
-        for key, conv in (("nx", int), ("ny", int), ("ell", float),
-                          ("n_omega", int)):
-            val = _get(entries, key, conv)
-            if val is not None:
-                kwargs[key] = val
-        spec_keys, spec_conv = ("verify_grid", "baseline_grid"), _pair
-    verify_spec, baseline_spec = (_get(entries, key, spec_conv)
-                                  for key in spec_keys)
-    for key, spec in zip(spec_keys, (verify_spec, baseline_spec)):
-        if spec is not None:
-            _check_counts(repr(key), spec, entries[key].line)
-
-    switch_iter = _get(entries, "simp_switch_iter", int)
-    switch_value = _get(entries, "simp_switch_value", float)
-    simp_schedule = None
-    if (switch_iter is None) != (switch_value is None):
-        raise ConfigError("simp_switch_iter and simp_switch_value must be "
-                          "given together")
-    if switch_iter is not None:
-        base_s = simp if simp is not None else (10.0 if problem_name == "wheel"
-                                                else 5.0)
-        simp_schedule = ((1, base_s), (switch_iter, switch_value))
-
-    tau_period = _get(entries, "tau_period", int)
-    tau_factor = _get(entries, "tau_factor", float)
-    if (tau_period is None) != (tau_factor is None):
-        raise ConfigError("tau_period and tau_factor must be given together")
-    tau_schedule = (tau_period, tau_factor) if tau_period is not None else None
-
+    # an absent sweep key runs the RunConfig default
     return ResolvedConfig(
         problem_name=problem_name,
-        problem_kwargs=kwargs,
-        method=method,
-        iterations=_get(entries, "iterations", int, default=100),
-        batches=_get(entries, "batch", _int_list, default=[8]),
-        taus=_get(entries, "tau", _float_list, default=[1.0]),
-        seeds=_get(entries, "seed", _int_list, default=[0]),
-        tau_schedule=tau_schedule,
-        memory_cap=_get(entries, "memory_cap", int),
-        pseudo_points=_get(entries, "pseudo_points", int),
-        empirical_weights=_get(entries, "empirical_weights", _bool,
-                               default=False),
-        verify_every=_get(entries, "verify_every", int, default=10),
-        verify_spec=verify_spec,
-        baseline_spec=baseline_spec,
-        simp_schedule=simp_schedule,
+        problem_kwargs=problem_kwargs,
+        run_kwargs=run,
+        batches=_get(entries, "batch", _int_list,
+                     default=[RunConfig.batch_size]),
+        taus=_get(entries, "tau", _float_list, default=[RunConfig.tau]),
+        seeds=_get(entries, "seed", _int_list, default=[RunConfig.seed]),
         log_timing=_get(entries, "log_timing", _bool, default=False),
         out=_get(entries, "out", str, default="runs"),
     )
 
 
 def build_problem(rc: ResolvedConfig):
-    if rc.problem_name == "wheel":
-        return wheel_problem(**rc.problem_kwargs)
-    return plate_problem(**rc.problem_kwargs)
+    """The configured problem; a value its builder rejects is bad input."""
+    try:
+        return _PROBLEMS[rc.problem_name].builder(**rc.problem_kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -373,67 +364,34 @@ def cmd_run(config_path: str, out_root: str | None) -> int:
     for batch, tau, seed in product(rc.batches, rc.taus, rc.seeds):
         try:   # every run's values are checked before the first one starts
             runs.append((batch, tau, seed, RunConfig(
-                method=rc.method, batch_size=batch, iterations=rc.iterations,
-                seed=seed, tau=tau, tau_schedule=rc.tau_schedule,
-                memory_cap=rc.memory_cap, pseudo_points=rc.pseudo_points,
-                empirical_weights=rc.empirical_weights,
-                simp_schedule=rc.simp_schedule,
-                baseline_spec=rc.baseline_spec,
-                verify_every=rc.verify_every, verify_spec=rc.verify_spec)))
+                batch_size=batch, tau=tau, seed=seed, **rc.run_kwargs)))
         except ValueError as exc:
             raise ConfigError(f"batch {batch}, tau {tau:g}: {exc}") from None
     problem = build_problem(rc)
 
     for batch, tau, seed, cfg in runs:
-        name = f"{rc.problem_name}_{rc.method}_b{batch}_tau{tau:g}_seed{seed}"
+        name = f"{rc.problem_name}_{cfg.method}_b{batch}_tau{tau:g}_seed{seed}"
         run_dir = out_base / name
         run_dir.mkdir(parents=True, exist_ok=True)
         rho, log = run_smma(problem, cfg)
         log.to_csv(run_dir / "log.csv", include_timing=rc.log_timing)
         save_design(run_dir / "design.txt", problem, rho)
-        _write_manifest(run_dir / "manifest.txt", rc, batch, tau, seed)
-        print(f"run {name}: {rc.iterations} iterations -> {run_dir}")
+        _write_manifest(run_dir / "manifest.txt", entries, batch, tau, seed)
+        print(f"run {name}: {cfg.iterations} iterations -> {run_dir}")
     return 0
 
 
-def _write_manifest(path, rc: ResolvedConfig, batch, tau, seed) -> None:
-    """A single-run config that reproduces this run byte-identically."""
-    lines = [f"# smma {__version__} run manifest",
-             f"problem = {rc.problem_name}",
-             f"method = {rc.method}",
-             f"iterations = {rc.iterations}",
-             f"batch = {batch}",
-             f"tau = {_fmt_float(tau)}",
-             f"seed = {seed}",
-             f"verify_every = {rc.verify_every}",
-             f"log_timing = {str(rc.log_timing).lower()}",
-             f"empirical_weights = {str(rc.empirical_weights).lower()}"]
-    if rc.tau_schedule is not None:
-        lines.append(f"tau_period = {rc.tau_schedule[0]}")
-        lines.append(f"tau_factor = {_fmt_float(rc.tau_schedule[1])}")
-    if rc.memory_cap is not None:
-        lines.append(f"memory_cap = {rc.memory_cap}")
-    if rc.pseudo_points is not None:
-        lines.append(f"pseudo_points = {rc.pseudo_points}")
-    if rc.simp_schedule is not None:
-        lines.append(f"simp_switch_iter = {rc.simp_schedule[1][0]}")
-        lines.append(f"simp_switch_value = {_fmt_float(rc.simp_schedule[1][1])}")
-    if rc.verify_spec is not None:
-        if rc.problem_name == "wheel":
-            lines.append(f"verify_points = {rc.verify_spec}")
-        else:
-            lines.append(f"verify_grid = {rc.verify_spec[0]} {rc.verify_spec[1]}")
-    if rc.baseline_spec is not None:
-        if rc.problem_name == "wheel":
-            lines.append(f"baseline_nodes = {rc.baseline_spec}")
-        else:
-            lines.append(f"baseline_grid = {rc.baseline_spec[0]} {rc.baseline_spec[1]}")
-    for key, val in sorted(rc.problem_kwargs.items()):
-        cfg_key = {"r_min": "rmin", "simp_s": "simp"}.get(key, key)
-        if isinstance(val, float):
-            lines.append(f"{cfg_key} = {_fmt_float(val)}")
-        else:
-            lines.append(f"{cfg_key} = {val}")
+def _write_manifest(path, entries: dict[str, _Entry], batch, tau,
+                    seed) -> None:
+    """The config as parsed, in file order, with this run's own batch, tau
+    and seed in place of the sweep lists and without 'out': a single-run
+    config that reproduces this run byte-identically."""
+    own = {"batch": str(batch), "tau": _fmt_float(tau), "seed": str(seed)}
+    lines = [f"# smma {__version__} run manifest"]
+    for key, e in entries.items():
+        if key != "out":
+            lines.append(f"{key} = {own.pop(key, e.raw)}")
+    lines.extend(f"{key} = {value}" for key, value in own.items())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -455,8 +413,8 @@ def cmd_verify(design_path: str, config_path: str, points: int | None,
         raise ConfigError(
             f"design has {rho.size} values, mesh has "
             f"{problem.mesh.n_elements} elements")
-    spec = points if points is not None else (grid if grid is not None
-                                              else rc.verify_spec)
+    spec = points if points is not None else (
+        grid if grid is not None else rc.run_kwargs.get("verify_spec"))
     g_smooth, g_steep, g_nonsmooth = dense_cc(rho, problem, spec)
     out_path = Path(out) if out else Path(design_path).with_suffix(".verify.csv")
     out_path.write_text(

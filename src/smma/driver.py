@@ -4,10 +4,11 @@ baseline.
 run_smma feeds an MMA step with a weighted sum of sampled chance-constraint
 integrands; the methods differ only in the weights. sMMA draws a fresh
 parameter batch per iteration, stores the records, and weights everything
-stored by nearest-neighbor integration weights; with a memory cap it
-evicts the lowest-weight records at the end of each iteration. The
-mma-quadrature baseline evaluates a fixed rule (nodes, lambda) at every
-iterate and weights by lambda, with no store and no random draws.
+stored by nearest-neighbor integration weights; limited-memory sMMA
+evicts the lowest-weight records above its memory cap at the end of each
+iteration. The mma-quadrature baseline evaluates a fixed rule (nodes,
+lambda) at every iterate and weights by lambda, with no store and no
+random draws.
 
 Problems are duck-typed; they provide (see benchmarks for the two built-in
 ones): initial_design, free_mask, smoothing, simp, with_simp,
@@ -19,6 +20,11 @@ Record contract: evaluate_records(rho, params) returns, per parameter, the
 integrand already composed with the smoothed indicator h and its design
 gradient, so the constraint estimate is the weighted sum of both.
 dense_raw returns raw compliances; verification applies h itself.
+
+A SIMP schedule holds only switches, (iteration, exponent) pairs: a run
+starts at the problem's own exponent simp.s, and default_simp_schedule
+holds the switches after it. A switch clears the store, whose gradients
+belong to the old exponent.
 
 RNG draw order is fixed: per iteration, batch member by batch member, one
 parameter vector each (coordinates in the problem's declared order).
@@ -32,6 +38,7 @@ import numpy as np
 
 from . import csg_weights as cw
 from . import mma_core as mma
+from .design_field import SimpParams
 from .verify import dense_cc
 
 METHODS = ("smma", "smma-limited", "mma-quadrature")
@@ -45,10 +52,10 @@ class RunConfig:
     seed: int = 0
     tau: float = 1.0
     tau_schedule: tuple[int, float] | None = None
-    memory_cap: int | None = None
+    memory_cap: int | None = None          # smma-limited only, required
     pseudo_points: int | None = None       # None: problem default
     empirical_weights: bool = False        # skip the fixed discretization
-    simp_schedule: tuple[tuple[int, float], ...] | None = None
+    simp_schedule: tuple[tuple[int, float], ...] | None = None  # switches
     baseline_spec: object = None           # nodes of the quadrature baseline
     verify_every: int = 10                 # 0: never verify
     verify_spec: object = None             # dense rule; None: problem default
@@ -58,6 +65,9 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch size and iterations must be positive")
+        if (self.memory_cap is None) == (self.method == "smma-limited"):
+            raise ValueError("memory_cap is required by smma-limited and "
+                             "applies to no other method")
         if self.memory_cap is not None and self.memory_cap < self.batch_size:
             raise ValueError("memory cap must be at least the batch size")
         if self.pseudo_points is not None and self.pseudo_points < 1:
@@ -70,6 +80,10 @@ class RunConfig:
                 self.tau_schedule[0] >= 1 and self.tau_schedule[1] > 0.0):
             raise ValueError("tau schedule needs a period of at least 1 "
                              "and a positive factor")
+        for start, value in self.simp_schedule or ():
+            if start < 1:
+                raise ValueError("a SIMP switch iteration must be at least 1")
+            SimpParams(s=value)   # raises below its bound on s
 
 
 @dataclass
@@ -114,12 +128,13 @@ class IterationLog:
 def _simp_schedule(problem, cfg: RunConfig):
     schedule = cfg.simp_schedule
     if schedule is None:
-        schedule = getattr(problem, "default_simp_schedule", ((1, problem.simp.s),))
+        schedule = problem.default_simp_schedule
     return tuple(sorted(schedule, key=lambda e: e[0]))
 
 
-def _simp_at(schedule, k: int) -> float:
-    s = schedule[0][1]
+def _simp_at(problem, schedule, k: int) -> float:
+    """The exponent at iteration k: the problem's own until a switch."""
+    s = problem.simp.s
     for start, value in schedule:
         if k >= start:
             s = value
@@ -130,13 +145,11 @@ def _mma_step(problem, cfg: RunConfig, state, rho, free, g_val, g_grad):
     """One asymptote update + subproblem solve; returns the next design."""
     z = rho[free]
     state = mma.update_asymptotes(state, z)
-    state = mma.apply_move_limits(
-        state, cfg.tau_schedule, tau0=cfg.tau)
+    state = mma.apply_move_limits(state, cfg.tau_schedule, cfg.tau)
     obj = mma.build_approx(z, problem.rvol(rho), problem.rvol_gradient()[free],
                            state.lower, state.upper)
     con = mma.build_approx(z, g_val, g_grad[free], state.lower, state.upper)
-    sp = mma.build_subproblem(z, state, obj, [con],
-                              [problem.smoothing.p_level])
+    sp = mma.build_subproblem(z, state, obj, con, problem.smoothing.p_level)
     result = mma.solve_subproblem(sp)
     rho_next = rho.copy()
     rho_next[free] = result.design
@@ -160,7 +173,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
     free = problem.free_mask
     state = mma.MmaState.initial(int(free.sum()), tau=cfg.tau)
     schedule = _simp_schedule(problem, cfg)
-    phase = problem.with_simp(_simp_at(schedule, 1))
+    phase = problem.with_simp(_simp_at(problem, schedule, 1))
 
     store = quad = cap = None
     if cfg.method == "mma-quadrature":
@@ -170,7 +183,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
         nodes, lam = phase.baseline_nodes(spec)
     else:
         rng = np.random.default_rng(cfg.seed)
-        cap = cfg.memory_cap if cfg.method == "smma-limited" else None
+        cap = cfg.memory_cap
         store = cw.SampleStore(metric=problem.metric())
         if not cfg.empirical_weights:
             quad = problem.pseudo_quadrature(
@@ -180,7 +193,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
     log = IterationLog()
     for k in range(1, cfg.iterations + 1):
         start = time.perf_counter()
-        s_now = _simp_at(schedule, k)
+        s_now = _simp_at(problem, schedule, k)
         if s_now != phase.simp.s:
             phase = problem.with_simp(s_now)
             if store is not None:

@@ -74,8 +74,6 @@ class ElementStiffnessTemplate:
     k0: np.ndarray              # (n_templates, 8, 8)
     template_index: np.ndarray  # (n_elements,)
     rotation: np.ndarray        # (n_elements,) angle of each element's frame
-    youngs_solid: float = 1.0
-    youngs_void: float = 1e-4
     poisson: float = 0.3
     _mats: np.ndarray | None = field(default=None, repr=False)
 
@@ -161,19 +159,16 @@ class StructuredMesh:
 
 
 def build_rect_mesh(nx: int, ny: int, width: float, height: float,
-                    bc: str = "bottom-clamped",
                     poisson: float = 0.3) -> StructuredMesh:
     """Uniform nx-by-ny Q4 grid on [0, width] x [0, height].
 
-    Element index is ey*nx + ex (x fastest). bc = "bottom-clamped" fixes
-    both dofs of every y = 0 node.
+    Element index is ey*nx + ex (x fastest). Both dofs of every y = 0
+    node are clamped.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
     if width <= 0 or height <= 0:
         raise ValueError("width and height must be positive")
-    if bc != "bottom-clamped":
-        raise ValueError(f"unknown boundary spec {bc!r}")
     dx, dy = width / nx, height / ny
     xs = np.arange(nx + 1) * dx
     ys = np.arange(ny + 1) * dy

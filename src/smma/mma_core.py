@@ -82,10 +82,9 @@ def tau_for_iteration(tau0: float, schedule: tuple[int, float] | None,
 
 
 def apply_move_limits(state: MmaState, schedule: tuple[int, float] | None,
-                      tau0: float | None = None) -> MmaState:
+                      tau0: float) -> MmaState:
     """Return the state with tau set for state.iteration."""
-    base = state.tau if tau0 is None else tau0
-    return replace(state, tau=tau_for_iteration(base, schedule,
+    return replace(state, tau=tau_for_iteration(tau0, schedule,
                                                 state.iteration))
 
 
@@ -124,16 +123,18 @@ def build_approx(z, g_val: float, g_grad, lower, upper) -> SeparableApprox:
 
 @dataclass
 class Subproblem:
+    """Minimize objective subject to constraint <= limit on [lo, hi]."""
+
     objective: SeparableApprox
-    constraints: list[SeparableApprox]
-    limits: list[float]
+    constraint: SeparableApprox
+    limit: float
     lo: np.ndarray
     hi: np.ndarray
 
 
 def build_subproblem(z, state: MmaState, objective: SeparableApprox,
-                     constraints: list[SeparableApprox],
-                     limits: list[float]) -> Subproblem:
+                     constraint: SeparableApprox,
+                     limit: float) -> Subproblem:
     """Box bounds: design box, move limit, and 90%-of-asymptote clipping."""
     z = np.asarray(z, dtype=float)
     lo = np.maximum.reduce([
@@ -146,8 +147,8 @@ def build_subproblem(z, state: MmaState, objective: SeparableApprox,
         state.upper - _BOUND_FRACTION * (state.upper - z)])
     if np.any(lo >= hi):
         raise ValueError("empty subproblem box")
-    return Subproblem(objective=objective, constraints=constraints,
-                      limits=list(limits), lo=lo, hi=hi)
+    return Subproblem(objective=objective, constraint=constraint,
+                      limit=limit, lo=lo, hi=hi)
 
 
 @dataclass
@@ -159,7 +160,7 @@ class SubproblemResult:
 
 
 def _primal_for_multiplier(sp: Subproblem, lam: float) -> np.ndarray:
-    con = sp.constraints[0]
+    con = sp.constraint
     P = sp.objective.p + lam * con.p
     Q = sp.objective.q + lam * con.q
     spP = np.sqrt(P)
@@ -181,9 +182,7 @@ def solve_subproblem(sp: Subproblem) -> SubproblemResult:
     capped solution is returned with its violation measure instead of
     raising, so a stochastic outer loop can continue.
     """
-    if len(sp.constraints) != 1 or len(sp.limits) != 1:
-        raise ValueError("solver handles exactly one constraint")
-    con, limit = sp.constraints[0], sp.limits[0]
+    con, limit = sp.constraint, sp.limit
 
     def slack(lam: float) -> float:
         return con.value(_primal_for_multiplier(sp, lam)) - limit
@@ -229,7 +228,7 @@ def _kkt_residual(sp: Subproblem, z: np.ndarray, lam: float, limit: float,
                   elastic: bool = False) -> float:
     """max of primal feasibility, complementary slackness and projected
     Lagrangian stationarity."""
-    con = sp.constraints[0]
+    con = sp.constraint
     slack = con.value(z) - limit
     primal = 0.0 if elastic else max(0.0, slack)
     comp = 0.0 if elastic else abs(lam * slack)

@@ -21,8 +21,6 @@ _EXP_CUTOFF = 40.0
 # float64 limits, so a*t is clipped here rather than allowed to overflow
 _SATURATION = 800.0
 
-FLAVORS = ("nonsmooth", "tanh", "steepened")
-
 
 @dataclass(frozen=True)
 class SmoothingParams:

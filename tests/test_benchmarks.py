@@ -316,10 +316,6 @@ class TestPlate:
             fd = (vu[0] - vd[0]) / (2 * step)
             assert abs(grads[0][j] - fd) <= 1e-4 * max(abs(fd), 1e-8) + 1e-10
 
-    def test_weakening_flag_disables_modifier(self):
-        problem = plate_problem(nx=8, ny=4, n_omega=4, weakening=False)
-        np.testing.assert_array_equal(problem.weakness([1.0, 0.5]), 0.0)
-
     def test_dense_raw_shapes_and_weights(self, plate):
         rho = plate.initial_design()
         vals, w = plate.dense_raw(rho, (3, 3))

@@ -55,7 +55,7 @@ class TestConfigParsing:
         rc = resolve_config(parse_config(cfg.read_text()))
         assert rc.problem_name == "wheel"
         assert rc.batches == [2] and rc.seeds == [0]
-        assert rc.verify_spec == 20
+        assert rc.run_kwargs["verify_spec"] == 20
 
     def test_missing_problem_key(self):
         with pytest.raises(ConfigError) as err:
@@ -133,6 +133,29 @@ class TestRunCommand:
         assert (run_dir / "log.csv").read_bytes() == \
             (redo_dir / "log.csv").read_bytes()
 
+    def test_manifest_of_later_sweep_point_reproduces_run(self, tmp_path):
+        out = tmp_path / "out"
+        text = TINY_WHEEL.replace("tau = 0.5", "tau = 0.5 0.25\n"
+                                  "tau_period = 2\ntau_factor = 0.5\n"
+                                  "simp_switch_iter = 2\n"
+                                  "simp_switch_value = 4") \
+                         .replace("seed = 0", "seed = 0 1")
+        cfg = write_config(tmp_path, text, out=out)
+        assert main(["run", str(cfg)]) == 0
+        d = "wheel_smma_b2_tau0.25_seed1"
+        manifest = (out / d / "manifest.txt").read_text().splitlines()
+        keys = [ln.split("=", 1)[0].strip() for ln in manifest[1:]]
+        assert [keys.count(k) for k in ("batch", "tau", "seed", "out")] == \
+            [1, 1, 1, 0]
+        assert {"tau = 0.25", "seed = 1", "batch = 2"} <= set(manifest)
+        redo = tmp_path / "redo"
+        assert main(["run", str(out / d / "manifest.txt"),
+                     "--out", str(redo)]) == 0
+        assert [p.name for p in redo.iterdir()] == [d]
+        for name in ("log.csv", "design.txt"):
+            assert (out / d / name).read_bytes() == \
+                (redo / d / name).read_bytes()
+
     def test_sweep_produces_product_of_runs(self, tmp_path):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace("batch = 2", "batch = 1 2") \
@@ -154,8 +177,10 @@ class TestRunCommand:
     @pytest.mark.parametrize("edit,message", [
         (("iterations = 3", "iterations = 0"), "must be positive"),
         (("batch = 2", "batch = 0"), "must be positive"),
-        (("batch = 2", "batch = 2 8\nmemory_cap = 4"), "memory cap"),
+        (("method = smma\n", "method = smma-limited\nmemory_cap = 1\n"),
+         "memory cap must be at least the batch size"),
         (("tau = 0.5", "tau = -1"), "tau must be positive"),
+        (("tau = 0.5", "tau = 0.5 -1"), "tau must be positive"),
         (("tau = 0.5", "tau = 0"), "tau must be positive"),
         (("tau = 0.5", "tau = 0.5\ntau_period = 0\ntau_factor = 0.5"),
          "tau schedule"),
@@ -171,11 +196,30 @@ class TestRunCommand:
          "line 13: 'verify_points' needs at least 1 point"),
         (("verify_points = 20", "verify_points = -3"),
          "line 13: 'verify_points' needs at least 1 point"),
+        (("tau = 0.5", "tau = 0.5\np_level = 2"), "p_level must lie in"),
+        (("n_radial = 4", "n_radial = 0"), "n_radial must be at least 1"),
+        (("tau = 0.5", "tau = 0.5\nrmin = -1"),
+         "filter radius must be nonnegative"),
+        (("simp = 3", "simp = 0.5"), "SIMP exponent must be >= 1"),
+        (("tau = 0.5", "tau = 0.5\nsimp_switch_iter = 2\n"
+          "simp_switch_value = 0.5"), "SIMP exponent must be >= 1"),
+        (("tau = 0.5", "tau = 0.5\nsimp_switch_iter = -4\n"
+          "simp_switch_value = 5"), "SIMP switch iteration must be at least"),
+        (("method = smma\n", "method = smma-limited\n"),
+         "memory_cap is required by smma-limited"),
+        (("tau = 0.5", "tau = 0.5\nmemory_cap = 8"),
+         "memory_cap is required by smma-limited"),
+        (("method = smma\n", "method = mma-quadrature\nmemory_cap = 8\n"),
+         "memory_cap is required by smma-limited"),
     ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
-            "tau-zero", "tau-period-0", "tau-factor-negative",
-            "pseudo-points-0", "pseudo-points-negative",
-            "verify-every-negative", "verify-points-0",
-            "verify-points-negative"])
+            "tau-negative-second", "tau-zero", "tau-period-0",
+            "tau-factor-negative", "pseudo-points-0",
+            "pseudo-points-negative", "verify-every-negative",
+            "verify-points-0", "verify-points-negative", "p-level-2",
+            "n-radial-0", "rmin-negative", "simp-below-1",
+            "simp-switch-value-below-1", "simp-switch-iter-negative",
+            "limited-without-cap", "cap-with-smma",
+            "cap-with-quadrature"])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace(*edit)
@@ -191,7 +235,8 @@ class TestRunCommand:
          "line 9: 'verify_grid' needs at least 1 point"),
         (("baseline_grid = 2 2", "baseline_grid = 2 -1"),
          "line 8: 'baseline_grid' needs at least 1 point"),
-    ], ids=["verify-grid-0", "baseline-grid-negative"])
+        (("nx = 10", "nx = 0"), "nx and ny must be at least 1"),
+    ], ids=["verify-grid-0", "baseline-grid-negative", "nx-0"])
     def test_bad_plate_grid_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_PLATE.replace(*edit)
@@ -328,6 +373,19 @@ class TestVerifyCommand:
         assert main(["verify", str(design), str(cfg), *flags,
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_problem_value_exit_2(self, tmp_path, capsys):
+        design = tmp_path / "design.txt"
+        problem = wheel_problem(n_radial=4, n_angular=10, simp_s=3.0)
+        save_design(design, problem, problem.initial_design())
+        cfg = write_config(tmp_path, TINY_WHEEL.replace("simp = 3",
+                                                        "simp = 0.5"),
+                           out=tmp_path / "o")
+        out = tmp_path / "v.csv"
+        assert main(["verify", str(design), str(cfg), "--out",
+                     str(out)]) == 2
+        assert "SIMP exponent must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_wrong_design_length_exit_2(self, tmp_path):

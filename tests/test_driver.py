@@ -172,6 +172,15 @@ class TestSmmaLoop:
         assert sizes[4] == 2   # flushed at the exponent switch
         assert sizes[6] == 6
 
+    def test_simp_schedule_starts_at_problem_exponent(self):
+        problem = tiny_wheel()
+        cfg = RunConfig(method="smma", batch_size=1, iterations=3, seed=0,
+                        simp_schedule=((3, 5.0),), verify_every=0)
+        _, log = run_smma(problem, cfg)
+        rho0 = problem.initial_design()
+        assert log.rows[0].pvol == problem.pvol(rho0)
+        assert log.rows[0].pvol != problem.with_simp(5.0).pvol(rho0)
+
     def test_tau_schedule_logged(self):
         problem = tiny_wheel()
         cfg = RunConfig(method="smma", batch_size=1, iterations=4, seed=0,
@@ -257,6 +266,9 @@ class TestConfigValidation:
         dict(tau_schedule=(2, 0.0)), dict(tau_schedule=(2, -1.0)),
         dict(pseudo_points=0), dict(pseudo_points=-5),
         dict(verify_every=-1),
+        dict(simp_schedule=((3, 0.5),)), dict(simp_schedule=((-4, 5.0),)),
+        dict(simp_schedule=((0, 5.0),)), dict(method="smma-limited"),
+        dict(memory_cap=16), dict(method="mma-quadrature", memory_cap=16),
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ class TestRectMesh:
         assert mesh.n_elements == 64800
 
     def test_minimal_grid(self):
-        mesh = build_rect_mesh(1, 1, 1.0, 1.0, bc="bottom-clamped")
+        mesh = build_rect_mesh(1, 1, 1.0, 1.0)
         assert mesh.n_elements == 1
         assert mesh.nodes.shape[0] == 4
         np.testing.assert_array_equal(mesh.dirichlet_dofs, [0, 1, 2, 3])

@@ -126,7 +126,7 @@ class TestMoveLimits:
     def test_apply_to_state(self):
         st = MmaState.initial(3, tau=1.0)
         st = update_asymptotes(st, np.full(3, 0.5))
-        assert apply_move_limits(st, None).tau == 1.0
+        assert apply_move_limits(st, None, 1.0).tau == 1.0
 
 
 def one_var_subproblem(z, obj_grad, con_val, con_grad, limit, tau=1.0):
@@ -135,7 +135,7 @@ def one_var_subproblem(z, obj_grad, con_val, con_grad, limit, tau=1.0):
                        st.lower, st.upper)
     con = build_approx(np.array([z]), con_val, np.array([con_grad]),
                        st.lower, st.upper)
-    return build_subproblem(np.array([z]), st, obj, [con], [limit])
+    return build_subproblem(np.array([z]), st, obj, con, limit)
 
 
 class TestSolveSubproblem:
@@ -155,7 +155,7 @@ class TestSolveSubproblem:
                                 con_grad=-2.0, limit=0.0)
         res = solve_subproblem(sp)
         grid = np.linspace(sp.lo[0], sp.hi[0], 1_000_000)
-        con, obj = sp.constraints[0], sp.objective
+        con, obj = sp.constraint, sp.objective
         convals = con.r + con.p[0] / (con.upper[0] - grid) \
             + con.q[0] / (grid - con.lower[0])
         objv = obj.r + obj.p[0] / (obj.upper[0] - grid) \
@@ -174,7 +174,7 @@ class TestSolveSubproblem:
         obj = build_approx(z, 0.0, rng.uniform(0.5, 1.0, n), st.lower, st.upper)
         con = build_approx(z, 0.2, rng.uniform(-1.0, -0.5, n), st.lower,
                            st.upper)
-        sp = build_subproblem(z, st, obj, [con], [0.0])
+        sp = build_subproblem(z, st, obj, con, 0.0)
         res = solve_subproblem(sp)
         assert np.abs(res.design - z).max() <= 0.01 + 1e-12
 
@@ -189,7 +189,7 @@ class TestSolveSubproblem:
                                rng.standard_normal(n), st.lower, st.upper)
             con = build_approx(z, rng.uniform(-0.5, 0.5),
                                rng.standard_normal(n), st.lower, st.upper)
-            sp = build_subproblem(z, st, obj, [con], [float(rng.uniform(-0.2, 0.2))])
+            sp = build_subproblem(z, st, obj, con, float(rng.uniform(-0.2, 0.2)))
             res = solve_subproblem(sp)
             assert np.all(res.design >= sp.lo - 1e-15)
             assert np.all(res.design <= sp.hi + 1e-15)
@@ -199,7 +199,7 @@ class TestSolveSubproblem:
     def test_dual_bracket_contains_root(self):
         sp = one_var_subproblem(0.5, obj_grad=1.0, con_val=0.3,
                                 con_grad=-2.0, limit=0.0)
-        con = sp.constraints[0]
+        con = sp.constraint
         res = solve_subproblem(sp)
         assert res.multiplier > 0.0
         from smma.mma_core import _primal_for_multiplier
@@ -216,13 +216,6 @@ class TestSolveSubproblem:
         assert np.isfinite(res.design).all()
         assert sp.lo[0] <= res.design[0] <= sp.hi[0]
 
-    def test_multi_constraint_rejected(self):
-        sp = one_var_subproblem(0.5, 1.0, 0.0, 1.0, 0.0)
-        sp.constraints.append(sp.constraints[0])
-        sp.limits.append(0.0)
-        with pytest.raises(ValueError):
-            solve_subproblem(sp)
-
 
 class TestSubproblemBox:
     def test_bounds_inside_asymptotes(self):
@@ -232,7 +225,7 @@ class TestSubproblemBox:
         st = update_asymptotes(st, z)
         obj = build_approx(z, 0.0, rng.standard_normal(20), st.lower, st.upper)
         con = build_approx(z, 0.0, rng.standard_normal(20), st.lower, st.upper)
-        sp = build_subproblem(z, st, obj, [con], [0.0])
+        sp = build_subproblem(z, st, obj, con, 0.0)
         assert np.all(sp.lo < sp.hi)
         assert np.all(sp.lo > st.lower)
         assert np.all(sp.hi < st.upper)
