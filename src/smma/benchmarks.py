@@ -78,7 +78,7 @@ class _ProblemBase:
     simp: df.SimpParams
     smoothing: SmoothingParams
     name: str = ""
-    initial_value: float = 0.75
+    initial_value: float      # design density outside the solid elements
 
     @property
     def n_design(self) -> int:
@@ -87,20 +87,18 @@ class _ProblemBase:
     @property
     def free_mask(self) -> np.ndarray:
         mask = np.ones(self.mesh.n_elements, dtype=bool)
-        if self.mesh.fixed_density:
-            mask[self.mesh.fixed_density_idx] = False
+        mask[self.mesh.solid] = False
         return mask
 
     def initial_design(self) -> np.ndarray:
         rho = np.full(self.mesh.n_elements, self.initial_value)
-        if self.mesh.fixed_density:
-            rho[self.mesh.fixed_density_idx] = self.mesh.fixed_density_values
+        rho[self.mesh.solid] = 1.0
         return rho
 
     def with_simp(self, s: float):
         """Same problem with a different SIMP exponent (shared geometry)."""
         clone = copy.copy(self)
-        clone.simp = self.simp.with_exponent(s)
+        clone.simp = df.SimpParams(s=s)
         return clone
 
     def rvol(self, rho) -> float:
@@ -115,16 +113,15 @@ class _ProblemBase:
 
 class WheelProblem(_ProblemBase):
     name = "wheel"
+    initial_value = 0.75
 
     def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
-                 simp: df.SimpParams, smoothing: SmoothingParams,
-                 load_scale: float = 1.0, initial_value: float = 0.75):
+                 simp: df.SimpParams, smoothing: SmoothingParams):
         self.mesh = mesh
         self.filt = filt
         self.simp = simp
         self.smoothing = smoothing
-        self.load_scale = load_scale
-        self.initial_value = initial_value
+        self.load_scale = 1.0     # the builder calibrates it
 
         nr, na = mesh.shape
         self._outer_nodes = nr * na + np.arange(na)
@@ -271,44 +268,40 @@ def wheel_problem(n_radial: int = 18, n_angular: int = 72,
                   r_inner: float = 0.1, r_rim: float = 0.95,
                   r_min: float | None = None, simp_s: float = 10.0,
                   a1: float = 50.0, a2: float = 0.1, a3: float = 5.0,
-                  p_level: float = 0.025, c_max: float | None = None,
-                  poisson: float = 0.3,
-                  initial_value: float = 0.75) -> WheelProblem:
+                  p_level: float = 0.025, c_max: float = 1.5,
+                  poisson: float = 0.3) -> WheelProblem:
     """Wheel benchmark; traction scaled so the initial compliance is 1."""
+    smoothing = SmoothingParams(a1=a1, a2=a2, a3=a3, c_max=c_max,
+                                p_level=p_level)
+    simp = df.SimpParams(s=simp_s)
     mesh = build_disc_mesh(n_radial, n_angular, r_inner, r_rim,
                            poisson=poisson)
     if r_min is None:
         r_min = 1.5 * (1.0 - r_inner) / n_radial
     filt = df.build_filter(mesh, r_min)
-    simp = df.SimpParams(s=simp_s)
-    smoothing = SmoothingParams(a1=a1, a2=a2, a3=a3, c_max=1.0,
-                                p_level=p_level)
-    problem = WheelProblem(mesh, filt, simp, smoothing,
-                           initial_value=initial_value)
+    problem = WheelProblem(mesh, filt, simp, smoothing)
     # pin the compliance scale at the mean direction of the uniform omega
     values, _ = problem.compliances(problem.initial_design(), [np.pi])
     problem.load_scale = 1.0 / np.sqrt(float(values[0]))
-    problem.smoothing = SmoothingParams(
-        a1=a1, a2=a2, a3=a3, c_max=1.5 if c_max is None else c_max,
-        p_level=p_level)
     return problem
 
 
 class PlateProblem(_ProblemBase):
     name = "plate"
+    initial_value = 0.65
 
     def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
                  simp: df.SimpParams, smoothing: SmoothingParams,
-                 ell: float = 1.0, n_omega: int = 32,
-                 load_scale: float = 1.0, initial_value: float = 0.65):
+                 ell: float = 1.0, n_omega: int = 32):
+        if n_omega < 1:
+            raise ValueError(f"n_omega must be at least 1, got {n_omega}")
         self.mesh = mesh
         self.filt = filt
         self.simp = simp
         self.smoothing = smoothing
         self.ell = ell
         self.n_omega = n_omega
-        self.load_scale = load_scale
-        self.initial_value = initial_value
+        self.load_scale = 1.0     # the builder calibrates it
 
         self.omega_range = (ell / 5.0, 4.0 * ell / 5.0)
         self.xi_range = ((ell / 4.0, 7.0 * ell / 4.0),
@@ -551,25 +544,21 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                   n_omega: int = 32, r_min: float | None = None,
                   simp_s: float = 5.0, a1: float = 35.0, a2: float = 0.05,
                   a3: float = 5.0, p_level: float = 0.05,
-                  c_max: float | None = None, poisson: float = 0.3,
-                  initial_value: float = 0.65) -> PlateProblem:
+                  c_max: float = 1.5, poisson: float = 0.3) -> PlateProblem:
     """Plate benchmark; load scaled so the initial compliance is 1."""
+    smoothing = SmoothingParams(a1=a1, a2=a2, a3=a3, c_max=c_max,
+                                p_level=p_level)
+    simp = df.SimpParams(s=simp_s)
     mesh = build_rect_mesh(nx, ny, 2.0 * ell, ell, poisson=poisson)
     if r_min is None:
         r_min = 1.5 * (2.0 * ell / nx)
     filt = df.build_filter(mesh, r_min)
-    simp = df.SimpParams(s=simp_s)
-    smoothing = SmoothingParams(a1=a1, a2=a2, a3=a3, c_max=1.0,
-                                p_level=p_level)
     problem = PlateProblem(mesh, filt, simp, smoothing, ell=ell,
-                           n_omega=n_omega, initial_value=initial_value)
+                           n_omega=n_omega)
     xi_mean = np.array([np.mean(problem.xi_range[0]),
                         np.mean(problem.xi_range[1])])
     omega_mean = float(np.mean(problem.omega_range))
     c0 = problem.angle_averaged_compliance(problem.initial_design(), xi_mean,
                                            omega_mean)
     problem.load_scale = 1.0 / np.sqrt(c0)
-    problem.smoothing = SmoothingParams(
-        a1=a1, a2=a2, a3=a3, c_max=1.5 if c_max is None else c_max,
-        p_level=p_level)
     return problem

@@ -243,7 +243,8 @@ def load_design(path) -> tuple[dict, np.ndarray]:
 
     A malformed file raises ConfigError naming the file and the line: a
     blank or malformed header line, a header without one of the keys that
-    save_design writes, and a truncated, unparsable or non-finite value.
+    save_design writes, a non-finite header number, and a truncated,
+    unparsable or non-finite value.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != DESIGN_MAGIC:
@@ -289,6 +290,8 @@ def load_design(path) -> tuple[dict, np.ndarray]:
                 header["shape"] = (int(parts[1]), int(parts[2]))
             else:
                 header[key] = float(parts[1])
+                if not np.isfinite(header[key]):
+                    raise bad(i, f"{key!r} is not finite")
         except (IndexError, ValueError):
             raise bad(i, f"malformed {key!r} line") from None
     raise ConfigError(f"{path}: missing values section")

@@ -2,9 +2,9 @@
 
 The raw design rho is smoothed by a row-stochastic hat filter F; the
 filtered field y = F rho is interpolated to an element stiffness factor
-y^s * E1 + (1 - y^s) * E0. Elements with a prescribed density (the wheel
-rim) are pinned after filtering: their stiffness uses the prescribed value
-and they contribute nothing to the design gradient.
+y^s * E1 + (1 - y^s) * E0. The mesh's `solid` elements (the wheel rim)
+are pinned at density 1 after filtering: their stiffness is E1 and they
+contribute nothing to the design gradient.
 """
 from __future__ import annotations
 
@@ -17,22 +17,21 @@ from scipy.spatial import cKDTree
 from .mesh_fem import StructuredMesh
 
 
+# stiffness of solid and of void material, relative to the unit modulus
+E_SOLID = 1.0
+E_VOID = 1e-4
+
+
 @dataclass(frozen=True)
 class SimpParams:
-    """Penalization exponent and the two material stiffness endpoints."""
+    """Penalization exponent of the SIMP interpolation."""
 
     s: float
-    e_solid: float = 1.0
-    e_void: float = 1e-4
 
     def __post_init__(self):
-        if self.s < 1.0:
-            raise ValueError("SIMP exponent must be >= 1")
-        if not self.e_solid > self.e_void > 0.0:
-            raise ValueError("need e_solid > e_void > 0")
-
-    def with_exponent(self, s: float) -> "SimpParams":
-        return SimpParams(s=s, e_solid=self.e_solid, e_void=self.e_void)
+        if not 1.0 <= self.s < np.inf:
+            raise ValueError(f"SIMP exponent must be >= 1 and finite, "
+                             f"got {self.s}")
 
 
 @dataclass
@@ -55,8 +54,9 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
     A radius below the centroid spacing (including r_min = 0) yields the
     identity matrix.
     """
-    if r_min < 0:
-        raise ValueError("filter radius must be nonnegative")
+    if not 0.0 <= r_min < np.inf:
+        raise ValueError(f"filter radius must be nonnegative and finite, "
+                         f"got {r_min}")
     n = mesh.n_elements
     if r_min == 0.0:
         return FilterMatrix(matrix=sp.identity(n, format="csr"), r_min=r_min)
@@ -85,10 +85,10 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
 
 
 def _pinned(y: np.ndarray, mesh: StructuredMesh | None) -> np.ndarray:
-    if mesh is None or not mesh.fixed_density:
+    if mesh is None:
         return y
     y = y.copy()
-    y[mesh.fixed_density_idx] = mesh.fixed_density_values
+    y[mesh.solid] = 1.0
     return y
 
 
@@ -101,7 +101,7 @@ def interpolate_stiffness(rho: np.ndarray, filt: FilterMatrix,
     """
     y = _pinned(filt.apply(np.asarray(rho, dtype=float)), mesh)
     ys = y ** simp.s
-    return ys * simp.e_solid + (1.0 - ys) * simp.e_void
+    return ys * E_SOLID + (1.0 - ys) * E_VOID
 
 
 def backprop_to_design(grad_wrt_stiffness: np.ndarray, rho: np.ndarray,
@@ -115,9 +115,9 @@ def backprop_to_design(grad_wrt_stiffness: np.ndarray, rho: np.ndarray,
     """
     g = np.asarray(grad_wrt_stiffness, dtype=float)
     y = filt.apply(np.asarray(rho, dtype=float))
-    inner = simp.s * y ** (simp.s - 1.0) * (simp.e_solid - simp.e_void) * g
-    if mesh is not None and mesh.fixed_density:
-        inner[..., mesh.fixed_density_idx] = 0.0
+    inner = simp.s * y ** (simp.s - 1.0) * (E_SOLID - E_VOID) * g
+    if mesh is not None:
+        inner[..., mesh.solid] = 0.0
     return filt.apply_transpose(inner.T).T
 
 

@@ -2,6 +2,11 @@
 
 Meshes are bilinear Q4 grids: a uniform rectangle or a polar-mapped annulus
 (the wheel domain, with the region inside the clamped radius removed).
+A mesh is complete when its builder returns: besides the geometry it
+carries each element's unit-modulus stiffness matrix (`element_matrices`),
+its global dofs (`edof`), the free dofs outside the Dirichlet set
+(`free_dofs`), and the `solid` elements prescribed at density 1 (the
+wheel's rim; none on the rectangle).
 Assembly scales a unit-modulus element stiffness by a per-element factor,
 Dirichlet dofs are eliminated, and the reduced SPD system is factorized once
 per design so that many load cases can be solved against it. Designs that
@@ -29,6 +34,9 @@ class FactorizationError(RuntimeError):
 
 def plane_stress_matrix(poisson: float) -> np.ndarray:
     nu = poisson
+    # D is singular at nu = +-1 and indefinite beyond; NaN fails the test
+    if not -1.0 < nu < 1.0:
+        raise ValueError(f"Poisson's ratio must lie in (-1, 1), got {nu}")
     return np.array([
         [1.0, nu, 0.0],
         [nu, 1.0, 0.0],
@@ -64,50 +72,27 @@ def q4_unit_stiffness(coords: np.ndarray, poisson: float) -> np.ndarray:
 
 
 @dataclass
-class ElementStiffnessTemplate:
-    """Unit-modulus element matrices shared across congruent elements.
+class StructuredMesh:
+    """A Q4 mesh with every per-element array its readers use.
 
-    Rect meshes carry a single template; polar meshes one per radius band,
-    recovered in the global frame by the rotation congruence T k0 T^T.
+    element_matrices holds the unit-modulus 8x8 stiffness of each element
+    in the global frame; edof (each element's 8 global dofs, x then y per
+    node) and free_dofs (the dofs outside the Dirichlet set) are derived
+    from the connectivity on construction, which also checks it.
     """
 
-    k0: np.ndarray              # (n_templates, 8, 8)
-    template_index: np.ndarray  # (n_elements,)
-    rotation: np.ndarray        # (n_elements,) angle of each element's frame
-    poisson: float = 0.3
-    _mats: np.ndarray | None = field(default=None, repr=False)
-
-    def element_matrices(self) -> np.ndarray:
-        """Global-frame (n_elements, 8, 8) stiffness matrices (cached)."""
-        if self._mats is None:
-            if self.k0.shape[0] == 1 and not np.any(self.rotation):
-                n = self.template_index.size
-                self._mats = np.broadcast_to(self.k0[0], (n, 8, 8))
-            else:
-                base = self.k0[self.template_index]
-                c, s = np.cos(self.rotation), np.sin(self.rotation)
-                T = np.zeros((self.template_index.size, 8, 8))
-                for i in range(4):
-                    T[:, 2 * i, 2 * i] = c
-                    T[:, 2 * i, 2 * i + 1] = -s
-                    T[:, 2 * i + 1, 2 * i] = s
-                    T[:, 2 * i + 1, 2 * i + 1] = c
-                self._mats = np.einsum("eij,ejk,elk->eil", T, base, T)
-        return self._mats
-
-
-@dataclass
-class StructuredMesh:
     kind: str                      # "rect" | "disc"
     nodes: np.ndarray              # (n_nodes, 2)
     elements: np.ndarray           # (n_elements, 4), ccw Q4 connectivity
     element_centroids: np.ndarray  # (n_elements, 2)
     element_volumes: np.ndarray    # (n_elements,)
+    element_matrices: np.ndarray   # (n_elements, 8, 8)
     dirichlet_dofs: np.ndarray     # sorted unique dof indices
-    fixed_density: dict[int, float]
-    template: ElementStiffnessTemplate
+    solid: np.ndarray              # sorted elements prescribed at density 1
     shape: tuple[int, int]         # (nx, ny) | (n_radial, n_angular)
     geometry: dict[str, float]
+    edof: np.ndarray = field(init=False, repr=False)
+    free_dofs: np.ndarray = field(init=False, repr=False)
 
     @property
     def n_elements(self) -> int:
@@ -117,38 +102,7 @@ class StructuredMesh:
     def n_dofs(self) -> int:
         return 2 * self.nodes.shape[0]
 
-    @property
-    def edof(self) -> np.ndarray:
-        """(n_elements, 8) global dof indices per element."""
-        if not hasattr(self, "_edof"):
-            e = self.elements
-            self._edof = np.stack(
-                [2 * e[:, 0], 2 * e[:, 0] + 1, 2 * e[:, 1], 2 * e[:, 1] + 1,
-                 2 * e[:, 2], 2 * e[:, 2] + 1, 2 * e[:, 3], 2 * e[:, 3] + 1],
-                axis=1)
-        return self._edof
-
-    @property
-    def free_dofs(self) -> np.ndarray:
-        if not hasattr(self, "_free"):
-            self._free = np.setdiff1d(np.arange(self.n_dofs),
-                                      self.dirichlet_dofs)
-        return self._free
-
-    @property
-    def fixed_density_idx(self) -> np.ndarray:
-        if not hasattr(self, "_fixed_idx"):
-            self._fixed_idx = np.array(sorted(self.fixed_density), dtype=int)
-        return self._fixed_idx
-
-    @property
-    def fixed_density_values(self) -> np.ndarray:
-        if not hasattr(self, "_fixed_vals"):
-            self._fixed_vals = np.array(
-                [self.fixed_density[i] for i in self.fixed_density_idx])
-        return self._fixed_vals
-
-    def validate(self) -> None:
+    def __post_init__(self):
         e = self.elements
         if np.any(e < 0) or np.any(e >= self.nodes.shape[0]):
             raise ValueError("element connectivity out of node range")
@@ -156,6 +110,9 @@ class StructuredMesh:
             raise ValueError("element with repeated node indices")
         if self.dirichlet_dofs.size == 0:
             raise ValueError("mesh requires a nonempty Dirichlet set")
+        self.edof = (2 * e[:, :, None] + np.arange(2)).reshape(-1, 8)
+        self.free_dofs = np.setdiff1d(np.arange(self.n_dofs),
+                                      self.dirichlet_dofs)
 
 
 def build_rect_mesh(nx: int, ny: int, width: float, height: float,
@@ -163,7 +120,7 @@ def build_rect_mesh(nx: int, ny: int, width: float, height: float,
     """Uniform nx-by-ny Q4 grid on [0, width] x [0, height].
 
     Element index is ey*nx + ex (x fastest). Both dofs of every y = 0
-    node are clamped.
+    node are clamped. All elements share one stiffness matrix.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
@@ -185,29 +142,25 @@ def build_rect_mesh(nx: int, ny: int, width: float, height: float,
     bottom = np.arange(nx + 1)
     dirichlet = np.sort(np.concatenate([2 * bottom, 2 * bottom + 1]))
 
-    coords0 = nodes[elements[0]]
-    template = ElementStiffnessTemplate(
-        k0=q4_unit_stiffness(coords0, poisson)[None],
-        template_index=np.zeros(nx * ny, dtype=int),
-        rotation=np.zeros(nx * ny),
-        poisson=poisson)
-    mesh = StructuredMesh(
+    k0 = q4_unit_stiffness(nodes[elements[0]], poisson)
+    return StructuredMesh(
         kind="rect", nodes=nodes, elements=elements,
         element_centroids=centroids, element_volumes=volumes,
-        dirichlet_dofs=dirichlet, fixed_density={}, template=template,
+        element_matrices=np.broadcast_to(k0, (nx * ny, 8, 8)),
+        dirichlet_dofs=dirichlet, solid=np.zeros(0, dtype=int),
         shape=(nx, ny), geometry={"width": width, "height": height})
-    mesh.validate()
-    return mesh
 
 
 def build_disc_mesh(n_radial: int, n_angular: int, r_inner_fixed: float,
                     r_rim: float, poisson: float = 0.3) -> StructuredMesh:
     """Polar-mapped Q4 annulus from r_inner_fixed to radius 1.
 
-    All dofs on the innermost ring are clamped; elements whose centroid
-    radius exceeds r_rim carry a prescribed density of 1 (the given rim
-    material). Element index is i_band * n_angular + j_sector; sector
-    j = n_angular - 1 wraps around to share nodes with sector 0.
+    All dofs on the innermost ring are clamped; the elements whose
+    centroid radius exceeds r_rim are the mesh's `solid` set, prescribed
+    at density 1 (the given rim material). Element index is
+    i_band * n_angular + j_sector; sector j = n_angular - 1 wraps around
+    to share nodes with sector 0. Each element's stiffness matrix is its
+    band's sector-0 matrix k0 rotated into place, T k0 T^T.
     """
     if n_radial < 1:
         raise ValueError("n_radial must be at least 1")
@@ -243,24 +196,25 @@ def build_disc_mesh(n_radial: int, n_angular: int, r_inner_fixed: float,
     dirichlet = np.sort(np.concatenate([2 * inner_nodes, 2 * inner_nodes + 1]))
 
     rim_radius = np.hypot(centroids[:, 0], centroids[:, 1])
-    fixed = {int(e): 1.0 for e in np.nonzero(rim_radius > r_rim)[0]}
-
-    # one unit-stiffness template per radius band, evaluated at sector 0;
-    # other sectors are congruent under rotation by j*dtheta
+    # one unit-stiffness matrix per radius band, evaluated at sector 0;
+    # sector j is congruent to it under rotation by j*dtheta
     k0 = np.stack([
         q4_unit_stiffness(nodes[elements[b * n_angular]], poisson)
         for b in range(n_radial)])
-    template = ElementStiffnessTemplate(
-        k0=k0, template_index=bands, rotation=sectors * dtheta,
-        poisson=poisson)
-    mesh = StructuredMesh(
+    c, s = np.cos(sectors * dtheta), np.sin(sectors * dtheta)
+    T = np.zeros((bands.size, 8, 8))
+    for i in range(4):
+        T[:, 2 * i, 2 * i] = c
+        T[:, 2 * i, 2 * i + 1] = -s
+        T[:, 2 * i + 1, 2 * i] = s
+        T[:, 2 * i + 1, 2 * i + 1] = c
+    return StructuredMesh(
         kind="disc", nodes=nodes, elements=elements,
         element_centroids=centroids, element_volumes=volumes,
-        dirichlet_dofs=dirichlet, fixed_density=fixed, template=template,
+        element_matrices=np.einsum("eij,ejk,elk->eil", T, k0[bands], T),
+        dirichlet_dofs=dirichlet, solid=np.nonzero(rim_radius > r_rim)[0],
         shape=(n_radial, n_angular),
         geometry={"r_inner": r_inner_fixed, "r_rim": r_rim})
-    mesh.validate()
-    return mesh
 
 
 @dataclass
@@ -304,8 +258,7 @@ def assemble_stiffness(mesh: StructuredMesh,
     if np.any(s <= 0.0):
         raise ValueError("element stiffness factors must be positive")
 
-    mats = mesh.template.element_matrices()
-    data = (mats * s[:, None, None]).ravel()
+    data = (mesh.element_matrices * s[:, None, None]).ravel()
     edof = mesh.edof
     rows = np.repeat(edof, 8, axis=1).ravel()
     cols = np.tile(edof, (1, 8)).ravel()
@@ -366,7 +319,7 @@ def _element_update(mesh: StructuredMesh, s0: np.ndarray, s: np.ndarray):
     local = local.reshape(edof.shape)
     dK = np.zeros((dofs.size, dofs.size))
     blocks = ((s - s0)[touched, None, None]
-              * mesh.template.element_matrices()[touched])
+              * mesh.element_matrices[touched])
     np.add.at(dK, (local[:, :, None], local[:, None, :]), blocks)
     free = ~np.isin(dofs, mesh.dirichlet_dofs)
     return dofs[free], dK[np.ix_(free, free)]
@@ -415,7 +368,7 @@ def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,
     """
     if U2 is None:
         U2 = U1
-    mats = mesh.template.element_matrices()
+    mats = mesh.element_matrices
     e1 = np.asarray(U1)[mesh.edof]
     e2 = np.asarray(U2)[mesh.edof]
     if e1.ndim == 2:

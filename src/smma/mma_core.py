@@ -26,7 +26,10 @@ _BOUND_FRACTION = 0.1     # keep bounds 10% inside the asymptotes
 
 @dataclass
 class MmaState:
-    """Asymptotes, two previous designs and the move limit."""
+    """Asymptotes, two previous designs and the move limit.
+
+    The design box is [0, 1].
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -34,15 +37,11 @@ class MmaState:
     z_prev2: np.ndarray | None
     tau: float
     iteration: int
-    rho_min: float = 0.0
-    rho_max: float = 1.0
 
     @classmethod
-    def initial(cls, n: int, tau: float = 1.0, rho_min: float = 0.0,
-                rho_max: float = 1.0) -> "MmaState":
-        return cls(lower=np.full(n, rho_min), upper=np.full(n, rho_max),
-                   z_prev1=None, z_prev2=None, tau=tau, iteration=0,
-                   rho_min=rho_min, rho_max=rho_max)
+    def initial(cls, n: int, tau: float = 1.0) -> "MmaState":
+        return cls(lower=np.zeros(n), upper=np.ones(n),
+                   z_prev1=None, z_prev2=None, tau=tau, iteration=0)
 
 
 def update_asymptotes(state: MmaState, z: np.ndarray) -> MmaState:
@@ -53,17 +52,16 @@ def update_asymptotes(state: MmaState, z: np.ndarray) -> MmaState:
     monotone movement, and is clamped to [0.01, 10] box ranges.
     """
     z = np.asarray(z, dtype=float)
-    rng = state.rho_max - state.rho_min
     if state.iteration < 2:
-        lower = z - _INIT_FRACTION * rng
-        upper = z + _INIT_FRACTION * rng
+        lower = z - _INIT_FRACTION
+        upper = z + _INIT_FRACTION
     else:
         osc = (z - state.z_prev1) * (state.z_prev1 - state.z_prev2)
         factor = np.where(osc < 0, _SHRINK, np.where(osc > 0, _GROW, 1.0))
         gap_lo = np.clip(factor * (state.z_prev1 - state.lower),
-                         _GAP_MIN * rng, _GAP_MAX * rng)
+                         _GAP_MIN, _GAP_MAX)
         gap_hi = np.clip(factor * (state.upper - state.z_prev1),
-                         _GAP_MIN * rng, _GAP_MAX * rng)
+                         _GAP_MIN, _GAP_MAX)
         lower = z - gap_lo
         upper = z + gap_hi
     return replace(state, lower=lower, upper=upper, z_prev2=state.z_prev1,
@@ -138,11 +136,11 @@ def build_subproblem(z, state: MmaState, objective: SeparableApprox,
     """Box bounds: design box, move limit, and 90%-of-asymptote clipping."""
     z = np.asarray(z, dtype=float)
     lo = np.maximum.reduce([
-        np.full_like(z, state.rho_min),
+        np.zeros_like(z),
         z - state.tau,
         state.lower + _BOUND_FRACTION * (z - state.lower)])
     hi = np.minimum.reduce([
-        np.full_like(z, state.rho_max),
+        np.ones_like(z),
         z + state.tau,
         state.upper - _BOUND_FRACTION * (state.upper - z)])
     if np.any(lo >= hi):

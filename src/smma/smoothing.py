@@ -36,12 +36,13 @@ class SmoothingParams:
     p_level: float
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a3 <= 0:
-            raise ValueError("a1 and a3 must be positive")
-        if self.a2 < 0:
-            raise ValueError("a2 must be nonnegative")
-        if self.c_max <= 0:
-            raise ValueError("c_max must be positive")
+        # every comparison fails on NaN, so a NaN constant is rejected
+        if not (0.0 < self.a1 < np.inf and 0.0 < self.a3 < np.inf):
+            raise ValueError("a1 and a3 must be positive and finite")
+        if not 0.0 <= self.a2 < np.inf:
+            raise ValueError("a2 must be nonnegative and finite")
+        if not 0.0 < self.c_max < np.inf:
+            raise ValueError("c_max must be positive and finite")
         if not 0.0 < self.p_level < 1.0:
             raise ValueError("p_level must lie in (0, 1)")
 

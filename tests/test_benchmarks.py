@@ -100,7 +100,7 @@ class TestWheel:
 
     def test_rim_elements_not_design_variables(self, wheel):
         mask = wheel.free_mask
-        assert mask.sum() == wheel.mesh.n_elements - len(wheel.mesh.fixed_density)
+        assert mask.sum() == wheel.mesh.n_elements - wheel.mesh.solid.size
         rho = wheel.initial_design()
         assert np.all(rho[~mask] == 1.0)
 

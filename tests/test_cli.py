@@ -211,6 +211,32 @@ class TestRunCommand:
          "memory_cap is required by smma-limited"),
         (("method = smma\n", "method = mma-quadrature\nmemory_cap = 8\n"),
          "memory_cap is required by smma-limited"),
+        (("tau = 0.5", "tau = 0.5\nc_max = nan"),
+         "c_max must be positive and finite"),
+        (("tau = 0.5", "tau = 0.5\nc_max = inf"),
+         "c_max must be positive and finite"),
+        (("tau = 0.5", "tau = 0.5\na1 = nan"),
+         "a1 and a3 must be positive and finite"),
+        (("tau = 0.5", "tau = 0.5\na1 = inf"),
+         "a1 and a3 must be positive and finite"),
+        (("tau = 0.5", "tau = 0.5\na2 = nan"),
+         "a2 must be nonnegative and finite"),
+        (("tau = 0.5", "tau = 0.5\na2 = inf"),
+         "a2 must be nonnegative and finite"),
+        (("tau = 0.5", "tau = 0.5\na3 = nan"),
+         "a1 and a3 must be positive and finite"),
+        (("tau = 0.5", "tau = 0.5\nrmin = nan"),
+         "filter radius must be nonnegative and finite"),
+        (("tau = 0.5", "tau = 0.5\nrmin = inf"),
+         "filter radius must be nonnegative and finite"),
+        (("simp = 3", "simp = inf"), "SIMP exponent must be >= 1 and finite"),
+        (("simp = 3", "simp = nan"), "SIMP exponent must be >= 1 and finite"),
+        (("tau = 0.5", "tau = 0.5\npoisson = 1"),
+         "Poisson's ratio must lie in (-1, 1)"),
+        (("tau = 0.5", "tau = 0.5\npoisson = -1"),
+         "Poisson's ratio must lie in (-1, 1)"),
+        (("tau = 0.5", "tau = 0.5\npoisson = nan"),
+         "Poisson's ratio must lie in (-1, 1)"),
     ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
             "tau-negative-second", "tau-zero", "tau-period-0",
             "tau-factor-negative", "pseudo-points-0",
@@ -219,7 +245,10 @@ class TestRunCommand:
             "n-radial-0", "rmin-negative", "simp-below-1",
             "simp-switch-value-below-1", "simp-switch-iter-negative",
             "limited-without-cap", "cap-with-smma",
-            "cap-with-quadrature"])
+            "cap-with-quadrature", "c-max-nan", "c-max-inf", "a1-nan",
+            "a1-inf", "a2-nan", "a2-inf", "a3-nan", "rmin-nan", "rmin-inf",
+            "simp-inf", "simp-nan", "poisson-1", "poisson-minus-1",
+            "poisson-nan"])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace(*edit)
@@ -236,7 +265,13 @@ class TestRunCommand:
         (("baseline_grid = 2 2", "baseline_grid = 2 -1"),
          "line 8: 'baseline_grid' needs at least 1 point"),
         (("nx = 10", "nx = 0"), "nx and ny must be at least 1"),
-    ], ids=["verify-grid-0", "baseline-grid-negative", "nx-0"])
+        (("n_omega = 4", "n_omega = 0"), "n_omega must be at least 1"),
+        (("nx = 10", "nx = 10\nc_max = nan"),
+         "c_max must be positive and finite"),
+        (("nx = 10", "nx = 10\nrmin = nan"),
+         "filter radius must be nonnegative and finite"),
+    ], ids=["verify-grid-0", "baseline-grid-negative", "nx-0", "n-omega-0",
+            "c-max-nan", "rmin-nan"])
     def test_bad_plate_grid_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_PLATE.replace(*edit)
@@ -312,6 +347,15 @@ class TestBadDesignFiles:
         lines[2] = "shape 4"
         assert "bad.txt:3: malformed 'shape' line" in self.render_error(
             tmp_path, capsys, lines)
+
+    @pytest.mark.parametrize("line", ["simp nan", "rmin nan", "rmin inf"])
+    def test_non_finite_header_number(self, tmp_path, capsys, line):
+        lines = saved_design_lines(tmp_path)
+        key = line.split()[0]
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+        lines[i] = line
+        err = self.render_error(tmp_path, capsys, lines)
+        assert f"bad.txt:{i + 1}: {key!r} is not finite" in err
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "half"])
     def test_bad_value(self, tmp_path, capsys, text):

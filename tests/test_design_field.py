@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smma.design_field import (
+    E_SOLID,
+    E_VOID,
     FilterMatrix,
     SimpParams,
     backprop_to_design,
@@ -85,10 +87,10 @@ class TestInterpolation:
         n = self.mesh.n_elements
         np.testing.assert_allclose(
             interpolate_stiffness(np.ones(n), self.filt, self.simp),
-            self.simp.e_solid, atol=1e-12)
+            E_SOLID, atol=1e-12)
         np.testing.assert_allclose(
             interpolate_stiffness(np.zeros(n), self.filt, self.simp),
-            self.simp.e_void, atol=1e-15)
+            E_VOID, atol=1e-15)
 
     def test_midpoint_value(self):
         mesh = build_rect_mesh(1, 1, 1.0, 1.0)
@@ -111,14 +113,13 @@ class TestInterpolation:
         rng = np.random.default_rng(1)
         rho = rng.uniform(0.0, 1.0, self.mesh.n_elements)
         out = interpolate_stiffness(rho, self.filt, self.simp)
-        assert np.all(out >= self.simp.e_void - 1e-15)
-        assert np.all(out <= self.simp.e_solid + 1e-15)
+        assert np.all(out >= E_VOID - 1e-15)
+        assert np.all(out <= E_SOLID + 1e-15)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            SimpParams(s=0.5)
-        with pytest.raises(ValueError):
-            SimpParams(s=3.0, e_solid=1e-4, e_void=1.0)
+        for s in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="SIMP exponent"):
+                SimpParams(s=s)
 
 
 class TestVolumes:
@@ -182,7 +183,7 @@ class TestBackprop:
         rng = np.random.default_rng(6)
         g = rng.standard_normal(9)
         out = backprop_to_design(g, rng.uniform(size=9), filt, simp)
-        np.testing.assert_allclose(out, (simp.e_solid - simp.e_void) * g,
+        np.testing.assert_allclose(out, (E_SOLID - E_VOID) * g,
                                    atol=1e-14)
 
     @pytest.mark.parametrize("s", [1.0, 3.0, 5.0, 10.0])
@@ -238,11 +239,11 @@ class TestBackprop:
         rng = np.random.default_rng(8)
         rho = rng.uniform(0.2, 0.8, mesh.n_elements)
         sf = interpolate_stiffness(rho, filt, simp, mesh=mesh)
-        np.testing.assert_allclose(sf[mesh.fixed_density_idx], simp.e_solid,
+        np.testing.assert_allclose(sf[mesh.solid], E_SOLID,
                                    atol=1e-12)
         g = rng.standard_normal(mesh.n_elements)
         out = backprop_to_design(g, rho, filt, simp, mesh=mesh)
         masked = g.copy()
-        masked[mesh.fixed_density_idx] = 0.0
+        masked[mesh.solid] = 0.0
         expect = backprop_to_design(masked, rho, filt, simp)
         np.testing.assert_allclose(out, expect, atol=1e-14)

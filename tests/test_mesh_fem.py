@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,25 @@ class TestRectMesh:
         with pytest.raises(ValueError):
             build_rect_mesh(3, 3, 0.0, 1.0)
 
+    def test_edof_interleaves_x_and_y_per_node(self):
+        # nodes 0 1 2 on the bottom row, 3 4 5 on the top
+        mesh = build_rect_mesh(2, 1, 2.0, 1.0)
+        np.testing.assert_array_equal(mesh.edof, [
+            [0, 1, 2, 3, 8, 9, 6, 7],
+            [2, 3, 4, 5, 10, 11, 8, 9]])
+        np.testing.assert_array_equal(mesh.free_dofs, np.arange(6, 12))
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"elements": np.array([[0, 1, 4, 3]])}, "out of node range"),
+    ({"elements": np.array([[0, 1, 3, 3]])}, "repeated node indices"),
+    ({"dirichlet_dofs": np.zeros(0, dtype=int)}, "nonempty Dirichlet set"),
+], ids=["node-out-of-range", "repeated-node", "no-dirichlet"])
+def test_mesh_constructor_rejects_bad_connectivity(change, message):
+    mesh = build_rect_mesh(1, 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(mesh, **change)
+
 
 class TestDiscMesh:
     def test_wheel_resolution_counts(self):
@@ -60,8 +81,8 @@ class TestDiscMesh:
         assert mesh.n_elements == 18 * 72
         # oracle: count centroid radii beyond the rim radius directly
         r = np.hypot(*mesh.element_centroids.T)
-        assert len(mesh.fixed_density) == int((r > 0.95).sum()) == 72
-        assert all(v == 1.0 for v in mesh.fixed_density.values())
+        np.testing.assert_array_equal(mesh.solid, np.nonzero(r > 0.95)[0])
+        assert mesh.solid.size == 72
 
     def test_inner_ring_clamped(self):
         mesh = build_disc_mesh(6, 16, 0.1, 0.95)
@@ -87,11 +108,10 @@ class TestDiscMesh:
 
     def test_band_templates_match_per_element_assembly(self):
         mesh = build_disc_mesh(3, 12, 0.1, 0.9)
-        mats = mesh.template.element_matrices()
         for e in [0, 5, 17, 35]:
-            direct = q4_unit_stiffness(mesh.nodes[mesh.elements[e]],
-                                       mesh.template.poisson)
-            np.testing.assert_allclose(mats[e], direct, atol=1e-12)
+            direct = q4_unit_stiffness(mesh.nodes[mesh.elements[e]], 0.3)
+            np.testing.assert_allclose(mesh.element_matrices[e], direct,
+                                       atol=1e-12)
 
     def test_volumes_sum_to_annulus_area(self):
         mesh = build_disc_mesh(12, 96, 0.1, 0.95)
@@ -101,6 +121,13 @@ class TestDiscMesh:
 
 
 class TestTemplate:
+    def test_poisson_above_half_accepted(self):
+        # plane stress D is positive definite for every nu in (-1, 1)
+        mesh = build_rect_mesh(2, 2, 1.0, 1.0, poisson=0.6)
+        assert np.all(np.linalg.eigvalsh(mesh_fem.plane_stress_matrix(0.6))
+                      > 0.0)
+        assemble_stiffness(mesh, np.ones(mesh.n_elements))
+
     def test_matches_analytic_unit_square(self):
         for nu in (0.2, 0.3, 0.4):
             k0 = q4_unit_stiffness(
@@ -124,7 +151,7 @@ class TestAssemble:
     def test_single_element_restriction(self):
         mesh = build_rect_mesh(1, 1, 1.0, 1.0)
         sys = assemble_stiffness(mesh, np.ones(1))
-        k0 = mesh.template.element_matrices()[0]
+        k0 = mesh.element_matrices[0]
         free = mesh.free_dofs
         local = [list(mesh.edof[0]).index(g) for g in free]
         Kinv = sys.lu.solve(np.eye(free.size))
@@ -144,7 +171,7 @@ class TestAssemble:
         mesh = build_rect_mesh(2, 2, 1.0, 1.0)
         s = rng.uniform(0.2, 1.0, mesh.n_elements)
         free = mesh.free_dofs
-        mats = mesh.template.element_matrices()
+        mats = mesh.element_matrices
         K = np.zeros((mesh.n_dofs, mesh.n_dofs))
         for e in range(mesh.n_elements):
             d = mesh.edof[e]
@@ -183,7 +210,7 @@ class TestSolve:
         f = rng.standard_normal(mesh.n_dofs)
         f[mesh.dirichlet_dofs] = 0.0
         u = sys.solve(f)
-        mats = mesh.template.element_matrices()
+        mats = mesh.element_matrices
         r = np.zeros(mesh.n_dofs)
         for e in range(mesh.n_elements):
             d = mesh.edof[e]
@@ -300,7 +327,7 @@ class TestComplianceGradient:
 
 def quadratic_forms_einsum(mesh, U1, U2):
     """Reference kernel: one three-operand einsum per call."""
-    mats = mesh.template.element_matrices()
+    mats = mesh.element_matrices
     e1, e2 = U1[mesh.edof], U2[mesh.edof]
     if e1.ndim == 2:
         return np.einsum("ei,eij,ej->e", e1, mats, e2)
