@@ -14,7 +14,10 @@ weakened in a random disc at xi. The alpha-average of the compliance is
 analytic (two unit solves per omega node), the omega integral is a fixed
 trapezoid, and only xi is sampled. The weakness changes the stiffness of
 only a few elements, so all xi of one call share one factorization of the
-unweakened design, each served by an exact low-rank update of it.
+unweakened design, each served by an exact rank-r update of it: a record's
+compliances and gradient come from the unweakened states U0 (one
+2 * n_omega-column sensitivity contraction per call) plus a rank-r
+correction per xi, and no weakened state is formed.
 
 Both builders rescale their load so the initial design's compliance at the
 distribution-mean parameter equals 1, making the default cap c_max = 1.5
@@ -25,6 +28,7 @@ from __future__ import annotations
 import copy
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import design_field as df
 from .csg_weights import JointMetric, ParamCoord
@@ -40,6 +44,9 @@ from .mesh_fem import (
 from .smoothing import SmoothingParams, h_deriv, h_eval
 
 DEFAULT_ANGLE_RANGE = (np.pi / 4.0, 3.0 * np.pi / 4.0)
+# half-width (rad) of the rim window around a wheel load direction; the
+# intensity is exactly 0 beyond 0.1958 rad, so this leaves a margin
+_LOAD_WINDOW = 0.25
 
 
 def angle_integrals(a: float, b: float) -> tuple[float, float, float, float]:
@@ -140,7 +147,6 @@ class WheelProblem(_ProblemBase):
         The traction is much narrower than an edge, so sub-edge panels are
         needed; node-sampled lumping would make the resultant oscillate at
         element frequency and alias against coarse load quadratures."""
-        import scipy.sparse as sp
         panels, order = 6, 6
         gp, gw = np.polynomial.legendre.leggauss(order)
         dtheta = 2.0 * np.pi / na
@@ -165,6 +171,7 @@ class WheelProblem(_ProblemBase):
         vals = np.concatenate([w * (1 - phi) * nx, w * (1 - phi) * ny,
                                w * phi * nx, w * phi * ny])
         self._rim_beta = np.arctan2(np.cos(theta), np.sin(theta))
+        self._rim_order = np.argsort(self._rim_beta)
         self._rim_dofs, rim_rows = np.unique(rows, return_inverse=True)
         self._rim_op = sp.coo_matrix(
             (vals, (rim_rows, cols)),
@@ -178,10 +185,32 @@ class WheelProblem(_ProblemBase):
                              + 1e-1)
 
     def rim_loads(self, omegas) -> np.ndarray:
-        """(|R|, n) loads on the rim dofs R, one column per omega."""
-        f = self.intensity(self._rim_beta[:, None],
-                           np.asarray(omegas)[None, :]) * self.load_scale
-        return self._rim_op @ f
+        """(|R|, n) loads on the rim dofs R, one column per omega.
+
+        The intensity is evaluated only at the rim angles within
+        _LOAD_WINDOW of each omega. 1 + tanh(...) is exactly 0 beyond
+        0.1958 rad, so the result equals the full evaluation bit for bit:
+        the sparse product adds the same nonzero terms in the same order.
+        """
+        omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        beta = self._rim_beta
+        sorted_beta = beta[self._rim_order]
+        # beta lies in [-pi, pi]: search around the copies of omega in
+        # [-pi, pi) and one period to either side (disjoint windows)
+        centre = np.mod(omegas + np.pi, 2.0 * np.pi) - np.pi
+        centres = np.concatenate([centre - 2.0 * np.pi, centre,
+                                  centre + 2.0 * np.pi])
+        lo = np.searchsorted(sorted_beta, centres - _LOAD_WINDOW, "left")
+        hi = np.searchsorted(sorted_beta, centres + _LOAD_WINDOW, "right")
+        counts = hi - lo
+        cols = np.repeat(np.tile(np.arange(omegas.size), 3), counts)
+        starts = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
+        rows = self._rim_order[pos]
+        f = self.intensity(beta[rows], omegas[cols]) * self.load_scale
+        block = sp.csr_matrix((f, (rows, cols)),
+                              shape=(beta.size, omegas.size))
+        return (self._rim_op @ block).toarray()
 
     def load_block(self, omegas: np.ndarray) -> np.ndarray:
         """(n_dofs, n) loads, one column per omega."""
@@ -365,13 +394,17 @@ class PlateProblem(_ProblemBase):
         cuts = lo + (hi - lo) * u
         interior = x[(x > lo) & (x < hi)]
         cuts = np.unique(np.concatenate([cuts, interior]))
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            e = min(int(np.searchsorted(x, 0.5 * (a + b)) - 1), x.size - 2)
-            t = 0.5 * (b - a) * gp + 0.5 * (a + b)
-            w = 0.5 * (b - a) * gw * self.bump(t, omega)
-            phi = (t - x[e]) / (x[e + 1] - x[e])
-            nodal[e] += np.sum(w * (1.0 - phi))
-            nodal[e + 1] += np.sum(w * phi)
+        # every panel at once; each panel adds to its edge's nodes (e, e+1)
+        # in panel order, as a loop over the panels would
+        a, b = cuts[:-1, None], cuts[1:, None]
+        e = np.minimum(np.searchsorted(x, 0.5 * (a + b)[:, 0]) - 1,
+                       x.size - 2)
+        t = 0.5 * (b - a) * gp + 0.5 * (a + b)
+        w = 0.5 * (b - a) * gw * self.bump(t, omega)
+        phi = (t - x[e, None]) / (x[e + 1, None] - x[e, None])
+        terms = np.column_stack([np.sum(w * (1.0 - phi), axis=1),
+                                 np.sum(w * phi, axis=1)])
+        np.add.at(nodal, np.column_stack([e, e + 1]).ravel(), terms.ravel())
         return nodal
 
     def load_pair(self, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -420,13 +453,15 @@ class PlateProblem(_ProblemBase):
         cbar = (ix * cxx + iy * cyy + ixy * (cxy + cyx)) / width
         return cbar, Ux, Uy
 
-    def _weakened_blocks(self, rho, xis, want_states: bool):
-        """Yield (cbar, Ux, Uy) of the design weakened at each xi in turn.
+    def _weakened_blocks(self, rho, xis):
+        """(Ux0, Uy0, blocks): the unweakened states of the unit loads and
+        an iterator of (cbar, update), one per xi in turn.
 
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 and one block solve
         of the 2 * n_omega loads serve every xi through an exact low-rank
-        update. The states are None unless wanted.
+        update; cbar is the compliance of K(xi), and no state of K(xi) is
+        formed.
         """
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
@@ -434,41 +469,56 @@ class PlateProblem(_ProblemBase):
         cbar0, Ux0, Uy0 = self.angle_averaged_block(system,
                                                     *self.load_block())
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
-        fields = (s0 * (1.0 - self.weakness(xi)) for xi in xis)
-        for update in low_rank_updates(system, self.mesh, s0, fields):
-            drop = (ix * update.form_drop(Ux0, Ux0)
-                    + iy * update.form_drop(Uy0, Uy0)
-                    + ixy * (update.form_drop(Ux0, Uy0)
-                             + update.form_drop(Uy0, Ux0))) / width
-            if want_states:
-                yield cbar0 - drop, update.solve(Ux0), update.solve(Uy0)
-            else:
-                yield cbar0 - drop, None, None
+
+        def blocks():
+            fields = (s0 * (1.0 - self.weakness(xi)) for xi in xis)
+            for update in low_rank_updates(system, self.mesh, s0, fields):
+                drop = (ix * update.form_drop(Ux0, Ux0)
+                        + iy * update.form_drop(Uy0, Uy0)
+                        + ixy * (update.form_drop(Ux0, Uy0)
+                                 + update.form_drop(Uy0, Ux0))) / width
+                yield cbar0 - drop, update
+        return Ux0, Uy0, blocks()
 
     def evaluate_records(self, rho, params, want_grads: bool = True):
         """Records for a batch of xi, from one factorization of the design.
 
         A record is the omega-trapezoid of h(angle-averaged compliance -
-        cap), with its design gradient when wanted.
+        cap), with its design gradient when wanted. The gradient is
+        -tr(k_e U B U^T) / width per element, where U = [Ux, Uy] are the
+        states of K(xi) and B = Lambda diag(coef) mixes the x and y columns
+        with the angle moments Lambda and weights them by coef = omega
+        weight * h'. It comes from the unweakened states U0: one
+        2 * n_omega-column contraction per call, plus a correction of the
+        update's rank for each xi.
         """
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
+        Ux0, Uy0, blocks = self._weakened_blocks(rho, xis)
+        if want_grads:
+            U0 = np.hstack([Ux0, Uy0])
+            lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
+            # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
+            # coef @ q0 is tr(k_e U0 B U0^T)
+            q0 = element_quadratic_forms(
+                self.mesh, U0,
+                np.hstack([ix * Ux0 + ixy * Uy0, iy * Uy0 + ixy * Ux0]))
         values, grads = [], []
-        blocks = self._weakened_blocks(rho, xis, want_states=want_grads)
-        for xi, (cbar, Ux, Uy) in zip(xis, blocks):
+        for xi, (cbar, update) in zip(xis, blocks):
             t = cbar - self.smoothing.c_max
             values.append(float(self.omega_weights
                                 @ h_eval(t, self.smoothing)))
             if not want_grads:
                 continue
-            # sum_b coef_b (ix qxx + iy qyy + 2 ixy qxy)_b as one contraction
-            # of 2 * n_omega columns; k_e is symmetric, so qyx = qxy
             coef = np.tile(self.omega_weights * h_deriv(t, self.smoothing), 2)
-            q = element_quadratic_forms(
-                self.mesh, np.hstack([Ux, Uy]),
-                np.hstack([ix * Ux + ixy * Uy, iy * Uy + ixy * Ux]) * coef)
-            grad_s = -q.sum(axis=0) / width * (1.0 - self.weakness(xi))
+            q = coef @ q0
+            if update.dofs.size:
+                # coef is equal on the x and y column of each omega, so
+                # B = Lambda diag(coef) is symmetric
+                Z, Y = update.form_change(U0, lam * coef)
+                q += element_quadratic_forms(self.mesh, Z, Y).sum(axis=0)
+            grad_s = -q / width * (1.0 - self.weakness(xi))
             grads.append(df.backprop_to_design(grad_s, rho, self.filt,
                                                self.simp, mesh=self.mesh))
         return np.array(values), (np.stack(grads) if want_grads else None)
@@ -534,8 +584,8 @@ class PlateProblem(_ProblemBase):
         n1, n2 = spec if spec is not None else self.default_verify_spec
         pts, lam = self._trapezoid_grid(int(n1), int(n2))
         rho = np.asarray(rho, dtype=float)
-        values = np.stack([cbar for cbar, _, _ in
-                           self._weakened_blocks(rho, pts, want_states=False)])
+        _, _, blocks = self._weakened_blocks(rho, pts)
+        values = np.stack([cbar for cbar, _ in blocks])
         weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
         return values.ravel(), weights
 
@@ -546,6 +596,9 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                   a3: float = 5.0, p_level: float = 0.05,
                   c_max: float = 1.5, poisson: float = 0.3) -> PlateProblem:
     """Plate benchmark; load scaled so the initial compliance is 1."""
+    # written so that NaN fails it
+    if not 0.0 < ell < np.inf:
+        raise ValueError(f"ell must be positive and finite, got {ell}")
     smoothing = SmoothingParams(a1=a1, a2=a2, a3=a3, c_max=c_max,
                                 p_level=p_level)
     simp = df.SimpParams(s=simp_s)

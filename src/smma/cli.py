@@ -314,8 +314,11 @@ def render_pgm(header: dict, rho: np.ndarray, size: int = 360) -> bytes:
       and the columns run in +x, so sector 0 starts on +x and the sectors
       run counterclockwise, as in ``build_disc_mesh``. Pixels outside the
       annulus are white.
+
+    A header value that the mesh, filter or SIMP parameters reject, or a
+    design of the wrong length, raises ValueError.
     """
-    from .design_field import build_filter
+    from .design_field import SimpParams, build_filter
     from .mesh_fem import build_disc_mesh, build_rect_mesh
 
     kind = header["kind"]
@@ -325,9 +328,9 @@ def render_pgm(header: dict, rho: np.ndarray, size: int = 360) -> bytes:
     else:
         mesh = build_disc_mesh(n1, n2, header["r_inner"], header["r_rim"])
     if rho.size != mesh.n_elements:
-        raise ConfigError("design length does not match mesh element count")
+        raise ValueError("design length does not match mesh element count")
     filt = build_filter(mesh, header["rmin"])
-    phys = filt.apply(rho) ** header["simp"]
+    phys = filt.apply(rho) ** SimpParams(s=header["simp"]).s
     shade = np.floor(255.0 * (1.0 - phys) + 0.5).astype(np.uint8)
 
     if kind == "rect":
@@ -433,7 +436,10 @@ def cmd_render(design_path: str, out: str | None, size: int) -> int:
     if size < 1:
         raise ConfigError(f"--size must be at least 1, got {size}")
     header, rho = load_design(design_path)
-    data = render_pgm(header, rho, size=size)
+    try:
+        data = render_pgm(header, rho, size=size)
+    except ValueError as exc:   # a header value the builders reject
+        raise ConfigError(f"{design_path}: {exc}") from None
     out_path = Path(out) if out else Path(design_path).with_suffix(".pgm")
     out_path.write_bytes(data)
     print(f"rendered {design_path} -> {out_path}")

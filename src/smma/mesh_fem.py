@@ -10,8 +10,10 @@ wheel's rim; none on the rectangle).
 Assembly scales a unit-modulus element stiffness by a per-element factor,
 Dirichlet dofs are eliminated, and the reduced SPD system is factorized once
 per design so that many load cases can be solved against it. Designs that
-differ from a factorized one in a few element factors are solved against
-the same factorization by an exact low-rank (Woodbury) update.
+differ from a factorized one in a few element factors are served by the
+same factorization through an exact low-rank (Woodbury) update: their
+compliances and element quadratic forms are those of the factorized design
+plus low-rank corrections.
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
 of dofs in one block. The low-rank updates take their Z = K^-1 P from it,
@@ -124,8 +126,10 @@ def build_rect_mesh(nx: int, ny: int, width: float, height: float,
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
-    if width <= 0 or height <= 0:
-        raise ValueError("width and height must be positive")
+    # written so that NaN fails it
+    if not (0.0 < width < np.inf and 0.0 < height < np.inf):
+        raise ValueError(f"width and height must be positive and finite, "
+                         f"got {width} and {height}")
     dx, dy = width / nx, height / ny
     xs = np.arange(nx + 1) * dx
     ys = np.arange(ny + 1) * dy
@@ -291,16 +295,14 @@ class LowRankUpdate:
     P holds the unit columns of the free dofs S where K differs from K0.
     By the Woodbury identity K^-1 = K0^-1 - Z M Z^T, with Z = K0^-1 P and
     M = (I + dK Z_S)^-1 dK, where Z_S = P^T Z is the S-block of K0^-1.
-    An empty S is the rank-0 update K = K0.
+    An empty S is the rank-0 update K = K0. No state of K is formed:
+    compliances and quadratic forms of K come from those of K0 plus
+    |S|-column corrections.
     """
 
     dofs: np.ndarray   # S: sorted free dof indices
     Z: np.ndarray      # (n_dofs, |S|)
     M: np.ndarray      # (|S|, |S|)
-
-    def solve(self, U0: np.ndarray) -> np.ndarray:
-        """K^-1 F from U0 = K0^-1 F, for one load or a block of them."""
-        return U0 - self.Z @ (self.M @ U0[self.dofs])
 
     def form_drop(self, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         """F1^T K0^-1 F2 - F1^T K^-1 F2 per column, from U_i = K0^-1 F_i.
@@ -308,6 +310,20 @@ class LowRankUpdate:
         K0 is symmetric, so Z^T F_i = P^T U_i: no state of K is needed.
         """
         return np.sum(U1[self.dofs] * (self.M @ U2[self.dofs]), axis=0)
+
+    def form_change(self, U0: np.ndarray,
+                    B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, Y), |S| columns each, from U0 = K0^-1 F and a symmetric B.
+
+        For every symmetric k and every row subset e (an element's dofs),
+        tr(k U_e B U_e^T) - tr(k U0_e B U0_e^T) = sum_j z_je^T k y_je,
+        where U = K^-1 F. The states of K are U = U0 - Z C with
+        C = M P^T U0, so with W = U0 B C^T and H = C B C^T the change is
+        tr(k Z H Z^T) - 2 tr(k Z W^T): Y = Z H - 2 W.
+        """
+        C = self.M @ U0[self.dofs]
+        BCt = B @ C.T
+        return self.Z, self.Z @ (C @ BCt) - 2.0 * (U0 @ BCt)
 
 
 def _element_update(mesh: StructuredMesh, s0: np.ndarray, s: np.ndarray):

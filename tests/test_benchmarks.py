@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,39 @@ class TestWheel:
 DEFAULT_WHEEL = wheel_problem()
 
 
+def full_rim_loads(problem, omegas):
+    """Oracle: the traction at every rim angle for every omega."""
+    f = problem.intensity(problem._rim_beta[:, None],
+                          np.asarray(omegas)[None, :]) * problem.load_scale
+    return problem._rim_op @ f
+
+
+class TestWindowedRimLoads:
+    """rim_loads evaluates the traction only near each omega; the result
+    equals the full evaluation bit for bit."""
+
+    @pytest.mark.parametrize("problem", [DEFAULT_WHEEL,
+                                         wheel_problem(n_radial=4,
+                                                       n_angular=10)],
+                             ids=["72", "10"])
+    def test_matches_full_evaluation(self, problem):
+        rng = np.random.default_rng(41)
+        batches = [problem.pseudo_quadrature(1080)[0][:, 0],
+                   np.array([0.0, np.pi, 2.0 * np.pi - 1e-12,
+                             -np.pi + 1e-9])]
+        batches += [rng.uniform(0.0, 2.0 * np.pi, 8) for _ in range(40)]
+        for omegas in batches:
+            np.testing.assert_array_equal(problem.rim_loads(omegas),
+                                          full_rim_loads(problem, omegas))
+
+    def test_window_covers_every_nonzero_intensity(self):
+        # the window half-width lies past the last angle with a nonzero
+        # intensity, as the bit-identity above relies on
+        d = np.linspace(0.0, np.pi, 200001)
+        nonzero = DEFAULT_WHEEL.intensity(d, 0.0) != 0.0
+        assert 0.19 < d[nonzero].max() < benchmarks._LOAD_WINDOW
+
+
 def random_wheel_design(problem, seed):
     rho = np.random.default_rng(seed).uniform(0.3, 0.9, problem.n_design)
     rho[~problem.free_mask] = 1.0
@@ -294,6 +329,28 @@ class TestPlate:
             totals.append(-Fy.sum() / p.load_scale)
         np.testing.assert_allclose(totals, totals[0], rtol=1e-9)
 
+    @pytest.mark.parametrize("problem", [plate_problem(),
+                                         plate_problem(nx=7, ny=3,
+                                                       n_omega=5, ell=2.5)],
+                             ids=["60x30", "7x3"])
+    def test_profile_matches_panel_loop(self, problem):
+        rng = np.random.default_rng(42)
+        ell = problem.ell
+        omegas = np.concatenate([problem.omega_nodes,
+                                 rng.uniform(-0.2 * ell, 2.2 * ell, 200)])
+        assert (omegas < 0.0).any() and (omegas > 2.0 * ell).any()
+        for omega in omegas:
+            np.testing.assert_array_equal(
+                problem._consistent_profile(float(omega)),
+                looped_profile(problem, float(omega)))
+
+    @pytest.mark.parametrize("ell", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_ell_rejected(self, ell):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ell must be positive"):
+                plate_problem(nx=4, ny=2, n_omega=2, ell=ell)
+
     def test_omega_weights_form_trapezoid(self, plate):
         w = plate.omega_weights
         assert w[0] == pytest.approx(w[-1])
@@ -326,6 +383,29 @@ class TestPlate:
     def test_empty_grid_rejected(self, plate, grid):
         with pytest.raises(ValueError, match="at least 1 point"):
             plate.dense_raw(plate.initial_design(), grid)
+
+
+def looped_profile(plate, omega):
+    """Oracle: the consistent top-edge profile, one panel at a time."""
+    x = plate._top_x
+    nodal = np.zeros(x.size)
+    gp, gw = plate._gauss
+    lo = max(omega - plate.bump_radius, x[0])
+    hi = min(omega + plate.bump_radius, x[-1])
+    if hi <= lo:
+        return nodal
+    u = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi,
+                                        plate._bump_panels + 1)))
+    cuts = lo + (hi - lo) * u
+    cuts = np.unique(np.concatenate([cuts, x[(x > lo) & (x < hi)]]))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        e = min(int(np.searchsorted(x, 0.5 * (a + b)) - 1), x.size - 2)
+        t = 0.5 * (b - a) * gp + 0.5 * (a + b)
+        w = 0.5 * (b - a) * gw * plate.bump(t, omega)
+        phi = (t - x[e]) / (x[e + 1] - x[e])
+        nodal[e] += np.sum(w * (1.0 - phi))
+        nodal[e + 1] += np.sum(w * phi)
+    return nodal
 
 
 def direct_record(plate, rho, xi):
@@ -362,6 +442,15 @@ def assert_records_match_direct(plate, rho, xis):
         assert h == pytest.approx(want_value, rel=1e-10, abs=0)
         scale = np.abs(want_grad).max()
         assert np.abs(grad - want_grad).max() <= 1e-10 * scale
+
+
+def assert_gradients_match_direct(plate, rho, xis):
+    """The gradients from U0 plus a rank-r correction agree with
+    factorizing K(xi) to 1e-12 of the largest entry."""
+    _, grads = plate.evaluate_records(rho, xis)
+    for xi, grad in zip(xis, grads, strict=True):
+        want = direct_record(plate, rho, xi)[2]
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # the benchmark's element size: a xi weakens 0-2 elements in floating point
@@ -403,6 +492,7 @@ class TestPlateReanalysis:
         xi = np.array([0.5, 0.5])
         assert touched_elements(plate, rho, xi).size == 0
         assert_records_match_direct(plate, rho, xi[None])
+        assert_gradients_match_direct(plate, rho, xi[None])
 
     def test_xi_on_an_element_edge(self):
         # midway between two centroids: both are touched, barely
@@ -410,6 +500,7 @@ class TestPlateReanalysis:
         assert touched_elements(FINE, FINE_RHO, xi).size == 2
         assert_records_match_direct(FINE, FINE_RHO,
                                     np.array([xi, [0.9, 0.3], xi]))
+        assert_gradients_match_direct(FINE, FINE_RHO, xi[None])
 
     def test_touched_element_with_dirichlet_dofs(self):
         plate = plate_problem(nx=4, ny=2, n_omega=4)
@@ -419,6 +510,15 @@ class TestPlateReanalysis:
         assert touched.tolist() == [1]
         assert np.isin(plate.mesh.edof[1], plate.mesh.dirichlet_dofs).any()
         assert_records_match_direct(plate, rho, np.array([xi, [1.0, 0.5]]))
+        assert_gradients_match_direct(plate, rho, xi[None])
+
+    @pytest.mark.parametrize("problem,rho", [(FINE, FINE_RHO),
+                                             (WIDE, WIDE_RHO)],
+                             ids=["fine", "wide"])
+    def test_gradients_match_direct_to_1e_12(self, problem, rho):
+        rng = np.random.default_rng(43)
+        xis = np.array([problem.sample_param(rng) for _ in range(6)])
+        assert_gradients_match_direct(problem, rho, xis)
 
     @pytest.mark.parametrize("problem,rho", [(FINE, FINE_RHO),
                                              (WIDE, WIDE_RHO)],
@@ -430,3 +530,4 @@ class TestPlateReanalysis:
                                for xi in pts])
         np.testing.assert_allclose(values, want, rtol=1e-10)
         assert weights.sum() == pytest.approx(1.0)
+

@@ -270,8 +270,11 @@ class TestRunCommand:
          "c_max must be positive and finite"),
         (("nx = 10", "nx = 10\nrmin = nan"),
          "filter radius must be nonnegative and finite"),
+        (("nx = 10", "nx = 10\nell = nan"), "ell must be positive and finite"),
+        (("nx = 10", "nx = 10\nell = inf"), "ell must be positive and finite"),
+        (("nx = 10", "nx = 10\nell = 0"), "ell must be positive and finite"),
     ], ids=["verify-grid-0", "baseline-grid-negative", "nx-0", "n-omega-0",
-            "c-max-nan", "rmin-nan"])
+            "c-max-nan", "rmin-nan", "ell-nan", "ell-inf", "ell-0"])
     def test_bad_plate_grid_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_PLATE.replace(*edit)
@@ -356,6 +359,21 @@ class TestBadDesignFiles:
         lines[i] = line
         err = self.render_error(tmp_path, capsys, lines)
         assert f"bad.txt:{i + 1}: {key!r} is not finite" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("rmin -1", "filter radius must be nonnegative"),
+        ("shape 0 10", "n_radial must be at least 1"),
+        ("r_rim 1.5", "need 0 < r_inner_fixed < r_rim < 1"),
+        ("simp 0.5", "SIMP exponent must be >= 1"),
+    ], ids=["rmin-negative", "shape-0", "r-rim-1.5", "simp-0.5"])
+    def test_out_of_range_header_number(self, tmp_path, capsys, line,
+                                        message):
+        lines = saved_design_lines(tmp_path)
+        key = line.split()[0]
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+        lines[i] = line
+        err = self.render_error(tmp_path, capsys, lines)
+        assert f"bad.txt: {message}" in err
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "half"])
     def test_bad_value(self, tmp_path, capsys, text):

@@ -52,8 +52,10 @@ class TestRectMesh:
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
             build_rect_mesh(0, 3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            build_rect_mesh(3, 3, 0.0, 1.0)
+        for width, height in ((0.0, 1.0), (np.nan, 1.0), (1.0, np.nan),
+                              (np.inf, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="width and height must be"):
+                build_rect_mesh(3, 3, width, height)
 
     def test_edof_interleaves_x_and_y_per_node(self):
         # nodes 0 1 2 on the bottom row, 3 4 5 on the top
@@ -352,7 +354,9 @@ class TestElementQuadraticForms:
 
 
 class TestLowRankUpdates:
-    """Woodbury reanalysis against factorizing each modified design."""
+    """Woodbury reanalysis against factorizing each modified design: the
+    compliance drop and the change of the element quadratic forms, both
+    from the states of the unmodified design only."""
 
     def fields(self, mesh, s0, rng, n):
         out = []
@@ -362,6 +366,20 @@ class TestLowRankUpdates:
             s[touched] *= rng.uniform(0.01, 3.0, touched.size)
             out.append(s)
         return out
+
+    def assert_matches_direct(self, mesh, F, U0, s, update, B):
+        U = assemble_stiffness(mesh, s).solve(F)
+        drop = np.einsum("db,db->b", F, U0) - np.einsum("db,db->b", F, U)
+        np.testing.assert_allclose(update.form_drop(U0, U0), drop,
+                                   rtol=1e-10, atol=1e-12)
+        # per element tr(k_e U B U^T), which the correction updates
+        want = element_quadratic_forms(mesh, U, U @ B).sum(axis=0)
+        q0 = element_quadratic_forms(mesh, U0, U0 @ B).sum(axis=0)
+        Z, Y = update.form_change(U0, B)
+        assert Z.shape == Y.shape == (mesh.n_dofs, update.dofs.size)
+        got = q0 + element_quadratic_forms(mesh, Z, Y).sum(axis=0)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-10 * np.abs(want).max())
 
     @pytest.mark.parametrize("mesh", [
         build_rect_mesh(5, 3, 2.0, 1.0),
@@ -374,18 +392,15 @@ class TestLowRankUpdates:
         F = rng.standard_normal((mesh.n_dofs, 3))
         F[mesh.dirichlet_dofs] = 0.0
         U0 = system.solve(F)
+        A = rng.standard_normal((3, 3))
+        B = A + A.T                     # symmetric, indefinite
         fields = self.fields(mesh, s0, rng, 8)
         updates = list(low_rank_updates(system, mesh, s0, fields))
         assert len(updates) == len(fields)
         for s, update in zip(fields, updates):
-            U = assemble_stiffness(mesh, s).solve(F)
             assert update.dofs.size <= 8 * np.count_nonzero(s != s0)
             assert not np.isin(update.dofs, mesh.dirichlet_dofs).any()
-            np.testing.assert_allclose(update.solve(U0), U, rtol=0,
-                                       atol=1e-10 * np.abs(U).max())
-            drop = np.einsum("db,db->b", F, U0) - np.einsum("db,db->b", F, U)
-            np.testing.assert_allclose(update.form_drop(U0, U0), drop,
-                                       rtol=1e-10, atol=1e-12)
+            self.assert_matches_direct(mesh, F, U0, s, update, B)
 
     def test_rank_zero_update_is_identity(self):
         mesh = build_rect_mesh(3, 2, 1.0, 1.0)
@@ -393,9 +408,10 @@ class TestLowRankUpdates:
         system = assemble_stiffness(mesh, s0)
         (update,) = low_rank_updates(system, mesh, s0, [s0.copy()])
         assert update.dofs.size == 0
-        U0 = np.arange(mesh.n_dofs, dtype=float)
-        np.testing.assert_array_equal(update.solve(U0), U0)
-        assert update.form_drop(U0, U0) == 0.0
+        U0 = np.arange(2.0 * mesh.n_dofs).reshape(mesh.n_dofs, 2)
+        np.testing.assert_array_equal(update.form_drop(U0, U0), 0.0)
+        Z, Y = update.form_change(U0, np.eye(2))
+        assert Z.shape == Y.shape == (mesh.n_dofs, 0)
 
     def test_large_calls_split_into_bounded_block_solves(self, monkeypatch):
         mesh = build_rect_mesh(6, 4, 2.0, 1.0)
@@ -411,10 +427,8 @@ class TestLowRankUpdates:
         fields = self.fields(mesh, s0, rng, 12)
         updates = list(low_rank_updates(system, mesh, s0, fields))
         assert len(widths) > 1 and max(widths) <= budget
-        f = np.zeros(mesh.n_dofs)
-        f[-1] = 1.0
-        u0 = solve(f)
+        F = np.zeros((mesh.n_dofs, 1))
+        F[-1] = 1.0
+        U0 = solve(F)
         for s, update in zip(fields, updates, strict=True):
-            u = assemble_stiffness(mesh, s).solve(f)
-            np.testing.assert_allclose(update.solve(u0), u, rtol=0,
-                                       atol=1e-10 * np.abs(u).max())
+            self.assert_matches_direct(mesh, F, U0, s, update, np.eye(1))
