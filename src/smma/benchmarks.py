@@ -26,6 +26,7 @@ and the published smoothing constants directly meaningful.
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -455,13 +456,14 @@ class PlateProblem(_ProblemBase):
 
     def _weakened_blocks(self, rho, xis):
         """(Ux0, Uy0, blocks): the unweakened states of the unit loads and
-        an iterator of (cbar, update), one per xi in turn.
+        an iterator of (cbar, update, kept), one per xi in turn.
 
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 and one block solve
         of the 2 * n_omega loads serve every xi through an exact low-rank
         update; cbar is the compliance of K(xi), and no state of K(xi) is
-        formed.
+        formed. kept = 1 - g_xi is the share of each element's stiffness
+        that xi leaves, computed once per xi.
         """
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
@@ -471,13 +473,18 @@ class PlateProblem(_ProblemBase):
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
 
         def blocks():
-            fields = (s0 * (1.0 - self.weakness(xi)) for xi in xis)
-            for update in low_rank_updates(system, self.mesh, s0, fields):
+            # the updates consume the fields a group ahead; tee holds the
+            # kept shares until their update comes out
+            kept, kept_fields = itertools.tee(
+                1.0 - self.weakness(xi) for xi in xis)
+            updates = low_rank_updates(system, self.mesh, s0,
+                                       (s0 * k for k in kept_fields))
+            for update, k in zip(updates, kept):
                 drop = (ix * update.form_drop(Ux0, Ux0)
                         + iy * update.form_drop(Uy0, Uy0)
                         + ixy * (update.form_drop(Ux0, Uy0)
                                  + update.form_drop(Uy0, Ux0))) / width
-                yield cbar0 - drop, update
+                yield cbar0 - drop, update, k
         return Ux0, Uy0, blocks()
 
     def evaluate_records(self, rho, params, want_grads: bool = True):
@@ -505,7 +512,7 @@ class PlateProblem(_ProblemBase):
                 self.mesh, U0,
                 np.hstack([ix * Ux0 + ixy * Uy0, iy * Uy0 + ixy * Ux0]))
         values, grads = [], []
-        for xi, (cbar, update) in zip(xis, blocks):
+        for cbar, update, kept in blocks:
             t = cbar - self.smoothing.c_max
             values.append(float(self.omega_weights
                                 @ h_eval(t, self.smoothing)))
@@ -518,7 +525,7 @@ class PlateProblem(_ProblemBase):
                 # B = Lambda diag(coef) is symmetric
                 Z, Y = update.form_change(U0, lam * coef)
                 q += element_quadratic_forms(self.mesh, Z, Y).sum(axis=0)
-            grad_s = -q / width * (1.0 - self.weakness(xi))
+            grad_s = -q / width * kept
             grads.append(df.backprop_to_design(grad_s, rho, self.filt,
                                                self.simp, mesh=self.mesh))
         return np.array(values), (np.stack(grads) if want_grads else None)
@@ -585,7 +592,7 @@ class PlateProblem(_ProblemBase):
         pts, lam = self._trapezoid_grid(int(n1), int(n2))
         rho = np.asarray(rho, dtype=float)
         _, _, blocks = self._weakened_blocks(rho, pts)
-        values = np.stack([cbar for cbar, _ in blocks])
+        values = np.stack([cbar for cbar, _, _ in blocks])
         weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
         return values.ravel(), weights
 

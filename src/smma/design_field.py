@@ -8,6 +8,7 @@ contribute nothing to the design gradient.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +62,14 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
     if r_min == 0.0:
         return FilterMatrix(matrix=sp.identity(n, format="csr"), r_min=r_min)
 
-    tree = cKDTree(mesh.element_centroids)
-    pairs = tree.query_ball_point(mesh.element_centroids, r_min)
-    rows, cols, vals = [], [], []
-    for i, neighbors in enumerate(pairs):
-        d = np.linalg.norm(
-            mesh.element_centroids[neighbors] - mesh.element_centroids[i],
-            axis=1)
-        w = r_min - d
-        keep = w > 0.0
-        rows.extend([i] * int(keep.sum()))
-        cols.extend(np.asarray(neighbors)[keep].tolist())
-        vals.extend(w[keep].tolist())
+    C = mesh.element_centroids
+    pairs = cKDTree(C).query_ball_point(C, r_min)
+    rows = np.repeat(np.arange(n), [len(p) for p in pairs])
+    cols = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
+                       count=rows.size)
+    w = r_min - np.linalg.norm(C[cols] - C[rows], axis=1)
+    keep = w > 0.0
+    rows, cols, vals = rows[keep], cols[keep], w[keep]
     M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     rowsum = np.asarray(M.sum(axis=1)).ravel()
     # a row holding only its own element (r_min below the spacing) is an

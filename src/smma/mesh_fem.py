@@ -5,8 +5,9 @@ Meshes are bilinear Q4 grids: a uniform rectangle or a polar-mapped annulus
 A mesh is complete when its builder returns: besides the geometry it
 carries each element's unit-modulus stiffness matrix (`element_matrices`),
 its global dofs (`edof`), the free dofs outside the Dirichlet set
-(`free_dofs`), and the `solid` elements prescribed at density 1 (the
-wheel's rim; none on the rectangle).
+(`free_dofs`), the `solid` elements prescribed at density 1 (the wheel's
+rim; none on the rectangle), and the `pattern` of its reduced stiffness
+matrix.
 Assembly scales a unit-modulus element stiffness by a per-element factor,
 Dirichlet dofs are eliminated, and the reduced SPD system is factorized once
 per design so that many load cases can be solved against it. Designs that
@@ -14,6 +15,22 @@ differ from a factorized one in a few element factors are served by the
 same factorization through an exact low-rank (Woodbury) update: their
 compliances and element quadratic forms are those of the factorized design
 plus low-rank corrections.
+
+Everything that depends only on the mesh is done once per mesh. The
+`StiffnessPattern` holds the CSC structure of the reduced matrix and, for
+each stored entry, the element entries summed into it, in the order in
+which scipy's coo -> csc conversion sums them; an assembly only scales the
+element blocks and adds. SuperLU's column ordering (COLAMD, then an
+elimination-tree postorder) also depends on the structure alone: the
+mesh's first factorization computes it and records it on the pattern,
+whose columns are then stored in that order, and every later factorization
+takes them as they are ("NATURAL"). The factors, and so every solve, are
+bit-identical to ordering each matrix afresh. (SuperLU's row pivots could
+part only where a column's largest entry ties with the entry it takes for
+the diagonal, which it locates through the column order; the tests check
+uniform and two-valued designs, whose K has many equal entries.) The rows
+of the reduced system stay in free-dof order; its unknowns are in the
+recorded order.
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
 of dofs in one block. The low-rank updates take their Z = K^-1 P from it,
@@ -73,14 +90,93 @@ def q4_unit_stiffness(coords: np.ndarray, poisson: float) -> np.ndarray:
     return k
 
 
+def _entry_ids_csc(edof: np.ndarray, free: np.ndarray,
+                   n_dofs: int) -> sp.csc_matrix:
+    """The reduced element entries as scipy's coo -> csc conversion lays
+    them out just before it sums duplicates, each valued by its index into
+    the flattened (n_elements, 8, 8) blocks.
+
+    The conversion buckets the entries by column in input order, then
+    sorts each column by row with csr_sort_indices. That sort is not
+    stable, so it is run here on the entry ids: it compares rows only, so
+    the ids land where the values would.
+    """
+    n = free.size
+    reduced = np.full(n_dofs, -1, dtype=np.intc)
+    reduced[free] = np.arange(n, dtype=np.intc)
+    red = reduced[edof]
+    rows = np.repeat(red, 8, axis=1).ravel()
+    cols = np.tile(red, (1, 8)).ravel()
+    entries = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols = rows[entries], cols[entries]
+    by_col = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    raw = sp.csc_matrix((entries[by_col].astype(float), rows[by_col],
+                         indptr), shape=(n, n))
+    raw.sort_indices()
+    return raw
+
+
+@dataclass
+class StiffnessPattern:
+    """CSC structure of a mesh's Dirichlet-reduced stiffness matrix.
+
+    Stored entry k of K is the sum of the element entries slots[k], read
+    as indices into the flattened (n_elements, 8, 8) scaled blocks and
+    added left to right; -1 pads a row. That is the order in which scipy's
+    coo -> csc conversion sums duplicates, so K.data is bit-identical to
+    it. On a Q4 mesh a row holds at most 4 entries (4 elements per node).
+
+    columns is None until the mesh's first factorization records its
+    column order q; the pattern then holds the reduced columns q[0],
+    q[1], ... in turn, so stored column j is the unknown of dof
+    free_dofs[q[j]].
+    """
+
+    indptr: np.ndarray             # (n_free + 1,) int32
+    indices: np.ndarray            # (nnz,) int32 rows, sorted per column
+    slots: np.ndarray              # (nnz, width) element entries, -1 padded
+    columns: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, edof: np.ndarray, free: np.ndarray,
+           n_dofs: int) -> "StiffnessPattern":
+        raw = _entry_ids_csc(edof, free, n_dofs)
+        # a stored entry sums one run of equal rows within a column
+        first = np.ones(raw.nnz, dtype=bool)
+        first[1:] = raw.indices[1:] != raw.indices[:-1]
+        first[raw.indptr[:-1][np.diff(raw.indptr) > 0]] = True
+        starts = np.flatnonzero(first)
+        stored = np.cumsum(first) - 1
+        rank = np.arange(raw.nnz)
+        rank -= starts[stored]
+        slots = np.full((starts.size, rank.max() + 1), -1)
+        slots[stored, rank] = raw.data
+        return cls(indptr=np.searchsorted(starts, raw.indptr).astype(np.intc),
+                   indices=raw.indices[starts], slots=slots)
+
+    def reordered(self, columns: np.ndarray) -> "StiffnessPattern":
+        """The same matrix with its columns stored in the order columns."""
+        counts = np.diff(self.indptr)[columns]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(counts, out=indptr[1:])
+        take = (np.repeat(self.indptr[columns] - indptr[:-1], counts)
+                + np.arange(indptr[-1]))
+        return StiffnessPattern(indptr=indptr, indices=self.indices[take],
+                                slots=self.slots[take], columns=columns)
+
+
 @dataclass
 class StructuredMesh:
     """A Q4 mesh with every per-element array its readers use.
 
     element_matrices holds the unit-modulus 8x8 stiffness of each element
     in the global frame; edof (each element's 8 global dofs, x then y per
-    node) and free_dofs (the dofs outside the Dirichlet set) are derived
-    from the connectivity on construction, which also checks it.
+    node), free_dofs (the dofs outside the Dirichlet set) and the pattern
+    of the reduced stiffness matrix are derived from the connectivity on
+    construction, which also checks it. The mesh's first factorization
+    records its column order on the pattern (see assemble_stiffness).
     """
 
     kind: str                      # "rect" | "disc"
@@ -95,6 +191,7 @@ class StructuredMesh:
     geometry: dict[str, float]
     edof: np.ndarray = field(init=False, repr=False)
     free_dofs: np.ndarray = field(init=False, repr=False)
+    pattern: StiffnessPattern = field(init=False, repr=False, compare=False)
 
     @property
     def n_elements(self) -> int:
@@ -115,6 +212,8 @@ class StructuredMesh:
         self.edof = (2 * e[:, :, None] + np.arange(2)).reshape(-1, 8)
         self.free_dofs = np.setdiff1d(np.arange(self.n_dofs),
                                       self.dirichlet_dofs)
+        self.pattern = StiffnessPattern.of(self.edof, self.free_dofs,
+                                           self.n_dofs)
 
 
 def build_rect_mesh(nx: int, ny: int, width: float, height: float,
@@ -223,10 +322,17 @@ def build_disc_mesh(n_radial: int, n_angular: int, r_inner_fixed: float,
 
 @dataclass
 class FactorizedSystem:
-    """Direct factorization of the Dirichlet-reduced stiffness matrix."""
+    """Direct factorization of the Dirichlet-reduced stiffness matrix.
+
+    Row i of the reduced system is the equation of dof free_dofs[i], and
+    its unknown j is the displacement of dof unknowns[j]: free_dofs in the
+    mesh's first factorization, free_dofs[q] in every later one, where q
+    is the column order that first factorization recorded.
+    """
 
     lu: object
     free_dofs: np.ndarray
+    unknowns: np.ndarray
     n_dofs: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -238,7 +344,8 @@ class FactorizedSystem:
         if rhs.shape[0] != self.n_dofs:
             raise ValueError("rhs length does not match dof count")
         u = np.zeros_like(rhs)
-        u[self.free_dofs] = self.lu.solve(np.ascontiguousarray(rhs[self.free_dofs]))
+        u[self.unknowns] = self.lu.solve(
+            np.ascontiguousarray(rhs[self.free_dofs]))
         return u
 
     def unit_columns(self, dofs) -> np.ndarray:
@@ -255,31 +362,47 @@ class FactorizedSystem:
 
 def assemble_stiffness(mesh: StructuredMesh,
                        stiffness_per_element) -> FactorizedSystem:
-    """Assemble K = sum_e s_e * k0_e, eliminate Dirichlet dofs, factorize."""
+    """Assemble K = sum_e s_e * k0_e, eliminate Dirichlet dofs, factorize.
+
+    K.data is summed through the mesh's pattern, bit-identical to a
+    coo -> csc assembly. The mesh's first factorization orders the
+    columns with COLAMD and records the order SuperLU used on the pattern;
+    later ones receive the columns in that order and keep it ("NATURAL"),
+    which yields the same L, U and solves as ordering afresh.
+    """
     s = np.asarray(stiffness_per_element, dtype=float)
     if s.shape != (mesh.n_elements,):
         raise ValueError("stiffness list length must equal element count")
-    if np.any(s <= 0.0):
-        raise ValueError("element stiffness factors must be positive")
+    # written so that NaN fails it
+    bad = ~((s > 0.0) & (s < np.inf))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(f"element stiffness factors must be positive and "
+                         f"finite, got {s[e]} at element {e}")
 
-    data = (mesh.element_matrices * s[:, None, None]).ravel()
-    edof = mesh.edof
-    rows = np.repeat(edof, 8, axis=1).ravel()
-    cols = np.tile(edof, (1, 8)).ravel()
-
-    # map full dofs to reduced indices; drop rows/cols at Dirichlet dofs
+    pattern = mesh.pattern
+    # the pad -0.0 adds nothing: x + (-0.0) is x, signed zeros included
+    scaled = np.append((mesh.element_matrices * s[:, None, None]).ravel(),
+                       -0.0)[pattern.slots]
+    data = scaled[:, 0].copy()
+    for k in range(1, scaled.shape[1]):
+        data += scaled[:, k]
     free = mesh.free_dofs
-    redidx = -np.ones(mesh.n_dofs, dtype=int)
-    redidx[free] = np.arange(free.size)
-    rr, cc = redidx[rows], redidx[cols]
-    keep = (rr >= 0) & (cc >= 0)
-    K = sp.coo_matrix((data[keep], (rr[keep], cc[keep])),
-                      shape=(free.size, free.size)).tocsc()
+    K = sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                      shape=(free.size, free.size))
+    first = pattern.columns is None
     try:
-        lu = splu(K)
+        lu = splu(K, permc_spec="COLAMD" if first else "NATURAL")
     except RuntimeError as exc:
         raise FactorizationError(f"stiffness factorization failed: {exc}") from exc
-    return FactorizedSystem(lu=lu, free_dofs=free, n_dofs=mesh.n_dofs)
+    if first:
+        # stored column j of A Pc is column q[j] of A: q inverts perm_c
+        mesh.pattern = pattern.reordered(np.argsort(lu.perm_c))
+        unknowns = free
+    else:
+        unknowns = free[pattern.columns]
+    return FactorizedSystem(lu=lu, free_dofs=free, unknowns=unknowns,
+                            n_dofs=mesh.n_dofs)
 
 
 # unit columns of K0^-1 solved in one block: at most this many float64

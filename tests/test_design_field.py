@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from smma.design_field import (
     E_SOLID,
@@ -75,6 +77,43 @@ class TestFilter:
         c = mesh.element_centroids
         d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
         np.testing.assert_array_equal(f > 0, d < r)
+
+
+def filter_loop(mesh, r_min):
+    """Reference build: one row of hat weights per element in turn."""
+    n = mesh.n_elements
+    tree = cKDTree(mesh.element_centroids)
+    pairs = tree.query_ball_point(mesh.element_centroids, r_min)
+    rows, cols, vals = [], [], []
+    for i, neighbors in enumerate(pairs):
+        d = np.linalg.norm(
+            mesh.element_centroids[neighbors] - mesh.element_centroids[i],
+            axis=1)
+        w = r_min - d
+        keep = w > 0.0
+        rows.extend([i] * int(keep.sum()))
+        cols.extend(np.asarray(neighbors)[keep].tolist())
+        vals.extend(w[keep].tolist())
+    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    rowsum = np.asarray(M.sum(axis=1)).ravel()
+    alone = np.diff(M.indptr) == 1
+    M.data[M.indptr[:-1][alone]] = 1.0
+    rowsum[alone] = 1.0
+    return (sp.diags(1.0 / rowsum) @ M).tocsr()
+
+
+@pytest.mark.parametrize("mesh,spacing", [
+    (build_rect_mesh(60, 30, 2.0, 1.0), 2.0 / 60),     # the default plate
+    (build_disc_mesh(18, 72, 0.1, 0.95), 0.9 / 18),    # the default wheel
+    (build_rect_mesh(7, 4, 2.0, 1.0), 2.0 / 7),
+    (build_disc_mesh(3, 12, 0.1, 0.9), 0.8 / 3),
+], ids=["plate", "wheel", "rect-7x4", "disc-3x12"])
+@pytest.mark.parametrize("factor", [0.5, 1.5, 3.0])
+def test_filter_matches_loop_build(mesh, spacing, factor):
+    got = build_filter(mesh, factor * spacing).matrix
+    want = filter_loop(mesh, factor * spacing)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestInterpolation:

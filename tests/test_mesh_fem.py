@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from smma import mesh_fem
+from smma.benchmarks import plate_problem, wheel_problem
 from smma.mesh_fem import (
     FactorizedSystem,
     assemble_stiffness,
@@ -156,7 +159,7 @@ class TestAssemble:
         k0 = mesh.element_matrices[0]
         free = mesh.free_dofs
         local = [list(mesh.edof[0]).index(g) for g in free]
-        Kinv = sys.lu.solve(np.eye(free.size))
+        Kinv = sys.unit_columns(free)[free]
         np.testing.assert_allclose(np.linalg.inv(Kinv),
                                    k0[np.ix_(local, local)], atol=1e-12)
 
@@ -196,6 +199,138 @@ class TestAssemble:
         bad[1] = 0.0
         with pytest.raises(ValueError):
             assemble_stiffness(mesh, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("ordered", [False, True],
+                             ids=["first", "reordered"])
+    def test_nonfinite_stiffness_rejected(self, value, ordered):
+        mesh = build_rect_mesh(3, 2, 3.0, 2.0)
+        if ordered:
+            assemble_stiffness(mesh, np.ones(mesh.n_elements))
+        assert (mesh.pattern.columns is not None) == ordered
+        bad = np.ones(mesh.n_elements)
+        bad[4] = value
+        with pytest.raises(ValueError, match=f"got {value} at element 4"):
+            assemble_stiffness(mesh, bad)
+
+
+def coo_stiffness(mesh, s):
+    """Reference assembly: K by scipy's coo -> csc conversion, natural
+    column order."""
+    data = (mesh.element_matrices * s[:, None, None]).ravel()
+    edof = mesh.edof
+    rows = np.repeat(edof, 8, axis=1).ravel()
+    cols = np.tile(edof, (1, 8)).ravel()
+    free = mesh.free_dofs
+    redidx = -np.ones(mesh.n_dofs, dtype=int)
+    redidx[free] = np.arange(free.size)
+    rr, cc = redidx[rows], redidx[cols]
+    keep = (rr >= 0) & (cc >= 0)
+    return sp.coo_matrix((data[keep], (rr[keep], cc[keep])),
+                         shape=(free.size, free.size)).tocsc()
+
+
+def recorded_splu(monkeypatch):
+    """Swap mesh_fem.splu for a wrapper; returns its (K, permc_spec) list."""
+    calls = []
+
+    def record(K, permc_spec=None):
+        calls.append((K, permc_spec))
+        return splu(K, permc_spec=permc_spec)
+
+    monkeypatch.setattr(mesh_fem, "splu", record)
+    return calls
+
+
+class TestPatternAssembly:
+    """The per-mesh pattern and column order against the coo -> csc
+    assembly factorized with SuperLU's own ordering."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_rect_mesh(1, 1, 1.0, 1.0),
+        lambda: build_rect_mesh(3, 2, 3.0, 2.0),
+        lambda: build_rect_mesh(7, 4, 2.0, 1.0),
+        lambda: build_disc_mesh(3, 12, 0.1, 0.9),
+        lambda: wheel_problem().mesh,
+        lambda: plate_problem().mesh,
+    ], ids=["rect-1x1", "rect-3x2", "rect-7x4", "disc-3x12", "wheel",
+            "plate"])
+    def test_bit_identical_to_coo_assembly(self, monkeypatch, make):
+        mesh = make()
+        calls = recorded_splu(monkeypatch)
+        rng = np.random.default_rng(3)
+        F = rng.standard_normal((mesh.n_dofs, 3))
+        free = mesh.free_dofs
+        # uniform and two-valued designs give K many equal entries; on a
+        # tie for a column's largest entry, SuperLU pivots on the diagonal,
+        # which it locates through its column order
+        n = mesh.n_elements
+        designs = [np.ones(n), np.where(np.arange(n) % 3, 1.0, 1e-4),
+                   np.ones(n)] + [rng.uniform(1e-4, 1.0, n) for _ in range(3)]
+        for s in designs:
+            order = mesh.pattern.columns
+            system = assemble_stiffness(mesh, s)
+            want = coo_stiffness(mesh, s)
+            U = np.zeros_like(F)
+            U[free] = splu(want).solve(F[free])
+            if order is not None:
+                want = want[:, order].tocsc()
+            K, _ = calls[-1]
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(K, name),
+                                              getattr(want, name))
+            np.testing.assert_array_equal(system.solve(F), U)
+        assert mesh.pattern.columns is not None
+
+    def test_signed_zero_entries_kept(self, monkeypatch):
+        # the x-y coupling at the top right node, which only element 1
+        # reaches, is -0.0 in K as in the coo -> csc sum
+        mesh = build_rect_mesh(2, 1, 2.0, 1.0)
+        mats = mesh.element_matrices.copy()
+        mats[1, 4, 5] = mats[1, 5, 4] = -0.0
+        mesh = dataclasses.replace(mesh, element_matrices=mats)
+        calls = recorded_splu(monkeypatch)
+        s = np.array([0.5, 2.0])
+        assemble_stiffness(mesh, s)
+        K, _ = calls[-1]
+        want = coo_stiffness(mesh, s)
+        assert np.sum(np.signbit(want.data) & (want.data == 0.0)) == 2
+        np.testing.assert_array_equal(np.signbit(K.data),
+                                      np.signbit(want.data))
+
+    def test_one_ordering_per_mesh(self, monkeypatch):
+        mesh = build_rect_mesh(7, 4, 2.0, 1.0)
+        calls = recorded_splu(monkeypatch)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            assemble_stiffness(mesh, rng.uniform(0.1, 1.0, mesh.n_elements))
+        assert [spec for _, spec in calls] == ["COLAMD", "NATURAL",
+                                               "NATURAL"]
+
+    def test_simp_clone_reuses_the_ordering(self, monkeypatch):
+        problem = plate_problem(nx=12, ny=6, n_omega=4)
+        pattern = problem.mesh.pattern
+        assert pattern.columns is not None   # set by the calibration solve
+        calls = recorded_splu(monkeypatch)
+        clone = problem.with_simp(3.0)
+        clone.evaluate_records(clone.initial_design(), [[1.0, 0.5]])
+        assert [spec for _, spec in calls] == ["NATURAL"]
+        assert clone.mesh.pattern is pattern
+
+    def test_rows_are_free_dofs_and_unknowns_follow_the_order(self):
+        mesh = build_disc_mesh(3, 12, 0.1, 0.9)
+        first = assemble_stiffness(mesh, np.ones(mesh.n_elements))
+        later = assemble_stiffness(mesh, np.ones(mesh.n_elements))
+        free = mesh.free_dofs
+        for system in (first, later):
+            np.testing.assert_array_equal(system.free_dofs, free)
+        np.testing.assert_array_equal(first.unknowns, free)
+        np.testing.assert_array_equal(later.unknowns,
+                                      free[mesh.pattern.columns])
+        assert not np.array_equal(later.unknowns, free)
+        f = np.zeros(mesh.n_dofs)
+        f[free[-1]] = 1.0
+        np.testing.assert_array_equal(first.solve(f), later.solve(f))
 
 
 class TestSolve:
