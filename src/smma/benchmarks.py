@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import design_field as df
-from .csg_weights import JointMetric, ParamCoord
+from .csg_weights import ParamSpace
 from .mesh_fem import (
     FactorizedSystem,
     StructuredMesh,
@@ -81,12 +81,15 @@ _backprop_batch = df.backprop_to_design
 class _ProblemBase:
     """Shared design-field plumbing; subclasses provide the physics."""
 
-    mesh: StructuredMesh
-    filt: df.FilterMatrix
-    simp: df.SimpParams
-    smoothing: SmoothingParams
     name: str = ""
     initial_value: float      # design density outside the solid elements
+    space: ParamSpace
+
+    def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
+                 simp: df.SimpParams, smoothing: SmoothingParams):
+        self.mesh, self.filt = mesh, filt
+        self.simp, self.smoothing = simp, smoothing
+        self.load_scale = 1.0     # the builder calibrates it
 
     @property
     def n_design(self) -> int:
@@ -122,22 +125,17 @@ class _ProblemBase:
 class WheelProblem(_ProblemBase):
     name = "wheel"
     initial_value = 0.75
+    default_simp_schedule = ((200, 15.0),)
+    default_verify_spec = 1080
+    default_pseudo_points = 1024
+    # the load direction omega, uniform on the circle
+    space = ParamSpace(((0.0, 2.0 * np.pi),), (True,))
 
-    def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
-                 simp: df.SimpParams, smoothing: SmoothingParams):
-        self.mesh = mesh
-        self.filt = filt
-        self.simp = simp
-        self.smoothing = smoothing
-        self.load_scale = 1.0     # the builder calibrates it
-
-        nr, na = mesh.shape
+    def __init__(self, *args):
+        super().__init__(*args)
+        nr, na = self.mesh.shape
         self._outer_nodes = nr * na + np.arange(na)
         self._build_rim_quadrature(na)
-
-        self.default_simp_schedule = ((200, 15.0),)
-        self.default_verify_spec = 1080
-        self.default_pseudo_points = 1024
 
     def _build_rim_quadrature(self, na: int) -> None:
         """Consistent rim traction: integrate f * n against the linear
@@ -247,28 +245,6 @@ class WheelProblem(_ProblemBase):
             return values, None
         return values, h_deriv(t, self.smoothing)[:, None] * dc
 
-    # -- parameter space -----------------------------------------------
-
-    def sample_param(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(0.0, 2.0 * np.pi)])
-
-    def metric(self) -> JointMetric:
-        return JointMetric(
-            coords=(ParamCoord("circular", period=2.0 * np.pi,
-                               scale=2.0 * np.pi),),
-            design_scale=1.0, param_scale=1.0)
-
-    def pseudo_quadrature(self, n_points: int):
-        if n_points < 1:
-            raise ValueError(f"an equispaced circle rule needs at least 1 "
-                             f"point, got {n_points}")
-        pts = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-        return pts[:, None], np.full(n_points, 1.0 / n_points)
-
-    def baseline_nodes(self, spec):
-        n = int(spec)
-        return self.pseudo_quadrature(n)
-
     def default_baseline_spec(self, batch_size: int):
         return batch_size
 
@@ -282,10 +258,10 @@ class WheelProblem(_ProblemBase):
         point also keeps that (n_dofs, |R|) block below the direct (n_dofs,
         n) one.
         """
-        n = int(spec) if spec is not None else self.default_verify_spec
-        pts, w = self.pseudo_quadrature(n)
+        pts, w = self.space.trapezoid_rule(
+            self.default_verify_spec if spec is None else spec)
         rim = self._rim_dofs
-        if n <= rim.size:
+        if len(w) <= rim.size:
             values, _ = self.compliances(rho, pts)
             return values, w
         system = assemble_stiffness(self.mesh, self.stiffness_field(rho))
@@ -311,7 +287,8 @@ def wheel_problem(n_radial: int = 18, n_angular: int = 72,
     filt = df.build_filter(mesh, r_min)
     problem = WheelProblem(mesh, filt, simp, smoothing)
     # pin the compliance scale at the mean direction of the uniform omega
-    values, _ = problem.compliances(problem.initial_design(), [np.pi])
+    values, _ = problem.compliances(problem.initial_design(),
+                                    problem.space.centre())
     problem.load_scale = 1.0 / np.sqrt(float(values[0]))
     return problem
 
@@ -319,41 +296,37 @@ def wheel_problem(n_radial: int = 18, n_angular: int = 72,
 class PlateProblem(_ProblemBase):
     name = "plate"
     initial_value = 0.65
+    default_simp_schedule = ()
+    default_verify_spec = (50, 50)
+    default_pseudo_points = 32
 
     def __init__(self, mesh: StructuredMesh, filt: df.FilterMatrix,
                  simp: df.SimpParams, smoothing: SmoothingParams,
                  ell: float = 1.0, n_omega: int = 32):
         if n_omega < 1:
             raise ValueError(f"n_omega must be at least 1, got {n_omega}")
-        self.mesh = mesh
-        self.filt = filt
-        self.simp = simp
-        self.smoothing = smoothing
+        super().__init__(mesh, filt, simp, smoothing)
         self.ell = ell
         self.n_omega = n_omega
-        self.load_scale = 1.0     # the builder calibrates it
 
-        self.omega_range = (ell / 5.0, 4.0 * ell / 5.0)
-        self.xi_range = ((ell / 4.0, 7.0 * ell / 4.0),
-                         (ell / 8.0, 7.0 * ell / 8.0))
+        # the sampled parameter: the weakness centre xi = (xi_1, xi_2)
+        self.space = ParamSpace(((ell / 4.0, 7.0 * ell / 4.0),
+                                 (ell / 8.0, 7.0 * ell / 8.0)),
+                                (False, False))
         self.angle_range = DEFAULT_ANGLE_RANGE
         self.bump_radius = ell / 18.0
 
         # omega trapezoid: fixed inner rule of the constraint integral
-        self.omega_nodes = np.linspace(*self.omega_range, n_omega)
-        w = np.ones(n_omega)
-        w[0] = w[-1] = 0.5
-        self.omega_weights = w / w.sum()
+        self.omega_space = ParamSpace(((ell / 5.0, 4.0 * ell / 5.0),),
+                                      (False,))
+        nodes, self.omega_weights = self.omega_space.trapezoid_rule(n_omega)
+        self.omega_nodes = nodes[:, 0]
 
         nx, ny = mesh.shape
         self._top_nodes = ny * (nx + 1) + np.arange(nx + 1)
         self._top_x = mesh.nodes[self._top_nodes, 0]
         self._gauss = np.polynomial.legendre.leggauss(8)
         self._bump_panels = 32
-
-        self.default_simp_schedule = ()
-        self.default_verify_spec = (50, 50)
-        self.default_pseudo_points = 32
 
     # -- loads and material modifier ------------------------------------
 
@@ -425,12 +398,8 @@ class PlateProblem(_ProblemBase):
         """(n_dofs, n_omega) blocks of Fx and Fy over the omega nodes."""
         cache = getattr(self, "_load_cache", None)
         if cache is None or cache[0] != self.load_scale:
-            fx, fy = [], []
-            for om in self.omega_nodes:
-                Fx, Fy = self.load_pair(float(om))
-                fx.append(Fx)
-                fy.append(Fy)
-            cache = (self.load_scale, np.column_stack(fx), np.column_stack(fy))
+            pairs = [self.load_pair(float(om)) for om in self.omega_nodes]
+            cache = (self.load_scale, *map(np.column_stack, zip(*pairs)))
             self._load_cache = cache
         return cache[1], cache[2]
 
@@ -536,50 +505,6 @@ class PlateProblem(_ProblemBase):
         Fx, Fy = self.load_pair(omega)
         return angle_reduced_compliance(system, Fx, Fy, self.angle_range)
 
-    # -- parameter space -------------------------------------------------
-
-    def sample_param(self, rng: np.random.Generator) -> np.ndarray:
-        # coordinate order: xi_1 then xi_2
-        return np.array([rng.uniform(*self.xi_range[0]),
-                         rng.uniform(*self.xi_range[1])])
-
-    def metric(self) -> JointMetric:
-        widths = [hi - lo for lo, hi in self.xi_range]
-        return JointMetric(
-            coords=(ParamCoord("flat", scale=widths[0]),
-                    ParamCoord("flat", scale=widths[1])),
-            design_scale=1.0, param_scale=1.0)
-
-    def pseudo_quadrature(self, n_per_axis: int):
-        """Midpoint tensor grid on Xi with equal weights."""
-        n = int(n_per_axis)
-        (x0, x1), (y0, y1) = self.xi_range
-        gx = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-        gy = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        return pts, np.full(n * n, 1.0 / (n * n))
-
-    def _trapezoid_grid(self, n1: int, n2: int):
-        if min(n1, n2) < 1:
-            raise ValueError(f"a xi trapezoid grid needs at least 1 point "
-                             f"per axis, got {n1} x {n2}")
-        (x0, x1), (y0, y1) = self.xi_range
-        gx = np.linspace(x0, x1, n1)
-        gy = np.linspace(y0, y1, n2)
-        wx = np.ones(n1)
-        wx[0] = wx[-1] = 0.5
-        wy = np.ones(n2)
-        wy[0] = wy[-1] = 0.5
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        W = np.outer(wx, wy)
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        return pts, (W / W.sum()).ravel()
-
-    def baseline_nodes(self, spec):
-        n1, n2 = spec
-        return self._trapezoid_grid(int(n1), int(n2))
-
     def default_baseline_spec(self, batch_size: int):
         return (5, 5)
 
@@ -588,8 +513,8 @@ class PlateProblem(_ProblemBase):
 
         Every grid point is served by one factorization of the design.
         """
-        n1, n2 = spec if spec is not None else self.default_verify_spec
-        pts, lam = self._trapezoid_grid(int(n1), int(n2))
+        pts, lam = self.space.trapezoid_rule(
+            self.default_verify_spec if spec is None else spec)
         rho = np.asarray(rho, dtype=float)
         _, _, blocks = self._weakened_blocks(rho, pts)
         values = np.stack([cbar for cbar, _, _ in blocks])
@@ -615,10 +540,8 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     filt = df.build_filter(mesh, r_min)
     problem = PlateProblem(mesh, filt, simp, smoothing, ell=ell,
                            n_omega=n_omega)
-    xi_mean = np.array([np.mean(problem.xi_range[0]),
-                        np.mean(problem.xi_range[1])])
-    omega_mean = float(np.mean(problem.omega_range))
-    c0 = problem.angle_averaged_compliance(problem.initial_design(), xi_mean,
-                                           omega_mean)
+    c0 = problem.angle_averaged_compliance(
+        problem.initial_design(), problem.space.centre(),
+        float(problem.omega_space.centre()[0]))
     problem.load_scale = 1.0 / np.sqrt(c0)
     return problem

@@ -23,9 +23,15 @@ only for the points still active, with the same expressions as the dense
 smallest record index: inside a chunk the indices are sorted and the
 first minimum is taken, and a later chunk replaces an owner only with a
 strictly smaller distance or an equal one at a smaller index.
+
+A problem's parameter distribution is a ParamSpace: uniform on a box of
+flat or periodic intervals. The batch draws, the joint metric, the weights'
+pseudo-rule and the trapezoid rule of the baseline and of verification all
+follow from the box.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +99,75 @@ class JointMetric:
         if u1.shape[-1] != u2.shape[-1]:
             raise ValueError("design dimension mismatch")
         return np.sum((u1 - u2) ** 2, axis=-1) / u1.shape[-1]
+
+
+@dataclass(frozen=True)
+class ParamSpace:
+    """Box of parameter coordinates carrying the uniform distribution.
+
+    bounds holds one interval (lo, hi) per coordinate, in the order of
+    every draw and rule point; periodic marks the coordinates that wrap
+    around, on the circle [lo, hi). A flat interval may be a single point.
+    """
+
+    bounds: tuple[tuple[float, float], ...]
+    periodic: tuple[bool, ...]
+
+    def __post_init__(self):
+        if not self.bounds or len(self.periodic) != len(self.bounds):
+            raise ValueError("need one periodic flag per coordinate")
+        for (lo, hi), wrap in zip(self.bounds, self.periodic):
+            # written so that NaN fails it
+            if not -np.inf < lo <= hi < np.inf or (wrap and lo == hi):
+                raise ValueError(f"bad coordinate interval ({lo}, {hi})")
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """(size, m) uniform draws, taken draw by draw (C order)."""
+        lo, hi = np.array(self.bounds, dtype=float).T
+        return rng.uniform(lo, hi, size=(size, len(self.bounds)))
+
+    def metric(self) -> JointMetric:
+        """Each coordinate measured in units of its width."""
+        return JointMetric(tuple(
+            ParamCoord("circular", period=hi - lo, scale=hi - lo) if wrap
+            else ParamCoord("flat", scale=hi - lo)
+            for (lo, hi), wrap in zip(self.bounds, self.periodic)))
+
+    def centre(self) -> np.ndarray:
+        """The midpoint of every interval."""
+        return np.mean(self.bounds, axis=1)
+
+    def pseudo_rule(self, n: int):
+        """n points per coordinate with equal weights: cell midpoints on a
+        flat coordinate, equispaced points on a periodic one."""
+        return self._rule((n,) * len(self.bounds), midpoints=True)
+
+    def trapezoid_rule(self, counts):
+        """Tensor trapezoid rule, counts[c] points on coordinate c (an int
+        when m = 1); periodic, so equal to the pseudo-rule, on a circle."""
+        return self._rule(counts, midpoints=False)
+
+    def _rule(self, counts, midpoints: bool):
+        """(points (T, m), weights (T,) summing to 1), last axis fastest."""
+        counts = tuple(int(n) for n in np.atleast_1d(counts))
+        if len(counts) != len(self.bounds) or min(counts) < 1:
+            raise ValueError(f"a rule needs at least 1 point on each of "
+                             f"{len(self.bounds)} coordinates, got {counts}")
+        axes, weights = [], []
+        for (lo, hi), n, wrap in zip(self.bounds, counts, self.periodic):
+            w = np.ones(n)
+            if wrap:
+                x = np.linspace(lo, hi, n, endpoint=False)
+            elif midpoints:
+                x = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+            else:
+                x = np.linspace(lo, hi, n)
+                w[0] = w[-1] = 0.5
+            axes.append(x)
+            weights.append(w)
+        W = functools.reduce(np.multiply.outer, weights)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return pts.reshape(-1, len(axes)), (W / W.sum()).ravel()
 
 
 def _reserved(a: np.ndarray, used: int, need: int) -> np.ndarray:

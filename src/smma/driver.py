@@ -12,9 +12,9 @@ random draws.
 
 Problems are duck-typed; they provide (see benchmarks for the two built-in
 ones): initial_design, free_mask, smoothing, simp, with_simp,
-evaluate_records, sample_param, metric, pseudo_quadrature, baseline_nodes,
-default_baseline_spec, dense_raw, rvol, pvol, rvol_gradient,
-default_simp_schedule, default_verify_spec, default_pseudo_points.
+evaluate_records, space, default_baseline_spec, dense_raw, rvol, pvol,
+rvol_gradient, default_simp_schedule, default_pseudo_points. space, a
+csg_weights.ParamSpace, gives the draws, the metric and both rules.
 
 Record contract: evaluate_records(rho, params) returns, per parameter, the
 integrand already composed with the smoothed indicator h and its design
@@ -26,8 +26,8 @@ starts at the problem's own exponent simp.s, and default_simp_schedule
 holds the switches after it. A switch clears the store, whose gradients
 belong to the old exponent.
 
-RNG draw order is fixed: per iteration, batch member by batch member, one
-parameter vector each (coordinates in the problem's declared order).
+RNG draw order is fixed: per iteration, one (B, m) space.sample draw, in
+C order: batch member by batch member, coordinates in the space's order.
 """
 from __future__ import annotations
 
@@ -72,6 +72,14 @@ class RunConfig:
             raise ValueError("memory cap must be at least the batch size")
         if self.pseudo_points is not None and self.pseudo_points < 1:
             raise ValueError("pseudo_points must be positive")
+        sampled = self.method != "mma-quadrature"
+        if self.baseline_spec is not None and sampled:
+            raise ValueError("a baseline rule applies only to mma-quadrature")
+        if not sampled and (self.pseudo_points or self.empirical_weights):
+            raise ValueError("pseudo_points and empirical_weights apply "
+                             "only to the sMMA methods")
+        if self.pseudo_points and self.empirical_weights:
+            raise ValueError("pseudo_points has no use with empirical_weights")
         if self.verify_every < 0:
             raise ValueError("verify_every must be nonnegative (0: never)")
         if not self.tau > 0.0:
@@ -125,13 +133,6 @@ class IterationLog:
             fh.write("\n".join(lines) + "\n")
 
 
-def _simp_schedule(problem, cfg: RunConfig):
-    schedule = cfg.simp_schedule
-    if schedule is None:
-        schedule = problem.default_simp_schedule
-    return tuple(sorted(schedule, key=lambda e: e[0]))
-
-
 def _simp_at(problem, schedule, k: int) -> float:
     """The exponent at iteration k: the problem's own until a switch."""
     s = problem.simp.s
@@ -156,12 +157,6 @@ def _mma_step(problem, cfg: RunConfig, state, rho, free, g_val, g_grad):
     return state, rho_next
 
 
-def _verify_maybe(problem, cfg: RunConfig, rho, k: int):
-    if cfg.verify_every and k % cfg.verify_every == 0:
-        return dense_cc(rho, problem, cfg.verify_spec)
-    return (None, None, None)
-
-
 def run_smma(problem, cfg: RunConfig, callback=None):
     """Run cfg.iterations MMA steps of cfg.method from the initial design.
 
@@ -172,21 +167,22 @@ def run_smma(problem, cfg: RunConfig, callback=None):
     rho = problem.initial_design().astype(float)
     free = problem.free_mask
     state = mma.MmaState.initial(int(free.sum()), tau=cfg.tau)
-    schedule = _simp_schedule(problem, cfg)
+    schedule = tuple(sorted(
+        problem.default_simp_schedule if cfg.simp_schedule is None
+        else cfg.simp_schedule, key=lambda e: e[0]))
     phase = problem.with_simp(_simp_at(problem, schedule, 1))
 
     store = quad = cap = None
     if cfg.method == "mma-quadrature":
-        spec = cfg.baseline_spec
-        if spec is None:
-            spec = problem.default_baseline_spec(cfg.batch_size)
-        nodes, lam = phase.baseline_nodes(spec)
+        nodes, lam = phase.space.trapezoid_rule(
+            problem.default_baseline_spec(cfg.batch_size)
+            if cfg.baseline_spec is None else cfg.baseline_spec)
     else:
         rng = np.random.default_rng(cfg.seed)
         cap = cfg.memory_cap
-        store = cw.SampleStore(metric=problem.metric())
+        store = cw.SampleStore(metric=problem.space.metric())
         if not cfg.empirical_weights:
-            quad = problem.pseudo_quadrature(
+            quad = problem.space.pseudo_rule(
                 problem.default_pseudo_points if cfg.pseudo_points is None
                 else cfg.pseudo_points)
 
@@ -203,8 +199,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
             values, grads = phase.evaluate_records(rho, nodes)
             g_hat, dg_hat = float(lam @ values), lam @ grads
         else:
-            params = np.stack([phase.sample_param(rng)
-                               for _ in range(cfg.batch_size)])
+            params = phase.space.sample(rng, cfg.batch_size)
             values, grads = phase.evaluate_records(rho, params)
             store.append(rho, params, values, grads, k)
             if quad is None:
@@ -214,7 +209,9 @@ def run_smma(problem, cfg: RunConfig, callback=None):
             g_hat, dg_hat = cw.aggregate(store, alpha)
 
         row_stats = (phase.rvol(rho), phase.pvol(rho))
-        dense = _verify_maybe(phase, cfg, rho, k)
+        dense = (dense_cc(rho, phase, cfg.verify_spec)
+                 if cfg.verify_every and k % cfg.verify_every == 0
+                 else (None, None, None))
         state, rho_new = _mma_step(phase, cfg, state, rho, free, g_hat,
                                    dg_hat)
 

@@ -1,13 +1,13 @@
 """Dense-quadrature ground truth for any design: `dense_cc`.
 
 Uses the optimizer's assembly and factorization, one per call; only the
-parameter-space quadrature is dense. The wheel uses an equispaced (periodic
-trapezoid) circle rule, the plate a tensor trapezoid grid on the weakness
-domain crossed with its fixed omega rule. The plate serves the grid by the
-low-rank updates its records use. The wheel solves its loads as the
-optimizer does up to as many points as its rim has loaded dofs, and beyond
-that contracts every load with the rim block of K^-1 (see
-`WheelProblem.dense_raw`).
+parameter-space quadrature is dense. It is the trapezoid rule of the
+problem's ParamSpace: periodic, so equispaced, on the wheel's circle, and
+a tensor grid on the plate's weakness box, crossed with the plate's fixed
+omega rule. The plate serves the grid by the low-rank updates its records
+use. The wheel solves its loads as the optimizer does up to as many points
+as its rim has loaded dofs, and beyond that contracts every load with the
+rim block of K^-1 (see `WheelProblem.dense_raw`).
 """
 from __future__ import annotations
 

@@ -198,7 +198,7 @@ class TestWindowedRimLoads:
                              ids=["72", "10"])
     def test_matches_full_evaluation(self, problem):
         rng = np.random.default_rng(41)
-        batches = [problem.pseudo_quadrature(1080)[0][:, 0],
+        batches = [problem.space.pseudo_rule(1080)[0][:, 0],
                    np.array([0.0, np.pi, 2.0 * np.pi - 1e-12,
                              -np.pi + 1e-9])]
         batches += [rng.uniform(0.0, 2.0 * np.pi, 8) for _ in range(40)]
@@ -238,7 +238,7 @@ class TestWheelDenseRaw:
         rho = (problem.initial_design() if design == "initial"
                else random_wheel_design(problem, 31))
         values, w = problem.dense_raw(rho, n)
-        pts, want_w = problem.pseudo_quadrature(n)
+        pts, want_w = problem.space.pseudo_rule(n)
         want, _ = problem.compliances(rho, pts)
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(w, want_w)
@@ -250,7 +250,7 @@ class TestWheelDenseRaw:
         rho = (problem.initial_design() if design == "initial"
                else random_wheel_design(problem, 31))
         values, _ = problem.dense_raw(rho, n)
-        want, _ = problem.compliances(rho, problem.pseudo_quadrature(n)[0])
+        want, _ = problem.compliances(rho, problem.space.pseudo_rule(n)[0])
         np.testing.assert_array_equal(values, want)
 
     @pytest.mark.parametrize("n,columns", [(1080, 144), (72, 72)])
@@ -278,7 +278,7 @@ class TestWheelDenseRaw:
         with pytest.raises(ValueError, match="at least 1 point"):
             wheel.dense_raw(wheel.initial_design(), n)
         with pytest.raises(ValueError, match="at least 1 point"):
-            wheel.baseline_nodes(n)
+            wheel.space.trapezoid_rule(n)
 
 
 class TestPlate:
@@ -302,9 +302,10 @@ class TestPlate:
         assert vals[1] == pytest.approx(np.exp(-0.1))
 
     def test_initial_compliance_calibrated_to_one(self, plate):
-        xi = np.array([np.mean(plate.xi_range[0]),
-                       np.mean(plate.xi_range[1])])
-        om = float(np.mean(plate.omega_range))
+        # the centres of the xi box and of the omega interval (ell = 1)
+        xi, om = np.array([1.0, 0.5]), 0.5
+        np.testing.assert_array_equal(plate.space.centre(), xi)
+        assert plate.omega_space.centre() == pytest.approx([om], rel=1e-15)
         c = plate.angle_averaged_compliance(plate.initial_design(), xi, om)
         assert c == pytest.approx(1.0, rel=1e-9)
 
@@ -466,7 +467,7 @@ WIDE_RHO = np.random.default_rng(22).uniform(0.3, 0.9, WIDE.n_design)
 
 
 def xi_points(plate, max_size=4):
-    (x0, x1), (y0, y1) = plate.xi_range
+    (x0, x1), (y0, y1) = plate.space.bounds
     point = st.tuples(st.floats(x0, x1), st.floats(y0, y1))
     return st.lists(point, min_size=1, max_size=max_size).map(np.array)
 
@@ -517,7 +518,7 @@ class TestPlateReanalysis:
                              ids=["fine", "wide"])
     def test_gradients_match_direct_to_1e_12(self, problem, rho):
         rng = np.random.default_rng(43)
-        xis = np.array([problem.sample_param(rng) for _ in range(6)])
+        xis = problem.space.sample(rng, 6)
         assert_gradients_match_direct(problem, rho, xis)
 
     @pytest.mark.parametrize("problem,rho", [(FINE, FINE_RHO),
@@ -525,7 +526,7 @@ class TestPlateReanalysis:
                              ids=["fine", "wide"])
     def test_dense_raw_matches_direct(self, problem, rho):
         values, weights = problem.dense_raw(rho, (4, 3))
-        pts, _ = problem.baseline_nodes((4, 3))
+        pts, _ = problem.space.trapezoid_rule((4, 3))
         want = np.concatenate([direct_record(problem, rho, xi)[0]
                                for xi in pts])
         np.testing.assert_allclose(values, want, rtol=1e-10)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import smma
 from smma.benchmarks import wheel_problem
 from smma.cli import (
     ConfigError,
@@ -169,6 +175,16 @@ class TestRunCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(smma.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "smma.cli", "verify",
+             str(tmp_path / "nothere.txt"), str(tmp_path / "nothere.cfg")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error:")
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("method = smma\n")   # problem key missing
@@ -237,6 +253,18 @@ class TestRunCommand:
          "Poisson's ratio must lie in (-1, 1)"),
         (("tau = 0.5", "tau = 0.5\npoisson = nan"),
          "Poisson's ratio must lie in (-1, 1)"),
+        (("tau = 0.5", "tau = 0.5\nbaseline_nodes = 5"),
+         "a baseline rule applies only to mma-quadrature"),
+        (("method = smma\n",
+          "method = smma-limited\nmemory_cap = 8\nbaseline_nodes = 5\n"),
+         "a baseline rule applies only to mma-quadrature"),
+        (("method = smma\n", "method = mma-quadrature\npseudo_points = 8\n"),
+         "apply only to the sMMA methods"),
+        (("method = smma\n",
+          "method = mma-quadrature\nempirical_weights = true\n"),
+         "apply only to the sMMA methods"),
+        (("tau = 0.5", "tau = 0.5\npseudo_points = 8\nempirical_weights = 1"),
+         "pseudo_points has no use with empirical_weights"),
     ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
             "tau-negative-second", "tau-zero", "tau-period-0",
             "tau-factor-negative", "pseudo-points-0",
@@ -248,7 +276,9 @@ class TestRunCommand:
             "cap-with-quadrature", "c-max-nan", "c-max-inf", "a1-nan",
             "a1-inf", "a2-nan", "a2-inf", "a3-nan", "rmin-nan", "rmin-inf",
             "simp-inf", "simp-nan", "poisson-1", "poisson-minus-1",
-            "poisson-nan"])
+            "poisson-nan", "baseline-with-smma", "baseline-with-limited",
+            "pseudo-points-with-quadrature", "empirical-with-quadrature",
+            "pseudo-points-with-empirical"])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace(*edit)
@@ -273,8 +303,11 @@ class TestRunCommand:
         (("nx = 10", "nx = 10\nell = nan"), "ell must be positive and finite"),
         (("nx = 10", "nx = 10\nell = inf"), "ell must be positive and finite"),
         (("nx = 10", "nx = 10\nell = 0"), "ell must be positive and finite"),
+        (("method = mma-quadrature", "method = smma"),
+         "a baseline rule applies only to mma-quadrature"),
     ], ids=["verify-grid-0", "baseline-grid-negative", "nx-0", "n-omega-0",
-            "c-max-nan", "rmin-nan", "ell-nan", "ell-inf", "ell-0"])
+            "c-max-nan", "rmin-nan", "ell-nan", "ell-inf", "ell-0",
+            "baseline-grid-with-smma"])
     def test_bad_plate_grid_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_PLATE.replace(*edit)

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smma.benchmarks import WheelProblem, plate_problem
 from smma.csg_weights import (
     JointMetric,
     ParamCoord,
+    ParamSpace,
     SampleStore,
     _owners,
     aggregate,
@@ -668,3 +670,198 @@ class TestArrayStore:
         with pytest.raises(ValueError):
             store.keep([1, 1])
         assert len(store) == 3
+
+
+# The problems' hand-written parameter rules that ParamSpace replaced; the
+# space must reproduce each of them bit for bit.
+
+def xi_range(ell):
+    return ((ell / 4.0, 7.0 * ell / 4.0), (ell / 8.0, 7.0 * ell / 8.0))
+
+
+def omega_range(ell):
+    return (ell / 5.0, 4.0 * ell / 5.0)
+
+
+def wheel_sample_param(rng):
+    return np.array([rng.uniform(0.0, 2.0 * np.pi)])
+
+
+def plate_sample_param(rng, xi):
+    return np.array([rng.uniform(*xi[0]), rng.uniform(*xi[1])])
+
+
+def wheel_metric():
+    return JointMetric(
+        coords=(ParamCoord("circular", period=2.0 * np.pi,
+                           scale=2.0 * np.pi),),
+        design_scale=1.0, param_scale=1.0)
+
+
+def plate_metric(xi):
+    widths = [hi - lo for lo, hi in xi]
+    return JointMetric(
+        coords=(ParamCoord("flat", scale=widths[0]),
+                ParamCoord("flat", scale=widths[1])),
+        design_scale=1.0, param_scale=1.0)
+
+
+def wheel_pseudo_quadrature(n_points):
+    pts = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    return pts[:, None], np.full(n_points, 1.0 / n_points)
+
+
+def plate_pseudo_quadrature(xi, n):
+    (x0, x1), (y0, y1) = xi
+    gx = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
+    gy = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
+    X, Y = np.meshgrid(gx, gy, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    return pts, np.full(n * n, 1.0 / (n * n))
+
+
+def plate_trapezoid_grid(xi, n1, n2):
+    (x0, x1), (y0, y1) = xi
+    gx = np.linspace(x0, x1, n1)
+    gy = np.linspace(y0, y1, n2)
+    wx = np.ones(n1)
+    wx[0] = wx[-1] = 0.5
+    wy = np.ones(n2)
+    wy[0] = wy[-1] = 0.5
+    X, Y = np.meshgrid(gx, gy, indexing="ij")
+    W = np.outer(wx, wy)
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    return pts, (W / W.sum()).ravel()
+
+
+def omega_trapezoid(omega, n_omega):
+    nodes = np.linspace(*omega, n_omega)
+    w = np.ones(n_omega)
+    w[0] = w[-1] = 0.5
+    return nodes, w / w.sum()
+
+
+def assert_rules_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+ELLS = [0.3, 1.0, 2.7]
+WHEEL_SPACE = WheelProblem.space
+
+
+def plate_space(ell):
+    return ParamSpace(xi_range(ell), (False, False))
+
+
+class TestParamSpace:
+    """Draws, metric, centre and rules of the wheel's circle and the
+    plate's xi box equal the hand-written ones they replaced."""
+
+    def test_plate_holds_its_xi_box(self):
+        for ell in ELLS:
+            plate = plate_problem(nx=4, ny=2, n_omega=2, ell=ell)
+            assert plate.space == plate_space(ell)
+            assert plate.omega_space.bounds == (omega_range(ell),)
+
+    @pytest.mark.parametrize("ell", [None] + ELLS)
+    def test_batch_draw_matches_scalar_draws(self, ell):
+        space = WHEEL_SPACE if ell is None else plate_space(ell)
+        for seed in range(30):
+            for B in (1, 3, 8):
+                rng, ref = (np.random.default_rng(seed) for _ in range(2))
+                for _ in range(5):
+                    want = np.stack([
+                        wheel_sample_param(ref) if ell is None
+                        else plate_sample_param(ref, xi_range(ell))
+                        for _ in range(B)])
+                    np.testing.assert_array_equal(space.sample(rng, B), want)
+                assert rng.uniform() == ref.uniform()   # still in step
+
+    def test_metric_matches(self):
+        assert WHEEL_SPACE.metric() == wheel_metric()
+        for ell in ELLS:
+            assert plate_space(ell).metric() == plate_metric(xi_range(ell))
+
+    def test_centre_matches(self):
+        np.testing.assert_array_equal(WHEEL_SPACE.centre(), [np.pi])
+        for ell in ELLS:
+            np.testing.assert_array_equal(
+                plate_space(ell).centre(),
+                [np.mean(r) for r in xi_range(ell)])
+            omega = ParamSpace((omega_range(ell),), (False,))
+            assert omega.centre()[0] == np.mean(omega_range(ell))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 32, 72])
+    def test_pseudo_rule_matches(self, n):
+        assert_rules_equal(WHEEL_SPACE.pseudo_rule(n),
+                           wheel_pseudo_quadrature(n))
+        for ell in ELLS:
+            assert_rules_equal(plate_space(ell).pseudo_rule(n),
+                               plate_pseudo_quadrature(xi_range(ell), n))
+
+    def test_circle_rules_match_up_to_1080(self):
+        for n in list(range(1, 145)) + [1024, 1080, 1081]:
+            want = wheel_pseudo_quadrature(n)
+            assert_rules_equal(WHEEL_SPACE.pseudo_rule(n), want)
+            assert_rules_equal(WHEEL_SPACE.trapezoid_rule(n), want)
+            assert_rules_equal(WHEEL_SPACE.trapezoid_rule((n,)), want)
+
+    def test_trapezoid_rule_matches_grid(self):
+        space, xi = plate_space(1.0), xi_range(1.0)
+        for n1 in range(1, 51):
+            for n2 in range(1, 51):
+                assert_rules_equal(space.trapezoid_rule((n1, n2)),
+                                   plate_trapezoid_grid(xi, n1, n2))
+        for ell in (0.3, 2.7):
+            assert_rules_equal(plate_space(ell).trapezoid_rule((4, 3)),
+                               plate_trapezoid_grid(xi_range(ell), 4, 3))
+
+    @pytest.mark.parametrize("ell", ELLS)
+    @pytest.mark.parametrize("n_omega", [1, 2, 4, 5, 32, 33])
+    def test_omega_rule_matches(self, ell, n_omega):
+        plate = plate_problem(nx=4, ny=2, n_omega=n_omega, ell=ell)
+        nodes, weights = omega_trapezoid(omega_range(ell), n_omega)
+        np.testing.assert_array_equal(plate.omega_nodes, nodes)
+        np.testing.assert_array_equal(plate.omega_weights, weights)
+
+    def test_point_mass_interval(self):
+        space = ParamSpace(((0.3, 0.3),), (False,))
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        np.testing.assert_array_equal(space.sample(rng, 5), np.full((5, 1),
+                                                                    0.3))
+        ref.uniform(size=5)   # one uniform per draw
+        assert rng.uniform() == ref.uniform()
+        assert_rules_equal(space.trapezoid_rule(1), (np.array([[0.3]]),
+                                                     np.array([1.0])))
+        with pytest.raises(ValueError, match="scale must be positive"):
+            space.metric()
+
+    @pytest.mark.parametrize("counts", [0, -3, (0,), (2, 2)])
+    def test_bad_circle_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            WHEEL_SPACE.trapezoid_rule(counts)
+        if np.ndim(counts) == 0:
+            with pytest.raises(ValueError, match="at least 1 point"):
+                WHEEL_SPACE.pseudo_rule(counts)
+
+    @pytest.mark.parametrize("counts", [(0, 3), (3, -1), 3, (2, 2, 2)])
+    def test_bad_grid_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            plate_space(1.0).trapezoid_rule(counts)
+
+    def test_empty_pseudo_rule_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            plate_space(1.0).pseudo_rule(0)
+
+    @pytest.mark.parametrize("bounds,periodic", [
+        (((0.0, np.nan),), (False,)), (((np.nan, 1.0),), (False,)),
+        (((0.0, np.inf),), (True,)), (((-np.inf, 0.0),), (False,)),
+        (((1.0, 0.0),), (False,)), (((1.0, 1.0),), (True,)),
+        (((0.0, 1.0),), (False, True)), ((), ()),
+    ], ids=["hi-nan", "lo-nan", "hi-inf", "lo-inf", "reversed",
+            "periodic-point", "flag-count", "no-coordinates"])
+    def test_bad_bounds_rejected(self, bounds, periodic):
+        with pytest.raises(ValueError):
+            ParamSpace(bounds, periodic)

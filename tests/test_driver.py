@@ -4,8 +4,15 @@ import pytest
 from smma.benchmarks import wheel_problem
 from smma.design_field import SimpParams
 from smma.driver import CSV_HEADER, IterationLog, RunConfig, run_smma
-from smma.csg_weights import JointMetric, ParamCoord
+from smma.csg_weights import JointMetric, ParamCoord, ParamSpace
 from smma.smoothing import SmoothingParams, h_deriv, h_eval
+
+
+class PointMass(ParamSpace):
+    """A zero-width interval: every draw and node is the point itself."""
+
+    def metric(self):
+        return JointMetric(coords=(ParamCoord("flat", scale=1.0),))
 
 
 class ToyProblem:
@@ -17,18 +24,18 @@ class ToyProblem:
     """
 
     name = "toy"
+    default_simp_schedule = ((1, 1.0),)
+    default_pseudo_points = 1
 
     def __init__(self, n=4, x0=0.0):
         self.n = n
         self.x0 = x0
+        self.space = PointMass(((x0, x0),), (False,))
         self.w = np.linspace(1.0, 2.0, n)
         self.c0 = 4.0
         self.simp = SimpParams(s=1.0)
         self.smoothing = SmoothingParams(a1=10.0, a2=0.05, a3=5.0,
                                          c_max=2.0, p_level=0.3)
-        self.default_simp_schedule = ((1, 1.0),)
-        self.default_verify_spec = 1
-        self.default_pseudo_points = 1
 
     @property
     def free_mask(self):
@@ -48,20 +55,6 @@ class ToyProblem:
 
     def rvol_gradient(self):
         return np.full(self.n, 1.0 / self.n)
-
-    def sample_param(self, rng):
-        rng.uniform()   # consume the stream like a real draw
-        return np.array([self.x0])
-
-    def metric(self):
-        return JointMetric(coords=(ParamCoord("flat", scale=1.0),),
-                           design_scale=1.0, param_scale=1.0)
-
-    def pseudo_quadrature(self, n_points):
-        return np.array([[self.x0]]), np.array([1.0])
-
-    def baseline_nodes(self, spec):
-        return np.array([[self.x0]]), np.array([1.0])
 
     def default_baseline_spec(self, batch_size):
         return 1
@@ -269,10 +262,24 @@ class TestConfigValidation:
         dict(simp_schedule=((3, 0.5),)), dict(simp_schedule=((-4, 5.0),)),
         dict(simp_schedule=((0, 5.0),)), dict(method="smma-limited"),
         dict(memory_cap=16), dict(method="mma-quadrature", memory_cap=16),
+        # options no run of the method reads
+        dict(baseline_spec=5),
+        dict(method="smma-limited", memory_cap=16, baseline_spec=(5, 5)),
+        dict(method="mma-quadrature", pseudo_points=8),
+        dict(method="mma-quadrature", empirical_weights=True),
+        dict(pseudo_points=8, empirical_weights=True),
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+
+    @pytest.mark.parametrize("good", [
+        dict(method="mma-quadrature", baseline_spec=5),
+        dict(pseudo_points=8), dict(empirical_weights=True),
+        dict(method="smma-limited", memory_cap=16, empirical_weights=True),
+    ])
+    def test_options_of_the_method_accepted(self, good):
+        RunConfig(**good)
 
     def test_schedule_period_one_accepted(self):
         assert RunConfig(tau_schedule=(1, 0.5)).tau_schedule == (1, 0.5)
