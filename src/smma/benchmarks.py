@@ -236,14 +236,12 @@ class WheelProblem(_ProblemBase):
         return values, df.backprop_to_design(
             grads_s, rho, self.filt, self.simp, mesh=self.mesh)
 
-    def evaluate_records(self, rho, params, want_grads: bool = True):
+    def evaluate_records(self, rho, params):
         """Records for a batch of omegas: h(c - cap) and h'(c - cap) grad c."""
-        c, dc = self.compliances(rho, params, want_grads=want_grads)
+        c, dc = self.compliances(rho, params, want_grads=True)
         t = c - self.smoothing.c_max
-        values = h_eval(t, self.smoothing)
-        if not want_grads:
-            return values, None
-        return values, h_deriv(t, self.smoothing)[:, None] * dc
+        return (h_eval(t, self.smoothing),
+                h_deriv(t, self.smoothing)[:, None] * dc)
 
     def default_baseline_spec(self, batch_size: int):
         return batch_size
@@ -456,11 +454,11 @@ class PlateProblem(_ProblemBase):
                 yield cbar0 - drop, update, k
         return Ux0, Uy0, blocks()
 
-    def evaluate_records(self, rho, params, want_grads: bool = True):
+    def evaluate_records(self, rho, params):
         """Records for a batch of xi, from one factorization of the design.
 
         A record is the omega-trapezoid of h(angle-averaged compliance -
-        cap), with its design gradient when wanted. The gradient is
+        cap), with its design gradient. The gradient is
         -tr(k_e U B U^T) / width per element, where U = [Ux, Uy] are the
         states of K(xi) and B = Lambda diag(coef) mixes the x and y columns
         with the angle moments Lambda and weights them by coef = omega
@@ -472,21 +470,18 @@ class PlateProblem(_ProblemBase):
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
         Ux0, Uy0, blocks = self._weakened_blocks(rho, xis)
-        if want_grads:
-            U0 = np.hstack([Ux0, Uy0])
-            lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
-            # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
-            # coef @ q0 is tr(k_e U0 B U0^T)
-            q0 = element_quadratic_forms(
-                self.mesh, U0,
-                np.hstack([ix * Ux0 + ixy * Uy0, iy * Uy0 + ixy * Ux0]))
+        U0 = np.hstack([Ux0, Uy0])
+        lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
+        # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
+        # coef @ q0 is tr(k_e U0 B U0^T)
+        q0 = element_quadratic_forms(
+            self.mesh, U0,
+            np.hstack([ix * Ux0 + ixy * Uy0, iy * Uy0 + ixy * Ux0]))
         values, grads = [], []
         for cbar, update, kept in blocks:
             t = cbar - self.smoothing.c_max
             values.append(float(self.omega_weights
                                 @ h_eval(t, self.smoothing)))
-            if not want_grads:
-                continue
             coef = np.tile(self.omega_weights * h_deriv(t, self.smoothing), 2)
             q = coef @ q0
             if update.dofs.size:
@@ -497,7 +492,7 @@ class PlateProblem(_ProblemBase):
             grad_s = -q / width * kept
             grads.append(df.backprop_to_design(grad_s, rho, self.filt,
                                                self.simp, mesh=self.mesh))
-        return np.array(values), (np.stack(grads) if want_grads else None)
+        return np.array(values), np.stack(grads)
 
     def angle_averaged_compliance(self, rho, xi, omega: float) -> float:
         """Single (xi, omega) angle-averaged compliance, by direct assembly."""

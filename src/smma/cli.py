@@ -414,11 +414,19 @@ def cmd_verify(design_path: str, config_path: str, points: int | None,
     _check_counts("--points", points)
     _check_counts("--grid", grid)
     problem = build_problem(rc)
-    _, rho = load_design(design_path)
-    if rho.size != problem.mesh.n_elements:
+    header, rho = load_design(design_path)
+    mesh = problem.mesh
+    for key, want in (("kind", mesh.kind), ("shape", tuple(mesh.shape)),
+                      *((k, float(mesh.geometry[k]))
+                        for k in DESIGN_GEOMETRY[mesh.kind])):
+        got = header.get(key)
+        if got != want:
+            raise ConfigError(f"{design_path}: design {key} {got!r} does not "
+                              f"match the {rc.problem_name} mesh's {want!r}")
+    if rho.size != mesh.n_elements:
         raise ConfigError(
             f"design has {rho.size} values, mesh has "
-            f"{problem.mesh.n_elements} elements")
+            f"{mesh.n_elements} elements")
     spec = points if points is not None else (
         grid if grid is not None else rc.run_kwargs.get("verify_spec"))
     g_smooth, g_steep, g_nonsmooth = dense_cc(rho, problem, spec)

@@ -11,13 +11,13 @@ mass routed to it. Weights double as importance scores for the
 limited-memory eviction policy.
 
 The squared joint distance from (u, x) to record k is q_k(x) + o_k with
-q_k(x) = param_scale * param_dist2(x, x_k) >= 0 and the offset
-o_k = design_scale * design_dist2(u_k, u), which is the same for every
-point x. The owner search visits the records in ascending order of o_k,
-in chunks of 8, 16, 32, ... records, and retires a point as soon as its
-best squared distance so far is below the smallest offset of the next
-chunk. That bound is exact in floating point: fl(q + o) >= o for q >= 0,
-so no later record can reach the point's minimum. Distances are evaluated
+q_k(x) = ParamSpace.dist2(x, x_k) >= 0 and the design offset
+o_k = ||u_k - u||^2 / dim(u), which is the same for every point x. The
+owner search visits the records in ascending order of o_k, in chunks of
+8, 16, 32, ... records, and retires a point as soon as its best squared
+distance so far is below the smallest offset of the next chunk. That
+bound is exact in floating point: fl(q + o) >= o for q >= 0, so no later
+record can reach the point's minimum. Distances are evaluated
 only for the points still active, with the same expressions as the dense
 (T, K) table, so the owners equal its argmin bit for bit. Ties go to the
 smallest record index: inside a chunk the indices are sorted and the
@@ -25,9 +25,9 @@ first minimum is taken, and a later chunk replaces an owner only with a
 strictly smaller distance or an equal one at a smaller index.
 
 A problem's parameter distribution is a ParamSpace: uniform on a box of
-flat or periodic intervals. The batch draws, the joint metric, the weights'
-pseudo-rule and the trapezoid rule of the baseline and of verification all
-follow from the box.
+flat or periodic intervals. The batch draws, the parameter distance, the
+weights' pseudo-rule and the trapezoid rule of the baseline and of
+verification all follow from the box.
 """
 from __future__ import annotations
 
@@ -35,70 +35,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ParamCoord:
-    """Topology and scale of one parameter coordinate.
-
-    kind "flat" measures |x - y| / scale; kind "circular" measures the
-    wrap-around distance on [0, period) divided by scale.
-    """
-
-    kind: str
-    period: float | None = None
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("flat", "circular"):
-            raise ValueError(f"unknown coordinate kind {self.kind!r}")
-        if self.kind == "circular" and (self.period is None or self.period <= 0):
-            raise ValueError("circular coordinate requires a positive period")
-        if self.scale <= 0:
-            raise ValueError("coordinate scale must be positive")
-
-
-@dataclass(frozen=True)
-class JointMetric:
-    """Norm on (design, parameter) pairs.
-
-    dist^2 = design_scale * ||u1 - u2||_2^2 / dim(u)
-           + param_scale  * sum_c dist_c(x1, x2)^2
-    """
-
-    coords: tuple[ParamCoord, ...]
-    design_scale: float = 1.0
-    param_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.design_scale < 0 or self.param_scale < 0:
-            raise ValueError("metric scales must be nonnegative")
-        if self.design_scale + self.param_scale <= 0:
-            raise ValueError("at least one metric scale must be positive")
-
-    def param_dist2(self, x1, x2) -> np.ndarray:
-        """Squared parameter distance; broadcasts over leading axes."""
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        if x1.shape[-1] != len(self.coords) or x2.shape[-1] != len(self.coords):
-            raise ValueError("parameter dimension does not match metric")
-        diff = np.abs(x1 - x2)
-        total = 0.0
-        for c, coord in enumerate(self.coords):
-            d = diff[..., c]
-            if coord.kind == "circular":
-                # d >= 0: the way round the other side is p - r
-                r = d % coord.period
-                d = np.minimum(r, coord.period - r)
-            total = total + (d / coord.scale) ** 2
-        return total
-
-    def design_dist2(self, u1, u2) -> np.ndarray:
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        if u1.shape[-1] != u2.shape[-1]:
-            raise ValueError("design dimension mismatch")
-        return np.sum((u1 - u2) ** 2, axis=-1) / u1.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -126,12 +62,29 @@ class ParamSpace:
         lo, hi = np.array(self.bounds, dtype=float).T
         return rng.uniform(lo, hi, size=(size, len(self.bounds)))
 
-    def metric(self) -> JointMetric:
-        """Each coordinate measured in units of its width."""
-        return JointMetric(tuple(
-            ParamCoord("circular", period=hi - lo, scale=hi - lo) if wrap
-            else ParamCoord("flat", scale=hi - lo)
-            for (lo, hi), wrap in zip(self.bounds, self.periodic)))
+    def dist2(self, x1, x2) -> np.ndarray:
+        """Squared parameter distance; broadcasts over leading axes.
+
+        Each coordinate counts in units of its width, the short way round
+        on a periodic one; a zero-width interval adds nothing.
+        """
+        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+        if x1.shape[-1] != len(self.bounds) or x2.shape[-1] != len(self.bounds):
+            raise ValueError("parameter dimension does not match the space")
+        diff = np.abs(x1 - x2)
+        total = np.zeros(diff.shape[:-1])
+        for c, ((lo, hi), wrap) in enumerate(zip(self.bounds, self.periodic)):
+            w = hi - lo
+            if w == 0.0:
+                continue
+            d = diff[..., c]
+            if wrap:
+                # d >= 0: the way round the other side is w - r
+                r = d % w
+                d = np.minimum(r, w - r)
+            total = total + (d / w) ** 2
+        return total
 
     def centre(self) -> np.ndarray:
         """The midpoint of every interval."""
@@ -190,8 +143,8 @@ class SampleStore:
     views, which keep() overwrites in place; designs returns a copy.
     """
 
-    def __init__(self, metric: JointMetric):
-        self.metric = metric
+    def __init__(self, space: ParamSpace):
+        self.space = space
         self._size = 0           # records in _rows
         self._n_designs = 0      # designs in _designs
         self._allocate(0)
@@ -204,7 +157,7 @@ class SampleStore:
         """Add a batch of B >= 1 records drawn at one design.
 
         design (n,), params (B, m), values (B,), gradients (B, n), with m
-        the metric's coordinate count and n the stored records' design
+        the space's coordinate count and n the stored records' design
         length (any n >= 1 when the store is empty); every record is born
         at iteration. A batch that does not fit raises ValueError and
         leaves the store unchanged.
@@ -225,7 +178,7 @@ class SampleStore:
             raise ValueError(f"values of shape {values.shape}: a batch needs "
                              "a nonempty vector")
         for name, a, shape in (
-                ("params", params, (B, len(self.metric.coords))),
+                ("params", params, (B, len(self.space.bounds))),
                 ("gradients", gradients, (B, width))):
             if a.shape != shape:
                 raise ValueError(f"{name} of shape {a.shape}, expected {shape}")
@@ -247,7 +200,7 @@ class SampleStore:
         self._size = self._n_designs = 0
 
     def _allocate(self, width: int) -> None:
-        self._rows = {"params": np.empty((0, len(self.metric.coords))),
+        self._rows = {"params": np.empty((0, len(self.space.bounds))),
                       "values": np.empty(0),
                       "gradients": np.empty((0, width)),
                       "born": np.empty(0, dtype=int),
@@ -284,18 +237,20 @@ class SampleStore:
         return self._designs[index]
 
     def design_offsets(self, u) -> np.ndarray:
-        """design_scale * design_dist2(design_k, u) for every record k.
+        """||design_k - u||^2 / n for every record k, n the design length.
 
-        Each distinct design is evaluated once, with the metric's own
-        expression, so every record's value equals a per-record evaluation.
+        Each distinct design is evaluated once, with the same expression
+        for every row, so every record's value equals a per-record
+        evaluation.
         """
         index = self._view("design_index")
-        m = self.metric
-        if m.design_scale == 0.0:
-            return np.zeros(len(index))
-        d2 = m.design_scale * m.design_dist2(self._designs[:self._n_designs],
-                                             np.asarray(u, dtype=float))
-        return d2[index]
+        designs = self._designs[:self._n_designs]
+        n = designs.shape[1]
+        u = np.asarray(u, dtype=float)
+        if u.shape != (n,):
+            raise ValueError(f"design of shape {u.shape}, the stored "
+                             f"records' have length {n}")
+        return (np.sum((designs - u) ** 2, axis=-1) / n)[index]
 
     def keep(self, indices: np.ndarray) -> None:
         """Retain the given record indices, preserving order, in place."""
@@ -327,14 +282,14 @@ def _owners(store: SampleStore, u, points: np.ndarray) -> np.ndarray:
 
     Exact offset-pruned search (see the module docstring): the owners,
     ties included, equal the argmin over the dense (T, K) table
-    param_scale * param_dist2(points[:, None], params[None]) + offsets.
+    store.space.dist2(points[:, None], params[None]) + design offsets.
     """
     if len(store) == 0:
         raise ValueError("sample store is empty")
     u = np.asarray(u, dtype=float)
     if not (np.isfinite(u).all() and np.isfinite(points).all()):
         raise ValueError("design and parameter points must be finite")
-    m = store.metric
+    space = store.space
     params = store.params
     offsets = store.design_offsets(u)
     K = len(offsets)
@@ -346,8 +301,7 @@ def _owners(store: SampleStore, u, points: np.ndarray) -> np.ndarray:
     start, size = 0, _FIRST_CHUNK
     while start < K and active.size:
         chunk = np.sort(order[start:start + size])
-        d2 = (m.param_scale * m.param_dist2(points[active, None, :],
-                                            params[None, chunk, :])
+        d2 = (space.dist2(points[active, None, :], params[None, chunk, :])
               + offsets[chunk])
         first = np.argmin(d2, axis=1)
         value = d2[np.arange(active.size), first]
@@ -376,7 +330,8 @@ def pseudoexact_weights(store: SampleStore, u_current, quad_points,
     w = np.asarray(quad_weights, dtype=float)
     if w.shape != (pts.shape[0],):
         raise ValueError("quadrature weights must match point count")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+    # written so that NaN fails it
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("quadrature weights must be nonnegative and sum to 1")
     owner = _owners(store, u_current, pts)
     return np.bincount(owner, weights=w, minlength=len(store))
@@ -409,7 +364,8 @@ def _checked_weights(store: SampleStore, weights) -> np.ndarray:
     alpha = np.asarray(weights, dtype=float)
     if alpha.shape != (len(store),):
         raise ValueError("one weight per stored record required")
-    if np.any(alpha < 0.0) or abs(alpha.sum() - 1.0) > 1e-9:
+    # written so that NaN fails it
+    if not (np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) <= 1e-9):
         raise ValueError("weights must be nonnegative and sum to 1")
     return alpha
 
@@ -419,9 +375,6 @@ def evict_min_weight(store: SampleStore, weights: np.ndarray,
     """Drop the n_evict smallest-weight records (ties: smallest index)."""
     if n_evict >= len(store):
         raise ValueError("cannot evict the entire store")
-    alpha = np.asarray(weights, dtype=float)
-    if alpha.shape != (len(store),):
-        raise ValueError("one weight per stored record required")
-    order = np.argsort(alpha, kind="stable")
+    order = np.argsort(_checked_weights(store, weights), kind="stable")
     store.keep(order[n_evict:])
     return store

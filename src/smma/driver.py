@@ -14,7 +14,7 @@ Problems are duck-typed; they provide (see benchmarks for the two built-in
 ones): initial_design, free_mask, smoothing, simp, with_simp,
 evaluate_records, space, default_baseline_spec, dense_raw, rvol, pvol,
 rvol_gradient, default_simp_schedule, default_pseudo_points. space, a
-csg_weights.ParamSpace, gives the draws, the metric and both rules.
+csg_weights.ParamSpace, gives the draws, the distance and both rules.
 
 Record contract: evaluate_records(rho, params) returns, per parameter, the
 integrand already composed with the smoothed indicator h and its design
@@ -180,7 +180,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
     else:
         rng = np.random.default_rng(cfg.seed)
         cap = cfg.memory_cap
-        store = cw.SampleStore(metric=problem.space.metric())
+        store = cw.SampleStore(problem.space)
         if not cfg.empirical_weights:
             quad = problem.space.pseudo_rule(
                 problem.default_pseudo_points if cfg.pseudo_points is None

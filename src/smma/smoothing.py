@@ -122,7 +122,8 @@ def aggregate_cc(compliances, quad_weights, params: SmoothingParams,
     w = np.asarray(quad_weights, dtype=float)
     if c.shape != w.shape:
         raise ValueError("compliances and quad_weights must have equal length")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+    # written so that NaN fails it
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("quadrature weights must be nonnegative and sum to 1")
     t = c - params.c_max
     if flavor == "nonsmooth":

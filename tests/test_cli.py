@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import smma
-from smma.benchmarks import wheel_problem
+from smma.benchmarks import plate_problem, wheel_problem
 from smma.cli import (
     ConfigError,
     build_problem,
@@ -492,6 +492,31 @@ class TestVerifyCommand:
                                                           "n_radial = 5"),
                              name="other.cfg", out=out)
         assert main(["verify", str(design), str(other)]) == 2
+
+    @pytest.mark.parametrize("config,design_problem,message", [
+        (TINY_WHEEL, lambda: plate_problem(nx=8, ny=5, n_omega=2),
+         "design kind 'rect' does not match the wheel mesh's 'disc'"),
+        (TINY_WHEEL, lambda: wheel_problem(n_radial=5, n_angular=8,
+                                           simp_s=3.0),
+         "design shape (5, 8) does not match the wheel mesh's (4, 10)"),
+        (TINY_PLATE, lambda: plate_problem(nx=10, ny=5, n_omega=4, ell=2.0),
+         "design height 2.0 does not match the plate mesh's 1.0"),
+    ], ids=["kind", "shape", "geometry"])
+    def test_design_from_another_mesh_exit_2(self, tmp_path, capsys, config,
+                                             design_problem, message):
+        # the same element count as the configured mesh, so only the
+        # header tells the meshes apart
+        cfg = write_config(tmp_path, config, out=tmp_path / "o")
+        problem = design_problem()
+        assert problem.mesh.n_elements == build_problem(resolve_config(
+            parse_config(config.format(out="o")))).mesh.n_elements
+        design = tmp_path / "design.txt"
+        save_design(design, problem, problem.initial_design())
+        out = tmp_path / "v.csv"
+        assert main(["verify", str(design), str(cfg), "--out",
+                     str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRenderCommand:

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from smma.benchmarks import WheelProblem, plate_problem
 from smma.csg_weights import (
-    JointMetric,
-    ParamCoord,
     ParamSpace,
     SampleStore,
     _owners,
@@ -18,21 +16,17 @@ from smma.csg_weights import (
 from smma.smoothing import SmoothingParams, h_eval
 
 
-def flat_metric(dim=1, design_scale=1.0, param_scale=1.0, scale=1.0):
-    coords = tuple(ParamCoord("flat", scale=scale) for _ in range(dim))
-    return JointMetric(coords=coords, design_scale=design_scale,
-                       param_scale=param_scale)
+def unit_box(dim=1):
+    return ParamSpace(((0.0, 1.0),) * dim, (False,) * dim)
 
 
-def circle_metric(period=2 * np.pi, scale=1.0, design_scale=1.0):
-    return JointMetric(coords=(ParamCoord("circular", period=period,
-                                          scale=scale),),
-                       design_scale=design_scale, param_scale=1.0)
+def circle(period=2 * np.pi):
+    return ParamSpace(((0.0, period),), (True,))
 
 
-def make_store(metric, designs, params, values=None, grads=None):
+def make_store(space, designs, params, values=None, grads=None):
     """Record k as a batch of its own at designs[k], born at iteration k."""
-    store = SampleStore(metric=metric)
+    store = SampleStore(space)
     designs = np.atleast_2d(np.asarray(designs, dtype=float))
     K = len(designs)
     params = np.asarray(params, dtype=float).reshape(K, -1)
@@ -49,52 +43,118 @@ class TestJointDistance:
     """The two terms of the squared joint distance."""
 
     def test_identical_points(self):
-        m = flat_metric(dim=2)
         u = np.array([0.3, 0.4, 0.5])
         x = np.array([0.1, 0.9])
-        assert m.design_dist2(u, u) == 0.0
-        assert m.param_dist2(x, x) == 0.0
+        assert unit_box(2).dist2(x, x) == 0.0
+        store = make_store(unit_box(2), [u], [x])
+        np.testing.assert_array_equal(store.design_offsets(u), [0.0])
 
     def test_circular_wraparound(self):
-        d2 = circle_metric().param_dist2([0.1], [2 * np.pi - 0.1])
-        assert np.sqrt(d2) == pytest.approx(0.2, abs=1e-12)
+        # 0.2 the short way round, in units of the period
+        d2 = circle().dist2([0.1], [2 * np.pi - 0.1])
+        assert np.sqrt(d2) == pytest.approx(0.2 / (2 * np.pi), abs=1e-12)
 
-    def test_zero_design_scale_reduces_to_param_distance(self):
-        m = flat_metric(dim=1, design_scale=0.0)
-        assert m.design_dist2(np.zeros(4), np.ones(4)) == 1.0
-        store = make_store(m, [np.zeros(4), np.ones(4)], [[0.75], [0.25]])
+    def test_one_design_param_alone_picks_owner(self):
+        store = SampleStore(unit_box())
+        store.append(np.ones(4), [[0.75], [0.25]], np.zeros(2),
+                     np.zeros((2, 4)), 0)
         np.testing.assert_array_equal(store.design_offsets(np.zeros(4)),
-                                      [0.0, 0.0])
-        assert m.param_dist2([0.25], [0.75]) == pytest.approx(0.25,
-                                                              abs=1e-14)
-        # with the designs ignored, the parameter alone picks the owner
+                                      [1.0, 1.0])
+        assert unit_box().dist2([0.25], [0.75]) == 0.25
+        # with equal offsets, the parameter alone picks the owner
         np.testing.assert_array_equal(
             _owners(store, np.zeros(4), np.array([[0.3], [0.7]])), [1, 0])
 
     def test_dimension_mismatch(self):
-        m = flat_metric(dim=2)
+        space = unit_box(2)
         with pytest.raises(ValueError):
-            m.param_dist2([0.1], [0.1, 0.2])
+            space.dist2([0.1], [0.1, 0.2])
         with pytest.raises(ValueError):
-            m.param_dist2([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            m.design_dist2(np.zeros(2), np.zeros(3))
+            space.dist2([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+        store = make_store(space, np.zeros((1, 2)), [[0.1, 0.2]])
+        for u in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="stored records' have"):
+                store.design_offsets(u)
 
 
-def two_remainder_dist2(metric, x1, x2):
-    """The circular wrap as min(d % p, (-d) % p): the oracle of param_dist2."""
+# The parameter metric that ParamSpace.dist2 replaced, kept as its oracle:
+# one (period, scale) per coordinate, period None on a flat one.
+
+def metric_dist2(coords, x1, x2):
+    """The replaced metric's parameter distance: the oracle of dist2."""
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+    diff = np.abs(x1 - x2)
+    total = 0.0
+    for c, (period, scale) in enumerate(coords):
+        d = diff[..., c]
+        if period is not None:
+            # d >= 0: the way round the other side is p - r
+            r = d % period
+            d = np.minimum(r, period - r)
+        total = total + (d / scale) ** 2
+    return total
+
+
+def two_remainder_dist2(coords, x1, x2):
+    """The circular wrap as min(d % p, (-d) % p): the oracle of the one
+    remainder wrap."""
     diff = np.abs(np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float))
     total = 0.0
-    for c, coord in enumerate(metric.coords):
+    for c, (period, scale) in enumerate(coords):
         d = diff[..., c]
-        if coord.kind == "circular":
-            d = np.minimum(d % coord.period, (-d) % coord.period)
-        total = total + (d / coord.scale) ** 2
+        if period is not None:
+            d = np.minimum(d % period, (-d) % period)
+        total = total + (d / scale) ** 2
     return total
+
+
+def space_coords(space):
+    """The coordinates the replaced metric had for a space: period and
+    scale equal to the width; a zero-width interval, which it rejected,
+    at scale 1, as the point-mass test problem had it."""
+    return tuple(((hi - lo) if wrap else None, (hi - lo) or 1.0)
+                 for (lo, hi), wrap in zip(space.bounds, space.periodic))
+
+
+def assert_dist2_matches_oracles(space, x1, x2):
+    got = space.dist2(x1, x2)
+    coords = space_coords(space)
+    np.testing.assert_array_equal(got, metric_dist2(coords, x1, x2))
+    np.testing.assert_array_equal(got, two_remainder_dist2(coords, x1, x2))
 
 
 _periods = st.sampled_from([1.0, 2 * np.pi, 0.3, 7.0])
 _coordinate = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@st.composite
+def boxes(draw, max_coords=3):
+    """A ParamSpace of flat, periodic and zero-width intervals, with a
+    matching pair of point arrays inside it (or wrapped past it)."""
+    n = draw(st.integers(1, max_coords))
+    bounds, periodic = [], []
+    for _ in range(n):
+        lo = draw(_coordinate)
+        kind = draw(st.sampled_from(["flat", "periodic", "point"]))
+        width = 0.0 if kind == "point" else draw(_periods)
+        bounds.append((lo, lo + width))
+        periodic.append(kind == "periodic")
+    space = ParamSpace(tuple(bounds), tuple(periodic))
+    T = draw(st.integers(1, 20))
+    lo, hi = np.array(space.bounds).T
+    pts = []
+    for _ in range(2):
+        u = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                            max_size=n),
+                                   min_size=T, max_size=T)))
+        # periodic points may sit whole periods away from the box
+        turns = np.array(draw(st.lists(st.lists(st.integers(-3, 3),
+                                                min_size=n, max_size=n),
+                                       min_size=T, max_size=T)))
+        pts.append(lo + u * (hi - lo) + np.where(periodic, turns, 0)
+                   * (hi - lo))
+    return space, pts[0], pts[1]
 
 
 class TestParamDist2:
@@ -102,20 +162,29 @@ class TestParamDist2:
     @given(_periods, st.lists(st.tuples(_coordinate, _coordinate),
                               min_size=1, max_size=40))
     def test_one_remainder_wrap_equals_two(self, period, pairs):
-        m = circle_metric(period=period, scale=1.3)
         x1, x2 = (np.array(v)[:, None] for v in zip(*pairs))
-        np.testing.assert_array_equal(m.param_dist2(x1, x2),
-                                      two_remainder_dist2(m, x1, x2))
+        assert_dist2_matches_oracles(circle(period), x1, x2)
 
     @settings(max_examples=100, deadline=None)
     @given(_periods, st.integers(-20, 20), _coordinate)
     def test_exact_multiples_of_the_period(self, period, n, x):
-        m = JointMetric(coords=(ParamCoord("circular", period=period),
-                                ParamCoord("flat", scale=2.0)))
+        space = ParamSpace(((0.0, period), (-1.0, 1.0)), (True, False))
         x1 = np.array([[n * period, x], [x, x], [0.0, 0.0]])
         x2 = np.array([[0.0, 0.0], [x + n * period, x], [n * period, 1.0]])
-        np.testing.assert_array_equal(m.param_dist2(x1, x2),
-                                      two_remainder_dist2(m, x1, x2))
+        assert_dist2_matches_oracles(space, x1, x2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes())
+    def test_drawn_boxes_match_the_metric(self, case):
+        space, x1, x2 = case
+        assert_dist2_matches_oracles(space, x1, x2)
+        assert_dist2_matches_oracles(space, x1[:, None, :], x2[None, :, :])
+
+    def test_zero_width_interval_adds_nothing(self):
+        space = ParamSpace(((0.3, 0.3), (0.0, 2.0)), (False, False))
+        np.testing.assert_array_equal(
+            space.dist2([[0.3, 0.5], [0.3, 1.0]], [[0.3, 1.5], [0.3, 1.0]]),
+            [0.25, 0.0])
 
 
 def nearest(store, u, x) -> int:
@@ -125,49 +194,55 @@ def nearest(store, u, x) -> int:
 
 class TestNearestIndex:
     def test_single_record(self):
-        store = make_store(flat_metric(), np.zeros((1, 3)), [[0.5]])
+        store = make_store(unit_box(), np.zeros((1, 3)), [[0.5]])
         assert nearest(store, np.zeros(3), [0.9]) == 0
 
     def test_exact_hit_and_duplicate_tiebreak(self):
         designs = np.zeros((3, 2))
-        store = make_store(flat_metric(), designs, [[0.3], [0.7], [0.7]])
+        store = make_store(unit_box(), designs, [[0.3], [0.7], [0.7]])
         assert nearest(store, np.zeros(2), [0.7]) == 1
 
     def test_empty_store(self):
-        store = SampleStore(metric=flat_metric())
+        store = SampleStore(unit_box())
         with pytest.raises(ValueError):
             nearest(store, np.zeros(2), [0.1])
 
     def test_against_linear_scan_oracle(self):
         rng = np.random.default_rng(42)
-        m = JointMetric(
-            coords=(ParamCoord("flat", scale=1.0),
-                    ParamCoord("circular", period=1.0, scale=1.0)),
-            design_scale=0.8, param_scale=1.3)
+        # widths other than 1 weigh the parameter against the design
+        space = ParamSpace(((0.0, 0.8), (-0.5, 1.0)), (False, True))
+        lo, hi = np.array(space.bounds).T
         designs = rng.uniform(size=(100, 4))
-        params = np.column_stack([rng.uniform(size=100), rng.uniform(size=100)])
-        store = make_store(m, designs, params)
+        params = rng.uniform(lo, hi, size=(100, 2))
+        store = make_store(space, designs, params)
+        coords = space_coords(space)
         for _ in range(1000):
             u = rng.uniform(size=4)
-            x = rng.uniform(size=2)
+            x = rng.uniform(lo, hi)
             best, best_d = 0, np.inf
             for k in range(100):
-                d = np.sqrt(m.design_scale * m.design_dist2(designs[k], u)
-                            + m.param_scale * m.param_dist2(x, params[k]))
+                d = np.sqrt(np.mean((designs[k] - u) ** 2)
+                            + metric_dist2(coords, x, params[k]))
                 if d < best_d - 1e-15:
                     best, best_d = k, d
             assert nearest(store, u, x) == best
 
 
+# weights that a comparison-based check lets through, since every
+# comparison with NaN is False
+NON_FINITE_WEIGHTS = [[np.nan, 1.0], [np.nan, np.nan], [1.0, np.nan],
+                      [np.inf, 1.0]]
+
+
 class TestPseudoexactWeights:
     def test_single_record_takes_all_mass(self):
-        store = make_store(flat_metric(), np.zeros((1, 2)), [[0.4]])
+        store = make_store(unit_box(), np.zeros((1, 2)), [[0.4]])
         pts = np.linspace(0, 1, 16)[:, None]
         alpha = pseudoexact_weights(store, np.zeros(2), pts, np.full(16, 1 / 16))
         np.testing.assert_array_equal(alpha, [1.0])
 
     def test_two_records_split_at_midpoint(self):
-        store = make_store(flat_metric(), np.zeros((2, 2)), [[0.2], [0.8]])
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.2], [0.8]])
         pts = np.array([[0.125], [0.375], [0.625], [0.875]])
         alpha = pseudoexact_weights(store, np.zeros(2), pts, np.full(4, 0.25))
         np.testing.assert_allclose(alpha, [0.5, 0.5])
@@ -179,7 +254,7 @@ class TestPseudoexactWeights:
             K = rng.integers(2, 9)
             designs = rng.uniform(size=(K, 3))
             params = rng.uniform(size=(K, 1))
-            store = make_store(flat_metric(), designs, params)
+            store = make_store(unit_box(), designs, params)
             u = rng.uniform(size=3)
 
             T = 256
@@ -197,7 +272,7 @@ class TestPseudoexactWeights:
         rng = np.random.default_rng(6)
         designs = rng.uniform(size=(5, 3))
         params = rng.uniform(size=(5, 1))
-        store = make_store(flat_metric(), designs, params)
+        store = make_store(unit_box(), designs, params)
         u = rng.uniform(size=3)
         n_dense = 200_000
         dense = ((np.arange(n_dense) + 0.5) / n_dense)[:, None]
@@ -213,12 +288,18 @@ class TestPseudoexactWeights:
             prev_bound = bound
 
     def test_bad_quadrature_rejected(self):
-        store = make_store(flat_metric(), np.zeros((1, 2)), [[0.5]])
+        store = make_store(unit_box(), np.zeros((1, 2)), [[0.5]])
         with pytest.raises(ValueError):
             pseudoexact_weights(store, np.zeros(2), [[0.1], [0.2]], [0.6, 0.5])
         with pytest.raises(ValueError):
-            pseudoexact_weights(SampleStore(metric=flat_metric()), np.zeros(2),
+            pseudoexact_weights(SampleStore(unit_box()), np.zeros(2),
                                 [[0.1]], [1.0])
+
+    @pytest.mark.parametrize("w", NON_FINITE_WEIGHTS)
+    def test_non_finite_quadrature_weights_rejected(self, w):
+        store = make_store(unit_box(), np.zeros((1, 2)), [[0.5]])
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            pseudoexact_weights(store, np.zeros(2), [[0.1], [0.2]], w)
 
     def test_weights_valid_over_many_random_configs(self):
         rng = np.random.default_rng(7)
@@ -227,7 +308,7 @@ class TestPseudoexactWeights:
             dim = rng.integers(1, 4)
             designs = rng.uniform(size=(K, dim))
             params = rng.uniform(size=(K, 1))
-            store = make_store(flat_metric(), designs, params)
+            store = make_store(unit_box(), designs, params)
             T = rng.integers(1, 33)
             pts = rng.uniform(size=(T, 1))
             w = rng.uniform(0.1, 1.0, size=T)
@@ -239,17 +320,17 @@ class TestPseudoexactWeights:
 
 class TestEmpiricalWeights:
     def test_single_record(self):
-        store = make_store(flat_metric(), np.zeros((1, 2)), [[0.3]])
+        store = make_store(unit_box(), np.zeros((1, 2)), [[0.3]])
         np.testing.assert_array_equal(empirical_weights(store, np.zeros(2)),
                                       [1.0])
 
     def test_two_separated_records(self):
-        store = make_store(flat_metric(), np.zeros((2, 2)), [[0.2], [0.8]])
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.2], [0.8]])
         np.testing.assert_allclose(empirical_weights(store, np.zeros(2)),
                                    [0.5, 0.5])
 
     def test_all_identical_smallest_index_wins(self):
-        store = make_store(flat_metric(), np.zeros((4, 2)),
+        store = make_store(unit_box(), np.zeros((4, 2)),
                            [[0.5], [0.5], [0.5], [0.5]])
         np.testing.assert_array_equal(empirical_weights(store, np.zeros(2)),
                                       [1.0, 0.0, 0.0, 0.0])
@@ -258,7 +339,7 @@ class TestEmpiricalWeights:
         rng = np.random.default_rng(8)
         designs = rng.uniform(size=(12, 5))
         params = rng.uniform(size=(12, 2))
-        store = make_store(flat_metric(dim=2), designs, params)
+        store = make_store(unit_box(2), designs, params)
         u = rng.uniform(size=5)
         alpha_e = empirical_weights(store, u)
         alpha_p = pseudoexact_weights(store, u, params, np.full(12, 1 / 12))
@@ -275,7 +356,7 @@ class TestAggregate:
     def test_identical_records_any_weights(self):
         p = self.smoothing()
         grad = np.array([1.0, 2.0, 3.0])
-        store = make_store(flat_metric(), np.zeros((3, 3)),
+        store = make_store(unit_box(), np.zeros((3, 3)),
                            [[0.1], [0.5], [0.9]],
                            values=[h_eval(0.5, p)] * 3, grads=[grad] * 3)
         for w in ([1, 0, 0], [0.2, 0.3, 0.5]):
@@ -290,7 +371,7 @@ class TestAggregate:
         rng = np.random.default_rng(11)
         omegas = rng.uniform(0, 2 * np.pi, size=200)
         values = h_eval(2.0 + np.cos(omegas) - p.c_max, p)
-        store = make_store(circle_metric(), np.zeros((200, 2)),
+        store = make_store(circle(), np.zeros((200, 2)),
                            omegas[:, None], values=values)
         T = 4096
         pts = np.linspace(0, 2 * np.pi, T, endpoint=False)[:, None]
@@ -314,7 +395,7 @@ class TestAggregate:
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 om = rng.uniform(0, 2 * np.pi, size=n)
-                store = make_store(circle_metric(), np.zeros((n, 1)), om[:, None],
+                store = make_store(circle(), np.zeros((n, 1)), om[:, None],
                                    values=h_eval(2.0 + np.cos(om) - p.c_max, p))
                 alpha = pseudoexact_weights(store, np.zeros(1), pts, w)
                 g_hat, _ = aggregate(store, alpha)
@@ -324,14 +405,14 @@ class TestAggregate:
 
     def test_precomposed_plain_average(self):
         grads = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
-        store = make_store(flat_metric(), np.zeros((2, 2)), [[0.2], [0.8]],
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.2], [0.8]],
                            values=[0.3, 0.7], grads=grads)
         g, dg = aggregate(store, np.array([0.25, 0.75]))
         assert g == pytest.approx(0.25 * 0.3 + 0.75 * 0.7)
         np.testing.assert_allclose(dg, [0.25, 1.5])
 
     def test_bad_weights(self):
-        store = make_store(flat_metric(), np.zeros((2, 2)), [[0.2], [0.8]])
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.2], [0.8]])
         with pytest.raises(ValueError):
             aggregate(store, np.array([0.7, 0.5]))
         with pytest.raises(ValueError):
@@ -339,10 +420,16 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(store, np.array([1.0]))
 
+    @pytest.mark.parametrize("w", NON_FINITE_WEIGHTS)
+    def test_non_finite_weights_rejected(self, w):
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.2], [0.8]])
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            aggregate(store, np.array(w))
+
 
 class TestEviction:
     def test_removes_zero_weight_record(self):
-        store = make_store(flat_metric(), np.zeros((3, 2)),
+        store = make_store(unit_box(), np.zeros((3, 2)),
                            [[0.1], [0.5], [0.9]])
         evict_min_weight(store, np.array([0.5, 0.0, 0.5]), 1)
         assert len(store) == 2
@@ -350,28 +437,36 @@ class TestEviction:
                                    [0.1, 0.9])
 
     def test_batch_eviction_order_preserved(self):
-        store = make_store(flat_metric(), np.zeros((5, 2)),
+        store = make_store(unit_box(), np.zeros((5, 2)),
                            [[0.1], [0.2], [0.3], [0.4], [0.5]])
         evict_min_weight(store, np.array([0.05, 0.4, 0.05, 0.1, 0.4]), 3)
         np.testing.assert_allclose(store.params.ravel(),
                                    [0.2, 0.5])
 
     def test_tie_break_smallest_index(self):
-        store = make_store(flat_metric(), np.zeros((3, 2)),
+        store = make_store(unit_box(), np.zeros((3, 2)),
                            [[0.1], [0.5], [0.9]])
         evict_min_weight(store, np.array([0.25, 0.25, 0.5]), 1)
         np.testing.assert_allclose(store.params.ravel(),
                                    [0.5, 0.9])
 
     def test_cannot_drain_store(self):
-        store = make_store(flat_metric(), np.zeros((2, 2)), [[0.1], [0.9]])
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.1], [0.9]])
         with pytest.raises(ValueError):
             evict_min_weight(store, np.array([0.5, 0.5]), 2)
+
+    @pytest.mark.parametrize("w", NON_FINITE_WEIGHTS + [
+        [0.7, 0.5], [1.5, -0.5], [1.0], [1.0, 0.0, 0.0]])
+    def test_bad_weights_leave_store_unchanged(self, w):
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.1], [0.9]])
+        with pytest.raises(ValueError):
+            evict_min_weight(store, np.array(w), 1)
+        np.testing.assert_array_equal(store.params, [[0.1], [0.9]])
 
     def test_reweighting_after_eviction_sums_to_one(self):
         rng = np.random.default_rng(13)
         designs = rng.uniform(size=(10, 3))
-        store = make_store(flat_metric(), designs, rng.uniform(size=(10, 1)))
+        store = make_store(unit_box(), designs, rng.uniform(size=(10, 1)))
         alpha = empirical_weights(store, rng.uniform(size=3))
         evict_min_weight(store, alpha, 4)
         alpha2 = empirical_weights(store, rng.uniform(size=3))
@@ -382,14 +477,11 @@ class TestEviction:
 
 def dense_owners(store, u, points):
     """Argmin over the whole (T, K) distance table: the oracle of _owners."""
-    m = store.metric
-    if m.design_scale == 0.0:
-        offsets = np.zeros(len(store))
-    else:
-        offsets = m.design_scale * m.design_dist2(store.designs,
-                                                  np.asarray(u, float))
-    d2 = (m.param_scale * m.param_dist2(points[:, None, :],
-                                        store.params[None, :, :])
+    designs = store.designs
+    offsets = (np.sum((designs - np.asarray(u, float)) ** 2, axis=-1)
+               / designs.shape[1])
+    d2 = (metric_dist2(space_coords(store.space), points[:, None, :],
+                       store.params[None, :, :])
           + offsets[None, :])
     return np.argmin(d2, axis=1)
 
@@ -412,19 +504,30 @@ _dyadic = st.integers(0, 16).map(lambda i: i / 16)
 _uniform = st.floats(0.0, 1.0, allow_nan=False)
 
 
+# box widths; a coordinate counts in units of its width, so the width
+# weighs the parameter distance against the design offsets. Powers of two
+# keep dyadic distances exact.
+_dyadic_widths = st.sampled_from([0.5, 1.0, 2.0])
+_widths = st.sampled_from([0.3, 1.0, 1.7, 3.0])
+
+
 @st.composite
-def owner_cases(draw, coords, design_scale, values):
-    n_coords = len(coords)
-    metric = JointMetric(coords=coords, design_scale=design_scale,
-                         param_scale=draw(st.sampled_from([0.5, 1.0, 3.0])))
+def owner_cases(draw, periodic, widths, values, one_design=False):
+    """Records, a design and points with coordinates drawn from values,
+    on a box [0, w) per coordinate with w drawn from widths."""
+    n_coords = len(periodic)
+    space = ParamSpace(tuple((0.0, draw(widths)) for _ in periodic),
+                       periodic)
     K = draw(st.integers(1, 60))
     n = draw(st.integers(1, 3))
     # a few distinct designs shared by consecutive batches, as in a run
     n_designs = draw(st.integers(1, K))
     designs = [np.array(draw(st.lists(values, min_size=n, max_size=n)))
                for _ in range(n_designs)]
+    if one_design:   # equal designs in separate batches: equal offsets
+        designs = designs[:1] * n_designs
     batch = -(-K // n_designs)
-    store = SampleStore(metric=metric)
+    store = SampleStore(space)
     pool = draw(st.lists(st.lists(values, min_size=n_coords,
                                   max_size=n_coords), min_size=1, max_size=K))
     params = np.array([pool[draw(st.integers(0, len(pool) - 1))]  # duplicates
@@ -441,40 +544,40 @@ def owner_cases(draw, coords, design_scale, values):
     return store, u, points
 
 
-CIRCLE = (ParamCoord("circular", period=1.0),)
-PLANE = (ParamCoord("flat"), ParamCoord("flat", scale=0.5))
+CIRCLE = (True,)
+PLANE = (False, False)
 
 
 class TestPrunedOwners:
     @settings(max_examples=100, deadline=None)
-    @given(owner_cases(CIRCLE, 1.0, _dyadic))
+    @given(owner_cases(CIRCLE, _dyadic_widths, _dyadic))
     def test_circular_dyadic_ties(self, case):
         assert_owners_match(*case)
 
     @settings(max_examples=100, deadline=None)
-    @given(owner_cases(CIRCLE, 1.0, _uniform))
+    @given(owner_cases(CIRCLE, _widths, _uniform))
     def test_circular_uniform(self, case):
         assert_owners_match(*case)
 
     @settings(max_examples=100, deadline=None)
-    @given(owner_cases(PLANE, 2.0, _dyadic))
+    @given(owner_cases(PLANE, _dyadic_widths, _dyadic))
     def test_flat_2d_dyadic_ties(self, case):
         assert_owners_match(*case)
 
     @settings(max_examples=100, deadline=None)
-    @given(owner_cases(PLANE, 0.7, _uniform))
+    @given(owner_cases(PLANE, _widths, _uniform))
     def test_flat_2d_uniform(self, case):
         assert_owners_match(*case)
 
     @settings(max_examples=100, deadline=None)
-    @given(owner_cases(CIRCLE, 0.0, _dyadic))
-    def test_zero_design_scale_all_offsets_equal(self, case):
+    @given(owner_cases(CIRCLE, _dyadic_widths, _dyadic, one_design=True))
+    def test_all_records_at_one_design(self, case):
         assert_owners_match(*case)
 
     def test_equal_offsets_midpoint_goes_to_smallest_index(self):
         # records 0 and 1 have equal designs; 0.5 is exactly midway
         for params in ([[0.75], [0.25]], [[0.25], [0.75]]):
-            store = make_store(flat_metric(), np.zeros((2, 2)), params)
+            store = make_store(unit_box(), np.zeros((2, 2)), params)
             assert_owners_match(store, np.zeros(2), [[0.5], [0.25], [0.75]])
             assert nearest(store, np.zeros(2), [0.5]) == 0
 
@@ -485,29 +588,28 @@ class TestPrunedOwners:
         # 0.25 and must still win
         designs = np.array([[0.5]] + [[0.0]] * 8)
         params = np.array([[0.5]] + [[0.0]] * 8)
-        store = make_store(flat_metric(), designs, params)
+        store = make_store(unit_box(), designs, params)
         assert_owners_match(store, np.zeros(1), [[0.5], [0.0], [0.25]])
         assert nearest(store, np.zeros(1), [0.5]) == 0
 
     def test_records_at_zero_and_just_below_period(self):
         period = 2 * np.pi
         eps = np.spacing(period)
-        m = circle_metric(period=period)
         for params in ([[0.0], [period - eps]], [[period - eps], [0.0]]):
-            store = make_store(m, np.zeros((2, 3)), params)
+            store = make_store(circle(period), np.zeros((2, 3)), params)
             pts = np.array([[0.0], [eps], [period - eps], [period - 2 * eps],
                             [np.pi], [np.pi - eps / 2], [period / 4]])
             assert_owners_match(store, np.zeros(3), pts)
 
     def test_many_records_without_pruning(self):
         rng = np.random.default_rng(21)
-        store = make_store(circle_metric(), np.zeros((300, 2)),
+        store = make_store(circle(), np.zeros((300, 2)),
                            rng.uniform(0, 2 * np.pi, size=(300, 1)))
         pts = np.linspace(0, 2 * np.pi, 512, endpoint=False)[:, None]
         assert_owners_match(store, np.zeros(2), pts)
 
     def test_non_finite_inputs_rejected(self):
-        store = make_store(flat_metric(), np.zeros((3, 2)),
+        store = make_store(unit_box(), np.zeros((3, 2)),
                            [[0.1], [0.5], [0.9]])
         pts, w = np.array([[0.2], [0.6]]), np.array([0.5, 0.5])
         for bad in (np.nan, np.inf, -np.inf):
@@ -549,8 +651,7 @@ class TestArrayStore:
     @given(_store_ops, st.integers(0, 2**32 - 1))
     def test_arrays_equal_stacked_records(self, ops, seed):
         rng = np.random.default_rng(seed)
-        m = flat_metric(dim=2)
-        store, model, calls, born = SampleStore(metric=m), [], [], 0
+        store, model, calls, born = SampleStore(unit_box(2)), [], [], 0
         for op in ops:
             if op[0] == "batch":
                 # whole=True appends the records as one batch, else one
@@ -581,7 +682,7 @@ class TestArrayStore:
             assert store._n_designs == len(set(calls))
 
     def test_one_design_row_per_call(self):
-        store = SampleStore(metric=flat_metric())
+        store = SampleStore(unit_box())
         design = np.full(3, 0.5)
         for k in range(3):
             # equal designs in separate calls are separate rows
@@ -593,7 +694,7 @@ class TestArrayStore:
                                       np.repeat([0, 1, 2], 4))
 
     def test_append_copies_the_batch(self):
-        store = SampleStore(metric=flat_metric(dim=2))
+        store = SampleStore(unit_box(2))
         design, params = np.zeros(3), np.full((2, 2), 0.5)
         values, grads = np.ones(2), np.ones((2, 3))
         store.append(design, params, values, grads, 4)
@@ -603,14 +704,14 @@ class TestArrayStore:
         assert_store_matches(store, want)
 
     def test_views_are_read_only(self):
-        store = make_store(flat_metric(), np.zeros((2, 2)), [[0.1], [0.9]])
+        store = make_store(unit_box(), np.zeros((2, 2)), [[0.1], [0.9]])
         for view in (store.params, store.values, store.gradients,
                      store.iteration_born):
             with pytest.raises(ValueError):
                 view[0] = 1
 
     def test_param_length_must_match_metric(self):
-        store = SampleStore(metric=flat_metric(dim=2))
+        store = SampleStore(unit_box(2))
         with pytest.raises(ValueError, match=r"params of shape \(1, 1\)"):
             store.append(np.zeros(3), [[0.5]], [0.0], np.zeros((1, 3)), 0)
         with pytest.raises(ValueError, match=r"params of shape \(1, 3\)"):
@@ -644,7 +745,7 @@ class TestArrayStore:
             "gradients-vector", "design-length", "design-matrix"])
     def test_bad_batch_leaves_store_unchanged(self, design, params, values,
                                               grads, message):
-        store = SampleStore(metric=flat_metric(dim=2))
+        store = SampleStore(unit_box(2))
         store.append(np.ones(3), [[0.1, 0.2]], [1.0], np.ones((1, 3)), 0)
         with pytest.raises(ValueError, match=message):
             store.append(design, params, values, grads, 1)
@@ -652,7 +753,7 @@ class TestArrayStore:
                                       np.ones(3), 0)])
 
     def test_design_length_must_match_stored_records(self):
-        store = make_store(flat_metric(), np.zeros((2, 3)), [[0.1], [0.9]])
+        store = make_store(unit_box(), np.zeros((2, 3)), [[0.1], [0.9]])
         with pytest.raises(ValueError, match="design length 4"):
             store.append(np.zeros(4), [[0.5]], [0.0], np.zeros((1, 4)), 2)
         assert len(store) == 2
@@ -661,7 +762,7 @@ class TestArrayStore:
         np.testing.assert_array_equal(store.designs, np.ones((1, 4)))
 
     def test_keep_rejects_bad_indices(self):
-        store = make_store(flat_metric(), np.zeros((3, 2)),
+        store = make_store(unit_box(), np.zeros((3, 2)),
                            [[0.1], [0.5], [0.9]])
         with pytest.raises(IndexError):
             store.keep([0, 3])
@@ -691,19 +792,12 @@ def plate_sample_param(rng, xi):
     return np.array([rng.uniform(*xi[0]), rng.uniform(*xi[1])])
 
 
-def wheel_metric():
-    return JointMetric(
-        coords=(ParamCoord("circular", period=2.0 * np.pi,
-                           scale=2.0 * np.pi),),
-        design_scale=1.0, param_scale=1.0)
+def wheel_coords():
+    return ((2.0 * np.pi, 2.0 * np.pi),)
 
 
-def plate_metric(xi):
-    widths = [hi - lo for lo, hi in xi]
-    return JointMetric(
-        coords=(ParamCoord("flat", scale=widths[0]),
-                ParamCoord("flat", scale=widths[1])),
-        design_scale=1.0, param_scale=1.0)
+def plate_coords(xi):
+    return tuple((None, hi - lo) for lo, hi in xi)
 
 
 def wheel_pseudo_quadrature(n_points):
@@ -756,7 +850,7 @@ def plate_space(ell):
 
 
 class TestParamSpace:
-    """Draws, metric, centre and rules of the wheel's circle and the
+    """Draws, distance, centre and rules of the wheel's circle and the
     plate's xi box equal the hand-written ones they replaced."""
 
     def test_plate_holds_its_xi_box(self):
@@ -780,9 +874,18 @@ class TestParamSpace:
                 assert rng.uniform() == ref.uniform()   # still in step
 
     def test_metric_matches(self):
-        assert WHEEL_SPACE.metric() == wheel_metric()
-        for ell in ELLS:
-            assert plate_space(ell).metric() == plate_metric(xi_range(ell))
+        rng = np.random.default_rng(9)
+        cases = [(WHEEL_SPACE, wheel_coords())] + [
+            (plate_space(ell), plate_coords(xi_range(ell))) for ell in ELLS]
+        for space, coords in cases:
+            x1 = space.sample(rng, 40)
+            # the points themselves, whole turns away on the circle
+            turns = rng.integers(-3, 4, size=x1.shape) * space.periodic
+            x2 = np.vstack([space.sample(rng, 50), x1,
+                            x1 + turns * 2.0 * np.pi])
+            np.testing.assert_array_equal(
+                space.dist2(x1[:, None], x2[None]),
+                metric_dist2(coords, x1[:, None], x2[None]))
 
     def test_centre_matches(self):
         np.testing.assert_array_equal(WHEEL_SPACE.centre(), [np.pi])
@@ -835,8 +938,11 @@ class TestParamSpace:
         assert rng.uniform() == ref.uniform()
         assert_rules_equal(space.trapezoid_rule(1), (np.array([[0.3]]),
                                                      np.array([1.0])))
-        with pytest.raises(ValueError, match="scale must be positive"):
-            space.metric()
+        # a zero-width interval adds nothing, in the (T, K) table shape of
+        # the owner search
+        d2 = space.dist2(np.full((3, 1, 1), 0.3), np.full((1, 2, 1), 0.3))
+        assert d2.shape == (3, 2)
+        np.testing.assert_array_equal(d2, 0.0)
 
     @pytest.mark.parametrize("counts", [0, -3, (0,), (2, 2)])
     def test_bad_circle_counts_rejected(self, counts):

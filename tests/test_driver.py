@@ -4,15 +4,8 @@ import pytest
 from smma.benchmarks import wheel_problem
 from smma.design_field import SimpParams
 from smma.driver import CSV_HEADER, IterationLog, RunConfig, run_smma
-from smma.csg_weights import JointMetric, ParamCoord, ParamSpace
+from smma.csg_weights import ParamSpace
 from smma.smoothing import SmoothingParams, h_deriv, h_eval
-
-
-class PointMass(ParamSpace):
-    """A zero-width interval: every draw and node is the point itself."""
-
-    def metric(self):
-        return JointMetric(coords=(ParamCoord("flat", scale=1.0),))
 
 
 class ToyProblem:
@@ -30,7 +23,8 @@ class ToyProblem:
     def __init__(self, n=4, x0=0.0):
         self.n = n
         self.x0 = x0
-        self.space = PointMass(((x0, x0),), (False,))
+        # a zero-width interval: every draw and node is the point itself
+        self.space = ParamSpace(((x0, x0),), (False,))
         self.w = np.linspace(1.0, 2.0, n)
         self.c0 = 4.0
         self.simp = SimpParams(s=1.0)
@@ -62,12 +56,10 @@ class ToyProblem:
     def compliances(self, rho, params):
         return self.c0 - float(self.w @ rho) + np.atleast_2d(params)[:, 0]
 
-    def evaluate_records(self, rho, params, want_grads=True):
+    def evaluate_records(self, rho, params):
         t = self.compliances(rho, params) - self.smoothing.c_max
-        values = h_eval(t, self.smoothing)
-        if not want_grads:
-            return values, None
-        return values, h_deriv(t, self.smoothing)[:, None] * -self.w
+        return (h_eval(t, self.smoothing),
+                h_deriv(t, self.smoothing)[:, None] * -self.w)
 
     def dense_raw(self, rho, spec=None):
         return self.compliances(rho, [[self.x0]]), np.array([1.0])

@@ -135,6 +135,12 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate_cc([1.0, 1.0], [-0.1, 1.1], p)
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.nan, np.nan],
+                                   [np.inf, 1.0]])
+    def test_non_finite_weights_rejected(self, w):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            aggregate_cc([1.0, 1.0], w, params())
+
     def test_tanh_vs_nonsmooth_triangle_bound(self):
         p = params()
         rng = np.random.default_rng(11)
