@@ -5,8 +5,9 @@ outer rim, loaded by a sharply localized normal traction whose direction
 omega is uniform on the circle. Uncertainty enters the right-hand side
 only, so one factorization serves a whole batch of load cases. Every load
 lives on the rim dofs R, so a compliance is F_R^T (K^-1)_RR F_R: dense
-verification with more load cases than R has dofs solves for the |R|
-columns of K^-1 at R once instead of one column per load case.
+verification factorizes the stiffness condensed onto R, whose Schur
+complement gives (K^-1)_RR from an |R|-square dense solve, and contracts
+every load case with it.
 
 Plate: 2l x 1l rectangle clamped at the bottom, loaded on a strip of the
 top edge at a random position omega with a random inclination alpha, and
@@ -17,7 +18,9 @@ only a few elements, so all xi of one call share one factorization of the
 unweakened design, each served by an exact rank-r update of it: a record's
 compliances and gradient come from the unweakened states U0 (one
 2 * n_omega-column sensitivity contraction per call) plus a rank-r
-correction per xi, and no weakened state is formed.
+correction per xi, and no weakened state is formed. Dense verification
+needs the states only at the loaded dofs and at the dofs the weakness
+reaches, and factorizes the stiffness condensed onto them.
 
 Both builders rescale their load so the initial design's compliance at the
 distribution-mean parameter equals 1, making the default cap c_max = 1.5
@@ -39,6 +42,7 @@ from .mesh_fem import (
     assemble_stiffness,
     build_disc_mesh,
     build_rect_mesh,
+    condensed_groups,
     element_quadratic_forms,
     low_rank_updates,
 )
@@ -136,6 +140,7 @@ class WheelProblem(_ProblemBase):
         nr, na = self.mesh.shape
         self._outer_nodes = nr * na + np.arange(na)
         self._build_rim_quadrature(na)
+        self._rim_view = self.mesh.condensed(self._rim_dofs)
 
     def _build_rim_quadrature(self, na: int) -> None:
         """Consistent rim traction: integrate f * n against the linear
@@ -249,20 +254,14 @@ class WheelProblem(_ProblemBase):
     def dense_raw(self, rho, spec=None):
         """Raw compliances on an equispaced circle rule (periodic trapezoid).
 
-        Costs one factorization plus min(n, |R|) solved columns. Up to |R|
-        points, the loads themselves are solved, as in `compliances`.
-        Beyond, the |R| unit columns at the rim dofs R are solved once,
-        G = (K^-1)_RR, and c = F_R^T G F_R for every point; the switch
-        point also keeps that (n_dofs, |R|) block below the direct (n_dofs,
-        n) one.
+        Costs one factorization of the stiffness condensed onto the rim
+        dofs R, which gives G = (K^-1)_RR from |R| dense unit columns, and
+        c = F_R^T G F_R for every point.
         """
         pts, w = self.space.trapezoid_rule(
             self.default_verify_spec if spec is None else spec)
         rim = self._rim_dofs
-        if len(w) <= rim.size:
-            values, _ = self.compliances(rho, pts)
-            return values, w
-        system = assemble_stiffness(self.mesh, self.stiffness_field(rho))
+        system = assemble_stiffness(self._rim_view, self.stiffness_field(rho))
         G = system.unit_columns(rim)[rim]
         FR = self.rim_loads(pts[:, 0])
         return np.sum(FR * (G @ FR), axis=0), w
@@ -421,7 +420,7 @@ class PlateProblem(_ProblemBase):
         cbar = (ix * cxx + iy * cyy + ixy * (cxy + cyx)) / width
         return cbar, Ux, Uy
 
-    def _weakened_blocks(self, rho, xis):
+    def _weakened_blocks(self, rho, xis, mesh):
         """(Ux0, Uy0, blocks): the unweakened states of the unit loads and
         an iterator of (cbar, update, kept), one per xi in turn.
 
@@ -431,10 +430,14 @@ class PlateProblem(_ProblemBase):
         update; cbar is the compliance of K(xi), and no state of K(xi) is
         formed. kept = 1 - g_xi is the share of each element's stiffness
         that xi leaves, computed once per xi.
+
+        mesh is self.mesh, or a view of it condensed onto the loaded dofs
+        and the dofs of every element whose stiffness a xi changes; the
+        states are then known at those dofs only, which is all cbar reads.
         """
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
-        system = assemble_stiffness(self.mesh, s0)
+        system = assemble_stiffness(mesh, s0)
         cbar0, Ux0, Uy0 = self.angle_averaged_block(system,
                                                     *self.load_block())
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
@@ -469,7 +472,7 @@ class PlateProblem(_ProblemBase):
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
-        Ux0, Uy0, blocks = self._weakened_blocks(rho, xis)
+        Ux0, Uy0, blocks = self._weakened_blocks(rho, xis, self.mesh)
         U0 = np.hstack([Ux0, Uy0])
         lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
         # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
@@ -506,13 +509,27 @@ class PlateProblem(_ProblemBase):
     def dense_raw(self, rho, spec=None):
         """Angle-averaged compliances on a xi trapezoid grid x omega nodes.
 
-        Every grid point is served by one factorization of the design.
+        The grid points are served by one factorization of the design
+        condensed onto keep = T u S: the loaded dofs T and the dofs S of
+        every element whose stiffness the weakness of a grid point
+        changes. Past 2048 kept dofs, consecutive groups of points get one
+        factorization each (see condensed_groups).
         """
         pts, lam = self.space.trapezoid_rule(
             self.default_verify_spec if spec is None else spec)
         rho = np.asarray(rho, dtype=float)
-        _, _, blocks = self._weakened_blocks(rho, pts)
-        values = np.stack([cbar for cbar, _, _ in blocks])
+        FxB, FyB = self.load_block()
+        loaded = np.flatnonzero(np.any(FxB != 0.0, axis=1)
+                                | np.any(FyB != 0.0, axis=1))
+        # the elements whose stiffness a xi changes: where g_xi is below
+        # half an ulp of 1, the kept share 1 - g_xi rounds to 1
+        reached = (self.mesh.edof[1.0 - self.weakness(xi) < 1.0]
+                   for xi in pts)
+        values = []
+        for group, view in condensed_groups(self.mesh, loaded, reached):
+            _, _, blocks = self._weakened_blocks(rho, pts[group], view)
+            values.extend(cbar for cbar, _, _ in blocks)
+        values = np.stack(values)
         weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
         return values.ravel(), weights
 

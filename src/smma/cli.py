@@ -423,6 +423,12 @@ def cmd_verify(design_path: str, config_path: str, points: int | None,
         if got != want:
             raise ConfigError(f"{design_path}: design {key} {got!r} does not "
                               f"match the {rc.problem_name} mesh's {want!r}")
+    # the physical design is (F rho)^s: a filter radius or SIMP exponent
+    # other than the one the design was saved with verifies another design
+    for key, want in (("simp", problem.simp.s), ("rmin", problem.filt.r_min)):
+        if header[key] != want:
+            raise ConfigError(f"{design_path}: design {key} {header[key]!r} "
+                              f"does not match the configured {want!r}")
     if rho.size != mesh.n_elements:
         raise ConfigError(
             f"design has {rho.size} values, mesh has "

@@ -33,8 +33,19 @@ of the reduced system stay in free-dof order; its unknowns are in the
 recorded order.
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
-of dofs in one block. The low-rank updates take their Z = K^-1 P from it,
-and the wheel's dense verification its rim block of K^-1.
+of dofs in one block. The low-rank updates take their Z = K^-1 P from it.
+
+A reader of K^-1 at a few dofs only (dense verification) assembles a
+`CondensedMesh`, `mesh.condensed(keep)`, instead (static condensation;
+Guyan, "Reduction of stiffness and mass matrices", AIAA J. 1965). Its
+factorization takes the rows and columns of K in one symmetric
+fill-reducing order (minimum degree on A^T + A, recorded once per mesh by
+its first condensed assembly) with the dofs keep moved last, and pivots
+on the diagonal, which K, being SPD, allows. Its trailing block L22 U22
+is then the Schur complement S of the other dofs, and the rows of K^-1 at
+keep are those of S^-1: a dense |keep|-square solve instead of one
+full-length solve per column. The loop's COLAMD factorization is not
+touched by it.
 """
 from __future__ import annotations
 
@@ -42,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 _GAUSS = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -166,6 +178,27 @@ class StiffnessPattern:
         return StiffnessPattern(indptr=indptr, indices=self.indices[take],
                                 slots=self.slots[take], columns=columns)
 
+    def permuted(self, order: np.ndarray) -> "StiffnessPattern":
+        """The pattern of K with its rows and columns both taken in the
+        order order: row and column i of it are free dof order[i]."""
+        n = self.indptr.size - 1
+        position = np.empty(n, dtype=np.intc)
+        position[order] = np.arange(n, dtype=np.intc)
+        stored = position if self.columns is None else position[self.columns]
+        # stored column j becomes column stored[j]: take the stored columns
+        # in turn, then sort each column's rows by their new position
+        source = np.argsort(stored)
+        counts = np.diff(self.indptr)[source]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(counts, out=indptr[1:])
+        take = (np.repeat(self.indptr[source] - indptr[:-1], counts)
+                + np.arange(indptr[-1]))
+        ids = sp.csc_matrix((take.astype(float), position[self.indices[take]],
+                             indptr), shape=(n, n))
+        ids.sort_indices()
+        return StiffnessPattern(indptr=indptr, indices=ids.indices,
+                                slots=self.slots[ids.data.astype(np.intp)])
+
 
 @dataclass
 class StructuredMesh:
@@ -176,7 +209,9 @@ class StructuredMesh:
     node), free_dofs (the dofs outside the Dirichlet set) and the pattern
     of the reduced stiffness matrix are derived from the connectivity on
     construction, which also checks it. The mesh's first factorization
-    records its column order on the pattern (see assemble_stiffness).
+    records its column order on the pattern, and its first condensed
+    factorization the symmetric order symmetric_order (see
+    assemble_stiffness).
     """
 
     kind: str                      # "rect" | "disc"
@@ -192,6 +227,8 @@ class StructuredMesh:
     edof: np.ndarray = field(init=False, repr=False)
     free_dofs: np.ndarray = field(init=False, repr=False)
     pattern: StiffnessPattern = field(init=False, repr=False, compare=False)
+    symmetric_order: np.ndarray | None = field(
+        init=False, default=None, repr=False, compare=False)
 
     @property
     def n_elements(self) -> int:
@@ -214,6 +251,18 @@ class StructuredMesh:
                                       self.dirichlet_dofs)
         self.pattern = StiffnessPattern.of(self.edof, self.free_dofs,
                                            self.n_dofs)
+
+    def condensed(self, keep) -> "CondensedMesh":
+        """This mesh's stiffness condensed onto keep, sorted free dofs."""
+        keep = np.asarray(keep)
+        if keep.ndim != 1 or keep.size == 0 or keep.dtype.kind not in "iu":
+            raise ValueError("keep must be a nonempty 1-D array of dof "
+                             "indices")
+        if np.any(np.diff(keep) <= 0):
+            raise ValueError("keep must be sorted and free of duplicates")
+        if not np.isin(keep, self.free_dofs).all():
+            raise ValueError("keep holds a dof outside the free dofs")
+        return CondensedMesh(self, keep)
 
 
 def build_rect_mesh(nx: int, ny: int, width: float, height: float,
@@ -321,6 +370,38 @@ def build_disc_mesh(n_radial: int, n_angular: int, r_inner_fixed: float,
 
 
 @dataclass
+class CondensedMesh:
+    """A mesh whose stiffness is read at the sorted free dofs keep only.
+
+    assemble_stiffness(view, s) factorizes K(s) in the order of the mesh's
+    symmetric_order with keep moved last, and returns the system of the
+    Schur complement onto keep (see FactorizedSystem). pattern is the
+    pattern of K in that order, in rows and columns alike, built by the
+    view's first assembly.
+    """
+
+    mesh: StructuredMesh
+    keep: np.ndarray
+    pattern: StiffnessPattern | None = field(default=None, repr=False)
+
+
+@dataclass
+class TrailingBlock:
+    """The dense trailing block L22 U22 of a factorization without
+    pivoting; it solves with the Schur complement S = L22 U22. nnz is the
+    whole factorization's stored nonzeros of L and U."""
+
+    L: np.ndarray      # unit lower triangular
+    U: np.ndarray      # upper triangular
+    nnz: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = solve_triangular(self.L, rhs, lower=True, unit_diagonal=True,
+                             check_finite=False)
+        return solve_triangular(self.U, y, check_finite=False)
+
+
+@dataclass
 class FactorizedSystem:
     """Direct factorization of the Dirichlet-reduced stiffness matrix.
 
@@ -328,24 +409,33 @@ class FactorizedSystem:
     its unknown j is the displacement of dof unknowns[j]: free_dofs in the
     mesh's first factorization, free_dofs[q] in every later one, where q
     is the column order that first factorization recorded.
+
+    A condensed system (from a CondensedMesh) has free_dofs = unknowns =
+    keep and lu the TrailingBlock of S: it solves loads that vanish off
+    keep, and its displacements are those of K at keep and zero elsewhere.
     """
 
     lu: object
     free_dofs: np.ndarray
     unknowns: np.ndarray
     n_dofs: int
+    condensed: bool = False
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K U = rhs for one (n_dofs,) or many (n_dofs, m) loads.
 
-        Returned displacements are zero at Dirichlet dofs.
+        Returned displacements are zero at Dirichlet dofs. A condensed
+        system raises ValueError on a load that is nonzero off keep.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_dofs:
             raise ValueError("rhs length does not match dof count")
+        kept = np.ascontiguousarray(rhs[self.free_dofs])
+        if self.condensed and np.count_nonzero(rhs) != np.count_nonzero(kept):
+            raise ValueError("a condensed system takes loads on its kept "
+                             "dofs only")
         u = np.zeros_like(rhs)
-        u[self.unknowns] = self.lu.solve(
-            np.ascontiguousarray(rhs[self.free_dofs]))
+        u[self.unknowns] = self.lu.solve(kept)
         return u
 
     def unit_columns(self, dofs) -> np.ndarray:
@@ -360,7 +450,7 @@ class FactorizedSystem:
         return self.solve(P)
 
 
-def assemble_stiffness(mesh: StructuredMesh,
+def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
                        stiffness_per_element) -> FactorizedSystem:
     """Assemble K = sum_e s_e * k0_e, eliminate Dirichlet dofs, factorize.
 
@@ -369,32 +459,18 @@ def assemble_stiffness(mesh: StructuredMesh,
     columns with COLAMD and records the order SuperLU used on the pattern;
     later ones receive the columns in that order and keep it ("NATURAL"),
     which yields the same L, U and solves as ordering afresh.
-    """
-    s = np.asarray(stiffness_per_element, dtype=float)
-    if s.shape != (mesh.n_elements,):
-        raise ValueError("stiffness list length must equal element count")
-    # written so that NaN fails it
-    bad = ~((s > 0.0) & (s < np.inf))
-    if bad.any():
-        e = int(np.argmax(bad))
-        raise ValueError(f"element stiffness factors must be positive and "
-                         f"finite, got {s[e]} at element {e}")
 
+    mesh may be a CondensedMesh; see _factorize_condensed.
+    """
+    if isinstance(mesh, CondensedMesh):
+        return _factorize_condensed(
+            mesh, _checked_factors(mesh.mesh, stiffness_per_element))
+    s = _checked_factors(mesh, stiffness_per_element)
     pattern = mesh.pattern
-    # the pad -0.0 adds nothing: x + (-0.0) is x, signed zeros included
-    scaled = np.append((mesh.element_matrices * s[:, None, None]).ravel(),
-                       -0.0)[pattern.slots]
-    data = scaled[:, 0].copy()
-    for k in range(1, scaled.shape[1]):
-        data += scaled[:, k]
-    free = mesh.free_dofs
-    K = sp.csc_matrix((data, pattern.indices, pattern.indptr),
-                      shape=(free.size, free.size))
     first = pattern.columns is None
-    try:
-        lu = splu(K, permc_spec="COLAMD" if first else "NATURAL")
-    except RuntimeError as exc:
-        raise FactorizationError(f"stiffness factorization failed: {exc}") from exc
+    lu = _splu(_assembled(mesh, pattern, s),
+               permc_spec="COLAMD" if first else "NATURAL")
+    free = mesh.free_dofs
     if first:
         # stored column j of A Pc is column q[j] of A: q inverts perm_c
         mesh.pattern = pattern.reordered(np.argsort(lu.perm_c))
@@ -405,10 +481,107 @@ def assemble_stiffness(mesh: StructuredMesh,
                             n_dofs=mesh.n_dofs)
 
 
-# unit columns of K0^-1 solved in one block: at most this many float64
-# entries (32 MB; the solve holds a few copies), so that a call with many
-# fields on a large mesh does not hold n_dofs columns at once
+def _factorize_condensed(view: CondensedMesh,
+                         s: np.ndarray) -> FactorizedSystem:
+    """The Schur complement of K(s) onto view.keep, from one factorization.
+
+    The mesh's first condensed assembly records SuperLU's minimum-degree
+    order on A^T + A as mesh.symmetric_order; every condensed assembly
+    takes K in that order, rows and columns alike, with keep moved last,
+    and factorizes it as it stands with diagonal pivots. Any other pivot
+    raises FactorizationError.
+    """
+    mesh = view.mesh
+    n = mesh.free_dofs.size
+    if mesh.symmetric_order is None:
+        natural = mesh.pattern.permuted(np.arange(n))
+        lu = _splu(_assembled(mesh, natural, s), permc_spec="MMD_AT_PLUS_A")
+        mesh.symmetric_order = np.argsort(lu.perm_c)
+    if view.pattern is None:
+        last = np.searchsorted(mesh.free_dofs, view.keep)
+        order = mesh.symmetric_order
+        view.pattern = mesh.pattern.permuted(
+            np.concatenate([order[~np.isin(order, last)], last]))
+    lu = _splu(_assembled(mesh, view.pattern, s), permc_spec="NATURAL",
+               diag_pivot_thresh=0.0)
+    identity = np.arange(n)
+    if not (np.array_equal(lu.perm_r, identity)
+            and np.array_equal(lu.perm_c, identity)):
+        raise FactorizationError("condensed factorization left the diagonal")
+    m = n - view.keep.size
+    block = TrailingBlock(L=lu.L[m:, m:].toarray(), U=lu.U[m:, m:].toarray(),
+                          nnz=lu.nnz)
+    return FactorizedSystem(lu=block, free_dofs=view.keep,
+                            unknowns=view.keep, n_dofs=mesh.n_dofs,
+                            condensed=True)
+
+
+def _checked_factors(mesh: StructuredMesh, stiffness_per_element):
+    s = np.asarray(stiffness_per_element, dtype=float)
+    if s.shape != (mesh.n_elements,):
+        raise ValueError("stiffness list length must equal element count")
+    # written so that NaN fails it
+    bad = ~((s > 0.0) & (s < np.inf))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(f"element stiffness factors must be positive and "
+                         f"finite, got {s[e]} at element {e}")
+    return s
+
+
+def _assembled(mesh: StructuredMesh, pattern: StiffnessPattern,
+               s: np.ndarray) -> sp.csc_matrix:
+    """K(s) in the layout of pattern."""
+    # the pad -0.0 adds nothing: x + (-0.0) is x, signed zeros included
+    scaled = np.append((mesh.element_matrices * s[:, None, None]).ravel(),
+                       -0.0)[pattern.slots]
+    data = scaled[:, 0].copy()
+    for k in range(1, scaled.shape[1]):
+        data += scaled[:, k]
+    n = pattern.indptr.size - 1
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(n, n))
+
+
+def _splu(K: sp.csc_matrix, **options):
+    try:
+        return splu(K, **options)
+    except RuntimeError as exc:
+        raise FactorizationError(
+            f"stiffness factorization failed: {exc}") from exc
+
+
+# unit columns of K0^-1 solved in one block, and the dense block of a
+# condensed system: at most this many float64 entries (32 MB; the solve
+# holds a few copies), so that a call with many fields on a large mesh
+# does not hold n_dofs columns, nor more than 2048 kept dofs, at once
 _UPDATE_BLOCK_ENTRIES = 2 ** 22
+
+
+def condensed_groups(mesh: StructuredMesh, base, dof_sets):
+    """Split dof_sets into consecutive groups, one condensed view each.
+
+    Yields (indices, view): the positions of a group's sets in dof_sets,
+    and mesh condensed onto the free dofs among base and those sets. A
+    group grows while its view keeps |keep|^2 within
+    _UPDATE_BLOCK_ENTRIES; a single set may exceed it alone.
+    """
+    is_free = np.zeros(mesh.n_dofs, dtype=bool)
+    is_free[mesh.free_dofs] = True
+    start = np.zeros(mesh.n_dofs, dtype=bool)
+    start[base] = True
+    start &= is_free
+    kept, group = start.copy(), []
+    for i, dofs in enumerate(dof_sets):
+        dofs = dofs[is_free[dofs]]
+        grown = np.count_nonzero(kept) + np.unique(dofs[~kept[dofs]]).size
+        if group and grown ** 2 > _UPDATE_BLOCK_ENTRIES:
+            yield group, mesh.condensed(np.flatnonzero(kept))
+            kept, group = start.copy(), []
+        kept[dofs] = True
+        group.append(i)
+    if group:
+        yield group, mesh.condensed(np.flatnonzero(kept))
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """Dense-quadrature ground truth for any design: `dense_cc`.
 
-Uses the optimizer's assembly and factorization, one per call; only the
+Uses the optimizer's assembly, with one factorization per call (one per
+group of grid points on a plate grid past 2048 kept dofs); only the
 parameter-space quadrature is dense. It is the trapezoid rule of the
 problem's ParamSpace: periodic, so equispaced, on the wheel's circle, and
 a tensor grid on the plate's weakness box, crossed with the plate's fixed
-omega rule. The plate serves the grid by the low-rank updates its records
-use. The wheel solves its loads as the optimizer does up to as many points
-as its rim has loaded dofs, and beyond that contracts every load with the
-rim block of K^-1 (see `WheelProblem.dense_raw`).
+omega rule. Both problems factorize the stiffness condensed onto the dofs
+the rule reads (`StructuredMesh.condensed`): the wheel contracts every
+load with the rim block of K^-1 (see `WheelProblem.dense_raw`), and the
+plate serves the grid by the low-rank updates its records use, at the
+loaded dofs and the dofs the weakness reaches.
 """
 from __future__ import annotations
 

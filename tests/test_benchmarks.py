@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smma import benchmarks
+from smma import benchmarks, mesh_fem
 from smma import design_field as df
 from smma.benchmarks import (
     angle_integrals,
@@ -218,8 +218,8 @@ def random_wheel_design(problem, seed):
 
 
 class TestWheelDenseRaw:
-    """Beyond |R| points, dense_raw contracts the rim block of K^-1; up to
-    |R| it solves the loads themselves, as `compliances` does."""
+    """dense_raw contracts the rim block of K^-1, from the stiffness
+    condensed onto the rim, for every rule size."""
 
     def test_rim_dofs_are_the_loaded_dofs(self):
         rim = DEFAULT_WHEEL._rim_dofs
@@ -228,7 +228,7 @@ class TestWheelDenseRaw:
         loaded = np.nonzero(np.any(F != 0.0, axis=1))[0]
         np.testing.assert_array_equal(loaded, rim)
 
-    @pytest.mark.parametrize("n", [145, 1080, 1081])
+    @pytest.mark.parametrize("n", [72, 144, 145, 1080, 1081])
     @pytest.mark.parametrize("design", ["initial", "random"])
     def test_rim_block_route_matches_direct(self, n, design):
         problem = DEFAULT_WHEEL
@@ -240,17 +240,7 @@ class TestWheelDenseRaw:
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(w, want_w)
 
-    @pytest.mark.parametrize("n", [72, 144])
-    @pytest.mark.parametrize("design", ["initial", "random"])
-    def test_direct_route_up_to_rim_size(self, n, design):
-        problem = DEFAULT_WHEEL
-        rho = (problem.initial_design() if design == "initial"
-               else random_wheel_design(problem, 31))
-        values, _ = problem.dense_raw(rho, n)
-        want, _ = problem.compliances(rho, problem.space.pseudo_rule(n)[0])
-        np.testing.assert_array_equal(values, want)
-
-    @pytest.mark.parametrize("n,columns", [(1080, 144), (72, 72)])
+    @pytest.mark.parametrize("n,columns", [(1080, 144), (72, 144)])
     def test_one_assembly_and_one_solve(self, monkeypatch, n, columns):
         assembled, solved = [], []
         assemble, solve = benchmarks.assemble_stiffness, FactorizedSystem.solve
@@ -526,4 +516,23 @@ class TestPlateReanalysis:
                                for xi in pts])
         np.testing.assert_allclose(values, want, rtol=1e-10)
         assert weights.sum() == pytest.approx(1.0)
+
+    def test_dense_raw_groups_within_the_block_budget(self, monkeypatch):
+        rho = np.random.default_rng(25).uniform(0.3, 0.9, FINE.n_design)
+        whole, weights = FINE.dense_raw(rho, (5, 5))
+        kept = []
+        assemble = benchmarks.assemble_stiffness
+
+        def counting_assemble(view, s):
+            kept.append(view.keep.size)
+            return assemble(view, s)
+
+        monkeypatch.setattr(benchmarks, "assemble_stiffness",
+                            counting_assemble)
+        budget = 100
+        monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES", budget ** 2)
+        values, w = FINE.dense_raw(rho, (5, 5))
+        assert len(kept) >= 2 and max(kept) <= budget
+        np.testing.assert_allclose(values, whole, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(w, weights)
 

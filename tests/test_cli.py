@@ -518,6 +518,26 @@ class TestVerifyCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        (("simp = 3", "simp = 5"), "design simp 3.0 does not match the "
+                                   "configured 5.0"),
+        (("simp = 3", "simp = 3\nrmin = 0.5"),
+         "design rmin 0.3375 does not match the configured 0.5"),
+    ], ids=["simp", "rmin"])
+    def test_design_from_another_model_exit_2(self, tmp_path, capsys, edit,
+                                              message):
+        # the same mesh: only the header's simp and rmin tell them apart
+        design = tmp_path / "design.txt"
+        problem = wheel_problem(n_radial=4, n_angular=10, simp_s=3.0)
+        save_design(design, problem, problem.initial_design())
+        cfg = write_config(tmp_path, TINY_WHEEL.replace(*edit),
+                           out=tmp_path / "o")
+        out = tmp_path / "v.csv"
+        assert main(["verify", str(design), str(cfg), "--out",
+                     str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRenderCommand:
     def header(self, kind="rect"):

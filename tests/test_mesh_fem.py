@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ from scipy.sparse.linalg import splu
 from smma import mesh_fem
 from smma.benchmarks import plate_problem, wheel_problem
 from smma.mesh_fem import (
+    FactorizationError,
     FactorizedSystem,
     assemble_stiffness,
     build_disc_mesh,
     build_rect_mesh,
+    condensed_groups,
     element_quadratic_forms,
     low_rank_updates,
     q4_unit_stiffness,
 )
+from smma.verify import dense_cc
 
 
 def analytic_unit_square_ke(nu):
@@ -234,9 +238,9 @@ def recorded_splu(monkeypatch):
     """Swap mesh_fem.splu for a wrapper; returns its (K, permc_spec) list."""
     calls = []
 
-    def record(K, permc_spec=None):
+    def record(K, permc_spec=None, **options):
         calls.append((K, permc_spec))
-        return splu(K, permc_spec=permc_spec)
+        return splu(K, permc_spec=permc_spec, **options)
 
     monkeypatch.setattr(mesh_fem, "splu", record)
     return calls
@@ -331,6 +335,145 @@ class TestPatternAssembly:
         f = np.zeros(mesh.n_dofs)
         f[free[-1]] = 1.0
         np.testing.assert_array_equal(first.solve(f), later.solve(f))
+
+
+# a plate and a wheel small enough to factorize in a few ms; the plate's
+# weakness changes the stiffness of an element only within about 0.005 of
+# its centroid, so a rule touches elements on the benchmark's mesh only
+SMALL_PLATE = plate_problem(nx=16, ny=8, n_omega=8)
+SMALL_WHEEL = wheel_problem(n_radial=8, n_angular=24)
+RULE_PLATE = plate_problem(nx=60, ny=30, n_omega=4)
+
+
+def condensed_keep(name):
+    """(mesh, keep) for the named view of a small plate or wheel."""
+    problem = SMALL_PLATE if name.startswith("rect") else SMALL_WHEEL
+    mesh = problem.mesh
+    free = mesh.free_dofs
+    if name == "disc-rim":
+        return mesh, problem._rim_dofs
+    if name == "rect-rule":
+        # T u S of a 5x5 rule, as the plate's dense_raw condenses it
+        problem = RULE_PLATE
+        mesh = problem.mesh
+        FxB, FyB = problem.load_block()
+        loaded = np.flatnonzero(np.any(FxB != 0.0, axis=1)
+                                | np.any(FyB != 0.0, axis=1))
+        pts, _ = problem.space.trapezoid_rule((5, 5))
+        reached = [mesh.edof[1.0 - problem.weakness(xi) < 1.0] for xi in pts]
+        ((_, view),) = condensed_groups(mesh, loaded, reached)
+        return mesh, view.keep
+    if name.endswith("single"):
+        return mesh, free[free.size // 3:free.size // 3 + 1]
+    if name.endswith("dirichlet"):
+        # the dofs of the elements that hold a clamped node
+        touching = np.isin(mesh.edof, mesh.dirichlet_dofs).any(axis=1)
+        return mesh, np.intersect1d(mesh.edof[touching], free)
+    return mesh, free
+
+
+class TestCondensed:
+    """The stiffness condensed onto a set of dofs against the loop's
+    factorization of the whole reduced matrix."""
+
+    @pytest.mark.parametrize("name", [
+        "disc-rim", "disc-single", "disc-dirichlet", "disc-all",
+        "rect-rule", "rect-single", "rect-dirichlet", "rect-all"])
+    def test_unit_columns_match_the_loop_factorization(self, name):
+        mesh, keep = condensed_keep(name)
+        rng = np.random.default_rng(5)
+        s = rng.uniform(0.05, 1.0, mesh.n_elements)
+        system = assemble_stiffness(mesh.condensed(keep), s)
+        np.testing.assert_array_equal(system.free_dofs, keep)
+        np.testing.assert_array_equal(system.unknowns, keep)
+        assert system.lu.nnz > 0
+        got = system.unit_columns(keep)
+        want = assemble_stiffness(mesh, s).unit_columns(keep)[keep]
+        np.testing.assert_array_equal(np.delete(got, keep, axis=0), 0.0)
+        np.testing.assert_allclose(got[keep], want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        # a load on keep: the displacements of K at keep
+        F = np.zeros((mesh.n_dofs, 2))
+        F[keep] = rng.standard_normal((keep.size, 2))
+        U = system.solve(F)
+        np.testing.assert_allclose(U[keep], want @ F[keep], rtol=0,
+                                   atol=1e-12 * np.abs(U).max())
+
+    def test_pattern_is_the_symmetric_permutation(self):
+        mesh = build_disc_mesh(3, 12, 0.1, 0.9)
+        n = mesh.free_dofs.size
+        order = np.random.default_rng(6).permutation(n)
+        s = np.random.default_rng(7).uniform(0.1, 1.0, mesh.n_elements)
+        for ordered in (False, True):
+            if ordered:
+                assemble_stiffness(mesh, s)
+            assert (mesh.pattern.columns is not None) == ordered
+            K = mesh_fem._assembled(mesh, mesh.pattern.permuted(order), s)
+            want = coo_stiffness(mesh, s)[order][:, order].tocsc()
+            want.sort_indices()
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(K, attr),
+                                              getattr(want, attr))
+
+    @pytest.mark.parametrize("keep,message", [
+        (lambda mesh: mesh.dirichlet_dofs[:1], "outside the free dofs"),
+        (lambda mesh: mesh.free_dofs[[3, 3, 4]], "sorted and free of dup"),
+        (lambda mesh: mesh.free_dofs[[4, 3]], "sorted and free of dup"),
+        (lambda mesh: np.array([mesh.n_dofs]), "outside the free dofs"),
+        (lambda mesh: np.zeros(0, dtype=int), "nonempty"),
+        (lambda mesh: mesh.free_dofs[:2].astype(float), "nonempty"),
+    ], ids=["dirichlet", "duplicate", "unsorted", "out-of-range", "empty",
+            "float"])
+    def test_bad_keep_rejected(self, keep, message):
+        mesh = build_rect_mesh(3, 2, 3.0, 2.0)
+        with pytest.raises(ValueError, match=message):
+            mesh.condensed(keep(mesh))
+
+    def test_load_off_keep_rejected(self):
+        mesh = build_rect_mesh(3, 2, 3.0, 2.0)
+        keep = mesh.free_dofs[-4:]
+        system = assemble_stiffness(mesh.condensed(keep),
+                                    np.ones(mesh.n_elements))
+        f = np.zeros(mesh.n_dofs)
+        f[keep] = 1.0
+        assert np.all(np.isfinite(system.solve(f)))
+        for dof in (mesh.free_dofs[0], mesh.dirichlet_dofs[0]):
+            g = f.copy()
+            g[dof] = 1e-300
+            with pytest.raises(ValueError, match="kept dofs only"):
+                system.solve(g)
+        with pytest.raises(ValueError, match="kept dofs only"):
+            system.unit_columns(mesh.free_dofs[:1])
+
+    def test_pivot_off_the_diagonal_raises(self, monkeypatch):
+        mesh = build_rect_mesh(3, 2, 3.0, 2.0)
+        view = mesh.condensed(mesh.free_dofs[-2:])
+
+        def pivoting(K, permc_spec=None, **options):
+            lu = splu(K, permc_spec=permc_spec, **options)
+            if permc_spec != "NATURAL":
+                return lu
+            return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c)
+
+        monkeypatch.setattr(mesh_fem, "splu", pivoting)
+        with pytest.raises(FactorizationError, match="diagonal"):
+            assemble_stiffness(view, np.ones(mesh.n_elements))
+
+    def test_orders_recorded_once(self, monkeypatch):
+        calls = recorded_splu(monkeypatch)
+        specs = lambda: [spec for _, spec in calls]   # noqa: E731
+        wheel = wheel_problem(n_radial=6, n_angular=16)
+        plate = plate_problem(nx=12, ny=6, n_omega=4)
+        # each builder calibrates with one factorization: COLAMD, no MMD
+        assert specs() == ["COLAMD", "COLAMD"]
+        for problem, spec in ((wheel, 30), (plate, (3, 3))):
+            del calls[:]
+            clone = problem.with_simp(3.0)
+            for verified in (problem, problem, clone):
+                dense_cc(verified.initial_design(), verified, spec)
+            assert specs() == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
+            assert problem.mesh.symmetric_order is not None
+            assert clone.mesh is problem.mesh
 
 
 class TestSolve:
