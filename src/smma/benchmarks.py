@@ -255,15 +255,18 @@ class WheelProblem(_ProblemBase):
         """Raw compliances on an equispaced circle rule (periodic trapezoid).
 
         Costs one factorization of the stiffness condensed onto the rim
-        dofs R, which gives G = (K^-1)_RR from |R| dense unit columns, and
+        dofs R, whose |R| dense unit columns are G = (K^-1)_RR, and
         c = F_R^T G F_R for every point.
         """
         pts, w = self.space.trapezoid_rule(
             self.default_verify_spec if spec is None else spec)
-        rim = self._rim_dofs
-        system = assemble_stiffness(self._rim_view, self.stiffness_field(rho))
-        G = system.unit_columns(rim)[rim]
+        # the loads first: the factorization then reuses the memory of
+        # their temporaries (about 12 MB at 1080 points); in the other
+        # order the allocator tends to return that memory to the system
+        # after each call and fault it in again on the next
         FR = self.rim_loads(pts[:, 0])
+        system = assemble_stiffness(self._rim_view, self.stiffness_field(rho))
+        G = system.unit_columns(self._rim_dofs)
         return np.sum(FR * (G @ FR), axis=0), w
 
 
@@ -348,34 +351,50 @@ class PlateProblem(_ProblemBase):
 
     def _consistent_profile(self, omega: float) -> np.ndarray:
         """Nodal loads from integrating the bump against the top-edge
-        shape functions: composite Gauss on fixed panels over the bump
-        support, split at edge boundaries. Even a bump narrower than one
-        edge produces its full resultant, independent of node alignment."""
+        shape functions (see _profiles)."""
+        return self._profiles([omega])[:, 0]
+
+    def _profiles(self, omegas) -> np.ndarray:
+        """(top nodes, n) consistent profiles, one column per omega, in
+        one pass: composite Gauss on fixed panels over the bump support,
+        split at edge boundaries. Even a bump narrower than one edge
+        produces its full resultant, independent of node alignment."""
+        omegas = np.asarray(omegas, dtype=float).reshape(-1)
         x = self._top_x
-        nodal = np.zeros(x.size)
+        nodal = np.zeros((x.size, omegas.size))
         gp, gw = self._gauss
-        lo = max(omega - self.bump_radius, x[0])
-        hi = min(omega + self.bump_radius, x[-1])
-        if hi <= lo:
-            return nodal
+        lo = np.maximum(omegas - self.bump_radius, x[0])
+        hi = np.minimum(omegas + self.bump_radius, x[-1])
+        live = np.flatnonzero(hi > lo)
+        lo, hi = lo[live, None], hi[live, None]
         # cosine-graded panels: the bump is infinitely flat but strongly
         # non-polynomial at its support ends, so crowd the cuts there
         u = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi,
                                             self._bump_panels + 1)))
-        cuts = lo + (hi - lo) * u
-        interior = x[(x > lo) & (x < hi)]
-        cuts = np.unique(np.concatenate([cuts, interior]))
+        # each omega's cuts and the nodes inside its support, sorted and
+        # free of duplicates; inf pads a row
+        cuts = np.sort(np.hstack([lo + (hi - lo) * u,
+                                  np.where((x > lo) & (x < hi), x, np.inf)]),
+                       axis=1)
+        kept = cuts < np.inf
+        kept[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+        row, _ = np.nonzero(kept)
+        cuts = cuts[kept]
+        # a panel joins two consecutive cuts of one omega
+        panel = row[1:] == row[:-1]
+        a, b = cuts[:-1][panel, None], cuts[1:][panel, None]
+        col = live[row[:-1][panel]]
         # every panel at once; each panel adds to its edge's nodes (e, e+1)
-        # in panel order, as a loop over the panels would
-        a, b = cuts[:-1, None], cuts[1:, None]
+        # of its omega's column in panel order, as a loop over them would
         e = np.minimum(np.searchsorted(x, 0.5 * (a + b)[:, 0]) - 1,
                        x.size - 2)
         t = 0.5 * (b - a) * gp + 0.5 * (a + b)
-        w = 0.5 * (b - a) * gw * self.bump(t, omega)
+        w = 0.5 * (b - a) * gw * self.bump(t, omegas[col, None])
         phi = (t - x[e, None]) / (x[e + 1, None] - x[e, None])
         terms = np.column_stack([np.sum(w * (1.0 - phi), axis=1),
                                  np.sum(w * phi, axis=1)])
-        np.add.at(nodal, np.column_stack([e, e + 1]).ravel(), terms.ravel())
+        np.add.at(nodal, (np.column_stack([e, e + 1]).ravel(),
+                          np.repeat(col, 2)), terms.ravel())
         return nodal
 
     def load_pair(self, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -395,8 +414,12 @@ class PlateProblem(_ProblemBase):
         """(n_dofs, n_omega) blocks of Fx and Fy over the omega nodes."""
         cache = getattr(self, "_load_cache", None)
         if cache is None or cache[0] != self.load_scale:
-            pairs = [self.load_pair(float(om)) for om in self.omega_nodes]
-            cache = (self.load_scale, *map(np.column_stack, zip(*pairs)))
+            prof = self._profiles(self.omega_nodes) * self.load_scale
+            FxB = np.zeros((self.mesh.n_dofs, self.n_omega))
+            FyB = np.zeros((self.mesh.n_dofs, self.n_omega))
+            FxB[2 * self._top_nodes] = prof
+            FyB[2 * self._top_nodes + 1] = -prof
+            cache = (self.load_scale, FxB, FyB)
             self._load_cache = cache
         return cache[1], cache[2]
 
@@ -420,7 +443,7 @@ class PlateProblem(_ProblemBase):
         cbar = (ix * cxx + iy * cyy + ixy * (cxy + cyx)) / width
         return cbar, Ux, Uy
 
-    def _weakened_blocks(self, rho, xis, mesh):
+    def _weakened_blocks(self, rho, shares, mesh):
         """(Ux0, Uy0, blocks): the unweakened states of the unit loads and
         an iterator of (cbar, update, kept), one per xi in turn.
 
@@ -428,25 +451,27 @@ class PlateProblem(_ProblemBase):
         weakness reaches, so one factorization of K0 and one block solve
         of the 2 * n_omega loads serve every xi through an exact low-rank
         update; cbar is the compliance of K(xi), and no state of K(xi) is
-        formed. kept = 1 - g_xi is the share of each element's stiffness
-        that xi leaves, computed once per xi.
+        formed. shares yields kept = 1 - g_xi per xi, the share of each
+        element's stiffness that xi leaves.
 
         mesh is self.mesh, or a view of it condensed onto the loaded dofs
         and the dofs of every element whose stiffness a xi changes; the
-        states are then known at those dofs only, which is all cbar reads.
+        loads and states then have one row per kept dof, which is all
+        cbar reads.
         """
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
         system = assemble_stiffness(mesh, s0)
-        cbar0, Ux0, Uy0 = self.angle_averaged_block(system,
-                                                    *self.load_block())
+        FxB, FyB = self.load_block()
+        if system.condensed:
+            FxB, FyB = FxB[system.free_dofs], FyB[system.free_dofs]
+        cbar0, Ux0, Uy0 = self.angle_averaged_block(system, FxB, FyB)
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
 
         def blocks():
             # the updates consume the fields a group ahead; tee holds the
             # kept shares until their update comes out
-            kept, kept_fields = itertools.tee(
-                1.0 - self.weakness(xi) for xi in xis)
+            kept, kept_fields = itertools.tee(shares)
             updates = low_rank_updates(system, self.mesh, s0,
                                        (s0 * k for k in kept_fields))
             for update, k in zip(updates, kept):
@@ -472,7 +497,8 @@ class PlateProblem(_ProblemBase):
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
-        Ux0, Uy0, blocks = self._weakened_blocks(rho, xis, self.mesh)
+        Ux0, Uy0, blocks = self._weakened_blocks(
+            rho, (1.0 - self.weakness(xi) for xi in xis), self.mesh)
         U0 = np.hstack([Ux0, Uy0])
         lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
         # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
@@ -512,8 +538,10 @@ class PlateProblem(_ProblemBase):
         The grid points are served by one factorization of the design
         condensed onto keep = T u S: the loaded dofs T and the dofs S of
         every element whose stiffness the weakness of a grid point
-        changes. Past 2048 kept dofs, consecutive groups of points get one
-        factorization each (see condensed_groups).
+        changes. The loads, states and low-rank updates have one row per
+        kept dof. Past 2048 kept dofs, consecutive groups of points get
+        one factorization each (see condensed_groups). The weakness is
+        evaluated once per grid point.
         """
         pts, lam = self.space.trapezoid_rule(
             self.default_verify_spec if spec is None else spec)
@@ -521,13 +549,19 @@ class PlateProblem(_ProblemBase):
         FxB, FyB = self.load_block()
         loaded = np.flatnonzero(np.any(FxB != 0.0, axis=1)
                                 | np.any(FyB != 0.0, axis=1))
-        # the elements whose stiffness a xi changes: where g_xi is below
-        # half an ulp of 1, the kept share 1 - g_xi rounds to 1
-        reached = (self.mesh.edof[1.0 - self.weakness(xi) < 1.0]
-                   for xi in pts)
+        shares = {}   # kept shares of the points read but not yet served
+
+        def reached():
+            for i, xi in enumerate(pts):
+                shares[i] = kept = 1.0 - self.weakness(xi)
+                # the elements whose stiffness xi changes: where g_xi is
+                # below half an ulp of 1, the kept share rounds to 1
+                yield self.mesh.edof[kept < 1.0]
+
         values = []
-        for group, view in condensed_groups(self.mesh, loaded, reached):
-            _, _, blocks = self._weakened_blocks(rho, pts[group], view)
+        for group, view in condensed_groups(self.mesh, loaded, reached()):
+            _, _, blocks = self._weakened_blocks(
+                rho, (shares.pop(i) for i in group), view)
             values.extend(cbar for cbar, _, _ in blocks)
         values = np.stack(values)
         weights = (lam[:, None] * self.omega_weights[None, :]).ravel()

@@ -39,13 +39,17 @@ A reader of K^-1 at a few dofs only (dense verification) assembles a
 `CondensedMesh`, `mesh.condensed(keep)`, instead (static condensation;
 Guyan, "Reduction of stiffness and mass matrices", AIAA J. 1965). Its
 factorization takes the rows and columns of K in one symmetric
-fill-reducing order (minimum degree on A^T + A, recorded once per mesh by
-its first condensed assembly) with the dofs keep moved last, and pivots
-on the diagonal, which K, being SPD, allows. Its trailing block L22 U22
-is then the Schur complement S of the other dofs, and the rows of K^-1 at
-keep are those of S^-1: a dense |keep|-square solve instead of one
-full-length solve per column. The loop's COLAMD factorization is not
-touched by it.
+fill-reducing order with the dofs keep moved last, and pivots on the
+diagonal, which K, being SPD, allows. Its trailing block L22 U22 is then
+the Schur complement S of the other dofs, and the rows of K^-1 at keep are
+those of S^-1: a dense |keep|-square solve instead of one full-length
+solve per column. Its loads and states have one row per kept dof, so no
+n_dofs-long block is formed. The order is minimum degree on the graph of
+the free nodes (George & Liu, "The evolution of the minimum degree
+ordering algorithm", SIAM Review 1989), each node expanded to its x and y
+dofs: it is recorded once per mesh by its first condensed assembly, from
+one factorization of a node-level matrix with half the rows of K. The
+loop's COLAMD factorization is not touched by it.
 """
 from __future__ import annotations
 
@@ -210,8 +214,9 @@ class StructuredMesh:
     of the reduced stiffness matrix are derived from the connectivity on
     construction, which also checks it. The mesh's first factorization
     records its column order on the pattern, and its first condensed
-    factorization the symmetric order symmetric_order (see
-    assemble_stiffness).
+    factorization the symmetric order symmetric_order: minimum degree on
+    the free-node graph, each node's free dofs adjacent, as positions in
+    free_dofs (see assemble_stiffness).
     """
 
     kind: str                      # "rect" | "disc"
@@ -375,9 +380,9 @@ class CondensedMesh:
 
     assemble_stiffness(view, s) factorizes K(s) in the order of the mesh's
     symmetric_order with keep moved last, and returns the system of the
-    Schur complement onto keep (see FactorizedSystem). pattern is the
-    pattern of K in that order, in rows and columns alike, built by the
-    view's first assembly.
+    Schur complement onto keep, whose loads and states have one row per
+    kept dof (see FactorizedSystem). pattern is the pattern of K in that
+    order, in rows and columns alike, built by the view's first assembly.
     """
 
     mesh: StructuredMesh
@@ -405,14 +410,16 @@ class TrailingBlock:
 class FactorizedSystem:
     """Direct factorization of the Dirichlet-reduced stiffness matrix.
 
-    Row i of the reduced system is the equation of dof free_dofs[i], and
-    its unknown j is the displacement of dof unknowns[j]: free_dofs in the
+    Loads and states have one row per dof of the mesh (n_dofs rows). Row i
+    of the reduced system is the equation of dof free_dofs[i], and its
+    unknown j is the displacement of dof unknowns[j]: free_dofs in the
     mesh's first factorization, free_dofs[q] in every later one, where q
     is the column order that first factorization recorded.
 
     A condensed system (from a CondensedMesh) has free_dofs = unknowns =
-    keep and lu the TrailingBlock of S: it solves loads that vanish off
-    keep, and its displacements are those of K at keep and zero elsewhere.
+    keep and lu the TrailingBlock of S. Its loads and states have one row
+    per kept dof, in the order of keep: a load on keep gives the
+    displacements of K at keep.
     """
 
     lu: object
@@ -421,32 +428,51 @@ class FactorizedSystem:
     n_dofs: int
     condensed: bool = False
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K U = rhs for one (n_dofs,) or many (n_dofs, m) loads.
+    @property
+    def n_rows(self) -> int:
+        """The row count of this system's loads and states."""
+        return self.free_dofs.size if self.condensed else self.n_dofs
 
-        Returned displacements are zero at Dirichlet dofs. A condensed
-        system raises ValueError on a load that is nonzero off keep.
+    def rows(self, dofs) -> np.ndarray:
+        """The rows of dofs in this system's loads and states.
+
+        A condensed system raises ValueError on a dof outside keep.
+        """
+        dofs = np.asarray(dofs, dtype=int)
+        if not self.condensed:
+            return dofs
+        keep = self.free_dofs
+        rows = np.minimum(np.searchsorted(keep, dofs), keep.size - 1)
+        if not np.array_equal(keep[rows], dofs):
+            raise ValueError("a condensed system has rows for its kept dofs "
+                             "only")
+        return rows
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve K U = rhs for one (n_rows,) or many (n_rows, m) loads.
+
+        Returned displacements are zero at Dirichlet dofs.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.n_dofs:
-            raise ValueError("rhs length does not match dof count")
-        kept = np.ascontiguousarray(rhs[self.free_dofs])
-        if self.condensed and np.count_nonzero(rhs) != np.count_nonzero(kept):
-            raise ValueError("a condensed system takes loads on its kept "
-                             "dofs only")
+        if rhs.shape[0] != self.n_rows:
+            raise ValueError(f"rhs has {rhs.shape[0]} rows, the system "
+                             f"{self.n_rows}")
+        if self.condensed:
+            return self.lu.solve(rhs)
         u = np.zeros_like(rhs)
-        u[self.unknowns] = self.lu.solve(kept)
+        u[self.unknowns] = self.lu.solve(
+            np.ascontiguousarray(rhs[self.free_dofs]))
         return u
 
     def unit_columns(self, dofs) -> np.ndarray:
-        """K^-1 P, (n_dofs, len(dofs)), for the unit columns P of dofs.
+        """K^-1 P, (n_rows, len(dofs)), for the unit columns P of dofs.
 
         One block solve; column j is the response to a unit load at
         dofs[j] (zero for a Dirichlet dof).
         """
         dofs = np.asarray(dofs, dtype=int)
-        P = np.zeros((self.n_dofs, dofs.size))
-        P[dofs, np.arange(dofs.size)] = 1.0
+        P = np.zeros((self.n_rows, dofs.size))
+        P[self.rows(dofs), np.arange(dofs.size)] = 1.0
         return self.solve(P)
 
 
@@ -485,8 +511,8 @@ def _factorize_condensed(view: CondensedMesh,
                          s: np.ndarray) -> FactorizedSystem:
     """The Schur complement of K(s) onto view.keep, from one factorization.
 
-    The mesh's first condensed assembly records SuperLU's minimum-degree
-    order on A^T + A as mesh.symmetric_order; every condensed assembly
+    The mesh's first condensed assembly records its node-graph order as
+    mesh.symmetric_order (see _node_graph_order); every condensed assembly
     takes K in that order, rows and columns alike, with keep moved last,
     and factorizes it as it stands with diagonal pivots. Any other pivot
     raises FactorizationError.
@@ -494,9 +520,7 @@ def _factorize_condensed(view: CondensedMesh,
     mesh = view.mesh
     n = mesh.free_dofs.size
     if mesh.symmetric_order is None:
-        natural = mesh.pattern.permuted(np.arange(n))
-        lu = _splu(_assembled(mesh, natural, s), permc_spec="MMD_AT_PLUS_A")
-        mesh.symmetric_order = np.argsort(lu.perm_c)
+        mesh.symmetric_order = _node_graph_order(mesh)
     if view.pattern is None:
         last = np.searchsorted(mesh.free_dofs, view.keep)
         order = mesh.symmetric_order
@@ -514,6 +538,32 @@ def _factorize_condensed(view: CondensedMesh,
     return FactorizedSystem(lu=block, free_dofs=view.keep,
                             unknowns=view.keep, n_dofs=mesh.n_dofs,
                             condensed=True)
+
+
+def _node_graph_order(mesh: StructuredMesh) -> np.ndarray:
+    """SuperLU's minimum-degree order on A^T + A of the free-node graph,
+    with each node expanded to its free dofs, x before y: positions in
+    mesh.free_dofs.
+
+    Two free nodes are adjacent when an element holds both. The order
+    depends on that structure only. The values make the matrix strictly
+    diagonally dominant, so the factorization that computes the order
+    cannot fail: each element adds 4 to a node's diagonal and -1 for each
+    of at most 3 other nodes to its row.
+    """
+    nodes, node_of = np.unique(mesh.free_dofs // 2, return_inverse=True)
+    position = np.full(mesh.nodes.shape[0], -1)
+    position[nodes] = np.arange(nodes.size)
+    e = position[mesh.elements]
+    rows = np.repeat(e, 4, axis=1).ravel()
+    cols = np.tile(e, (1, 4)).ravel()
+    both = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[both], cols[both]
+    graph = sp.csc_matrix((np.where(rows == cols, 4.0, -1.0), (rows, cols)),
+                          shape=(nodes.size, nodes.size))
+    lu = _splu(graph, permc_spec="MMD_AT_PLUS_A")
+    # perm_c[i] is the step at which node i is eliminated
+    return np.argsort(lu.perm_c[node_of], kind="stable")
 
 
 def _checked_factors(mesh: StructuredMesh, stiffness_per_element):
@@ -594,10 +644,15 @@ class LowRankUpdate:
     An empty S is the rank-0 update K = K0. No state of K is formed:
     compliances and quadratic forms of K come from those of K0 plus
     |S|-column corrections.
+
+    Z and the states passed in have the rows of the factorized system:
+    n_dofs rows, or one per kept dof of a condensed system; rows locates
+    S among them.
     """
 
     dofs: np.ndarray   # S: sorted free dof indices
-    Z: np.ndarray      # (n_dofs, |S|)
+    rows: np.ndarray   # the rows of S in Z and in the states
+    Z: np.ndarray      # (system rows, |S|)
     M: np.ndarray      # (|S|, |S|)
 
     def form_drop(self, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
@@ -605,7 +660,7 @@ class LowRankUpdate:
 
         K0 is symmetric, so Z^T F_i = P^T U_i: no state of K is needed.
         """
-        return np.sum(U1[self.dofs] * (self.M @ U2[self.dofs]), axis=0)
+        return np.sum(U1[self.rows] * (self.M @ U2[self.rows]), axis=0)
 
     def form_change(self, U0: np.ndarray,
                     B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -617,7 +672,7 @@ class LowRankUpdate:
         C = M P^T U0, so with W = U0 B C^T and H = C B C^T the change is
         tr(k Z H Z^T) - 2 tr(k Z W^T): Y = Z H - 2 W.
         """
-        C = self.M @ U0[self.dofs]
+        C = self.M @ U0[self.rows]
         BCt = B @ C.T
         return self.Z, self.Z @ (C @ BCt) - 2.0 * (U0 @ BCt)
 
@@ -641,14 +696,15 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh,
                      s0, fields):
     """Yield one LowRankUpdate per stiffness field, in order.
 
-    system is the factorization of K(s0). Fields that change only a few
+    system is the factorization of K(s0), whole or condensed onto a keep
+    that holds every changed free dof. Fields that change only a few
     element factors give low-rank updates; Z for the union of their dofs
     comes from one block solve of unit columns. When that block would
     exceed _UPDATE_BLOCK_ENTRIES, the fields are split into consecutive
     groups with one block solve each.
     """
     s0 = np.asarray(s0, dtype=float)
-    budget = max(1, _UPDATE_BLOCK_ENTRIES // mesh.n_dofs)
+    budget = max(1, _UPDATE_BLOCK_ENTRIES // system.n_rows)
     group: list = []
     columns: set = set()
     for s in fields:
@@ -665,10 +721,13 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh,
 def _solve_group(system: FactorizedSystem, group, columns):
     union = np.array(sorted(columns), dtype=int)
     Z = system.unit_columns(union)
+    union_rows = system.rows(union)
     for dofs, dK in group:
-        Zs = Z[:, np.searchsorted(union, dofs)]
-        M = np.linalg.solve(np.eye(dofs.size) + dK @ Zs[dofs], dK)
-        yield LowRankUpdate(dofs=dofs, Z=Zs, M=M)
+        at = np.searchsorted(union, dofs)
+        rows = union_rows[at]
+        Zs = Z[:, at]
+        M = np.linalg.solve(np.eye(dofs.size) + dK @ Zs[rows], dK)
+        yield LowRankUpdate(dofs=dofs, rows=rows, Z=Zs, M=M)
 
 
 def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,

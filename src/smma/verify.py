@@ -6,10 +6,12 @@ parameter-space quadrature is dense. It is the trapezoid rule of the
 problem's ParamSpace: periodic, so equispaced, on the wheel's circle, and
 a tensor grid on the plate's weakness box, crossed with the plate's fixed
 omega rule. Both problems factorize the stiffness condensed onto the dofs
-the rule reads (`StructuredMesh.condensed`): the wheel contracts every
-load with the rim block of K^-1 (see `WheelProblem.dense_raw`), and the
-plate serves the grid by the low-rank updates its records use, at the
-loaded dofs and the dofs the weakness reaches.
+the rule reads (`StructuredMesh.condensed`), ordered on the mesh's
+free-node graph, and work in those kept dofs only: the wheel contracts
+every load with the rim block of K^-1 (see `WheelProblem.dense_raw`), and
+the plate serves the grid by the low-rank updates its records use, with
+its loads restricted to the loaded dofs and the dofs the weakness
+reaches.
 """
 from __future__ import annotations
 

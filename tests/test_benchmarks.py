@@ -327,10 +327,24 @@ class TestPlate:
         omegas = np.concatenate([problem.omega_nodes,
                                  rng.uniform(-0.2 * ell, 2.2 * ell, 200)])
         assert (omegas < 0.0).any() and (omegas > 2.0 * ell).any()
-        for omega in omegas:
+        # one omega at a time, and all of them in one pass
+        profiles = problem._profiles(omegas)
+        assert profiles.shape == (problem._top_x.size, omegas.size)
+        for j, omega in enumerate(omegas):
+            want = looped_profile(problem, float(omega))
             np.testing.assert_array_equal(
-                problem._consistent_profile(float(omega)),
-                looped_profile(problem, float(omega)))
+                problem._consistent_profile(float(omega)), want)
+            np.testing.assert_array_equal(profiles[:, j], want)
+        # the load blocks over the omega nodes, column by column
+        FxB, FyB = problem.load_block()
+        top = 2 * problem._top_nodes
+        for j, omega in enumerate(problem.omega_nodes):
+            want = looped_profile(problem, float(omega)) * problem.load_scale
+            Fx, Fy = problem.load_pair(float(omega))
+            np.testing.assert_array_equal(FxB[:, j], Fx)
+            np.testing.assert_array_equal(FyB[:, j], Fy)
+            np.testing.assert_array_equal(FxB[top, j], want)
+            np.testing.assert_array_equal(FyB[top + 1, j], -want)
 
     @pytest.mark.parametrize("ell", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_ell_rejected(self, ell):
@@ -516,6 +530,23 @@ class TestPlateReanalysis:
                                for xi in pts])
         np.testing.assert_allclose(values, want, rtol=1e-10)
         assert weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_dense_raw_evaluates_the_weakness_once_per_point(
+            self, monkeypatch, budget):
+        calls = []
+        weakness = FINE.weakness
+
+        def counting_weakness(xi):
+            calls.append(1)
+            return weakness(xi)
+
+        monkeypatch.setattr(FINE, "weakness", counting_weakness)
+        if budget is not None:
+            # several groups of points, one factorization each
+            monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES", budget ** 2)
+        FINE.dense_raw(FINE_RHO, (5, 4))
+        assert len(calls) == 20
 
     def test_dense_raw_groups_within_the_block_budget(self, monkeypatch):
         rho = np.random.default_rng(25).uniform(0.3, 0.9, FINE.n_design)

@@ -374,7 +374,8 @@ def condensed_keep(name):
 
 class TestCondensed:
     """The stiffness condensed onto a set of dofs against the loop's
-    factorization of the whole reduced matrix."""
+    factorization of the whole reduced matrix. A condensed system's loads
+    and states have one row per kept dof."""
 
     @pytest.mark.parametrize("name", [
         "disc-rim", "disc-single", "disc-dirichlet", "disc-all",
@@ -386,18 +387,30 @@ class TestCondensed:
         system = assemble_stiffness(mesh.condensed(keep), s)
         np.testing.assert_array_equal(system.free_dofs, keep)
         np.testing.assert_array_equal(system.unknowns, keep)
+        assert system.condensed and system.n_rows == keep.size
         assert system.lu.nnz > 0
-        got = system.unit_columns(keep)
         want = assemble_stiffness(mesh, s).unit_columns(keep)[keep]
-        np.testing.assert_array_equal(np.delete(got, keep, axis=0), 0.0)
-        np.testing.assert_allclose(got[keep], want, rtol=0,
-                                   atol=1e-12 * np.abs(want).max())
-        # a load on keep: the displacements of K at keep
-        F = np.zeros((mesh.n_dofs, 2))
-        F[keep] = rng.standard_normal((keep.size, 2))
+        scale = np.abs(want).max()
+        got = system.unit_columns(keep)
+        assert got.shape == (keep.size, keep.size)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        # some of the kept dofs, in their rows of keep
+        some = keep[::3]
+        got = system.unit_columns(some)
+        assert got.shape == (keep.size, some.size)
+        np.testing.assert_allclose(got, want[:, ::3], rtol=0,
+                                   atol=1e-12 * scale)
+        # a load on keep, one row per kept dof: the displacements of K
+        F = rng.standard_normal((keep.size, 2))
         U = system.solve(F)
-        np.testing.assert_allclose(U[keep], want @ F[keep], rtol=0,
-                                   atol=1e-12 * np.abs(U).max())
+        assert U.shape == F.shape
+        load = np.abs(F).sum(axis=0).max()
+        np.testing.assert_allclose(U, want @ F, rtol=0,
+                                   atol=1e-12 * scale * load)
+        u = system.solve(F[:, 0])
+        assert u.shape == (keep.size,)
+        np.testing.assert_allclose(u, U[:, 0], rtol=0,
+                                   atol=1e-12 * scale * load)
 
     def test_pattern_is_the_symmetric_permutation(self):
         mesh = build_disc_mesh(3, 12, 0.1, 0.9)
@@ -429,21 +442,20 @@ class TestCondensed:
         with pytest.raises(ValueError, match=message):
             mesh.condensed(keep(mesh))
 
-    def test_load_off_keep_rejected(self):
+    def test_load_of_wrong_length_rejected(self):
         mesh = build_rect_mesh(3, 2, 3.0, 2.0)
         keep = mesh.free_dofs[-4:]
         system = assemble_stiffness(mesh.condensed(keep),
                                     np.ones(mesh.n_elements))
-        f = np.zeros(mesh.n_dofs)
-        f[keep] = 1.0
-        assert np.all(np.isfinite(system.solve(f)))
-        for dof in (mesh.free_dofs[0], mesh.dirichlet_dofs[0]):
-            g = f.copy()
-            g[dof] = 1e-300
+        assert np.all(np.isfinite(system.solve(np.ones(keep.size))))
+        # a full-length load, and one row too many or too few
+        for rows in (mesh.n_dofs, keep.size + 1, keep.size - 1):
+            for shape in ((rows,), (rows, 2)):
+                with pytest.raises(ValueError, match="rows"):
+                    system.solve(np.zeros(shape))
+        for dof in (mesh.free_dofs[0], mesh.dirichlet_dofs[0], mesh.n_dofs):
             with pytest.raises(ValueError, match="kept dofs only"):
-                system.solve(g)
-        with pytest.raises(ValueError, match="kept dofs only"):
-            system.unit_columns(mesh.free_dofs[:1])
+                system.unit_columns([keep[0], dof])
 
     def test_pivot_off_the_diagonal_raises(self, monkeypatch):
         mesh = build_rect_mesh(3, 2, 3.0, 2.0)
@@ -460,20 +472,41 @@ class TestCondensed:
             assemble_stiffness(view, np.ones(mesh.n_elements))
 
     def test_orders_recorded_once(self, monkeypatch):
-        calls = recorded_splu(monkeypatch)
-        specs = lambda: [spec for _, spec in calls]   # noqa: E731
+        calls = []   # (K, permc_spec, factorization)
+
+        def record(K, permc_spec=None, **options):
+            calls.append((K, permc_spec,
+                          splu(K, permc_spec=permc_spec, **options)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(mesh_fem, "splu", record)
+        specs = lambda: [spec for _, spec, _ in calls]   # noqa: E731
         wheel = wheel_problem(n_radial=6, n_angular=16)
         plate = plate_problem(nx=12, ny=6, n_omega=4)
         # each builder calibrates with one factorization: COLAMD, no MMD
         assert specs() == ["COLAMD", "COLAMD"]
         for problem, spec in ((wheel, 30), (plate, (3, 3))):
             del calls[:]
+            mesh = problem.mesh
             clone = problem.with_simp(3.0)
             for verified in (problem, problem, clone):
                 dense_cc(verified.initial_design(), verified, spec)
             assert specs() == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
-            assert problem.mesh.symmetric_order is not None
-            assert clone.mesh is problem.mesh
+            assert clone.mesh is mesh
+            # the order comes from the free-node graph: half the rows of K
+            n = mesh.free_dofs.size
+            assert calls[0][0].shape == (n // 2, n // 2)
+            order = mesh.symmetric_order
+            assert np.array_equal(np.sort(order), np.arange(n))
+            # each node's x and y dofs are adjacent, x first
+            pairs = mesh.free_dofs[order].reshape(-1, 2)
+            np.testing.assert_array_equal(pairs[:, 1], pairs[:, 0] + 1)
+            assert np.all(pairs[:, 0] % 2 == 0)
+            # every condensed factorization took its diagonal pivots
+            for _, _, lu in calls[1:]:
+                identity = np.arange(lu.shape[0])
+                np.testing.assert_array_equal(lu.perm_r, identity)
+                np.testing.assert_array_equal(lu.perm_c, identity)
 
 
 class TestSolve:
