@@ -12,7 +12,8 @@ every load case with it.
 Plate: 2l x 1l rectangle clamped at the bottom, loaded on a strip of the
 top edge at a random position omega with a random inclination alpha, and
 weakened in a random disc at xi. The alpha-average of the compliance is
-analytic (two unit solves per omega node), the omega integral is a fixed
+analytic: each design gets one block solve of the 2 * n_omega unit loads
+(an x and a y load per omega node). The omega integral is a fixed
 trapezoid, and only xi is sampled. The weakness changes the stiffness of
 only a few elements, so all xi of one call share one factorization of the
 unweakened design, each served by an exact rank-r update of it: a record's
@@ -60,22 +61,6 @@ def angle_integrals(a: float, b: float) -> tuple[float, float, float, float]:
     iy = 0.5 * (b - a) - 0.25 * (np.sin(2 * b) - np.sin(2 * a))
     ixy = 0.5 * (np.sin(b) ** 2 - np.sin(a) ** 2)
     return ix, iy, ixy, b - a
-
-
-def angle_reduced_compliance(system: FactorizedSystem, Fx: np.ndarray,
-                             Fy: np.ndarray,
-                             angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE,
-                             ) -> float:
-    """Average over load angles of F(alpha)^T K^-1 F(alpha), analytically.
-
-    F(alpha) = cos(alpha) Fx + sin(alpha) Fy; the trigonometric moments
-    over the angle interval are closed-form, so two solves suffice.
-    """
-    ix, iy, ixy, width = angle_integrals(*angle_range)
-    ux = system.solve(np.asarray(Fx, dtype=float))
-    uy = system.solve(np.asarray(Fy, dtype=float))
-    return (ix * float(Fx @ ux) + iy * float(Fy @ uy)
-            + ixy * (float(Fx @ uy) + float(Fy @ ux))) / width
 
 
 # perfbench/tracer.py TARGETS looks this name up; delete both together
@@ -294,6 +279,14 @@ def wheel_problem(n_radial: int = 18, n_angular: int = 72,
 
 
 class PlateProblem(_ProblemBase):
+    """The weakened plate (see the module docstring).
+
+    Every load comes from load_columns: the unit loads Fx and Fy of one
+    omega per column. load_block() is load_columns over the omega nodes.
+    The loop, dense verification and the builder's calibration all reduce
+    these loads with angle_averaged_block.
+    """
+
     name = "plate"
     initial_value = 0.65
     default_simp_schedule = ()
@@ -327,6 +320,7 @@ class PlateProblem(_ProblemBase):
         self._top_x = mesh.nodes[self._top_nodes, 0]
         self._gauss = np.polynomial.legendre.leggauss(8)
         self._bump_panels = 32
+        self._load_cache = (None,)    # (load_scale, Fx, Fy) at omega_nodes
 
     # -- loads and material modifier ------------------------------------
 
@@ -348,11 +342,6 @@ class PlateProblem(_ProblemBase):
         inside = d2 < r2
         out[inside] = 0.99 * np.exp(-d2[inside] / (r2 * (r2 - d2[inside])))
         return out
-
-    def _consistent_profile(self, omega: float) -> np.ndarray:
-        """Nodal loads from integrating the bump against the top-edge
-        shape functions (see _profiles)."""
-        return self._profiles([omega])[:, 0]
 
     def _profiles(self, omegas) -> np.ndarray:
         """(top nodes, n) consistent profiles, one column per omega, in
@@ -397,31 +386,26 @@ class PlateProblem(_ProblemBase):
                           np.repeat(col, 2)), terms.ravel())
         return nodal
 
-    def load_pair(self, omega: float) -> tuple[np.ndarray, np.ndarray]:
-        """Unit loads (Fx, Fy) so that F(alpha) = cos(a) Fx + sin(a) Fy.
+    def load_columns(self, omegas) -> tuple[np.ndarray, np.ndarray]:
+        """(n_dofs, n) unit loads Fx and Fy, one column per omega, so that
+        F(alpha) = cos(alpha) Fx + sin(alpha) Fy.
 
         alpha is measured from the positive x axis; alpha = pi/2 points
         straight down, so the downward sign lives in Fy.
         """
-        prof = self._consistent_profile(omega) * self.load_scale
-        Fx = np.zeros(self.mesh.n_dofs)
-        Fy = np.zeros(self.mesh.n_dofs)
+        prof = self._profiles(omegas) * self.load_scale
+        Fx = np.zeros((self.mesh.n_dofs, prof.shape[1]))
+        Fy = np.zeros_like(Fx)
         Fx[2 * self._top_nodes] = prof
         Fy[2 * self._top_nodes + 1] = -prof
         return Fx, Fy
 
     def load_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_dofs, n_omega) blocks of Fx and Fy over the omega nodes."""
-        cache = getattr(self, "_load_cache", None)
-        if cache is None or cache[0] != self.load_scale:
-            prof = self._profiles(self.omega_nodes) * self.load_scale
-            FxB = np.zeros((self.mesh.n_dofs, self.n_omega))
-            FyB = np.zeros((self.mesh.n_dofs, self.n_omega))
-            FxB[2 * self._top_nodes] = prof
-            FyB[2 * self._top_nodes + 1] = -prof
-            cache = (self.load_scale, FxB, FyB)
-            self._load_cache = cache
-        return cache[1], cache[2]
+        """load_columns over the omega nodes, cached per load_scale."""
+        if self._load_cache[0] != self.load_scale:
+            self._load_cache = (self.load_scale,
+                                *self.load_columns(self.omega_nodes))
+        return self._load_cache[1:]
 
     def stiffness_field(self, rho, xi) -> np.ndarray:
         interp = df.interpolate_stiffness(rho, self.filt, self.simp,
@@ -443,7 +427,7 @@ class PlateProblem(_ProblemBase):
         cbar = (ix * cxx + iy * cyy + ixy * (cxy + cyx)) / width
         return cbar, Ux, Uy
 
-    def _weakened_blocks(self, rho, shares, mesh):
+    def _weakened_blocks(self, system, s0, shares, FxB, FyB):
         """(Ux0, Uy0, blocks): the unweakened states of the unit loads and
         an iterator of (cbar, update, kept), one per xi in turn.
 
@@ -454,17 +438,13 @@ class PlateProblem(_ProblemBase):
         formed. shares yields kept = 1 - g_xi per xi, the share of each
         element's stiffness that xi leaves.
 
-        mesh is self.mesh, or a view of it condensed onto the loaded dofs
-        and the dofs of every element whose stiffness a xi changes; the
-        loads and states then have one row per kept dof, which is all
-        cbar reads.
+        system is K0, the stiffness of the element factors s0 assembled on
+        self.mesh or on a view of it condensed onto the loaded dofs and the
+        dofs of every element whose stiffness a xi changes. FxB and FyB are
+        the unit loads in the rows of system: load_block() for self.mesh,
+        its rows at view.keep for a view, whose states then have one row
+        per kept dof, which is all cbar reads.
         """
-        s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
-                                      mesh=self.mesh)
-        system = assemble_stiffness(mesh, s0)
-        FxB, FyB = self.load_block()
-        if system.condensed:
-            FxB, FyB = FxB[system.free_dofs], FyB[system.free_dofs]
         cbar0, Ux0, Uy0 = self.angle_averaged_block(system, FxB, FyB)
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
 
@@ -497,8 +477,16 @@ class PlateProblem(_ProblemBase):
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
+        s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
+                                      mesh=self.mesh)
+        system = assemble_stiffness(self.mesh, s0)
+        # the first call builds the load cache after the factorization:
+        # built before it, the cache left glibc's heap so that every later
+        # call faulted in fresh pages (default plate: 5.4k minor faults a
+        # call against 2.9k)
         Ux0, Uy0, blocks = self._weakened_blocks(
-            rho, (1.0 - self.weakness(xi) for xi in xis), self.mesh)
+            system, s0, (1.0 - self.weakness(xi) for xi in xis),
+            *self.load_block())
         U0 = np.hstack([Ux0, Uy0])
         lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
         # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
@@ -522,12 +510,6 @@ class PlateProblem(_ProblemBase):
             grads.append(df.backprop_to_design(grad_s, rho, self.filt,
                                                self.simp, mesh=self.mesh))
         return np.array(values), np.stack(grads)
-
-    def angle_averaged_compliance(self, rho, xi, omega: float) -> float:
-        """Single (xi, omega) angle-averaged compliance, by direct assembly."""
-        system = assemble_stiffness(self.mesh, self.stiffness_field(rho, xi))
-        Fx, Fy = self.load_pair(omega)
-        return angle_reduced_compliance(system, Fx, Fy, self.angle_range)
 
     def default_baseline_spec(self, batch_size: int):
         return (5, 5)
@@ -558,10 +540,14 @@ class PlateProblem(_ProblemBase):
                 # below half an ulp of 1, the kept share rounds to 1
                 yield self.mesh.edof[kept < 1.0]
 
+        s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
+                                      mesh=self.mesh)
         values = []
         for group, view in condensed_groups(self.mesh, loaded, reached()):
             _, _, blocks = self._weakened_blocks(
-                rho, (shares.pop(i) for i in group), view)
+                assemble_stiffness(view, s0), s0,
+                (shares.pop(i) for i in group),
+                FxB[view.keep], FyB[view.keep])
             values.extend(cbar for cbar, _, _ in blocks)
         values = np.stack(values)
         weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
@@ -573,7 +559,12 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                   simp_s: float = 5.0, a1: float = 35.0, a2: float = 0.05,
                   a3: float = 5.0, p_level: float = 0.05,
                   c_max: float = 1.5, poisson: float = 0.3) -> PlateProblem:
-    """Plate benchmark; load scaled so the initial compliance is 1."""
+    """Plate benchmark; load scaled so the initial compliance is 1.
+
+    The initial compliance is the angle average at the centres of the xi
+    box and of the omega interval, from load_columns and
+    angle_averaged_block, as the loop and verification compute it.
+    """
     # written so that NaN fails it
     if not 0.0 < ell < np.inf:
         raise ValueError(f"ell must be positive and finite, got {ell}")
@@ -586,8 +577,9 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     filt = df.build_filter(mesh, r_min)
     problem = PlateProblem(mesh, filt, simp, smoothing, ell=ell,
                            n_omega=n_omega)
-    c0 = problem.angle_averaged_compliance(
-        problem.initial_design(), problem.space.centre(),
-        float(problem.omega_space.centre()[0]))
-    problem.load_scale = 1.0 / np.sqrt(c0)
+    system = assemble_stiffness(mesh, problem.stiffness_field(
+        problem.initial_design(), problem.space.centre()))
+    c0, _, _ = problem.angle_averaged_block(
+        system, *problem.load_columns(problem.omega_space.centre()))
+    problem.load_scale = 1.0 / np.sqrt(float(c0[0]))
     return problem

@@ -81,29 +81,20 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
     return FilterMatrix(matrix=M.tocsr(), r_min=r_min)
 
 
-def _pinned(y: np.ndarray, mesh: StructuredMesh | None) -> np.ndarray:
-    if mesh is None:
-        return y
-    y = y.copy()
-    y[mesh.solid] = 1.0
-    return y
-
-
 def interpolate_stiffness(rho: np.ndarray, filt: FilterMatrix,
                           simp: SimpParams,
-                          mesh: StructuredMesh | None = None) -> np.ndarray:
-    """Element stiffness factors y^s E1 + (1 - y^s) E0 from y = F rho.
-
-    Passing the mesh pins prescribed-density elements after filtering.
-    """
-    y = _pinned(filt.apply(np.asarray(rho, dtype=float)), mesh)
+                          mesh: StructuredMesh) -> np.ndarray:
+    """Element stiffness factors y^s E1 + (1 - y^s) E0 from y = F rho,
+    with the mesh's solid elements pinned at y = 1 after filtering."""
+    y = filt.apply(np.asarray(rho, dtype=float))   # a new array
+    y[mesh.solid] = 1.0
     ys = y ** simp.s
     return ys * E_SOLID + (1.0 - ys) * E_VOID
 
 
 def backprop_to_design(grad_wrt_stiffness: np.ndarray, rho: np.ndarray,
                        filt: FilterMatrix, simp: SimpParams,
-                       mesh: StructuredMesh | None = None) -> np.ndarray:
+                       mesh: StructuredMesh) -> np.ndarray:
     """Chain rule back through SIMP and the filter.
 
     Returns F^T (s y^(s-1) (E1 - E0) * g), with pinned elements' entries
@@ -113,8 +104,7 @@ def backprop_to_design(grad_wrt_stiffness: np.ndarray, rho: np.ndarray,
     g = np.asarray(grad_wrt_stiffness, dtype=float)
     y = filt.apply(np.asarray(rho, dtype=float))
     inner = simp.s * y ** (simp.s - 1.0) * (E_SOLID - E_VOID) * g
-    if mesh is not None:
-        inner[..., mesh.solid] = 0.0
+    inner[..., mesh.solid] = 0.0
     return filt.apply_transpose(inner.T).T
 
 

@@ -172,13 +172,19 @@ class StiffnessPattern:
         return cls(indptr=np.searchsorted(starts, raw.indptr).astype(np.intc),
                    indices=raw.indices[starts], slots=slots)
 
-    def reordered(self, columns: np.ndarray) -> "StiffnessPattern":
-        """The same matrix with its columns stored in the order columns."""
+    def _taken(self, columns: np.ndarray):
+        """(indptr, take): the stored columns columns[0], columns[1], ...
+        laid out in turn, with take the source of each stored entry."""
         counts = np.diff(self.indptr)[columns]
         indptr = np.zeros_like(self.indptr)
         np.cumsum(counts, out=indptr[1:])
         take = (np.repeat(self.indptr[columns] - indptr[:-1], counts)
                 + np.arange(indptr[-1]))
+        return indptr, take
+
+    def reordered(self, columns: np.ndarray) -> "StiffnessPattern":
+        """The same matrix with its columns stored in the order columns."""
+        indptr, take = self._taken(columns)
         return StiffnessPattern(indptr=indptr, indices=self.indices[take],
                                 slots=self.slots[take], columns=columns)
 
@@ -191,12 +197,7 @@ class StiffnessPattern:
         stored = position if self.columns is None else position[self.columns]
         # stored column j becomes column stored[j]: take the stored columns
         # in turn, then sort each column's rows by their new position
-        source = np.argsort(stored)
-        counts = np.diff(self.indptr)[source]
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(counts, out=indptr[1:])
-        take = (np.repeat(self.indptr[source] - indptr[:-1], counts)
-                + np.arange(indptr[-1]))
+        indptr, take = self._taken(np.argsort(stored))
         ids = sp.csc_matrix((take.astype(float), position[self.indices[take]],
                              indptr), shape=(n, n))
         ids.sort_indices()

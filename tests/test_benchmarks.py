@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from smma import benchmarks, mesh_fem
 from smma import design_field as df
 from smma.benchmarks import (
+    DEFAULT_ANGLE_RANGE,
     angle_integrals,
-    angle_reduced_compliance,
     plate_problem,
     wheel_problem,
 )
@@ -20,6 +21,18 @@ from smma.mesh_fem import (
     element_quadratic_forms,
 )
 from smma.smoothing import h_deriv, h_eval
+
+
+def angle_reduced_compliance(system, Fx, Fy,
+                             angle_range=DEFAULT_ANGLE_RANGE):
+    """Oracle: the average over load angles of F(alpha)^T K^-1 F(alpha)
+    for one load pair, F(alpha) = cos(alpha) Fx + sin(alpha) Fy, from the
+    closed-form trigonometric moments and two one-column solves."""
+    ix, iy, ixy, width = angle_integrals(*angle_range)
+    ux = system.solve(np.asarray(Fx, dtype=float))
+    uy = system.solve(np.asarray(Fy, dtype=float))
+    return (ix * float(Fx @ ux) + iy * float(Fy @ uy)
+            + ixy * (float(Fx @ uy) + float(Fy @ ux))) / width
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +95,31 @@ class TestAngleReducedCompliance:
         got = angle_reduced_compliance(system, np.zeros(mesh.n_dofs), Fy)
         expect = (np.pi / 4 + 0.5) / (np.pi / 2) * (Fy @ system.solve(Fy))
         assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("angle_range", [DEFAULT_ANGLE_RANGE,
+                                             (0.3, 2.1)],
+                             ids=["default", "skew"])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_block_path_matches_per_column(self, plate, n, angle_range):
+        # the block path the loop, verification and calibration take,
+        # against the analytic one-pair average, column by column; the
+        # default range has no cos*sin moment, the skew one has
+        plate = copy.copy(plate)
+        plate.angle_range = angle_range
+        rng = np.random.default_rng(n)
+        mesh = plate.mesh
+        system = assemble_stiffness(mesh, rng.uniform(0.2, 1.0,
+                                                      mesh.n_elements))
+        FxB = rng.standard_normal((mesh.n_dofs, n))
+        FyB = rng.standard_normal((mesh.n_dofs, n))
+        FxB[mesh.dirichlet_dofs] = 0.0
+        FyB[mesh.dirichlet_dofs] = 0.0
+        cbar, _, _ = plate.angle_averaged_block(system, FxB, FyB)
+        assert cbar.shape == (n,)
+        for j in range(n):
+            want = angle_reduced_compliance(system, FxB[:, j], FyB[:, j],
+                                            angle_range)
+            assert cbar[j] == pytest.approx(want, rel=1e-12)
 
 
 class TestWheel:
@@ -293,11 +331,15 @@ class TestPlate:
         xi, om = np.array([1.0, 0.5]), 0.5
         np.testing.assert_array_equal(plate.space.centre(), xi)
         assert plate.omega_space.centre() == pytest.approx([om], rel=1e-15)
-        c = plate.angle_averaged_compliance(plate.initial_design(), xi, om)
+        system = assemble_stiffness(
+            plate.mesh, plate.stiffness_field(plate.initial_design(), xi))
+        Fx, Fy = plate.load_columns([om])
+        c = angle_reduced_compliance(system, Fx[:, 0], Fy[:, 0],
+                                     plate.angle_range)
         assert c == pytest.approx(1.0, rel=1e-9)
 
     def test_load_zero_at_dirichlet_and_total_force(self, plate):
-        Fx, Fy = plate.load_pair(0.5)
+        Fx, Fy = plate.load_columns([0.5])
         assert np.all(Fx[plate.mesh.dirichlet_dofs] == 0.0)
         assert np.all(Fy[plate.mesh.dirichlet_dofs] == 0.0)
         # consistent lumping: total vertical force equals the bump integral
@@ -313,7 +355,7 @@ class TestPlate:
         totals = []
         for nx in (4, 7, 36):
             p = plate_problem(nx=nx, ny=2, n_omega=4)
-            _, Fy = p.load_pair(0.5)
+            _, Fy = p.load_columns([0.5])
             totals.append(-Fy.sum() / p.load_scale)
         np.testing.assert_allclose(totals, totals[0], rtol=1e-9)
 
@@ -333,16 +375,16 @@ class TestPlate:
         for j, omega in enumerate(omegas):
             want = looped_profile(problem, float(omega))
             np.testing.assert_array_equal(
-                problem._consistent_profile(float(omega)), want)
+                problem._profiles([float(omega)])[:, 0], want)
             np.testing.assert_array_equal(profiles[:, j], want)
         # the load blocks over the omega nodes, column by column
         FxB, FyB = problem.load_block()
         top = 2 * problem._top_nodes
         for j, omega in enumerate(problem.omega_nodes):
             want = looped_profile(problem, float(omega)) * problem.load_scale
-            Fx, Fy = problem.load_pair(float(omega))
-            np.testing.assert_array_equal(FxB[:, j], Fx)
-            np.testing.assert_array_equal(FyB[:, j], Fy)
+            Fx, Fy = problem.load_columns([float(omega)])
+            np.testing.assert_array_equal(FxB[:, j], Fx[:, 0])
+            np.testing.assert_array_equal(FyB[:, j], Fy[:, 0])
             np.testing.assert_array_equal(FxB[top, j], want)
             np.testing.assert_array_equal(FyB[top + 1, j], -want)
 

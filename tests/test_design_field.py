@@ -124,34 +124,35 @@ class TestInterpolation:
 
     def test_solid_and_void(self):
         n = self.mesh.n_elements
+        args = self.filt, self.simp, self.mesh
         np.testing.assert_allclose(
-            interpolate_stiffness(np.ones(n), self.filt, self.simp),
-            E_SOLID, atol=1e-12)
+            interpolate_stiffness(np.ones(n), *args), E_SOLID, atol=1e-12)
         np.testing.assert_allclose(
-            interpolate_stiffness(np.zeros(n), self.filt, self.simp),
-            E_VOID, atol=1e-15)
+            interpolate_stiffness(np.zeros(n), *args), E_VOID, atol=1e-15)
 
     def test_midpoint_value(self):
         mesh = build_rect_mesh(1, 1, 1.0, 1.0)
         filt = build_filter(mesh, 0.0)
         # 0.5^5 * 1 + (1 - 0.5^5) * 1e-4, evaluated directly
-        out = interpolate_stiffness(np.array([0.5]), filt, SimpParams(s=5.0))
+        out = interpolate_stiffness(np.array([0.5]), filt, SimpParams(s=5.0),
+                                    mesh)
         assert out[0] == pytest.approx(0.031346875, abs=1e-15)
 
     def test_monotone_in_each_variable(self):
         rng = np.random.default_rng(0)
         rho = rng.uniform(0.2, 0.8, self.mesh.n_elements)
-        base = interpolate_stiffness(rho, self.filt, self.simp)
+        base = interpolate_stiffness(rho, self.filt, self.simp, self.mesh)
         for j in (0, 7, 15):
             up = rho.copy()
             up[j] += 0.05
-            assert np.all(interpolate_stiffness(up, self.filt, self.simp)
+            assert np.all(interpolate_stiffness(up, self.filt, self.simp,
+                                                self.mesh)
                           >= base - 1e-15)
 
     def test_range(self):
         rng = np.random.default_rng(1)
         rho = rng.uniform(0.0, 1.0, self.mesh.n_elements)
-        out = interpolate_stiffness(rho, self.filt, self.simp)
+        out = interpolate_stiffness(rho, self.filt, self.simp, self.mesh)
         assert np.all(out >= E_VOID - 1e-15)
         assert np.all(out <= E_SOLID + 1e-15)
 
@@ -212,7 +213,7 @@ class TestBackprop:
         mesh = build_rect_mesh(3, 3, 1.0, 1.0)
         filt = build_filter(mesh, 0.5)
         out = backprop_to_design(np.zeros(9), np.full(9, 0.4), filt,
-                                 SimpParams(s=3.0))
+                                 SimpParams(s=3.0), mesh)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_linear_case_identity_filter(self):
@@ -221,7 +222,7 @@ class TestBackprop:
         simp = SimpParams(s=1.0)
         rng = np.random.default_rng(6)
         g = rng.standard_normal(9)
-        out = backprop_to_design(g, rng.uniform(size=9), filt, simp)
+        out = backprop_to_design(g, rng.uniform(size=9), filt, simp, mesh)
         np.testing.assert_allclose(out, (E_SOLID - E_VOID) * g,
                                    atol=1e-14)
 
@@ -238,13 +239,15 @@ class TestBackprop:
         f[2 * top + 1] = -1.0
 
         def comp(r):
-            sys = assemble_stiffness(mesh, interpolate_stiffness(r, filt, simp))
+            sys = assemble_stiffness(
+                mesh, interpolate_stiffness(r, filt, simp, mesh))
             return f @ sys.solve(f)
 
-        sys = assemble_stiffness(mesh, interpolate_stiffness(rho, filt, simp))
+        sys = assemble_stiffness(
+            mesh, interpolate_stiffness(rho, filt, simp, mesh))
         u = sys.solve(f)
         grad = backprop_to_design(
-            -element_quadratic_forms(mesh, u), rho, filt, simp)
+            -element_quadratic_forms(mesh, u), rho, filt, simp, mesh)
 
         step = 1e-6
         for j in range(mesh.n_elements):
@@ -284,5 +287,5 @@ class TestBackprop:
         out = backprop_to_design(g, rho, filt, simp, mesh=mesh)
         masked = g.copy()
         masked[mesh.solid] = 0.0
-        expect = backprop_to_design(masked, rho, filt, simp)
+        expect = backprop_to_design(masked, rho, filt, simp, mesh=mesh)
         np.testing.assert_allclose(out, expect, atol=1e-14)

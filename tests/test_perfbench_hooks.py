@@ -5,7 +5,9 @@ its owner's own namespace; a renamed or deleted target makes every traced
 benchmark run fail. This check fails first. The traced verification runs
 below fail when a dense verification no longer reaches a layer the
 benchmark requires of it (`workloads.VERIFY_LAYERS`), or when a layer's
-work count can no longer be read (the factorization's `lu.nnz`).
+work count can no longer be read (the factorization's `lu.nnz`). The
+traced plate loop fails when an iteration no longer reaches a layer the
+benchmark requires of it (`workloads.LOOP_LAYERS`).
 """
 import math
 from pathlib import Path
@@ -62,3 +64,30 @@ def test_traced_wheel_verification(perfbench):
     solves = [s.counts["rhs"] for s in spans if s.name == "solve"]
     assert solves == [problem._rim_dofs.size]
     assert all(math.isfinite(g) for g in dense) and 0.0 <= dense[2] <= 1.0
+
+
+def test_traced_plate_loop_iterations(perfbench):
+    import workloads
+    from tracer import Tracer, install
+
+    from smma import benchmarks, driver
+
+    problem = benchmarks.plate_problem()
+    cfg = driver.RunConfig(method="smma", batch_size=workloads.BATCH,
+                           iterations=2, seed=3, verify_every=0)
+    tracer = Tracer()
+    per_iteration = []
+
+    def take(k, rho, store, row):
+        per_iteration.append(tracer.take())
+
+    restore = install(tracer)
+    try:
+        driver.run_smma(problem, cfg, callback=take)
+    finally:
+        restore()
+    assert len(per_iteration) == 2
+    for spans in per_iteration:
+        assert not workloads._missing_layers(spans, workloads.LOOP_LAYERS)
+        records = [s.counts["records"] for s in spans if s.name == "evaluate"]
+        assert records == [workloads.BATCH]
