@@ -21,7 +21,16 @@ compliances and gradient come from the unweakened states U0 (one
 2 * n_omega-column sensitivity contraction per call) plus a rank-r
 correction per xi, and no weakened state is formed. Dense verification
 needs the states only at the loaded dofs and at the dofs the weakness
-reaches, and factorizes the stiffness condensed onto them.
+reaches, and factorizes the stiffness condensed onto them; it builds the
+views and the weakness of its rule once per rule and load scale.
+
+The two problems factorize differently (see mesh_fem). The plate's
+builder, loop and verification all take K pivot-free in the mesh's
+node-graph order: the builder and the loop assemble the whole system
+through one view with nothing kept (mesh.condensed of no dofs), which the
+SIMP clones share. The wheel's builder and loop assemble on the mesh with
+SuperLU's COLAMD order, which its benchmark reference pins to the last
+bit; only its verification is condensed.
 
 Both builders rescale their load so the initial design's compliance at the
 distribution-mean parameter equals 1, making the default cap c_max = 1.5
@@ -284,7 +293,9 @@ class PlateProblem(_ProblemBase):
     Every load comes from load_columns: the unit loads Fx and Fy of one
     omega per column. load_block() is load_columns over the omega nodes.
     The loop, dense verification and the builder's calibration all reduce
-    these loads with angle_averaged_block.
+    these loads with angle_averaged_block. The builder and the loop
+    factorize through _whole, the mesh condensed onto no dofs: the whole
+    system, pivot-free in the mesh's symmetric order.
     """
 
     name = "plate"
@@ -321,6 +332,9 @@ class PlateProblem(_ProblemBase):
         self._gauss = np.polynomial.legendre.leggauss(8)
         self._bump_panels = 32
         self._load_cache = (None,)    # (load_scale, Fx, Fy) at omega_nodes
+        self._rule_cache = (None,)    # (key, weights, groups); see _rule_plan
+        # the whole stiffness in the mesh's symmetric order
+        self._whole = mesh.condensed(np.zeros(0, dtype=int))
 
     # -- loads and material modifier ------------------------------------
 
@@ -439,11 +453,12 @@ class PlateProblem(_ProblemBase):
         element's stiffness that xi leaves.
 
         system is K0, the stiffness of the element factors s0 assembled on
-        self.mesh or on a view of it condensed onto the loaded dofs and the
-        dofs of every element whose stiffness a xi changes. FxB and FyB are
-        the unit loads in the rows of system: load_block() for self.mesh,
-        its rows at view.keep for a view, whose states then have one row
-        per kept dof, which is all cbar reads.
+        the whole view self._whole or on a view condensed onto the loaded
+        dofs and the dofs of every element whose stiffness a xi changes.
+        FxB and FyB are the unit loads in the rows of system: load_block()
+        for the whole view, its rows at view.keep for a condensed one,
+        whose states then have one row per kept dof, which is all cbar
+        reads.
         """
         cbar0, Ux0, Uy0 = self.angle_averaged_block(system, FxB, FyB)
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
@@ -479,11 +494,11 @@ class PlateProblem(_ProblemBase):
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
-        system = assemble_stiffness(self.mesh, s0)
+        system = assemble_stiffness(self._whole, s0)
         # the first call builds the load cache after the factorization:
         # built before it, the cache left glibc's heap so that every later
-        # call faulted in fresh pages (default plate: 5.4k minor faults a
-        # call against 2.9k)
+        # call faulted in fresh pages (default plate, 8 iterations: 5.1k
+        # to 5.6k minor faults an iteration against at most 3.2k)
         Ux0, Uy0, blocks = self._weakened_blocks(
             system, s0, (1.0 - self.weakness(xi) for xi in xis),
             *self.load_block())
@@ -514,6 +529,40 @@ class PlateProblem(_ProblemBase):
     def default_baseline_spec(self, batch_size: int):
         return (5, 5)
 
+    def _rule_plan(self, spec):
+        """(weights, groups) of dense_raw on the xi trapezoid rule spec.
+
+        A group is (view, FxK, FyK, changed) per view of condensed_groups:
+        keep = T u S, the loaded dofs T and the dofs S of every element
+        whose stiffness the weakness of one of the group's points changes;
+        the unit loads at view.keep; and per point of the group its
+        changed elements with their kept shares 1 - g_xi. None of it
+        depends on the design, so one plan, with the patterns its views
+        build on their first assembly, is kept and rebuilt when spec or
+        load_scale changes, as load_block is.
+        """
+        key = (np.atleast_1d(spec).tolist(), self.load_scale)
+        if self._rule_cache[0] != key:
+            pts, lam = self.space.trapezoid_rule(spec)
+            FxB, FyB = self.load_block()
+            loaded = np.flatnonzero(np.any(FxB != 0.0, axis=1)
+                                    | np.any(FyB != 0.0, axis=1))
+            changed = []
+            for xi in pts:
+                kept = 1.0 - self.weakness(xi)
+                # the elements whose stiffness xi changes: where g_xi is
+                # below half an ulp of 1, the kept share rounds to 1
+                touched = np.flatnonzero(kept < 1.0)
+                changed.append((touched, kept[touched]))
+            groups = [(view, FxB[view.keep], FyB[view.keep],
+                       [changed[i] for i in group])
+                      for group, view in condensed_groups(
+                          self.mesh, loaded,
+                          (self.mesh.edof[touched] for touched, _ in changed))]
+            weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
+            self._rule_cache = (key, weights, groups)
+        return self._rule_cache[1:]
+
     def dense_raw(self, rho, spec=None):
         """Angle-averaged compliances on a xi trapezoid grid x omega nodes.
 
@@ -522,36 +571,27 @@ class PlateProblem(_ProblemBase):
         every element whose stiffness the weakness of a grid point
         changes. The loads, states and low-rank updates have one row per
         kept dof. Past 2048 kept dofs, consecutive groups of points get
-        one factorization each (see condensed_groups). The weakness is
-        evaluated once per grid point.
+        one factorization each (see condensed_groups). The views and the
+        weakness of the grid are built once per grid (see _rule_plan).
         """
-        pts, lam = self.space.trapezoid_rule(
+        weights, groups = self._rule_plan(
             self.default_verify_spec if spec is None else spec)
         rho = np.asarray(rho, dtype=float)
-        FxB, FyB = self.load_block()
-        loaded = np.flatnonzero(np.any(FxB != 0.0, axis=1)
-                                | np.any(FyB != 0.0, axis=1))
-        shares = {}   # kept shares of the points read but not yet served
-
-        def reached():
-            for i, xi in enumerate(pts):
-                shares[i] = kept = 1.0 - self.weakness(xi)
-                # the elements whose stiffness xi changes: where g_xi is
-                # below half an ulp of 1, the kept share rounds to 1
-                yield self.mesh.edof[kept < 1.0]
-
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
         values = []
-        for group, view in condensed_groups(self.mesh, loaded, reached()):
+        for view, FxK, FyK, changed in groups:
             _, _, blocks = self._weakened_blocks(
                 assemble_stiffness(view, s0), s0,
-                (shares.pop(i) for i in group),
-                FxB[view.keep], FyB[view.keep])
+                (self._kept_share(*point) for point in changed), FxK, FyK)
             values.extend(cbar for cbar, _, _ in blocks)
-        values = np.stack(values)
-        weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
-        return values.ravel(), weights
+        return np.stack(values).ravel(), weights.copy()
+
+    def _kept_share(self, touched, shares) -> np.ndarray:
+        """1 - g_xi per element, from the elements xi changes."""
+        kept = np.ones(self.mesh.n_elements)
+        kept[touched] = shares
+        return kept
 
 
 def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
@@ -577,7 +617,7 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     filt = df.build_filter(mesh, r_min)
     problem = PlateProblem(mesh, filt, simp, smoothing, ell=ell,
                            n_omega=n_omega)
-    system = assemble_stiffness(mesh, problem.stiffness_field(
+    system = assemble_stiffness(problem._whole, problem.stiffness_field(
         problem.initial_design(), problem.space.centre()))
     c0, _, _ = problem.angle_averaged_block(
         system, *problem.load_columns(problem.omega_space.centre()))

@@ -20,36 +20,48 @@ Everything that depends only on the mesh is done once per mesh. The
 `StiffnessPattern` holds the CSC structure of the reduced matrix and, for
 each stored entry, the element entries summed into it, in the order in
 which scipy's coo -> csc conversion sums them; an assembly only scales the
-element blocks and adds. SuperLU's column ordering (COLAMD, then an
-elimination-tree postorder) also depends on the structure alone: the
-mesh's first factorization computes it and records it on the pattern,
-whose columns are then stored in that order, and every later factorization
-takes them as they are ("NATURAL"). The factors, and so every solve, are
-bit-identical to ordering each matrix afresh. (SuperLU's row pivots could
-part only where a column's largest entry ties with the entry it takes for
-the diagonal, which it locates through the column order; the tests check
-uniform and two-valued designs, whose K has many equal entries.) The rows
-of the reduced system stay in free-dof order; its unknowns are in the
-recorded order.
+element blocks and adds.
+
+A mesh is factorized in one of two ways, chosen by what its caller
+assembles:
+
+- `assemble_stiffness(mesh, s)`, the wheel's builder and loop: SuperLU's
+  column ordering (COLAMD, then an elimination-tree postorder) depends on
+  the structure alone, so the mesh's first factorization computes it and
+  records it on the pattern, whose columns are then stored in that order,
+  and every later factorization takes them as they are ("NATURAL"). The
+  factors, and so every solve, are bit-identical to ordering each matrix
+  afresh. (SuperLU's row pivots could part only where a column's largest
+  entry ties with the entry it takes for the diagonal, which it locates
+  through the column order; the tests check uniform and two-valued
+  designs, whose K has many equal entries.) The rows of the reduced system
+  stay in free-dof order; its unknowns are in the recorded order. The
+  wheel keeps this path because its benchmark reference pins the wheel's
+  chaotic trajectory to its last bits; it is also the test oracle of the
+  other path.
+- `assemble_stiffness(mesh.condensed(keep), s)`, the plate's builder and
+  loop (keep empty) and dense verification of both problems: K taken in
+  one symmetric fill-reducing order, rows and columns alike, with the dofs
+  of keep moved last, and factorized with diagonal pivots, which K, being
+  SPD, allows; any other pivot raises FactorizationError. The order is
+  minimum degree on the graph of the free nodes (George & Liu, "The
+  evolution of the minimum degree ordering algorithm", SIAM Review 1989),
+  each node expanded to its x and y dofs: it is recorded once per mesh by
+  its first such assembly, from one factorization of a node-level matrix
+  with half the rows of K. On the plate it leaves fewer nonzeros in L and
+  U than COLAMD (about 314k against 398k).
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
 of dofs in one block. The low-rank updates take their Z = K^-1 P from it.
 
-A reader of K^-1 at a few dofs only (dense verification) assembles a
-`CondensedMesh`, `mesh.condensed(keep)`, instead (static condensation;
-Guyan, "Reduction of stiffness and mass matrices", AIAA J. 1965). Its
-factorization takes the rows and columns of K in one symmetric
-fill-reducing order with the dofs keep moved last, and pivots on the
-diagonal, which K, being SPD, allows. Its trailing block L22 U22 is then
-the Schur complement S of the other dofs, and the rows of K^-1 at keep are
-those of S^-1: a dense |keep|-square solve instead of one full-length
-solve per column. Its loads and states have one row per kept dof, so no
-n_dofs-long block is formed. The order is minimum degree on the graph of
-the free nodes (George & Liu, "The evolution of the minimum degree
-ordering algorithm", SIAM Review 1989), each node expanded to its x and y
-dofs: it is recorded once per mesh by its first condensed assembly, from
-one factorization of a node-level matrix with half the rows of K. The
-loop's COLAMD factorization is not touched by it.
+With keep empty, `CondensedMesh` is the whole system in the symmetric
+order. A reader of K^-1 at a few dofs only (dense verification) condenses
+onto them instead (static condensation; Guyan, "Reduction of stiffness and
+mass matrices", AIAA J. 1965): the trailing block L22 U22 of the
+factorization is then the Schur complement S of the other dofs, and the
+rows of K^-1 at keep are those of S^-1: a dense |keep|-square solve
+instead of one full-length solve per column. Its loads and states have
+one row per kept dof, so no n_dofs-long block is formed.
 """
 from __future__ import annotations
 
@@ -144,10 +156,10 @@ class StiffnessPattern:
     coo -> csc conversion sums duplicates, so K.data is bit-identical to
     it. On a Q4 mesh a row holds at most 4 entries (4 elements per node).
 
-    columns is None until the mesh's first factorization records its
-    column order q; the pattern then holds the reduced columns q[0],
-    q[1], ... in turn, so stored column j is the unknown of dof
-    free_dofs[q[j]].
+    columns is None until the mesh's first COLAMD factorization (the
+    wheel's) records its column order q; the pattern then holds the
+    reduced columns q[0], q[1], ... in turn, so stored column j is the
+    unknown of dof free_dofs[q[j]].
     """
 
     indptr: np.ndarray             # (n_free + 1,) int32
@@ -213,11 +225,11 @@ class StructuredMesh:
     in the global frame; edof (each element's 8 global dofs, x then y per
     node), free_dofs (the dofs outside the Dirichlet set) and the pattern
     of the reduced stiffness matrix are derived from the connectivity on
-    construction, which also checks it. The mesh's first factorization
-    records its column order on the pattern, and its first condensed
-    factorization the symmetric order symmetric_order: minimum degree on
-    the free-node graph, each node's free dofs adjacent, as positions in
-    free_dofs (see assemble_stiffness).
+    construction, which also checks it. The mesh's first COLAMD
+    factorization records its column order on the pattern, and its first
+    condensed one (an empty keep included) the symmetric order
+    symmetric_order: minimum degree on the free-node graph, each node's
+    free dofs adjacent, as positions in free_dofs (see assemble_stiffness).
     """
 
     kind: str                      # "rect" | "disc"
@@ -259,11 +271,16 @@ class StructuredMesh:
                                            self.n_dofs)
 
     def condensed(self, keep) -> "CondensedMesh":
-        """This mesh's stiffness condensed onto keep, sorted free dofs."""
+        """This mesh's stiffness condensed onto keep, sorted free dofs.
+
+        An empty keep is the whole system in symmetric_order: the plate's
+        factorization. COLAMD (assemble_stiffness on the mesh itself)
+        serves only the wheel's builder and loop, whose benchmark
+        reference pins their last bits.
+        """
         keep = np.asarray(keep)
-        if keep.ndim != 1 or keep.size == 0 or keep.dtype.kind not in "iu":
-            raise ValueError("keep must be a nonempty 1-D array of dof "
-                             "indices")
+        if keep.ndim != 1 or keep.dtype.kind not in "iu":
+            raise ValueError("keep must be a 1-D array of dof indices")
         if np.any(np.diff(keep) <= 0):
             raise ValueError("keep must be sorted and free of duplicates")
         if not np.isin(keep, self.free_dofs).all():
@@ -382,8 +399,10 @@ class CondensedMesh:
     assemble_stiffness(view, s) factorizes K(s) in the order of the mesh's
     symmetric_order with keep moved last, and returns the system of the
     Schur complement onto keep, whose loads and states have one row per
-    kept dof (see FactorizedSystem). pattern is the pattern of K in that
-    order, in rows and columns alike, built by the view's first assembly.
+    kept dof (see FactorizedSystem). An empty keep returns the whole
+    system in the symmetric order, with one row per dof of the mesh.
+    pattern is the pattern of K in that order, in rows and columns alike,
+    built by the view's first assembly.
     """
 
     mesh: StructuredMesh
@@ -413,9 +432,13 @@ class FactorizedSystem:
 
     Loads and states have one row per dof of the mesh (n_dofs rows). Row i
     of the reduced system is the equation of dof free_dofs[i], and its
-    unknown j is the displacement of dof unknowns[j]: free_dofs in the
-    mesh's first factorization, free_dofs[q] in every later one, where q
-    is the column order that first factorization recorded.
+    unknown j is the displacement of dof unknowns[j]. A COLAMD system (the
+    wheel's) has free_dofs in free-dof order and unknowns equal to them in
+    the mesh's first factorization, free_dofs[q] in every later one, where
+    q is the column order that first factorization recorded. The whole
+    system in the symmetric order (a CondensedMesh with an empty keep, the
+    plate's) has free_dofs = unknowns = the mesh's free dofs in
+    symmetric_order.
 
     A condensed system (from a CondensedMesh) has free_dofs = unknowns =
     keep and lu the TrailingBlock of S. Its loads and states have one row
@@ -487,7 +510,8 @@ def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
     later ones receive the columns in that order and keep it ("NATURAL"),
     which yields the same L, U and solves as ordering afresh.
 
-    mesh may be a CondensedMesh; see _factorize_condensed.
+    mesh may be a CondensedMesh, an empty keep included; see
+    _factorize_condensed.
     """
     if isinstance(mesh, CondensedMesh):
         return _factorize_condensed(
@@ -510,7 +534,8 @@ def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
 
 def _factorize_condensed(view: CondensedMesh,
                          s: np.ndarray) -> FactorizedSystem:
-    """The Schur complement of K(s) onto view.keep, from one factorization.
+    """The Schur complement of K(s) onto view.keep, from one factorization;
+    for an empty keep, the whole system.
 
     The mesh's first condensed assembly records its node-graph order as
     mesh.symmetric_order (see _node_graph_order); every condensed assembly
@@ -533,6 +558,10 @@ def _factorize_condensed(view: CondensedMesh,
     if not (np.array_equal(lu.perm_r, identity)
             and np.array_equal(lu.perm_c, identity)):
         raise FactorizationError("condensed factorization left the diagonal")
+    if view.keep.size == 0:
+        dofs = mesh.free_dofs[mesh.symmetric_order]
+        return FactorizedSystem(lu=lu, free_dofs=dofs, unknowns=dofs,
+                                n_dofs=mesh.n_dofs)
     m = n - view.keep.size
     block = TrailingBlock(L=lu.L[m:, m:].toarray(), U=lu.U[m:, m:].toarray(),
                           nnz=lu.nnz)

@@ -576,23 +576,30 @@ class TestPlateReanalysis:
     @pytest.mark.parametrize("budget", [None, 100])
     def test_dense_raw_evaluates_the_weakness_once_per_point(
             self, monkeypatch, budget):
+        # a fresh problem: the rule's weakness is kept per problem
+        plate = plate_problem(nx=60, ny=30, n_omega=4)
         calls = []
-        weakness = FINE.weakness
+        weakness = plate.weakness
 
         def counting_weakness(xi):
             calls.append(1)
             return weakness(xi)
 
-        monkeypatch.setattr(FINE, "weakness", counting_weakness)
+        monkeypatch.setattr(plate, "weakness", counting_weakness)
         if budget is not None:
             # several groups of points, one factorization each
             monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES", budget ** 2)
-        FINE.dense_raw(FINE_RHO, (5, 4))
+        plate.dense_raw(FINE_RHO, (5, 4))
+        assert len(calls) == 20
+        # a second call on the same rule evaluates none
+        plate.dense_raw(FINE_RHO[::-1], (5, 4))
         assert len(calls) == 20
 
     def test_dense_raw_groups_within_the_block_budget(self, monkeypatch):
         rho = np.random.default_rng(25).uniform(0.3, 0.9, FINE.n_design)
         whole, weights = FINE.dense_raw(rho, (5, 5))
+        # a fresh problem groups the rule under the budget set below
+        plate = plate_problem(nx=60, ny=30, n_omega=4)
         kept = []
         assemble = benchmarks.assemble_stiffness
 
@@ -604,8 +611,35 @@ class TestPlateReanalysis:
                             counting_assemble)
         budget = 100
         monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES", budget ** 2)
-        values, w = FINE.dense_raw(rho, (5, 5))
+        values, w = plate.dense_raw(rho, (5, 5))
         assert len(kept) >= 2 and max(kept) <= budget
         np.testing.assert_allclose(values, whole, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(w, weights)
 
+    def test_dense_raw_rule_kept_per_spec_and_load_scale(self, monkeypatch):
+        plate = plate_problem(nx=60, ny=30, n_omega=4)
+        rng = np.random.default_rng(26)
+        rhos = [rng.uniform(0.3, 0.9, plate.n_design) for _ in range(2)]
+        weakness = plate.weakness
+        evaluated = []
+
+        def counting_weakness(xi):
+            evaluated.append(1)
+            return weakness(xi)
+
+        monkeypatch.setattr(plate, "weakness", counting_weakness)
+        # (spec, load_scale, points whose weakness the call evaluates): a
+        # call with the kept spec and load_scale evaluates none
+        for k, (spec, scale, points) in enumerate((
+                ((5, 5), None, 25), ((5, 5), None, 0), ((4, 3), None, 12),
+                ((5, 5), None, 25), ((5, 5), 0.5, 25), ((5, 5), 0.5, 0))):
+            want = plate_problem(nx=60, ny=30, n_omega=4)
+            if scale is not None:
+                plate.load_scale = want.load_scale = scale
+            rho = rhos[k % 2]
+            del evaluated[:]
+            got = plate.dense_raw(rho, spec)
+            assert len(evaluated) == points
+            # bit-identical to a problem that builds its rule afresh
+            for g, w in zip(got, want.dense_raw(rho, spec), strict=True):
+                np.testing.assert_array_equal(g, w)

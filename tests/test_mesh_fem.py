@@ -4,10 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from smma import mesh_fem
+from smma import driver, mesh_fem
 from smma.benchmarks import plate_problem, wheel_problem
+from smma.design_field import E_VOID
 from smma.mesh_fem import (
     FactorizationError,
     FactorizedSystem,
@@ -235,12 +238,14 @@ def coo_stiffness(mesh, s):
 
 
 def recorded_splu(monkeypatch):
-    """Swap mesh_fem.splu for a wrapper; returns its (K, permc_spec) list."""
+    """Swap mesh_fem.splu for a wrapper; returns its list of
+    (K, permc_spec, factorization)."""
     calls = []
 
     def record(K, permc_spec=None, **options):
-        calls.append((K, permc_spec))
-        return splu(K, permc_spec=permc_spec, **options)
+        calls.append((K, permc_spec,
+                      splu(K, permc_spec=permc_spec, **options)))
+        return calls[-1][2]
 
     monkeypatch.setattr(mesh_fem, "splu", record)
     return calls
@@ -279,7 +284,7 @@ class TestPatternAssembly:
             U[free] = splu(want).solve(F[free])
             if order is not None:
                 want = want[:, order].tocsc()
-            K, _ = calls[-1]
+            K = calls[-1][0]
             for name in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(K, name),
                                               getattr(want, name))
@@ -296,7 +301,7 @@ class TestPatternAssembly:
         calls = recorded_splu(monkeypatch)
         s = np.array([0.5, 2.0])
         assemble_stiffness(mesh, s)
-        K, _ = calls[-1]
+        K = calls[-1][0]
         want = coo_stiffness(mesh, s)
         assert np.sum(np.signbit(want.data) & (want.data == 0.0)) == 2
         np.testing.assert_array_equal(np.signbit(K.data),
@@ -308,18 +313,33 @@ class TestPatternAssembly:
         rng = np.random.default_rng(4)
         for _ in range(3):
             assemble_stiffness(mesh, rng.uniform(0.1, 1.0, mesh.n_elements))
-        assert [spec for _, spec in calls] == ["COLAMD", "NATURAL",
-                                               "NATURAL"]
+        assert [spec for _, spec, _ in calls] == ["COLAMD", "NATURAL",
+                                                  "NATURAL"]
 
     def test_simp_clone_reuses_the_ordering(self, monkeypatch):
         problem = plate_problem(nx=12, ny=6, n_omega=4)
-        pattern = problem.mesh.pattern
-        assert pattern.columns is not None   # set by the calibration solve
+        view = problem._whole
+        pattern = view.pattern
+        assert pattern is not None   # set by the calibration solve
         calls = recorded_splu(monkeypatch)
         clone = problem.with_simp(3.0)
         clone.evaluate_records(clone.initial_design(), [[1.0, 0.5]])
-        assert [spec for _, spec in calls] == ["NATURAL"]
-        assert clone.mesh.pattern is pattern
+        assert [spec for _, spec, _ in calls] == ["NATURAL"]
+        assert clone._whole is view and view.pattern is pattern
+        # the plate never ran COLAMD, which would record its order here
+        assert problem.mesh.pattern.columns is None
+
+    def test_plate_never_runs_colamd(self, monkeypatch):
+        calls = recorded_splu(monkeypatch)
+        problem = plate_problem(nx=12, ny=6, n_omega=4)
+        cfg = driver.RunConfig(method="smma", iterations=2, seed=0,
+                               verify_every=1, verify_spec=(3, 3))
+        driver.run_smma(problem, cfg)
+        # the node-graph order once, then one factorization per iteration
+        # and per verification, all of them in that order
+        assert [spec for _, spec, _ in calls] == (["MMD_AT_PLUS_A"]
+                                                  + ["NATURAL"] * 5)
+        assert problem.mesh.pattern.columns is None
 
     def test_rows_are_free_dofs_and_unknowns_follow_the_order(self):
         mesh = build_disc_mesh(3, 12, 0.1, 0.9)
@@ -433,10 +453,10 @@ class TestCondensed:
         (lambda mesh: mesh.free_dofs[[3, 3, 4]], "sorted and free of dup"),
         (lambda mesh: mesh.free_dofs[[4, 3]], "sorted and free of dup"),
         (lambda mesh: np.array([mesh.n_dofs]), "outside the free dofs"),
-        (lambda mesh: np.zeros(0, dtype=int), "nonempty"),
-        (lambda mesh: mesh.free_dofs[:2].astype(float), "nonempty"),
-    ], ids=["dirichlet", "duplicate", "unsorted", "out-of-range", "empty",
-            "float"])
+        (lambda mesh: mesh.free_dofs[:2].astype(float), "1-D array of dof"),
+        (lambda mesh: mesh.free_dofs[:4].reshape(2, 2), "1-D array of dof"),
+    ], ids=["dirichlet", "duplicate", "unsorted", "out-of-range", "float",
+            "two-dimensional"])
     def test_bad_keep_rejected(self, keep, message):
         mesh = build_rect_mesh(3, 2, 3.0, 2.0)
         with pytest.raises(ValueError, match=message):
@@ -472,26 +492,28 @@ class TestCondensed:
             assemble_stiffness(view, np.ones(mesh.n_elements))
 
     def test_orders_recorded_once(self, monkeypatch):
-        calls = []   # (K, permc_spec, factorization)
-
-        def record(K, permc_spec=None, **options):
-            calls.append((K, permc_spec,
-                          splu(K, permc_spec=permc_spec, **options)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(mesh_fem, "splu", record)
+        calls = recorded_splu(monkeypatch)
         specs = lambda: [spec for _, spec, _ in calls]   # noqa: E731
         wheel = wheel_problem(n_radial=6, n_angular=16)
+        # the wheel's builder calibrates with one COLAMD factorization
+        assert specs() == ["COLAMD"]
+        del calls[:]
         plate = plate_problem(nx=12, ny=6, n_omega=4)
-        # each builder calibrates with one factorization: COLAMD, no MMD
-        assert specs() == ["COLAMD", "COLAMD"]
-        for problem, spec in ((wheel, 30), (plate, (3, 3))):
-            del calls[:]
+        # the plate's records the node-graph order, then calibrates with
+        # the whole system in it
+        assert specs() == ["MMD_AT_PLUS_A", "NATURAL"]
+        built = calls[:]
+        # three verifications each: one MMD per mesh, so the plate's reuse
+        # the order its builder recorded
+        for problem, spec, before, want in (
+                (wheel, 30, [], ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3),
+                (plate, (3, 3), built, ["MMD_AT_PLUS_A"] + ["NATURAL"] * 4)):
+            calls[:] = before
             mesh = problem.mesh
             clone = problem.with_simp(3.0)
             for verified in (problem, problem, clone):
                 dense_cc(verified.initial_design(), verified, spec)
-            assert specs() == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
+            assert specs() == want
             assert clone.mesh is mesh
             # the order comes from the free-node graph: half the rows of K
             n = mesh.free_dofs.size
@@ -502,11 +524,114 @@ class TestCondensed:
             pairs = mesh.free_dofs[order].reshape(-1, 2)
             np.testing.assert_array_equal(pairs[:, 1], pairs[:, 0] + 1)
             assert np.all(pairs[:, 0] % 2 == 0)
-            # every condensed factorization took its diagonal pivots
+            # every symmetric factorization took its diagonal pivots
             for _, _, lu in calls[1:]:
                 identity = np.arange(lu.shape[0])
                 np.testing.assert_array_equal(lu.perm_r, identity)
                 np.testing.assert_array_equal(lu.perm_c, identity)
+
+
+NO_DOFS = np.zeros(0, dtype=int)
+
+
+class TestWholeSystem:
+    """The whole system in the symmetric order (a view condensed onto no
+    dofs: the plate's builder and loop) against the COLAMD path and the
+    coo -> csc assembly factorized by SuperLU, which stay the oracles."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_rect_mesh(1, 1, 1.0, 1.0),
+        lambda: build_rect_mesh(7, 4, 2.0, 1.0),
+        lambda: build_disc_mesh(3, 12, 0.1, 0.9),
+        lambda: SMALL_PLATE.mesh,
+    ], ids=["rect-1x1", "rect-7x4", "disc-3x12", "plate-16x8"])
+    def test_matches_colamd_and_coo(self, make):
+        mesh = make()
+        rng = np.random.default_rng(8)
+        s = rng.uniform(0.05, 1.0, mesh.n_elements)
+        whole = assemble_stiffness(mesh.condensed(NO_DOFS), s)
+        assert not whole.condensed and whole.n_rows == mesh.n_dofs
+        ordered = mesh.free_dofs[mesh.symmetric_order]
+        np.testing.assert_array_equal(whole.free_dofs, ordered)
+        np.testing.assert_array_equal(whole.unknowns, ordered)
+        colamd = assemble_stiffness(mesh, s)
+        free, fixed = mesh.free_dofs, mesh.dirichlet_dofs
+        # loads at Dirichlet rows too: they are read at the free rows only
+        F = rng.standard_normal((mesh.n_dofs, 3))
+        want = np.zeros_like(F)
+        want[free] = splu(coo_stiffness(mesh, s)).solve(F[free])
+        scale = np.abs(want).max()
+        got = whole.solve(F)
+        np.testing.assert_array_equal(got[fixed], 0.0)
+        for oracle in (want, colamd.solve(F)):
+            np.testing.assert_allclose(got, oracle, rtol=0,
+                                       atol=1e-12 * scale)
+        np.testing.assert_allclose(whole.solve(F[:, 1]), want[:, 1],
+                                   rtol=0, atol=1e-12 * scale)
+        dofs = np.array([free[-1], fixed[0], free[0], free[free.size // 2]])
+        Z = whole.unit_columns(dofs)
+        assert Z.shape == (mesh.n_dofs, dofs.size)
+        np.testing.assert_array_equal(Z[:, 1], 0.0)
+        np.testing.assert_array_equal(Z[fixed], 0.0)
+        P = np.zeros((mesh.n_dofs, dofs.size))
+        P[dofs, np.arange(dofs.size)] = 1.0
+        want = np.zeros_like(P)
+        want[free] = splu(coo_stiffness(mesh, s)).solve(P[free])
+        scale = np.abs(want).max()
+        for oracle in (want, colamd.unit_columns(dofs)):
+            np.testing.assert_allclose(Z, oracle, rtol=0, atol=1e-12 * scale)
+
+
+@st.composite
+def pivot_free_cases(draw):
+    """A rect or disc mesh, element factors from the SIMP void stiffness
+    to 1, and an empty or a nonempty random keep."""
+    if draw(st.booleans()):
+        mesh = build_rect_mesh(draw(st.integers(1, 8)),
+                               draw(st.integers(1, 8)), 2.0, 1.0)
+    else:
+        mesh = build_disc_mesh(draw(st.integers(1, 4)),
+                               draw(st.integers(8, 16)), 0.1, 0.9)
+    n = mesh.n_elements
+    s = draw(st.lists(st.floats(E_VOID, 1.0), min_size=n, max_size=n))
+    keep = draw(st.just([]) | st.lists(
+        st.sampled_from(mesh.free_dofs.tolist()), min_size=1, max_size=24,
+        unique=True))
+    return mesh, np.array(s), np.array(sorted(keep), dtype=int)
+
+
+class TestPivotFree:
+    """K is SPD, so its factorization needs no pivot in exact arithmetic;
+    the plate's loop and every verification rely on it staying on the
+    diagonal in floating point, down to the void stiffness."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pivot_free_cases())
+    def test_stays_on_the_diagonal(self, case):
+        mesh, s, keep = case
+        with pytest.MonkeyPatch.context() as mp:
+            calls = recorded_splu(mp)
+            # raises FactorizationError on a pivot off the diagonal
+            system = assemble_stiffness(mesh.condensed(keep), s)
+        K, _, lu = calls[-1]
+        rng = np.random.default_rng(9)
+        free = mesh.free_dofs
+        if keep.size == 0:
+            f = rng.standard_normal(mesh.n_dofs)
+            u = system.solve(f)
+            residual = coo_stiffness(mesh, s) @ u[free] - f[free]
+            assert (np.linalg.norm(residual)
+                    <= 1e-10 * np.linalg.norm(f[free]))
+            return
+        # a load on keep, last in K's order: the condensed solve is the
+        # trailing block of the whole factorization's solve
+        b = np.zeros(free.size)
+        b[-keep.size:] = rng.standard_normal(keep.size)
+        x = lu.solve(b)
+        assert np.linalg.norm(K @ x - b) <= 1e-10 * np.linalg.norm(b)
+        np.testing.assert_allclose(system.solve(b[-keep.size:]),
+                                   x[-keep.size:], rtol=0,
+                                   atol=1e-12 * np.abs(x).max())
 
 
 class TestSolve:
