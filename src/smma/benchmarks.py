@@ -15,9 +15,10 @@ weakened in a random disc at xi. The alpha-average of the compliance is
 analytic: each design gets one block solve of the 2 * n_omega unit loads
 (an x and a y load per omega node). The omega integral is a fixed
 trapezoid, and only xi is sampled. The weakness changes the stiffness of
-only a few elements, so all xi of one call share one factorization of the
-unweakened design, each served by an exact rank-r update of it: a record's
-compliances and gradient come from the unweakened states U0 (one
+only a few elements, and a xi reaches the FEM layer as those elements and
+their weakened factors alone. All xi of one call share one factorization
+of the unweakened design, each served by an exact rank-r update of it: a
+record's compliances and gradient come from the unweakened states U0 (one
 2 * n_omega-column sensitivity contraction per call) plus a rank-r
 correction per xi, and no weakened state is formed. Dense verification
 needs the states only at the loaded dofs and at the dofs the weakness
@@ -39,7 +40,6 @@ and the published smoothing constants directly meaningful.
 from __future__ import annotations
 
 import copy
-import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -441,16 +441,24 @@ class PlateProblem(_ProblemBase):
         cbar = (ix * cxx + iy * cyy + ixy * (cxy + cyx)) / width
         return cbar, Ux, Uy
 
-    def _weakened_blocks(self, system, s0, shares, FxB, FyB):
+    def _changed(self, xi):
+        """(touched, kept): the elements whose stiffness xi changes, and
+        the share kept = 1 - g_xi of it that xi leaves them; where g_xi is
+        below half an ulp of 1, kept rounds to 1: no change."""
+        kept = 1.0 - self.weakness(xi)
+        touched = np.flatnonzero(kept < 1.0)
+        return touched, kept[touched]
+
+    def _weakened_blocks(self, system, s0, changed, FxB, FyB):
         """(Ux0, Uy0, blocks): the unweakened states of the unit loads and
-        an iterator of (cbar, update, kept), one per xi in turn.
+        an iterator of (cbar, update), one per xi in turn.
 
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 and one block solve
         of the 2 * n_omega loads serve every xi through an exact low-rank
         update; cbar is the compliance of K(xi), and no state of K(xi) is
-        formed. shares yields kept = 1 - g_xi per xi, the share of each
-        element's stiffness that xi leaves.
+        formed. changed holds each xi's (touched, kept) (see _changed),
+        and its change is the factors s0[touched] * kept at touched.
 
         system is K0, the stiffness of the element factors s0 assembled on
         the whole view self._whole or on a view condensed onto the loaded
@@ -463,19 +471,14 @@ class PlateProblem(_ProblemBase):
         cbar0, Ux0, Uy0 = self.angle_averaged_block(system, FxB, FyB)
         ix, iy, ixy, width = angle_integrals(*self.angle_range)
 
-        def blocks():
-            # the updates consume the fields a group ahead; tee holds the
-            # kept shares until their update comes out
-            kept, kept_fields = itertools.tee(shares)
-            updates = low_rank_updates(system, self.mesh, s0,
-                                       (s0 * k for k in kept_fields))
-            for update, k in zip(updates, kept):
-                drop = (ix * update.form_drop(Ux0, Ux0)
-                        + iy * update.form_drop(Uy0, Uy0)
-                        + ixy * (update.form_drop(Ux0, Uy0)
-                                 + update.form_drop(Uy0, Ux0))) / width
-                yield cbar0 - drop, update, k
-        return Ux0, Uy0, blocks()
+        def drop(update):
+            return (ix * update.form_drop(Ux0, Ux0)
+                    + iy * update.form_drop(Uy0, Uy0)
+                    + ixy * (update.form_drop(Ux0, Uy0)
+                             + update.form_drop(Uy0, Ux0))) / width
+        updates = low_rank_updates(system, self.mesh, s0, (
+            (touched, s0[touched] * kept) for touched, kept in changed))
+        return Ux0, Uy0, ((cbar0 - drop(u), u) for u in updates)
 
     def evaluate_records(self, rho, params):
         """Records for a batch of xi, from one factorization of the design.
@@ -495,13 +498,13 @@ class PlateProblem(_ProblemBase):
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
         system = assemble_stiffness(self._whole, s0)
+        changed = [self._changed(xi) for xi in xis]
         # the first call builds the load cache after the factorization:
         # built before it, the cache left glibc's heap so that every later
-        # call faulted in fresh pages (default plate, 8 iterations: 5.1k
-        # to 5.6k minor faults an iteration against at most 3.2k)
+        # call faulted in fresh pages (default plate, 8 iterations: 5.0k
+        # to 5.6k minor faults an iteration against 2.3k to 3.3k)
         Ux0, Uy0, blocks = self._weakened_blocks(
-            system, s0, (1.0 - self.weakness(xi) for xi in xis),
-            *self.load_block())
+            system, s0, changed, *self.load_block())
         U0 = np.hstack([Ux0, Uy0])
         lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
         # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
@@ -510,7 +513,7 @@ class PlateProblem(_ProblemBase):
             self.mesh, U0,
             np.hstack([ix * Ux0 + ixy * Uy0, iy * Uy0 + ixy * Ux0]))
         values, grads = [], []
-        for cbar, update, kept in blocks:
+        for (cbar, update), (touched, kept) in zip(blocks, changed):
             t = cbar - self.smoothing.c_max
             values.append(float(self.omega_weights
                                 @ h_eval(t, self.smoothing)))
@@ -521,7 +524,8 @@ class PlateProblem(_ProblemBase):
                 # B = Lambda diag(coef) is symmetric
                 Z, Y = update.form_change(U0, lam * coef)
                 q += element_quadratic_forms(self.mesh, Z, Y).sum(axis=0)
-            grad_s = -q / width * kept
+            grad_s = -q / width
+            grad_s[touched] *= kept
             grads.append(df.backprop_to_design(grad_s, rho, self.filt,
                                                self.simp, mesh=self.mesh))
         return np.array(values), np.stack(grads)
@@ -536,7 +540,7 @@ class PlateProblem(_ProblemBase):
         keep = T u S, the loaded dofs T and the dofs S of every element
         whose stiffness the weakness of one of the group's points changes;
         the unit loads at view.keep; and per point of the group its
-        changed elements with their kept shares 1 - g_xi. None of it
+        change, (touched, kept) from _changed. None of it
         depends on the design, so one plan, with the patterns its views
         build on their first assembly, is kept and rebuilt when spec or
         load_scale changes, as load_block is.
@@ -547,13 +551,7 @@ class PlateProblem(_ProblemBase):
             FxB, FyB = self.load_block()
             loaded = np.flatnonzero(np.any(FxB != 0.0, axis=1)
                                     | np.any(FyB != 0.0, axis=1))
-            changed = []
-            for xi in pts:
-                kept = 1.0 - self.weakness(xi)
-                # the elements whose stiffness xi changes: where g_xi is
-                # below half an ulp of 1, the kept share rounds to 1
-                touched = np.flatnonzero(kept < 1.0)
-                changed.append((touched, kept[touched]))
+            changed = [self._changed(xi) for xi in pts]
             groups = [(view, FxB[view.keep], FyB[view.keep],
                        [changed[i] for i in group])
                       for group, view in condensed_groups(
@@ -582,16 +580,9 @@ class PlateProblem(_ProblemBase):
         values = []
         for view, FxK, FyK, changed in groups:
             _, _, blocks = self._weakened_blocks(
-                assemble_stiffness(view, s0), s0,
-                (self._kept_share(*point) for point in changed), FxK, FyK)
-            values.extend(cbar for cbar, _, _ in blocks)
+                assemble_stiffness(view, s0), s0, changed, FxK, FyK)
+            values.extend(cbar for cbar, _ in blocks)
         return np.stack(values).ravel(), weights.copy()
-
-    def _kept_share(self, touched, shares) -> np.ndarray:
-        """1 - g_xi per element, from the elements xi changes."""
-        kept = np.ones(self.mesh.n_elements)
-        kept[touched] = shares
-        return kept
 
 
 def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,

@@ -10,11 +10,11 @@ rim; none on the rectangle), and the `pattern` of its reduced stiffness
 matrix.
 Assembly scales a unit-modulus element stiffness by a per-element factor,
 Dirichlet dofs are eliminated, and the reduced SPD system is factorized once
-per design so that many load cases can be solved against it. Designs that
-differ from a factorized one in a few element factors are served by the
-same factorization through an exact low-rank (Woodbury) update: their
-compliances and element quadratic forms are those of the factorized design
-plus low-rank corrections.
+per design so that many load cases can be solved against it. A change of
+a few element factors, given as those elements and their new factors, is
+served by the same factorization through an exact low-rank (Woodbury)
+update: the changed design's compliances and element quadratic forms are
+those of the factorized design plus low-rank corrections.
 
 Everything that depends only on the mesh is done once per mesh. The
 `StiffnessPattern` holds the CSC structure of the reduced matrix and, for
@@ -281,7 +281,8 @@ class StructuredMesh:
         keep = np.asarray(keep)
         if keep.ndim != 1 or keep.dtype.kind not in "iu":
             raise ValueError("keep must be a 1-D array of dof indices")
-        if np.any(np.diff(keep) <= 0):
+        # no np.diff: it wraps around on unsigned dofs
+        if np.any(keep[1:] <= keep[:-1]):
             raise ValueError("keep must be sorted and free of duplicates")
         if not np.isin(keep, self.free_dofs).all():
             raise ValueError("keep holds a dof outside the free dofs")
@@ -707,15 +708,26 @@ class LowRankUpdate:
         return self.Z, self.Z @ (C @ BCt) - 2.0 * (U0 @ BCt)
 
 
-def _element_update(mesh: StructuredMesh, s0: np.ndarray, s: np.ndarray):
-    """(S, dK_SS) for K(s) - K(s0): the free dofs of the elements whose
-    factor differs, and sum_e (s_e - s0_e) k_e restricted to them."""
-    touched = np.nonzero(s != s0)[0]
+def _element_update(mesh: StructuredMesh, s0: np.ndarray, elements, s):
+    """(S, dK_SS) for K0 with the factors at elements changed from s0 to s:
+    the free dofs of the elements whose factor moves, and
+    sum_e (s_e - s0_e) k_e restricted to them."""
+    # signed indices, whether a list or an unsigned array came in
+    elements = np.asarray(elements, dtype=np.intp)
+    s = np.asarray(s, dtype=float)
+    if elements.ndim != 1 or s.shape != elements.shape:
+        raise ValueError("a change needs one factor per element")
+    if np.any(elements[1:] <= elements[:-1]):
+        raise ValueError("changed elements must be strictly increasing")
+    if np.any((elements < 0) | (elements >= mesh.n_elements)):
+        raise ValueError("changed element out of range")
+    moved = s != s0[elements]
+    touched = elements[moved]
     edof = mesh.edof[touched]
     dofs, local = np.unique(edof, return_inverse=True)
     local = local.reshape(edof.shape)
     dK = np.zeros((dofs.size, dofs.size))
-    blocks = ((s - s0)[touched, None, None]
+    blocks = ((s[moved] - s0[touched])[:, None, None]
               * mesh.element_matrices[touched])
     np.add.at(dK, (local[:, :, None], local[:, None, :]), blocks)
     free = ~np.isin(dofs, mesh.dirichlet_dofs)
@@ -723,22 +735,24 @@ def _element_update(mesh: StructuredMesh, s0: np.ndarray, s: np.ndarray):
 
 
 def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh,
-                     s0, fields):
-    """Yield one LowRankUpdate per stiffness field, in order.
+                     s0, changes):
+    """Yield one LowRankUpdate per change, in order.
 
     system is the factorization of K(s0), whole or condensed onto a keep
-    that holds every changed free dof. Fields that change only a few
-    element factors give low-rank updates; Z for the union of their dofs
-    comes from one block solve of unit columns. When that block would
-    exceed _UPDATE_BLOCK_ENTRIES, the fields are split into consecutive
-    groups with one block solve each.
+    that holds every changed free dof. A change is (elements, factors):
+    strictly increasing element indices and their new factors (ValueError
+    otherwise); an element listed at its factor in s0 changes nothing.
+    Changes of a few elements give low-rank updates; Z for the union of
+    their dofs comes from one block solve of unit columns. When that block
+    would exceed _UPDATE_BLOCK_ENTRIES, the changes are split into
+    consecutive groups with one block solve each.
     """
     s0 = np.asarray(s0, dtype=float)
     budget = max(1, _UPDATE_BLOCK_ENTRIES // system.n_rows)
     group: list = []
     columns: set = set()
-    for s in fields:
-        dofs, dK = _element_update(mesh, s0, np.asarray(s, dtype=float))
+    for elements, s in changes:
+        dofs, dK = _element_update(mesh, s0, elements, s)
         grown = columns.union(dofs.tolist())
         if group and len(grown) > budget:
             yield from _solve_group(system, group, columns)

@@ -111,12 +111,11 @@ def indicator_eval(t):
     return float(out) if out.ndim == 0 else out
 
 
-def aggregate_cc(compliances, quad_weights, params: SmoothingParams,
-                 flavor: str = "steepened") -> float:
-    """Weighted chance-constraint value sum_i w_i * f(c_i - c_max).
-
-    flavor selects f: the raw indicator ("nonsmooth"), the tanh
-    approximation ("tanh") or the steepened variant ("steepened").
+def aggregate_cc(compliances, quad_weights,
+                 params: SmoothingParams) -> tuple[float, float, float]:
+    """(smooth, steepened, nonsmooth): the weighted chance-constraint
+    value sum_i w_i * f(c_i - c_max) for f the tanh approximation h_tanh,
+    the steepened h_eval and the raw indicator of (0, inf).
     """
     c = np.asarray(compliances, dtype=float)
     w = np.asarray(quad_weights, dtype=float)
@@ -126,12 +125,5 @@ def aggregate_cc(compliances, quad_weights, params: SmoothingParams,
     if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("quadrature weights must be nonnegative and sum to 1")
     t = c - params.c_max
-    if flavor == "nonsmooth":
-        vals = indicator_eval(t)
-    elif flavor == "tanh":
-        vals = h_tanh(t, params)
-    elif flavor == "steepened":
-        vals = h_eval(t, params)
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return float(w @ np.atleast_1d(vals))
+    return tuple(float(w @ np.atleast_1d(vals)) for vals in (
+        h_tanh(t, params), h_eval(t, params), indicator_eval(t)))

@@ -25,6 +25,4 @@ def dense_cc(design, problem, spec=None) -> tuple[float, float, float]:
     default when omitted. Deterministic, no RNG involved.
     """
     values, weights = problem.dense_raw(design, spec)
-    return (aggregate_cc(values, weights, problem.smoothing, "tanh"),
-            aggregate_cc(values, weights, problem.smoothing, "steepened"),
-            aggregate_cc(values, weights, problem.smoothing, "nonsmooth"))
+    return aggregate_cc(values, weights, problem.smoothing)

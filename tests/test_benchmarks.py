@@ -174,8 +174,8 @@ class TestWheel:
         v0, w = wheel.dense_raw(rho, n)
         v1, _ = wheel.dense_raw(rho_rot, n)
         from smma.smoothing import aggregate_cc
-        g0 = aggregate_cc(v0, w, wheel.smoothing, "steepened")
-        g1 = aggregate_cc(v1, w, wheel.smoothing, "steepened")
+        _, g0, _ = aggregate_cc(v0, w, wheel.smoothing)
+        _, g1, _ = aggregate_cc(v1, w, wheel.smoothing)
         assert abs(g0 - g1) < 1e-6
 
     def test_record_gradient_matches_finite_differences(self, wheel):

@@ -452,11 +452,13 @@ class TestCondensed:
         (lambda mesh: mesh.dirichlet_dofs[:1], "outside the free dofs"),
         (lambda mesh: mesh.free_dofs[[3, 3, 4]], "sorted and free of dup"),
         (lambda mesh: mesh.free_dofs[[4, 3]], "sorted and free of dup"),
+        (lambda mesh: mesh.free_dofs[[7, 2]].astype(np.uint64),
+         "sorted and free of dup"),
         (lambda mesh: np.array([mesh.n_dofs]), "outside the free dofs"),
         (lambda mesh: mesh.free_dofs[:2].astype(float), "1-D array of dof"),
         (lambda mesh: mesh.free_dofs[:4].reshape(2, 2), "1-D array of dof"),
-    ], ids=["dirichlet", "duplicate", "unsorted", "out-of-range", "float",
-            "two-dimensional"])
+    ], ids=["dirichlet", "duplicate", "unsorted", "unsigned-unsorted",
+            "out-of-range", "float", "two-dimensional"])
     def test_bad_keep_rejected(self, keep, message):
         mesh = build_rect_mesh(3, 2, 3.0, 2.0)
         with pytest.raises(ValueError, match=message):
@@ -803,6 +805,11 @@ class TestLowRankUpdates:
             out.append(s)
         return out
 
+    @staticmethod
+    def changes(s0, fields):
+        """Each field as the change it makes: (elements, factors)."""
+        return [(np.flatnonzero(s != s0), s[s != s0]) for s in fields]
+
     def assert_matches_direct(self, mesh, F, U0, s, update, B):
         U = assemble_stiffness(mesh, s).solve(F)
         drop = np.einsum("db,db->b", F, U0) - np.einsum("db,db->b", F, U)
@@ -831,7 +838,8 @@ class TestLowRankUpdates:
         A = rng.standard_normal((3, 3))
         B = A + A.T                     # symmetric, indefinite
         fields = self.fields(mesh, s0, rng, 8)
-        updates = list(low_rank_updates(system, mesh, s0, fields))
+        updates = list(low_rank_updates(system, mesh, s0,
+                                        self.changes(s0, fields)))
         assert len(updates) == len(fields)
         for s, update in zip(fields, updates):
             assert update.dofs.size <= 8 * np.count_nonzero(s != s0)
@@ -842,7 +850,8 @@ class TestLowRankUpdates:
         mesh = build_rect_mesh(3, 2, 1.0, 1.0)
         s0 = np.linspace(0.5, 1.0, mesh.n_elements)
         system = assemble_stiffness(mesh, s0)
-        (update,) = low_rank_updates(system, mesh, s0, [s0.copy()])
+        (update,) = low_rank_updates(system, mesh, s0,
+                                     self.changes(s0, [s0.copy()]))
         assert update.dofs.size == 0
         U0 = np.arange(2.0 * mesh.n_dofs).reshape(mesh.n_dofs, 2)
         np.testing.assert_array_equal(update.form_drop(U0, U0), 0.0)
@@ -861,10 +870,43 @@ class TestLowRankUpdates:
         solve = system.solve
         system.solve = lambda rhs: widths.append(rhs.shape[1]) or solve(rhs)
         fields = self.fields(mesh, s0, rng, 12)
-        updates = list(low_rank_updates(system, mesh, s0, fields))
+        updates = list(low_rank_updates(system, mesh, s0,
+                                        self.changes(s0, fields)))
         assert len(widths) > 1 and max(widths) <= budget
         F = np.zeros((mesh.n_dofs, 1))
         F[-1] = 1.0
         U0 = solve(F)
         for s, update in zip(fields, updates, strict=True):
             self.assert_matches_direct(mesh, F, U0, s, update, np.eye(1))
+
+    def test_element_at_its_factor_changes_nothing(self):
+        mesh = build_rect_mesh(5, 3, 2.0, 1.0)
+        s0 = np.random.default_rng(14).uniform(0.2, 1.0, mesh.n_elements)
+        system = assemble_stiffness(mesh, s0)
+        elements = np.array([2, 6, 7])
+        factors = s0[elements] * np.array([0.5, 1.0, 2.0])
+        (listed,) = low_rank_updates(system, mesh, s0, [(elements, factors)])
+        (bare,) = low_rank_updates(system, mesh, s0,
+                                   [(elements[[0, 2]], factors[[0, 2]])])
+        np.testing.assert_array_equal(listed.dofs, bare.dofs)
+        assert listed.Z.tobytes() == bare.Z.tobytes()
+        assert listed.M.tobytes() == bare.M.tobytes()
+
+    @pytest.mark.parametrize("elements,factors,message", [
+        ([4, 2], [0.5, 0.5], "strictly increasing"),
+        ([3, 3], [0.5, 0.5], "strictly increasing"),
+        (np.array([4, 2], dtype=np.uint64), [0.5, 0.5], "strictly incr"),
+        ([-1], [0.5], "out of range"),
+        ([15], [0.5], "out of range"),
+        (np.array([2 ** 64 - 1], dtype=np.uint64), [0.5], "out of range"),
+        ([2, 4], [0.5], "one factor per element"),
+        ([2, 4], [0.5, 0.5, 0.5], "one factor per element"),
+    ], ids=["unsorted", "repeated", "unsigned-unsorted", "negative",
+            "past-the-end", "unsigned-wrapped", "short-factors",
+            "long-factors"])
+    def test_bad_change_rejected(self, elements, factors, message):
+        mesh = build_rect_mesh(5, 3, 2.0, 1.0)
+        s0 = np.ones(mesh.n_elements)
+        system = assemble_stiffness(mesh, s0)
+        with pytest.raises(ValueError, match=message):
+            list(low_rank_updates(system, mesh, s0, [(elements, factors)]))

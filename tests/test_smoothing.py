@@ -114,19 +114,30 @@ class TestAggregate:
         p = params(c_max=2.0)
         c = np.full(7, 2.0)
         w = np.full(7, 1.0 / 7)
-        assert aggregate_cc(c, w, p, "tanh") == pytest.approx(0.5, abs=1e-15)
+        smooth, _, _ = aggregate_cc(c, w, p)
+        assert smooth == pytest.approx(0.5, abs=1e-15)
 
     def test_all_clearly_below_cap_nonsmooth_zero(self):
         p = params()
         c = np.full(5, p.c_max - 10.0 / p.a1 - 1.0)
         w = np.full(5, 0.2)
-        assert aggregate_cc(c, w, p, "nonsmooth") == 0.0
+        assert aggregate_cc(c, w, p)[2] == 0.0
 
     def test_half_violating(self):
         p = params()
         c = np.array([0.5, 1.5]) * p.c_max
         w = np.array([0.5, 0.5])
-        assert aggregate_cc(c, w, p, "nonsmooth") == 0.5
+        assert aggregate_cc(c, w, p)[2] == 0.5
+
+    def test_one_call_gives_every_integrand(self):
+        p = params()
+        rng = np.random.default_rng(12)
+        c = rng.uniform(0.0, 2.0 * p.c_max, size=9)
+        w = np.full(9, 1.0 / 9)
+        t = c - p.c_max
+        assert aggregate_cc(c, w, p) == (float(w @ h_tanh(t, p)),
+                                         float(w @ h_eval(t, p)),
+                                         float(w @ indicator_eval(t)))
 
     def test_bad_weights_rejected(self):
         p = params()
@@ -150,8 +161,8 @@ class TestAggregate:
             w /= w.sum()
             t = c - p.c_max
             gap = np.abs(h_tanh(t, p) - indicator_eval(t)).max()
-            diff = abs(aggregate_cc(c, w, p, "tanh")
-                       - aggregate_cc(c, w, p, "nonsmooth"))
+            smooth, _, nonsmooth = aggregate_cc(c, w, p)
+            diff = abs(smooth - nonsmooth)
             assert diff <= gap + 1e-12
 
 
