@@ -526,9 +526,11 @@ class PlateProblem(_ProblemBase):
                 q += element_quadratic_forms(self.mesh, Z, Y).sum(axis=0)
             grad_s = -q / width
             grad_s[touched] *= kept
-            grads.append(df.backprop_to_design(grad_s, rho, self.filt,
-                                               self.simp, mesh=self.mesh))
-        return np.array(values), np.stack(grads)
+            grads.append(grad_s)
+        # C order: the baseline's lam @ grads sums in an order that depends
+        # on the layout, and the plate goldens are byte-exact
+        return np.array(values), np.ascontiguousarray(df.backprop_to_design(
+            np.stack(grads), rho, self.filt, self.simp, mesh=self.mesh))
 
     def default_baseline_spec(self, batch_size: int):
         return (5, 5)

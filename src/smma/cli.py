@@ -1,11 +1,13 @@
 """Command-line entry point: run, verify, render.
 
 Configs are plain key = value text (lists are whitespace-separated; '#'
-starts a comment). `run` sweeps the cartesian product of list-valued
-batch / tau / seed, writing one directory per run with the iteration CSV,
-the final design file, and a manifest: the config with the run's one
-batch, tau and seed in place of the lists, and without `out`, which
-reproduces the run exactly.
+starts a comment). A key is the problem, a keyword of its builder, or a
+driver.RunConfig field, except the CLI's own: the sweep lists batch, tau
+and seed, log_timing and out. `run` sweeps the cartesian product of the
+lists, writing one directory per run with the iteration CSV, the final
+design file, and a manifest: the config with the run's one batch, tau and
+seed in place of the lists, and without `out`, which reproduces the run
+exactly.
 
 Exit codes: 0 ok, 1 runtime failure, 2 bad config/arguments.
 """
@@ -16,13 +18,12 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .benchmarks import plate_problem, wheel_problem
-from .driver import METHODS, RunConfig, run_smma
+from .driver import METHODS, RunConfig, run_smma, simp_at
 from .verify import dense_cc
 
 DESIGN_MAGIC = "smma-design 1"
@@ -32,7 +33,6 @@ DESIGN_GEOMETRY = {"rect": ("height", "width"), "disc": ("r_inner", "r_rim")}
 
 class ConfigError(Exception):
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
 
@@ -93,31 +93,25 @@ def _float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.split()]
 
 
-def _pair(raw: str) -> tuple[int, int]:
-    parts = raw.split()
-    if len(parts) != 2:
-        raise ValueError("expected two integers")
-    return int(parts[0]), int(parts[1])
+def _schedule(raw: str) -> tuple[tuple[int, float], ...]:
+    """'k x [k x ...]' as ((k, x), ...), integers k and numbers x."""
+    tokens = raw.split()
+    if len(tokens) % 2:
+        raise ValueError("expected integer-number pairs")
+    return tuple((int(k), float(x)) for k, x in zip(tokens[::2], tokens[1::2]))
+
+
+def _tau_schedule(raw: str) -> tuple[int, float]:
+    pairs = _schedule(raw)
+    if len(pairs) != 1:
+        raise ValueError("expected one integer-number pair")
+    return pairs[0]
 
 
 def _method(raw: str) -> str:
     if raw not in METHODS:
         raise ValueError(f"unknown method {raw!r}")
     return raw
-
-
-def _check_counts(name: str, spec, line: int | None = None) -> None:
-    """A quadrature rule's point count, or each count of a grid, is >= 1."""
-    if spec is not None and min(np.atleast_1d(spec)) < 1:
-        raise ConfigError(f"{name} needs at least 1 point per count, "
-                          f"got {spec}", line)
-
-
-class _ProblemKeys(NamedTuple):
-    builder: Callable
-    keys: dict                  # config key -> (builder keyword, converter)
-    rule_keys: tuple[str, str]  # keys of the verify and the baseline rule
-    rule_conv: Callable
 
 
 # keys every problem's builder takes
@@ -127,26 +121,25 @@ _MODEL_KEYS = {
     "rmin": ("r_min", float), "poisson": ("poisson", float),
     "simp": ("simp_s", float),
 }
+# problem -> (builder, config key -> (builder keyword, converter))
 _PROBLEMS = {
-    "wheel": _ProblemKeys(
-        wheel_problem,
-        {**_MODEL_KEYS, "n_radial": ("n_radial", int),
-         "n_angular": ("n_angular", int)},
-        ("verify_points", "baseline_nodes"), int),
-    "plate": _ProblemKeys(
-        plate_problem,
-        {**_MODEL_KEYS, "nx": ("nx", int), "ny": ("ny", int),
-         "ell": ("ell", float), "n_omega": ("n_omega", int)},
-        ("verify_grid", "baseline_grid"), _pair),
+    "wheel": (wheel_problem,
+              {**_MODEL_KEYS, "n_radial": ("n_radial", int),
+               "n_angular": ("n_angular", int)}),
+    "plate": (plate_problem,
+              {**_MODEL_KEYS, "nx": ("nx", int), "ny": ("ny", int),
+               "ell": ("ell", float), "n_omega": ("n_omega", int)}),
 }
-# config key -> converter, for the RunConfig field of the same name
+# config key -> converter, for the RunConfig field of the same name; a
+# rule is one point count per parameter coordinate (wheel: 1080, plate:
+# 50 50), a schedule one or more (iteration, value) pairs
 _RUN_KEYS = {"method": _method, "iterations": int, "memory_cap": int,
              "pseudo_points": int, "empirical_weights": _bool,
-             "verify_every": int}
-# the problem, the sweep lists, the key pairs of the two schedules, and
-# what to do with the output
-_OWN_KEYS = {"problem", "batch", "tau", "seed", "tau_period", "tau_factor",
-             "simp_switch_iter", "simp_switch_value", "log_timing", "out"}
+             "verify_every": int, "verify_spec": _int_list,
+             "baseline_spec": _int_list, "tau_schedule": _tau_schedule,
+             "simp_schedule": _schedule}
+# the problem, the sweep lists, and what to do with the output
+_OWN_KEYS = {"problem", "batch", "tau", "seed", "log_timing", "out"}
 
 
 @dataclass
@@ -161,42 +154,23 @@ class ResolvedConfig:
     out: str
 
 
-def _together(entries, first, first_conv, second, second_conv):
-    """(first, second) when both keys are given, None when neither is."""
-    a = _get(entries, first, first_conv)
-    b = _get(entries, second, second_conv)
-    if (a is None) != (b is None):
-        raise ConfigError(f"{first} and {second} must be given together")
-    return None if a is None else (a, b)
-
-
 def resolve_config(entries: dict[str, _Entry]) -> ResolvedConfig:
     problem_name = _get(entries, "problem", str, required=True)
     if problem_name not in _PROBLEMS:
         raise ConfigError(f"unknown problem {problem_name!r}",
                           entries["problem"].line)
-    spec = _PROBLEMS[problem_name]
-    allowed = (_OWN_KEYS | _RUN_KEYS.keys() | spec.keys.keys()
-               | set(spec.rule_keys))
+    builder_keys = _PROBLEMS[problem_name][1]
+    allowed = _OWN_KEYS | _RUN_KEYS.keys() | builder_keys.keys()
     for key, e in entries.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} for problem "
                               f"{problem_name!r}", e.line)
 
     problem_kwargs = {kw: _get(entries, key, conv)
-                      for key, (kw, conv) in spec.keys.items()
+                      for key, (kw, conv) in builder_keys.items()
                       if key in entries}
     run = {key: _get(entries, key, conv)
            for key, conv in _RUN_KEYS.items() if key in entries}
-    for key, field in zip(spec.rule_keys, ("verify_spec", "baseline_spec")):
-        if key in entries:
-            run[field] = _get(entries, key, spec.rule_conv)
-            _check_counts(repr(key), run[field], entries[key].line)
-    run["tau_schedule"] = _together(entries, "tau_period", int,
-                                    "tau_factor", float)
-    switch = _together(entries, "simp_switch_iter", int,
-                       "simp_switch_value", float)
-    run["simp_schedule"] = None if switch is None else (switch,)
 
     # an absent sweep key runs the RunConfig default
     return ResolvedConfig(
@@ -215,9 +189,32 @@ def resolve_config(entries: dict[str, _Entry]) -> ResolvedConfig:
 def build_problem(rc: ResolvedConfig):
     """The configured problem; a value its builder rejects is bad input."""
     try:
-        return _PROBLEMS[rc.problem_name].builder(**rc.problem_kwargs)
+        return _PROBLEMS[rc.problem_name][0](**rc.problem_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _load_runs(config_path):
+    """(entries, resolved config, one RunConfig per sweep point, problem)
+    of a config file, every value checked before any run starts."""
+    entries = parse_config(Path(config_path).read_text())
+    rc = resolve_config(entries)
+    runs = []
+    for batch, tau, seed in product(rc.batches, rc.taus, rc.seeds):
+        try:
+            runs.append(RunConfig(batch_size=batch, tau=tau, seed=seed,
+                                  **rc.run_kwargs))
+        except ValueError as exc:
+            raise ConfigError(f"batch {batch}, tau {tau:g}, seed {seed}: "
+                              f"{exc}") from None
+    problem = build_problem(rc)
+    for key in ("verify_spec", "baseline_spec"):
+        try:
+            if key in entries:
+                problem.space.rule_counts(rc.run_kwargs[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key!r}: {exc}", entries[key].line) from None
+    return entries, rc, runs, problem
 
 
 # ---------------------------------------------------------------------------
@@ -363,36 +360,33 @@ def _fmt_float(x: float) -> str:
 
 
 def cmd_run(config_path: str, out_root: str | None) -> int:
-    entries = parse_config(Path(config_path).read_text())
-    rc = resolve_config(entries)
+    entries, rc, runs, problem = _load_runs(config_path)
     out_base = Path(out_root) if out_root else Path(rc.out)
-    runs = []
-    for batch, tau, seed in product(rc.batches, rc.taus, rc.seeds):
-        try:   # every run's values are checked before the first one starts
-            runs.append((batch, tau, seed, RunConfig(
-                batch_size=batch, tau=tau, seed=seed, **rc.run_kwargs)))
-        except ValueError as exc:
-            raise ConfigError(f"batch {batch}, tau {tau:g}: {exc}") from None
-    problem = build_problem(rc)
+    dirs = [out_base / f"{rc.problem_name}_{cfg.method}_b{cfg.batch_size}"
+                       f"_tau{cfg.tau:g}_seed{cfg.seed}" for cfg in runs]
+    for run_dir in dirs:
+        if dirs.count(run_dir) > 1:
+            raise ConfigError(f"sweep points share run directory {run_dir}")
 
-    for batch, tau, seed, cfg in runs:
-        name = f"{rc.problem_name}_{cfg.method}_b{batch}_tau{tau:g}_seed{seed}"
-        run_dir = out_base / name
+    for run_dir, cfg in zip(dirs, runs):
         run_dir.mkdir(parents=True, exist_ok=True)
         rho, log = run_smma(problem, cfg)
         log.to_csv(run_dir / "log.csv", include_timing=rc.log_timing)
-        save_design(run_dir / "design.txt", problem, rho)
-        _write_manifest(run_dir / "manifest.txt", entries, batch, tau, seed)
-        print(f"run {name}: {cfg.iterations} iterations -> {run_dir}")
+        # the design is physical under the exponent its last step used
+        save_design(run_dir / "design.txt",
+                    problem.with_simp(simp_at(problem, cfg, cfg.iterations)),
+                    rho)
+        _write_manifest(run_dir / "manifest.txt", entries, cfg)
+        print(f"run {run_dir.name}: {cfg.iterations} iterations -> {run_dir}")
     return 0
 
 
-def _write_manifest(path, entries: dict[str, _Entry], batch, tau,
-                    seed) -> None:
+def _write_manifest(path, entries: dict[str, _Entry], cfg: RunConfig) -> None:
     """The config as parsed, in file order, with this run's own batch, tau
     and seed in place of the sweep lists and without 'out': a single-run
     config that reproduces this run byte-identically."""
-    own = {"batch": str(batch), "tau": _fmt_float(tau), "seed": str(seed)}
+    own = {"batch": str(cfg.batch_size), "tau": _fmt_float(cfg.tau),
+           "seed": str(cfg.seed)}
     lines = [f"# smma {__version__} run manifest"]
     for key, e in entries.items():
         if key != "out":
@@ -401,19 +395,18 @@ def _write_manifest(path, entries: dict[str, _Entry], batch, tau,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def cmd_verify(design_path: str, config_path: str, points: int | None,
-               grid: tuple[int, int] | None, out: str | None) -> int:
-    entries = parse_config(Path(config_path).read_text())
-    rc = resolve_config(entries)
-    # the wheel's rule is a point count, the plate's a grid
-    foreign, value = (("--grid", grid) if rc.problem_name == "wheel"
-                      else ("--points", points))
-    if value is not None:
-        raise ConfigError(f"{foreign} does not apply to the "
-                          f"{rc.problem_name} problem")
-    _check_counts("--points", points)
-    _check_counts("--grid", grid)
-    problem = build_problem(rc)
+def cmd_verify(design_path: str, config_path: str, spec: list[int] | None,
+               out: str | None) -> int:
+    _, rc, runs, problem = _load_runs(config_path)
+    if spec is not None:
+        try:
+            problem.space.rule_counts(spec)
+        except ValueError as exc:
+            raise ConfigError(f"--spec: {exc}") from None
+    # every sweep point ends on the same exponent: the schedule and the
+    # iteration count are not swept
+    cfg = runs[0]
+    problem = problem.with_simp(simp_at(problem, cfg, cfg.iterations))
     header, rho = load_design(design_path)
     mesh = problem.mesh
     for key, want in (("kind", mesh.kind), ("shape", tuple(mesh.shape)),
@@ -423,19 +416,18 @@ def cmd_verify(design_path: str, config_path: str, points: int | None,
         if got != want:
             raise ConfigError(f"{design_path}: design {key} {got!r} does not "
                               f"match the {rc.problem_name} mesh's {want!r}")
-    # the physical design is (F rho)^s: a filter radius or SIMP exponent
-    # other than the one the design was saved with verifies another design
+    # the physical design is (F rho)^s, s the exponent the configured run
+    # ends on: a filter radius or SIMP exponent other than the one the
+    # design was saved with verifies another design
     for key, want in (("simp", problem.simp.s), ("rmin", problem.filt.r_min)):
         if header[key] != want:
             raise ConfigError(f"{design_path}: design {key} {header[key]!r} "
                               f"does not match the configured {want!r}")
     if rho.size != mesh.n_elements:
-        raise ConfigError(
-            f"design has {rho.size} values, mesh has "
-            f"{mesh.n_elements} elements")
-    spec = points if points is not None else (
-        grid if grid is not None else rc.run_kwargs.get("verify_spec"))
-    g_smooth, g_steep, g_nonsmooth = dense_cc(rho, problem, spec)
+        raise ConfigError(f"design has {rho.size} values, mesh has "
+                          f"{mesh.n_elements} elements")
+    g_smooth, g_steep, g_nonsmooth = dense_cc(
+        rho, problem, cfg.verify_spec if spec is None else spec)
     out_path = Path(out) if out else Path(design_path).with_suffix(".verify.csv")
     out_path.write_text(
         "g_smooth,g_steepened,g_nonsmooth\n"
@@ -473,8 +465,11 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="dense-quadrature check of a design")
     p_ver.add_argument("design")
     p_ver.add_argument("config")
-    p_ver.add_argument("--points", type=int)
-    p_ver.add_argument("--grid", type=int, nargs=2)
+    p_ver.add_argument(
+        "--spec", type=int, nargs="+", metavar="N",
+        help="dense rule: one point count per parameter coordinate (wheel: "
+             "N, plate: N N); default: the config's verify_spec, else the "
+             "problem's own")
     p_ver.add_argument("--out")
 
     p_ren = sub.add_parser("render", help="grayscale PGM of a design")
@@ -487,14 +482,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args.config, args.out)
         if args.command == "verify":
-            grid = tuple(args.grid) if args.grid else None
-            return cmd_verify(args.design, args.config, args.points, grid,
-                              args.out)
+            return cmd_verify(args.design, args.config, args.spec, args.out)
         return cmd_render(args.design, args.out, args.size)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # runtime failures

@@ -100,12 +100,17 @@ class ParamSpace:
         when m = 1); periodic, so equal to the pseudo-rule, on a circle."""
         return self._rule(counts, midpoints=False)
 
-    def _rule(self, counts, midpoints: bool):
-        """(points (T, m), weights (T,) summing to 1), last axis fastest."""
+    def rule_counts(self, counts) -> tuple[int, ...]:
+        """counts, one per coordinate (an int when m = 1), each >= 1."""
         counts = tuple(int(n) for n in np.atleast_1d(counts))
         if len(counts) != len(self.bounds) or min(counts) < 1:
             raise ValueError(f"a rule needs at least 1 point on each of "
                              f"{len(self.bounds)} coordinates, got {counts}")
+        return counts
+
+    def _rule(self, counts, midpoints: bool):
+        """(points (T, m), weights (T,) summing to 1), last axis fastest."""
+        counts = self.rule_counts(counts)
         axes, weights = [], []
         for (lo, hi), n, wrap in zip(self.bounds, counts, self.periodic):
             w = np.ones(n)

@@ -65,6 +65,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch size and iterations must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if (self.memory_cap is None) == (self.method == "smma-limited"):
             raise ValueError("memory_cap is required by smma-limited and "
                              "applies to no other method")
@@ -133,10 +135,13 @@ class IterationLog:
             fh.write("\n".join(lines) + "\n")
 
 
-def _simp_at(problem, schedule, k: int) -> float:
-    """The exponent at iteration k: the problem's own until a switch."""
+def simp_at(problem, cfg: RunConfig, k: int) -> float:
+    """The exponent at iteration k: the problem's own until a switch of
+    cfg.simp_schedule, or of the problem's default schedule when None."""
     s = problem.simp.s
-    for start, value in schedule:
+    schedule = (problem.default_simp_schedule if cfg.simp_schedule is None
+                else cfg.simp_schedule)
+    for start, value in sorted(schedule, key=lambda e: e[0]):
         if k >= start:
             s = value
     return s
@@ -167,10 +172,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
     rho = problem.initial_design().astype(float)
     free = problem.free_mask
     state = mma.MmaState.initial(int(free.sum()), tau=cfg.tau)
-    schedule = tuple(sorted(
-        problem.default_simp_schedule if cfg.simp_schedule is None
-        else cfg.simp_schedule, key=lambda e: e[0]))
-    phase = problem.with_simp(_simp_at(problem, schedule, 1))
+    phase = problem.with_simp(simp_at(problem, cfg, 1))
 
     store = quad = cap = None
     if cfg.method == "mma-quadrature":
@@ -189,7 +191,7 @@ def run_smma(problem, cfg: RunConfig, callback=None):
     log = IterationLog()
     for k in range(1, cfg.iterations + 1):
         start = time.perf_counter()
-        s_now = _simp_at(problem, schedule, k)
+        s_now = simp_at(problem, cfg, k)
         if s_now != phase.simp.s:
             phase = problem.with_simp(s_now)
             if store is not None:

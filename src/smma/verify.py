@@ -21,8 +21,8 @@ from .smoothing import aggregate_cc
 def dense_cc(design, problem, spec=None) -> tuple[float, float, float]:
     """(G_smooth, G_steepened, G_nonsmooth) at dense quadrature.
 
-    spec: point count (wheel) or (n1, n2) grid (plate); the problem's
-    default when omitted. Deterministic, no RNG involved.
+    spec: one point count per parameter coordinate (wheel: n, plate:
+    (n1, n2)); the problem's default when omitted. Deterministic.
     """
     values, weights = problem.dense_raw(design, spec)
     return aggregate_cc(values, weights, problem.smoothing)

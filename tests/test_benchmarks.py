@@ -528,6 +528,23 @@ class TestPlateReanalysis:
     def test_records_match_direct_wide_weakness(self, xis):
         assert_records_match_direct(WIDE, WIDE_RHO, xis)
 
+    def test_one_backprop_per_batch(self, monkeypatch):
+        rows = []
+        backprop = df.backprop_to_design
+
+        def counting_backprop(g, *args, **kwargs):
+            rows.append(np.shape(g))
+            return backprop(g, *args, **kwargs)
+
+        xis = FINE.space.sample(np.random.default_rng(6), 3)
+        want = FINE.evaluate_records(FINE_RHO, xis)
+        monkeypatch.setattr(df, "backprop_to_design", counting_backprop)
+        got = FINE.evaluate_records(FINE_RHO, xis)
+        assert rows == [(3, FINE.mesh.n_elements)]
+        assert got[1].flags.c_contiguous
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
     def test_rank_zero_xi(self, plate):
         # a mesh node 0.088 from the nearest centroids, beyond the radius
         rho = np.random.default_rng(23).uniform(0.3, 0.9, plate.n_design)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import smma
 from smma.benchmarks import plate_problem, wheel_problem
 from smma.cli import (
+    _RUN_KEYS,
     ConfigError,
     build_problem,
     load_design,
@@ -18,6 +20,8 @@ from smma.cli import (
     resolve_config,
     save_design,
 )
+from smma.driver import RunConfig
+from smma.verify import dense_cc
 
 TINY_WHEEL = """
 # tiny wheel run
@@ -31,7 +35,7 @@ batch = 2
 tau = 0.5
 seed = 0
 verify_every = 2
-verify_points = 20
+verify_spec = 20
 out = {out}
 """
 
@@ -42,8 +46,8 @@ nx = 10
 ny = 5
 n_omega = 4
 iterations = 2
-baseline_grid = 2 2
-verify_grid = 2 2
+baseline_spec = 2 2
+verify_spec = 2 2
 verify_every = 2
 out = {out}
 """
@@ -61,7 +65,7 @@ class TestConfigParsing:
         rc = resolve_config(parse_config(cfg.read_text()))
         assert rc.problem_name == "wheel"
         assert rc.batches == [2] and rc.seeds == [0]
-        assert rc.run_kwargs["verify_spec"] == 20
+        assert rc.run_kwargs["verify_spec"] == [20]
 
     def test_missing_problem_key(self):
         with pytest.raises(ConfigError) as err:
@@ -91,6 +95,31 @@ class TestConfigParsing:
         assert rc.batches == [4, 8]
         assert rc.taus == [1.0, 0.5]
         assert rc.seeds == [0, 1]
+
+    def test_schedules_and_rules(self):
+        text = ("problem = plate\ntau_schedule = 5 0.5\n"
+                "simp_schedule = 2 4 30 5.5\nverify_spec = 6 7\n")
+        run = resolve_config(parse_config(text)).run_kwargs
+        assert run == {"tau_schedule": (5, 0.5),
+                       "simp_schedule": ((2, 4.0), (30, 5.5)),
+                       "verify_spec": [6, 7]}
+
+    def test_run_keys_name_run_config_fields(self):
+        # a run setting has one spelling: its RunConfig field; only the
+        # sweep lists (keys batch, tau, seed) are the CLI's own
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert _RUN_KEYS.keys() <= fields
+        assert fields - _RUN_KEYS.keys() == {"batch_size", "tau", "seed"}
+
+    @pytest.mark.parametrize("key", [
+        "verify_points", "baseline_nodes", "verify_grid", "baseline_grid",
+        "tau_period", "tau_factor", "simp_switch_iter", "simp_switch_value"])
+    def test_retired_keys_unknown(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, TINY_WHEEL + f"{key} = 2\n", out=out)
+        assert main(["run", str(cfg)]) == 2
+        assert f"line 15: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -142,9 +171,8 @@ class TestRunCommand:
     def test_manifest_of_later_sweep_point_reproduces_run(self, tmp_path):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace("tau = 0.5", "tau = 0.5 0.25\n"
-                                  "tau_period = 2\ntau_factor = 0.5\n"
-                                  "simp_switch_iter = 2\n"
-                                  "simp_switch_value = 4") \
+                                  "tau_schedule = 2 0.5\n"
+                                  "simp_schedule = 2 4") \
                          .replace("seed = 0", "seed = 0 1")
         cfg = write_config(tmp_path, text, out=out)
         assert main(["run", str(cfg)]) == 0
@@ -172,6 +200,19 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 0
         assert len(list(out.iterdir())) == 8
 
+    @pytest.mark.parametrize("edit,name", [
+        (("seed = 0", "seed = 1 1"), "wheel_smma_b2_tau0.5_seed1"),
+        (("tau = 0.5", "tau = 0.5 0.5000001"), "wheel_smma_b2_tau0.5_seed0"),
+    ], ids=["seed-repeated", "tau-equal-to-6-digits"])
+    def test_sweep_points_sharing_a_directory_exit_2(self, tmp_path, capsys,
+                                                     edit, name):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, TINY_WHEEL.replace(*edit), out=out)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep points share run directory {out / name}" in err
+        assert not out.exists()   # rejected before any run starts
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
@@ -198,29 +239,27 @@ class TestRunCommand:
         (("tau = 0.5", "tau = -1"), "tau must be positive"),
         (("tau = 0.5", "tau = 0.5 -1"), "tau must be positive"),
         (("tau = 0.5", "tau = 0"), "tau must be positive"),
-        (("tau = 0.5", "tau = 0.5\ntau_period = 0\ntau_factor = 0.5"),
-         "tau schedule"),
-        (("tau = 0.5", "tau = 0.5\ntau_period = 2\ntau_factor = -1"),
-         "tau schedule"),
+        (("tau = 0.5", "tau = 0.5\ntau_schedule = 0 0.5"), "tau schedule"),
+        (("tau = 0.5", "tau = 0.5\ntau_schedule = 2 -1"), "tau schedule"),
         (("tau = 0.5", "tau = 0.5\npseudo_points = 0"),
          "pseudo_points must be positive"),
         (("tau = 0.5", "tau = 0.5\npseudo_points = -5"),
          "pseudo_points must be positive"),
         (("verify_every = 2", "verify_every = -1"),
          "verify_every must be nonnegative"),
-        (("verify_points = 20", "verify_points = 0"),
-         "line 13: 'verify_points' needs at least 1 point"),
-        (("verify_points = 20", "verify_points = -3"),
-         "line 13: 'verify_points' needs at least 1 point"),
+        (("verify_spec = 20", "verify_spec = 0"),
+         "line 13: 'verify_spec': a rule needs at least 1 point"),
+        (("verify_spec = 20", "verify_spec = -3"),
+         "line 13: 'verify_spec': a rule needs at least 1 point"),
         (("tau = 0.5", "tau = 0.5\np_level = 2"), "p_level must lie in"),
         (("n_radial = 4", "n_radial = 0"), "n_radial must be at least 1"),
         (("tau = 0.5", "tau = 0.5\nrmin = -1"),
          "filter radius must be nonnegative"),
         (("simp = 3", "simp = 0.5"), "SIMP exponent must be >= 1"),
-        (("tau = 0.5", "tau = 0.5\nsimp_switch_iter = 2\n"
-          "simp_switch_value = 0.5"), "SIMP exponent must be >= 1"),
-        (("tau = 0.5", "tau = 0.5\nsimp_switch_iter = -4\n"
-          "simp_switch_value = 5"), "SIMP switch iteration must be at least"),
+        (("tau = 0.5", "tau = 0.5\nsimp_schedule = 2 0.5"),
+         "SIMP exponent must be >= 1"),
+        (("tau = 0.5", "tau = 0.5\nsimp_schedule = -4 5"),
+         "SIMP switch iteration must be at least"),
         (("method = smma\n", "method = smma-limited\n"),
          "memory_cap is required by smma-limited"),
         (("tau = 0.5", "tau = 0.5\nmemory_cap = 8"),
@@ -253,10 +292,10 @@ class TestRunCommand:
          "Poisson's ratio must lie in (-1, 1)"),
         (("tau = 0.5", "tau = 0.5\npoisson = nan"),
          "Poisson's ratio must lie in (-1, 1)"),
-        (("tau = 0.5", "tau = 0.5\nbaseline_nodes = 5"),
+        (("tau = 0.5", "tau = 0.5\nbaseline_spec = 5"),
          "a baseline rule applies only to mma-quadrature"),
         (("method = smma\n",
-          "method = smma-limited\nmemory_cap = 8\nbaseline_nodes = 5\n"),
+          "method = smma-limited\nmemory_cap = 8\nbaseline_spec = 5\n"),
          "a baseline rule applies only to mma-quadrature"),
         (("method = smma\n", "method = mma-quadrature\npseudo_points = 8\n"),
          "apply only to the sMMA methods"),
@@ -265,6 +304,26 @@ class TestRunCommand:
          "apply only to the sMMA methods"),
         (("tau = 0.5", "tau = 0.5\npseudo_points = 8\nempirical_weights = 1"),
          "pseudo_points has no use with empirical_weights"),
+        (("verify_spec = 20", "verify_spec = 20 20"),
+         "line 13: 'verify_spec': a rule needs at least 1 point on each of "
+         "1 coordinates, got (20, 20)"),
+        (("verify_spec = 20", "verify_spec = 20.5"),
+         "line 13: bad value for 'verify_spec'"),
+        (("seed = 0", "seed = -1"), "seed -1: seed must be nonnegative"),
+        (("seed = 0", "seed = 0 -2"), "seed -2: seed must be nonnegative"),
+        (("tau = 0.5", "tau = 0.5\ntau_schedule = 2"),
+         "line 11: bad value for 'tau_schedule': expected integer-number "
+         "pairs"),
+        (("tau = 0.5", "tau = 0.5\ntau_schedule = 2 0.5 4 0.5"),
+         "line 11: bad value for 'tau_schedule': expected one integer-number "
+         "pair"),
+        (("tau = 0.5", "tau = 0.5\nsimp_schedule = 2 4 6"),
+         "line 11: bad value for 'simp_schedule': expected integer-number "
+         "pairs"),
+        (("tau = 0.5", "tau = 0.5\nsimp_schedule = 2.5 4"),
+         "line 11: bad value for 'simp_schedule'"),
+        (("tau = 0.5", "tau = 0.5\nsimp_schedule = 2 4 3 0.5"),
+         "SIMP exponent must be >= 1"),
     ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
             "tau-negative-second", "tau-zero", "tau-period-0",
             "tau-factor-negative", "pseudo-points-0",
@@ -278,7 +337,11 @@ class TestRunCommand:
             "simp-inf", "simp-nan", "poisson-1", "poisson-minus-1",
             "poisson-nan", "baseline-with-smma", "baseline-with-limited",
             "pseudo-points-with-quadrature", "empirical-with-quadrature",
-            "pseudo-points-with-empirical"])
+            "pseudo-points-with-empirical", "verify-spec-two-counts",
+            "verify-spec-float", "seed-negative", "seed-negative-second",
+            "tau-schedule-half-pair", "tau-schedule-two-pairs",
+            "simp-schedule-half-pair", "simp-schedule-float-iter",
+            "simp-schedule-second-value-below-1"])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace(*edit)
@@ -290,10 +353,10 @@ class TestRunCommand:
         assert not out.exists()   # rejected before any run starts
 
     @pytest.mark.parametrize("edit,message", [
-        (("verify_grid = 2 2", "verify_grid = 0 3"),
-         "line 9: 'verify_grid' needs at least 1 point"),
-        (("baseline_grid = 2 2", "baseline_grid = 2 -1"),
-         "line 8: 'baseline_grid' needs at least 1 point"),
+        (("verify_spec = 2 2", "verify_spec = 0 3"),
+         "line 9: 'verify_spec': a rule needs at least 1 point"),
+        (("baseline_spec = 2 2", "baseline_spec = 2 -1"),
+         "line 8: 'baseline_spec': a rule needs at least 1 point"),
         (("nx = 10", "nx = 0"), "nx and ny must be at least 1"),
         (("n_omega = 4", "n_omega = 0"), "n_omega must be at least 1"),
         (("nx = 10", "nx = 10\nc_max = nan"),
@@ -305,9 +368,16 @@ class TestRunCommand:
         (("nx = 10", "nx = 10\nell = 0"), "ell must be positive and finite"),
         (("method = mma-quadrature", "method = smma"),
          "a baseline rule applies only to mma-quadrature"),
+        (("verify_spec = 2 2", "verify_spec = 2"),
+         "line 9: 'verify_spec': a rule needs at least 1 point on each of "
+         "2 coordinates, got (2,)"),
+        (("baseline_spec = 2 2", "baseline_spec = 2 2 2"),
+         "line 8: 'baseline_spec': a rule needs at least 1 point on each of "
+         "2 coordinates, got (2, 2, 2)"),
     ], ids=["verify-grid-0", "baseline-grid-negative", "nx-0", "n-omega-0",
             "c-max-nan", "rmin-nan", "ell-nan", "ell-inf", "ell-0",
-            "baseline-grid-with-smma"])
+            "baseline-grid-with-smma", "verify-spec-one-count",
+            "baseline-spec-three-counts"])
     def test_bad_plate_grid_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_PLATE.replace(*edit)
@@ -426,7 +496,7 @@ class TestBadDesignFiles:
         lines[-1] = "nan"
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(lines) + "\n")
-        assert main(["verify", str(path), str(cfg), "--points", "8",
+        assert main(["verify", str(path), str(cfg), "--spec", "8",
                      "--out", str(tmp_path / "v.csv")]) == 2
         assert "design value is not finite" in capsys.readouterr().err
         assert not (tmp_path / "v.csv").exists()
@@ -439,10 +509,10 @@ class TestVerifyCommand:
         main(["run", str(cfg)])
         design = out / "wheel_smma_b2_tau0.5_seed0" / "design.txt"
         v1 = tmp_path / "v1.csv"
-        assert main(["verify", str(design), str(cfg), "--points", "30",
+        assert main(["verify", str(design), str(cfg), "--spec", "30",
                      "--out", str(v1)]) == 0
         v2 = tmp_path / "v2.csv"
-        assert main(["verify", str(design), str(cfg), "--points", "30",
+        assert main(["verify", str(design), str(cfg), "--spec", "30",
                      "--out", str(v2)]) == 0
         assert v1.read_bytes() == v2.read_bytes()
         header, row = v1.read_text().splitlines()
@@ -450,11 +520,16 @@ class TestVerifyCommand:
         assert len(row.split(",")) == 3
 
     @pytest.mark.parametrize("problem,flags,message", [
-        ("wheel", ["--points", "0"], "--points needs at least 1 point"),
-        ("wheel", ["--points", "-3"], "--points needs at least 1 point"),
-        ("plate", ["--grid", "0", "3"], "--grid needs at least 1 point"),
-        ("plate", ["--points", "5"], "--points does not apply to the plate"),
-        ("wheel", ["--grid", "3", "3"], "--grid does not apply to the wheel"),
+        ("wheel", ["--spec", "0"], "--spec: a rule needs at least 1 point"),
+        ("wheel", ["--spec", "-3"], "--spec: a rule needs at least 1 point"),
+        ("plate", ["--spec", "0", "3"],
+         "--spec: a rule needs at least 1 point"),
+        ("plate", ["--spec", "5"],
+         "--spec: a rule needs at least 1 point on each of 2 coordinates, "
+         "got (5,)"),
+        ("wheel", ["--spec", "3", "3"],
+         "--spec: a rule needs at least 1 point on each of 1 coordinates, "
+         "got (3, 3)"),
     ], ids=["points-0", "points-negative", "grid-0", "points-on-plate",
             "grid-on-wheel"])
     def test_bad_rule_exit_2(self, tmp_path, capsys, problem, flags,
@@ -469,6 +544,28 @@ class TestVerifyCommand:
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_switched_run_verifies_at_its_last_exponent(self, tmp_path):
+        # simp 3 switches to 4 at iteration 2, and 9 only at iteration 40
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, TINY_WHEEL + "simp_schedule = 40 9 2 4\n",
+                           out=out)
+        assert main(["run", str(cfg)]) == 0
+        design = out / "wheel_smma_b2_tau0.5_seed0" / "design.txt"
+        header, rho = load_design(design)
+        assert header["simp"] == 4.0
+        v = tmp_path / "v.csv"
+        assert main(["verify", str(design), str(cfg), "--spec", "30",
+                     "--out", str(v)]) == 0
+        problem = build_problem(resolve_config(parse_config(cfg.read_text())))
+        want = dense_cc(rho, problem.with_simp(4.0), [30])
+        assert v.read_text().splitlines()[1] == \
+            ",".join(repr(float(g)) for g in want)
+        # a config whose run ends on another exponent verifies another
+        # design
+        other = write_config(tmp_path, TINY_WHEEL, name="other.cfg", out=out)
+        assert main(["verify", str(design), str(other), "--out",
+                     str(tmp_path / "w.csv")]) == 2
 
     def test_bad_problem_value_exit_2(self, tmp_path, capsys):
         design = tmp_path / "design.txt"

@@ -948,6 +948,8 @@ class TestParamSpace:
     def test_bad_circle_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="at least 1 point"):
             WHEEL_SPACE.trapezoid_rule(counts)
+        with pytest.raises(ValueError, match="at least 1 point"):
+            WHEEL_SPACE.rule_counts(counts)
         if np.ndim(counts) == 0:
             with pytest.raises(ValueError, match="at least 1 point"):
                 WHEEL_SPACE.pseudo_rule(counts)
@@ -956,6 +958,17 @@ class TestParamSpace:
     def test_bad_grid_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="at least 1 point"):
             plate_space(1.0).trapezoid_rule(counts)
+        with pytest.raises(ValueError, match="at least 1 point"):
+            plate_space(1.0).rule_counts(counts)
+
+    @pytest.mark.parametrize("space,counts,want", [
+        (WHEEL_SPACE, 7, (7,)), (WHEEL_SPACE, [7], (7,)),
+        (plate_space(1.0), [5, 4], (5, 4)),
+    ])
+    def test_rule_counts_one_per_coordinate(self, space, counts, want):
+        assert space.rule_counts(counts) == want
+        assert space.trapezoid_rule(counts)[0].shape == (np.prod(want),
+                                                         len(want))
 
     def test_empty_pseudo_rule_rejected(self):
         with pytest.raises(ValueError, match="at least 1 point"):

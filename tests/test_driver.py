@@ -3,7 +3,8 @@ import pytest
 
 from smma.benchmarks import wheel_problem
 from smma.design_field import SimpParams
-from smma.driver import CSV_HEADER, IterationLog, RunConfig, run_smma
+from smma.driver import (CSV_HEADER, IterationLog, RunConfig, run_smma,
+                         simp_at)
 from smma.csg_weights import ParamSpace
 from smma.smoothing import SmoothingParams, h_deriv, h_eval
 
@@ -166,6 +167,14 @@ class TestSmmaLoop:
         assert log.rows[0].pvol == problem.pvol(rho0)
         assert log.rows[0].pvol != problem.with_simp(5.0).pvol(rho0)
 
+    def test_simp_at_follows_the_schedule(self):
+        problem = tiny_wheel()   # s = 3, default switch to 15 at 200
+        cfg = RunConfig(simp_schedule=((4, 6.0), (2, 5.0)))
+        assert [simp_at(problem, cfg, k) for k in range(1, 6)] == \
+            [3.0, 5.0, 5.0, 6.0, 6.0]
+        assert [simp_at(problem, RunConfig(), k) for k in (199, 200)] == \
+            [3.0, 15.0]
+
     def test_tau_schedule_logged(self):
         problem = tiny_wheel()
         cfg = RunConfig(method="smma", batch_size=1, iterations=4, seed=0,
@@ -260,6 +269,7 @@ class TestConfigValidation:
         dict(method="mma-quadrature", pseudo_points=8),
         dict(method="mma-quadrature", empirical_weights=True),
         dict(pseudo_points=8, empirical_weights=True),
+        dict(seed=-1),
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ValueError):
