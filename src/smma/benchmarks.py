@@ -527,10 +527,8 @@ class PlateProblem(_ProblemBase):
             grad_s = -q / width
             grad_s[touched] *= kept
             grads.append(grad_s)
-        # C order: the baseline's lam @ grads sums in an order that depends
-        # on the layout, and the plate goldens are byte-exact
-        return np.array(values), np.ascontiguousarray(df.backprop_to_design(
-            np.stack(grads), rho, self.filt, self.simp, mesh=self.mesh))
+        return np.array(values), df.backprop_to_design(
+            np.stack(grads), rho, self.filt, self.simp, mesh=self.mesh)
 
     def default_baseline_spec(self, batch_size: int):
         return (5, 5)

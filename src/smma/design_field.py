@@ -99,13 +99,15 @@ def backprop_to_design(grad_wrt_stiffness: np.ndarray, rho: np.ndarray,
 
     Returns F^T (s y^(s-1) (E1 - E0) * g), with pinned elements' entries
     zeroed before the transpose (their stiffness does not depend on rho).
-    g is one (n,) gradient or a (B, n) block of them, one per row.
+    g is one (n,) gradient or a (B, n) block of them, one per row; a block
+    comes back C-contiguous, so that a sum over its rows (the baseline's
+    lam @ grads) adds in the same order for every problem.
     """
     g = np.asarray(grad_wrt_stiffness, dtype=float)
     y = filt.apply(np.asarray(rho, dtype=float))
     inner = simp.s * y ** (simp.s - 1.0) * (E_SOLID - E_VOID) * g
     inner[..., mesh.solid] = 0.0
-    return filt.apply_transpose(inner.T).T
+    return np.ascontiguousarray(filt.apply_transpose(inner.T).T)
 
 
 def rvol(rho: np.ndarray, filt: FilterMatrix,

@@ -90,6 +90,16 @@ class RunConfig:
                 self.tau_schedule[0] >= 1 and self.tau_schedule[1] > 0.0):
             raise ValueError("tau schedule needs a period of at least 1 "
                              "and a positive factor")
+        # below eps, z +- tau can round to z and leave the subproblem box
+        # empty; a shrinking tau is smallest at the last iteration
+        k = self.iterations
+        if self.tau_schedule is not None and self.tau_schedule[1] >= 1.0:
+            k = 1
+        smallest = mma.tau_for_iteration(self.tau, self.tau_schedule, k)
+        if smallest < np.finfo(float).eps:
+            raise ValueError(f"move limit tau falls to {smallest:g}, below "
+                             f"machine epsilon, where it cannot move the "
+                             f"design")
         for start, value in self.simp_schedule or ():
             if start < 1:
                 raise ValueError("a SIMP switch iteration must be at least 1")

@@ -17,28 +17,30 @@ update: the changed design's compliances and element quadratic forms are
 those of the factorized design plus low-rank corrections.
 
 Everything that depends only on the mesh is done once per mesh. The
-`StiffnessPattern` holds the CSC structure of the reduced matrix and, for
-each stored entry, the element entries summed into it, in the order in
-which scipy's coo -> csc conversion sums them; an assembly only scales the
-element blocks and adds.
+`StiffnessPattern` holds the CSC structure of the reduced matrix in
+free-dof order and, for each stored entry, the element entries summed into
+it, in the order in which scipy's coo -> csc conversion sums them; an
+assembly only scales the element blocks and adds. This base pattern is
+never rebound: every factorization order is a permutation of it,
+`pattern.permuted(rows, columns)` being the pattern of K[rows][:, columns].
 
-A mesh is factorized in one of two ways, chosen by what its caller
+A mesh is factorized in one of two orders, chosen by what its caller
 assembles:
 
 - `assemble_stiffness(mesh, s)`, the wheel's builder and loop: SuperLU's
   column ordering (COLAMD, then an elimination-tree postorder) depends on
-  the structure alone, so the mesh's first factorization computes it and
-  records it on the pattern, whose columns are then stored in that order,
-  and every later factorization takes them as they are ("NATURAL"). The
-  factors, and so every solve, are bit-identical to ordering each matrix
-  afresh. (SuperLU's row pivots could part only where a column's largest
-  entry ties with the entry it takes for the diagonal, which it locates
-  through the column order; the tests check uniform and two-valued
-  designs, whose K has many equal entries.) The rows of the reduced system
-  stay in free-dof order; its unknowns are in the recorded order. The
-  wheel keeps this path because its benchmark reference pins the wheel's
-  chaotic trajectory to its last bits; it is also the test oracle of the
-  other path.
+  the structure alone, so the mesh's first factorization computes its
+  column order q and records on the mesh the base pattern with its
+  columns permuted by q and the unknowns free_dofs[q]; every later
+  factorization takes those columns as they are ("NATURAL"). The factors,
+  and so every solve, are bit-identical to ordering each matrix afresh.
+  (SuperLU's row pivots could part only where a column's largest entry
+  ties with the entry it takes for the diagonal, which it locates through
+  the column order; the tests check uniform and two-valued designs, whose
+  K has many equal entries.) The rows of the reduced system stay in
+  free-dof order. The wheel keeps this path because its benchmark
+  reference pins the wheel's chaotic trajectory to its last bits; it is
+  also the test oracle of the other path.
 - `assemble_stiffness(mesh.condensed(keep), s)`, the plate's builder and
   loop (keep empty) and dense verification of both problems: K taken in
   one symmetric fill-reducing order, rows and columns alike, with the dofs
@@ -46,10 +48,10 @@ assembles:
   SPD, allows; any other pivot raises FactorizationError. The order is
   minimum degree on the graph of the free nodes (George & Liu, "The
   evolution of the minimum degree ordering algorithm", SIAM Review 1989),
-  each node expanded to its x and y dofs: it is recorded once per mesh by
-  its first such assembly, from one factorization of a node-level matrix
-  with half the rows of K. On the plate it leaves fewer nonzeros in L and
-  U than COLAMD (about 314k against 398k).
+  each node expanded to its x and y dofs: the mesh computes it on first
+  read, from one factorization of a node-level matrix with half the rows
+  of K. On the plate it leaves fewer nonzeros in L and U than COLAMD
+  (about 314k against 398k).
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
 of dofs in one block. The low-rank updates take their Z = K^-1 P from it.
@@ -65,6 +67,7 @@ one row per kept dof, so no n_dofs-long block is formed.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,17 +158,11 @@ class StiffnessPattern:
     added left to right; -1 pads a row. That is the order in which scipy's
     coo -> csc conversion sums duplicates, so K.data is bit-identical to
     it. On a Q4 mesh a row holds at most 4 entries (4 elements per node).
-
-    columns is None until the mesh's first COLAMD factorization (the
-    wheel's) records its column order q; the pattern then holds the
-    reduced columns q[0], q[1], ... in turn, so stored column j is the
-    unknown of dof free_dofs[q[j]].
     """
 
-    indptr: np.ndarray             # (n_free + 1,) int32
+    indptr: np.ndarray             # (n + 1,) int32
     indices: np.ndarray            # (nnz,) int32 rows, sorted per column
     slots: np.ndarray              # (nnz, width) element entries, -1 padded
-    columns: np.ndarray | None = None
 
     @classmethod
     def of(cls, edof: np.ndarray, free: np.ndarray,
@@ -184,32 +181,20 @@ class StiffnessPattern:
         return cls(indptr=np.searchsorted(starts, raw.indptr).astype(np.intc),
                    indices=raw.indices[starts], slots=slots)
 
-    def _taken(self, columns: np.ndarray):
-        """(indptr, take): the stored columns columns[0], columns[1], ...
-        laid out in turn, with take the source of each stored entry."""
+    def permuted(self, rows: np.ndarray,
+                 columns: np.ndarray) -> "StiffnessPattern":
+        """The pattern of K[rows][:, columns], for permutations rows and
+        columns of range(n)."""
+        n = self.indptr.size - 1
+        position = np.empty(n, dtype=np.intc)
+        position[rows] = np.arange(n, dtype=np.intc)
+        # take the stored columns in the order columns, then sort each
+        # column's rows by their new position
         counts = np.diff(self.indptr)[columns]
         indptr = np.zeros_like(self.indptr)
         np.cumsum(counts, out=indptr[1:])
         take = (np.repeat(self.indptr[columns] - indptr[:-1], counts)
                 + np.arange(indptr[-1]))
-        return indptr, take
-
-    def reordered(self, columns: np.ndarray) -> "StiffnessPattern":
-        """The same matrix with its columns stored in the order columns."""
-        indptr, take = self._taken(columns)
-        return StiffnessPattern(indptr=indptr, indices=self.indices[take],
-                                slots=self.slots[take], columns=columns)
-
-    def permuted(self, order: np.ndarray) -> "StiffnessPattern":
-        """The pattern of K with its rows and columns both taken in the
-        order order: row and column i of it are free dof order[i]."""
-        n = self.indptr.size - 1
-        position = np.empty(n, dtype=np.intc)
-        position[order] = np.arange(n, dtype=np.intc)
-        stored = position if self.columns is None else position[self.columns]
-        # stored column j becomes column stored[j]: take the stored columns
-        # in turn, then sort each column's rows by their new position
-        indptr, take = self._taken(np.argsort(stored))
         ids = sp.csc_matrix((take.astype(float), position[self.indices[take]],
                              indptr), shape=(n, n))
         ids.sort_indices()
@@ -224,12 +209,11 @@ class StructuredMesh:
     element_matrices holds the unit-modulus 8x8 stiffness of each element
     in the global frame; edof (each element's 8 global dofs, x then y per
     node), free_dofs (the dofs outside the Dirichlet set) and the pattern
-    of the reduced stiffness matrix are derived from the connectivity on
-    construction, which also checks it. The mesh's first COLAMD
-    factorization records its column order on the pattern, and its first
-    condensed one (an empty keep included) the symmetric order
-    symmetric_order: minimum degree on the free-node graph, each node's
-    free dofs adjacent, as positions in free_dofs (see assemble_stiffness).
+    of the reduced stiffness matrix in free-dof order are derived from the
+    connectivity on construction, which also checks it. Every order a
+    factorization takes is a permutation of that pattern, which is never
+    rebound. The mesh's first COLAMD factorization records in colamd its
+    column-permuted pattern and its unknowns (see assemble_stiffness).
     """
 
     kind: str                      # "rect" | "disc"
@@ -245,7 +229,7 @@ class StructuredMesh:
     edof: np.ndarray = field(init=False, repr=False)
     free_dofs: np.ndarray = field(init=False, repr=False)
     pattern: StiffnessPattern = field(init=False, repr=False, compare=False)
-    symmetric_order: np.ndarray | None = field(
+    colamd: tuple[StiffnessPattern, np.ndarray] | None = field(
         init=False, default=None, repr=False, compare=False)
 
     @property
@@ -255,6 +239,12 @@ class StructuredMesh:
     @property
     def n_dofs(self) -> int:
         return 2 * self.nodes.shape[0]
+
+    @functools.cached_property
+    def symmetric_order(self) -> np.ndarray:
+        """Minimum degree on the free-node graph, each node's free dofs
+        adjacent, as positions in free_dofs (see _node_graph_order)."""
+        return _node_graph_order(self)
 
     def __post_init__(self):
         e = self.elements
@@ -402,13 +392,19 @@ class CondensedMesh:
     Schur complement onto keep, whose loads and states have one row per
     kept dof (see FactorizedSystem). An empty keep returns the whole
     system in the symmetric order, with one row per dof of the mesh.
-    pattern is the pattern of K in that order, in rows and columns alike,
-    built by the view's first assembly.
     """
 
     mesh: StructuredMesh
     keep: np.ndarray
-    pattern: StiffnessPattern | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def pattern(self) -> StiffnessPattern:
+        """The mesh's pattern permuted into that order, in rows and
+        columns alike."""
+        free, order = self.mesh.free_dofs, self.mesh.symmetric_order
+        last = np.searchsorted(free, self.keep)
+        order = np.concatenate([order[~np.isin(order, last)], last])
+        return self.mesh.pattern.permuted(order, order)
 
 
 @dataclass
@@ -435,8 +431,8 @@ class FactorizedSystem:
     of the reduced system is the equation of dof free_dofs[i], and its
     unknown j is the displacement of dof unknowns[j]. A COLAMD system (the
     wheel's) has free_dofs in free-dof order and unknowns equal to them in
-    the mesh's first factorization, free_dofs[q] in every later one, where
-    q is the column order that first factorization recorded. The whole
+    the mesh's first factorization, and the unknowns free_dofs[q] that it
+    recorded in mesh.colamd in every later one. The whole
     system in the symmetric order (a CondensedMesh with an empty keep, the
     plate's) has free_dofs = unknowns = the mesh's free dofs in
     symmetric_order.
@@ -507,9 +503,10 @@ def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
 
     K.data is summed through the mesh's pattern, bit-identical to a
     coo -> csc assembly. The mesh's first factorization orders the
-    columns with COLAMD and records the order SuperLU used on the pattern;
-    later ones receive the columns in that order and keep it ("NATURAL"),
-    which yields the same L, U and solves as ordering afresh.
+    columns with COLAMD, and records in mesh.colamd the pattern with its
+    columns in the order q that SuperLU used and the unknowns
+    free_dofs[q]; later ones assemble that pattern and keep its order
+    ("NATURAL"), which yields the same L, U and solves as ordering afresh.
 
     mesh may be a CondensedMesh, an empty keep included; see
     _factorize_condensed.
@@ -518,17 +515,17 @@ def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
         return _factorize_condensed(
             mesh, _checked_factors(mesh.mesh, stiffness_per_element))
     s = _checked_factors(mesh, stiffness_per_element)
-    pattern = mesh.pattern
-    first = pattern.columns is None
-    lu = _splu(_assembled(mesh, pattern, s),
-               permc_spec="COLAMD" if first else "NATURAL")
     free = mesh.free_dofs
-    if first:
-        # stored column j of A Pc is column q[j] of A: q inverts perm_c
-        mesh.pattern = pattern.reordered(np.argsort(lu.perm_c))
+    if mesh.colamd is None:
+        lu = _splu(_assembled(mesh, mesh.pattern, s), permc_spec="COLAMD")
+        # column j of A Pc is column q[j] of A: q inverts perm_c
+        q = np.argsort(lu.perm_c)
+        mesh.colamd = (mesh.pattern.permuted(np.arange(free.size), q),
+                       free[q])
         unknowns = free
     else:
-        unknowns = free[pattern.columns]
+        pattern, unknowns = mesh.colamd
+        lu = _splu(_assembled(mesh, pattern, s), permc_spec="NATURAL")
     return FactorizedSystem(lu=lu, free_dofs=free, unknowns=unknowns,
                             n_dofs=mesh.n_dofs)
 
@@ -538,21 +535,13 @@ def _factorize_condensed(view: CondensedMesh,
     """The Schur complement of K(s) onto view.keep, from one factorization;
     for an empty keep, the whole system.
 
-    The mesh's first condensed assembly records its node-graph order as
-    mesh.symmetric_order (see _node_graph_order); every condensed assembly
-    takes K in that order, rows and columns alike, with keep moved last,
-    and factorizes it as it stands with diagonal pivots. Any other pivot
-    raises FactorizationError.
+    Every condensed assembly takes K in the mesh's symmetric_order, rows
+    and columns alike, with keep moved last (view.pattern), and factorizes
+    it as it stands with diagonal pivots. Any other pivot raises
+    FactorizationError.
     """
     mesh = view.mesh
     n = mesh.free_dofs.size
-    if mesh.symmetric_order is None:
-        mesh.symmetric_order = _node_graph_order(mesh)
-    if view.pattern is None:
-        last = np.searchsorted(mesh.free_dofs, view.keep)
-        order = mesh.symmetric_order
-        view.pattern = mesh.pattern.permuted(
-            np.concatenate([order[~np.isin(order, last)], last]))
     lu = _splu(_assembled(mesh, view.pattern, s), permc_spec="NATURAL",
                diag_pivot_thresh=0.0)
     identity = np.arange(n)
@@ -775,20 +764,12 @@ def _solve_group(system: FactorizedSystem, group, columns):
 
 
 def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,
-                            U2: np.ndarray | None = None) -> np.ndarray:
-    """Per-element u1_e^T k0_e u2_e.
-
-    U1/U2 may be single vectors (n_dofs,) or blocks (n_dofs, m); the result
-    is (n_elements,) or (m, n_elements) accordingly.
-    """
-    if U2 is None:
-        U2 = U1
+                            U2: np.ndarray) -> np.ndarray:
+    """Per-element u1_e^T k0_e u2_e of each column pair of the (n_dofs, m)
+    blocks U1 and U2: an (m, n_elements) array."""
     mats = mesh.element_matrices
     e1 = np.asarray(U1)[mesh.edof]
     e2 = np.asarray(U2)[mesh.edof]
-    if e1.ndim == 2:
-        k_e2 = np.matmul(mats, e2[:, :, None])[:, :, 0]
-        return np.einsum("ei,ei->e", e1, k_e2)
     # a batched matmul, then a two-operand contraction: np.einsum runs a
     # three-operand contraction as one unoptimized loop, several times slower
     return np.einsum("eib,eib->be", e1, np.matmul(mats, e2))

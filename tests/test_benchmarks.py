@@ -45,6 +45,18 @@ def plate():
     return plate_problem(nx=16, ny=8, n_omega=8)
 
 
+@pytest.mark.parametrize("kind", ["wheel", "plate"])
+def test_record_gradients_are_c_ordered_rows(request, kind):
+    # the baseline's lam @ grads adds in an order set by the layout: both
+    # problems hand the loop one C-contiguous row per record
+    problem = request.getfixturevalue(kind)
+    rho = problem.initial_design()
+    params = problem.space.sample(np.random.default_rng(0), 3)
+    values, grads = problem.evaluate_records(rho, params)
+    assert values.shape == (3,) and grads.shape == (3, rho.size)
+    assert grads.flags.c_contiguous
+
+
 class TestAngleIntegrals:
     def test_closed_forms_on_quarter_interval(self):
         ix, iy, ixy, width = angle_integrals(np.pi / 4, 3 * np.pi / 4)

@@ -324,6 +324,9 @@ class TestRunCommand:
          "line 11: bad value for 'simp_schedule'"),
         (("tau = 0.5", "tau = 0.5\nsimp_schedule = 2 4 3 0.5"),
          "SIMP exponent must be >= 1"),
+        (("iterations = 3", "iterations = 80\ntau_schedule = 1 0.5"),
+         "below machine epsilon"),
+        (("tau = 0.5", "tau = 1e-300"), "below machine epsilon"),
     ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
             "tau-negative-second", "tau-zero", "tau-period-0",
             "tau-factor-negative", "pseudo-points-0",
@@ -341,7 +344,8 @@ class TestRunCommand:
             "verify-spec-float", "seed-negative", "seed-negative-second",
             "tau-schedule-half-pair", "tau-schedule-two-pairs",
             "simp-schedule-half-pair", "simp-schedule-float-iter",
-            "simp-schedule-second-value-below-1"])
+            "simp-schedule-second-value-below-1", "tau-schedule-below-eps",
+            "tau-below-eps"])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace(*edit)

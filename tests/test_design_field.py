@@ -245,9 +245,9 @@ class TestBackprop:
 
         sys = assemble_stiffness(
             mesh, interpolate_stiffness(rho, filt, simp, mesh))
-        u = sys.solve(f)
+        u = sys.solve(f)[:, None]
         grad = backprop_to_design(
-            -element_quadratic_forms(mesh, u), rho, filt, simp, mesh)
+            -element_quadratic_forms(mesh, u, u)[0], rho, filt, simp, mesh)
 
         step = 1e-6
         for j in range(mesh.n_elements):

@@ -270,6 +270,8 @@ class TestConfigValidation:
         dict(method="mma-quadrature", empirical_weights=True),
         dict(pseudo_points=8, empirical_weights=True),
         dict(seed=-1),
+        # a move limit below machine epsilon cannot move the design
+        dict(tau_schedule=(1, 0.5), iterations=80), dict(tau=1e-300),
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ValueError):
@@ -284,4 +286,6 @@ class TestConfigValidation:
         RunConfig(**good)
 
     def test_schedule_period_one_accepted(self):
-        assert RunConfig(tau_schedule=(1, 0.5)).tau_schedule == (1, 0.5)
+        # 40 halvings keep tau above machine epsilon (100 would not)
+        cfg = RunConfig(tau_schedule=(1, 0.5), iterations=40)
+        assert cfg.tau_schedule == (1, 0.5)

@@ -214,7 +214,7 @@ class TestAssemble:
         mesh = build_rect_mesh(3, 2, 3.0, 2.0)
         if ordered:
             assemble_stiffness(mesh, np.ones(mesh.n_elements))
-        assert (mesh.pattern.columns is not None) == ordered
+        assert (mesh.colamd is not None) == ordered
         bad = np.ones(mesh.n_elements)
         bad[4] = value
         with pytest.raises(ValueError, match=f"got {value} at element 4"):
@@ -277,19 +277,20 @@ class TestPatternAssembly:
         designs = [np.ones(n), np.where(np.arange(n) % 3, 1.0, 1e-4),
                    np.ones(n)] + [rng.uniform(1e-4, 1.0, n) for _ in range(3)]
         for s in designs:
-            order = mesh.pattern.columns
+            recorded = mesh.colamd
             system = assemble_stiffness(mesh, s)
             want = coo_stiffness(mesh, s)
             U = np.zeros_like(F)
             U[free] = splu(want).solve(F[free])
-            if order is not None:
-                want = want[:, order].tocsc()
+            if recorded is not None:
+                # the columns in the order q of the first factorization
+                want = want[:, np.searchsorted(free, recorded[1])].tocsc()
             K = calls[-1][0]
             for name in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(K, name),
                                               getattr(want, name))
             np.testing.assert_array_equal(system.solve(F), U)
-        assert mesh.pattern.columns is not None
+        assert mesh.colamd is not None
 
     def test_signed_zero_entries_kept(self, monkeypatch):
         # the x-y coupling at the top right node, which only element 1
@@ -319,15 +320,15 @@ class TestPatternAssembly:
     def test_simp_clone_reuses_the_ordering(self, monkeypatch):
         problem = plate_problem(nx=12, ny=6, n_omega=4)
         view = problem._whole
+        assert "pattern" in vars(view)   # built by the calibration solve
         pattern = view.pattern
-        assert pattern is not None   # set by the calibration solve
         calls = recorded_splu(monkeypatch)
         clone = problem.with_simp(3.0)
         clone.evaluate_records(clone.initial_design(), [[1.0, 0.5]])
         assert [spec for _, spec, _ in calls] == ["NATURAL"]
         assert clone._whole is view and view.pattern is pattern
         # the plate never ran COLAMD, which would record its order here
-        assert problem.mesh.pattern.columns is None
+        assert problem.mesh.colamd is None
 
     def test_plate_never_runs_colamd(self, monkeypatch):
         calls = recorded_splu(monkeypatch)
@@ -339,7 +340,7 @@ class TestPatternAssembly:
         # and per verification, all of them in that order
         assert [spec for _, spec, _ in calls] == (["MMD_AT_PLUS_A"]
                                                   + ["NATURAL"] * 5)
-        assert problem.mesh.pattern.columns is None
+        assert problem.mesh.colamd is None
 
     def test_rows_are_free_dofs_and_unknowns_follow_the_order(self):
         mesh = build_disc_mesh(3, 12, 0.1, 0.9)
@@ -349,8 +350,9 @@ class TestPatternAssembly:
         for system in (first, later):
             np.testing.assert_array_equal(system.free_dofs, free)
         np.testing.assert_array_equal(first.unknowns, free)
+        # stored column j of A Pc is column q[j] of A
         np.testing.assert_array_equal(later.unknowns,
-                                      free[mesh.pattern.columns])
+                                      free[np.argsort(first.lu.perm_c)])
         assert not np.array_equal(later.unknowns, free)
         f = np.zeros(mesh.n_dofs)
         f[free[-1]] = 1.0
@@ -433,20 +435,27 @@ class TestCondensed:
                                    atol=1e-12 * scale * load)
 
     def test_pattern_is_the_symmetric_permutation(self):
-        mesh = build_disc_mesh(3, 12, 0.1, 0.9)
-        n = mesh.free_dofs.size
-        order = np.random.default_rng(6).permutation(n)
-        s = np.random.default_rng(7).uniform(0.1, 1.0, mesh.n_elements)
-        for ordered in (False, True):
-            if ordered:
-                assemble_stiffness(mesh, s)
-            assert (mesh.pattern.columns is not None) == ordered
-            K = mesh_fem._assembled(mesh, mesh.pattern.permuted(order), s)
-            want = coo_stiffness(mesh, s)[order][:, order].tocsc()
-            want.sort_indices()
-            for attr in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(K, attr),
-                                              getattr(want, attr))
+        # and any other: rows and columns in independent random orders
+        rng = np.random.default_rng(6)
+        for mesh in (build_rect_mesh(5, 3, 2.0, 1.0),
+                     build_disc_mesh(3, 12, 0.1, 0.9)):
+            n = mesh.free_dofs.size
+            s = rng.uniform(0.1, 1.0, mesh.n_elements)
+            base = mesh.pattern
+            for ordered in (False, True):
+                if ordered:
+                    assemble_stiffness(mesh, s)
+                # COLAMD records its own layout and leaves the base alone
+                assert mesh.pattern is base
+                assert (mesh.colamd is not None) == ordered
+                rows, columns = rng.permutation(n), rng.permutation(n)
+                for r, c in ((rows, columns), (rows, rows)):
+                    K = mesh_fem._assembled(mesh, base.permuted(r, c), s)
+                    want = coo_stiffness(mesh, s)[r][:, c].tocsc()
+                    want.sort_indices()
+                    for attr in ("data", "indices", "indptr"):
+                        np.testing.assert_array_equal(getattr(K, attr),
+                                                      getattr(want, attr))
 
     @pytest.mark.parametrize("keep,message", [
         (lambda mesh: mesh.dirichlet_dofs[:1], "outside the free dofs"),
@@ -721,8 +730,9 @@ class TestComplianceGradient:
     def test_zero_state(self):
         mesh = build_rect_mesh(2, 2, 1.0, 1.0)
         np.testing.assert_array_equal(
-            -element_quadratic_forms(mesh, np.zeros(mesh.n_dofs)),
-            np.zeros(4))
+            -element_quadratic_forms(mesh, np.zeros((mesh.n_dofs, 1)),
+                                     np.zeros((mesh.n_dofs, 1))),
+            np.zeros((1, 4)))
 
     def test_nonpositive(self):
         rng = np.random.default_rng(2)
@@ -730,7 +740,8 @@ class TestComplianceGradient:
         sys = assemble_stiffness(mesh, rng.uniform(0.2, 1.0, mesh.n_elements))
         f = rng.standard_normal(mesh.n_dofs)
         f[mesh.dirichlet_dofs] = 0.0
-        g = -element_quadratic_forms(mesh, sys.solve(f))
+        u = sys.solve(f)[:, None]
+        g = -element_quadratic_forms(mesh, u, u)
         assert np.all(g <= 1e-14)
 
     def test_matches_finite_differences_3x3(self):
@@ -740,8 +751,8 @@ class TestComplianceGradient:
         f = np.zeros(mesh.n_dofs)
         top = np.nonzero(np.abs(mesh.nodes[:, 1] - 1.0) < 1e-12)[0]
         f[2 * top + 1] = -1.0
-        u = assemble_stiffness(mesh, s).solve(f)
-        grad = -element_quadratic_forms(mesh, u)
+        u = assemble_stiffness(mesh, s).solve(f)[:, None]
+        grad = -element_quadratic_forms(mesh, u, u)[0]
 
         step = 1e-6
         for e in range(mesh.n_elements):
@@ -761,17 +772,15 @@ class TestComplianceGradient:
         block = element_quadratic_forms(mesh, U, U)
         assert block.shape == (5, mesh.n_elements)
         for j in range(5):
+            u = U[:, j:j + 1]
             np.testing.assert_allclose(
-                block[j], element_quadratic_forms(mesh, U[:, j]), atol=1e-12)
+                block[j], element_quadratic_forms(mesh, u, u)[0], atol=1e-12)
 
 
 def quadratic_forms_einsum(mesh, U1, U2):
     """Reference kernel: one three-operand einsum per call."""
-    mats = mesh.element_matrices
-    e1, e2 = U1[mesh.edof], U2[mesh.edof]
-    if e1.ndim == 2:
-        return np.einsum("ei,eij,ej->e", e1, mats, e2)
-    return np.einsum("eib,eij,ejb->be", e1, mats, e2)
+    return np.einsum("eib,eij,ejb->be", U1[mesh.edof], mesh.element_matrices,
+                     U2[mesh.edof])
 
 
 class TestElementQuadraticForms:
@@ -779,10 +788,10 @@ class TestElementQuadraticForms:
         build_rect_mesh(7, 4, 2.0, 1.0),
         build_disc_mesh(4, 12, 0.1, 0.9),   # rotated per-band templates
     ], ids=["rect", "disc"])
-    @pytest.mark.parametrize("columns", [None, 1, 5])
+    @pytest.mark.parametrize("columns", [1, 5])
     def test_matches_three_operand_einsum(self, mesh, columns):
         rng = np.random.default_rng(11)
-        shape = (mesh.n_dofs,) if columns is None else (mesh.n_dofs, columns)
+        shape = (mesh.n_dofs, columns)
         U1, U2 = rng.standard_normal(shape), rng.standard_normal(shape)
         got = element_quadratic_forms(mesh, U1, U2)
         want = quadratic_forms_einsum(mesh, U1, U2)

@@ -6,7 +6,8 @@ benchmark run fail. This check fails first. The traced verification runs
 below fail when a dense verification no longer reaches a layer the
 benchmark requires of it (`workloads.VERIFY_LAYERS`), or when a layer's
 work count can no longer be read (the factorization's `lu.nnz`). The
-traced plate loop fails when an iteration no longer reaches a layer the
+traced loops, the plate's and the wheel's (which replays its first
+COLAMD order), fail when an iteration no longer reaches a layer the
 benchmark requires of it (`workloads.LOOP_LAYERS`).
 """
 import math
@@ -66,13 +67,14 @@ def test_traced_wheel_verification(perfbench):
     assert all(math.isfinite(g) for g in dense) and 0.0 <= dense[2] <= 1.0
 
 
-def test_traced_plate_loop_iterations(perfbench):
+@pytest.mark.parametrize("kind", ["plate", "wheel"])
+def test_traced_loop_iterations(perfbench, kind):
     import workloads
     from tracer import Tracer, install
 
     from smma import benchmarks, driver
 
-    problem = benchmarks.plate_problem()
+    problem = getattr(benchmarks, f"{kind}_problem")()
     cfg = driver.RunConfig(method="smma", batch_size=workloads.BATCH,
                            iterations=2, seed=3, verify_every=0)
     tracer = Tracer()
