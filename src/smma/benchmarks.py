@@ -12,18 +12,23 @@ every load case with it.
 Plate: 2l x 1l rectangle clamped at the bottom, loaded on a strip of the
 top edge at a random position omega with a random inclination alpha, and
 weakened in a random disc at xi. The alpha-average of the compliance is
-analytic: each design gets one block solve of the 2 * n_omega unit loads
-(an x and a y load per omega node). The omega integral is a fixed
-trapezoid, and only xi is sampled. The weakness changes the stiffness of
-only a few elements, and a xi reaches the FEM layer as those elements and
-their weakened factors alone. All xi of one call share one factorization
-of the unweakened design, each served by an exact rank-r update of it: a
-record's compliances and gradient come from the unweakened states U0 (one
-2 * n_omega-column sensitivity contraction per call) plus a rank-r
-correction per xi, and no weakened state is formed. Dense verification
-needs the states only at the loaded dofs and at the dofs the weakness
-reaches, and factorizes the stiffness condensed onto them; it builds the
-views and the weakness of its rule once per rule and load scale.
+analytic, and it lives in the loads: with F(alpha) = cos(alpha) Fx +
+sin(alpha) Fy and the 2 x 2 angle moments Lambda, the average over alpha
+is tr(Lambda [Fx, Fy]^T K^-1 [Fx, Fy]) / width, the sum of the plain
+compliances of the two columns of [Fx, Fy] L, where L L^T = Lambda /
+width. So each design gets one block solve of 2 * n_omega loads, and a
+design gradient is a weighted sum of plain -u^T k_e u, as on the wheel.
+The omega integral is a fixed trapezoid, and only xi is sampled. The
+weakness changes the stiffness of only a few elements, and a xi reaches
+the FEM layer as those elements and their weakened factors alone. All xi
+of one call share one factorization of the unweakened design, each served
+by an exact rank-r update of it: a record's compliances and gradient come
+from the unweakened states U0 (one 2 * n_omega-column sensitivity
+contraction per call) plus a rank-r correction per xi, and no weakened
+state is formed. Dense verification needs the states only at the loaded
+dofs and at the dofs the weakness reaches, and factorizes the stiffness
+condensed onto them; it builds the views and the weakness of its rule
+once per rule, load scale and angle range.
 
 The two problems factorize differently (see mesh_fem). The plate's
 builder, loop and verification all take K pivot-free in the mesh's
@@ -47,7 +52,6 @@ import scipy.sparse as sp
 from . import design_field as df
 from .csg_weights import ParamSpace
 from .mesh_fem import (
-    FactorizedSystem,
     StructuredMesh,
     assemble_stiffness,
     build_disc_mesh,
@@ -290,12 +294,14 @@ def wheel_problem(n_radial: int = 18, n_angular: int = 72,
 class PlateProblem(_ProblemBase):
     """The weakened plate (see the module docstring).
 
-    Every load comes from load_columns: the unit loads Fx and Fy of one
-    omega per column. load_block() is load_columns over the omega nodes.
-    The loop, dense verification and the builder's calibration all reduce
-    these loads with angle_averaged_block. The builder and the loop
-    factorize through _whole, the mesh condensed onto no dofs: the whole
-    system, pivot-free in the mesh's symmetric order.
+    Every load comes from load_columns, the unit loads Fx and Fy of one
+    omega per column, and reaches the FEM layer through angle_loads, which
+    folds the angle average into 2 * n loads. load_block() is angle_loads
+    of load_columns over the omega nodes. The loop, dense verification and
+    the builder's calibration all take their compliances from
+    _weakened_blocks. The builder and the loop factorize through _whole,
+    the mesh condensed onto no dofs: the whole system, pivot-free in the
+    mesh's symmetric order.
     """
 
     name = "plate"
@@ -331,7 +337,7 @@ class PlateProblem(_ProblemBase):
         self._top_x = mesh.nodes[self._top_nodes, 0]
         self._gauss = np.polynomial.legendre.leggauss(8)
         self._bump_panels = 32
-        self._load_cache = (None,)    # (load_scale, Fx, Fy) at omega_nodes
+        self._load_cache = (None,)    # (key, G) at omega_nodes
         self._rule_cache = (None,)    # (key, weights, groups); see _rule_plan
         # the whole stiffness in the mesh's symmetric order
         self._whole = mesh.condensed(np.zeros(0, dtype=int))
@@ -414,32 +420,28 @@ class PlateProblem(_ProblemBase):
         Fy[2 * self._top_nodes + 1] = -prof
         return Fx, Fy
 
-    def load_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """load_columns over the omega nodes, cached per load_scale."""
-        if self._load_cache[0] != self.load_scale:
-            self._load_cache = (self.load_scale,
-                                *self.load_columns(self.omega_nodes))
-        return self._load_cache[1:]
+    def angle_loads(self, Fx, Fy) -> np.ndarray:
+        """G = [Fx, Fy] L for n load pairs: (rows, 2n), where L L^T =
+        Lambda / width and Lambda holds the angle moments of angle_range.
 
-    def stiffness_field(self, rho, xi) -> np.ndarray:
-        interp = df.interpolate_stiffness(rho, self.filt, self.simp,
-                                          mesh=self.mesh)
-        return interp * (1.0 - self.weakness(xi))
+        The average over alpha of F(alpha)^T K^-1 F(alpha) for pair j is
+        tr(Lambda F_j^T K^-1 F_j) / width: the plain compliance of column
+        j of G plus that of column n + j.
+        """
+        ix, iy, ixy, width = angle_integrals(*self.angle_range)
+        L = np.linalg.cholesky(np.array([[ix, ixy], [ixy, iy]]) / width)
+        return np.hstack([L[0, 0] * Fx + L[1, 0] * Fy, L[1, 1] * Fy])
+
+    def load_block(self) -> np.ndarray:
+        """angle_loads of load_columns over the omega nodes, cached per
+        (load_scale, angle_range)."""
+        key = (self.load_scale, self.angle_range)
+        if self._load_cache[0] != key:
+            self._load_cache = (key, self.angle_loads(
+                *self.load_columns(self.omega_nodes)))
+        return self._load_cache[1]
 
     # -- evaluation ------------------------------------------------------
-
-    def angle_averaged_block(self, system: FactorizedSystem,
-                             FxB: np.ndarray, FyB: np.ndarray):
-        """Per-omega angle-averaged compliances plus the solved states."""
-        ix, iy, ixy, width = angle_integrals(*self.angle_range)
-        U = system.solve(np.hstack([FxB, FyB]))
-        Ux, Uy = U[:, :FxB.shape[1]], U[:, FxB.shape[1]:]
-        cxx = np.einsum("db,db->b", FxB, Ux)
-        cyy = np.einsum("db,db->b", FyB, Uy)
-        cxy = np.einsum("db,db->b", FxB, Uy)
-        cyx = np.einsum("db,db->b", FyB, Ux)
-        cbar = (ix * cxx + iy * cyy + ixy * (cxy + cyx)) / width
-        return cbar, Ux, Uy
 
     def _changed(self, xi):
         """(touched, kept): the elements whose stiffness xi changes, and
@@ -449,52 +451,52 @@ class PlateProblem(_ProblemBase):
         touched = np.flatnonzero(kept < 1.0)
         return touched, kept[touched]
 
-    def _weakened_blocks(self, system, s0, changed, FxB, FyB):
-        """(Ux0, Uy0, blocks): the unweakened states of the unit loads and
-        an iterator of (cbar, update), one per xi in turn.
+    def _weakened_blocks(self, system, s0, changed, G):
+        """(U0, blocks): the unweakened states of the loads G and an
+        iterator of (cbar, update), one per xi in turn. The plate's one
+        compliance kernel: the loop, dense verification and the builder's
+        calibration all take their compliances from it.
 
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 and one block solve
-        of the 2 * n_omega loads serve every xi through an exact low-rank
-        update; cbar is the compliance of K(xi), and no state of K(xi) is
-        formed. changed holds each xi's (touched, kept) (see _changed),
-        and its change is the factors s0[touched] * kept at touched.
+        of the 2n columns of G serve every xi through an exact low-rank
+        update; cbar holds the n angle-averaged compliances of K(xi), each
+        the sum of the plain compliances of columns j and n + j (see
+        angle_loads), and no state of K(xi) is formed. changed holds each
+        xi's (touched, kept) (see _changed), and its change is the factors
+        s0[touched] * kept at touched.
 
         system is K0, the stiffness of the element factors s0 assembled on
         the whole view self._whole or on a view condensed onto the loaded
         dofs and the dofs of every element whose stiffness a xi changes.
-        FxB and FyB are the unit loads in the rows of system: load_block()
-        for the whole view, its rows at view.keep for a condensed one,
-        whose states then have one row per kept dof, which is all cbar
-        reads.
+        G is in the rows of system: load_block() for the whole view, its
+        rows at view.keep for a condensed one, whose states then have one
+        row per kept dof, which is all cbar reads.
         """
-        cbar0, Ux0, Uy0 = self.angle_averaged_block(system, FxB, FyB)
-        ix, iy, ixy, width = angle_integrals(*self.angle_range)
+        U0 = system.solve(G)
+        c0 = np.einsum("db,db->b", G, U0)
+        n = c0.size // 2
 
-        def drop(update):
-            return (ix * update.form_drop(Ux0, Ux0)
-                    + iy * update.form_drop(Uy0, Uy0)
-                    + ixy * (update.form_drop(Ux0, Uy0)
-                             + update.form_drop(Uy0, Ux0))) / width
+        def cbar(update):
+            c = c0 - update.form_drop(U0, U0)
+            return c[:n] + c[n:]
         updates = low_rank_updates(system, self.mesh, s0, (
             (touched, s0[touched] * kept) for touched, kept in changed))
-        return Ux0, Uy0, ((cbar0 - drop(u), u) for u in updates)
+        return U0, ((cbar(u), u) for u in updates)
 
     def evaluate_records(self, rho, params):
         """Records for a batch of xi, from one factorization of the design.
 
         A record is the omega-trapezoid of h(angle-averaged compliance -
         cap), with its design gradient. The gradient is
-        -tr(k_e U B U^T) / width per element, where U = [Ux, Uy] are the
-        states of K(xi) and B = Lambda diag(coef) mixes the x and y columns
-        with the angle moments Lambda and weights them by coef = omega
-        weight * h'. It comes from the unweakened states U0: one
-        2 * n_omega-column contraction per call, plus a correction of the
-        update's rank for each xi.
+        -sum_b coef_b u_b^T k_e u_b per element, where u_b are the states
+        of K(xi) for the columns of load_block() and coef = omega weight *
+        h', the same on the two columns of an omega. It comes from the
+        unweakened states U0: one 2 * n_omega-column contraction per call,
+        plus a correction of the update's rank for each xi.
         """
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
-        ix, iy, ixy, width = angle_integrals(*self.angle_range)
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
         system = assemble_stiffness(self._whole, s0)
@@ -503,15 +505,9 @@ class PlateProblem(_ProblemBase):
         # built before it, the cache left glibc's heap so that every later
         # call faulted in fresh pages (default plate, 8 iterations: 5.0k
         # to 5.6k minor faults an iteration against 2.3k to 3.3k)
-        Ux0, Uy0, blocks = self._weakened_blocks(
-            system, s0, changed, *self.load_block())
-        U0 = np.hstack([Ux0, Uy0])
-        lam = np.kron([[ix, ixy], [ixy, iy]], np.eye(self.n_omega))
-        # row b of q0 is u_b^T k_e (U0 Lambda)_b per element, so
-        # coef @ q0 is tr(k_e U0 B U0^T)
-        q0 = element_quadratic_forms(
-            self.mesh, U0,
-            np.hstack([ix * Ux0 + ixy * Uy0, iy * Uy0 + ixy * Ux0]))
+        U0, blocks = self._weakened_blocks(system, s0, changed,
+                                           self.load_block())
+        q0 = element_quadratic_forms(self.mesh, U0, U0)
         values, grads = [], []
         for (cbar, update), (touched, kept) in zip(blocks, changed):
             t = cbar - self.smoothing.c_max
@@ -520,11 +516,9 @@ class PlateProblem(_ProblemBase):
             coef = np.tile(self.omega_weights * h_deriv(t, self.smoothing), 2)
             q = coef @ q0
             if update.dofs.size:
-                # coef is equal on the x and y column of each omega, so
-                # B = Lambda diag(coef) is symmetric
-                Z, Y = update.form_change(U0, lam * coef)
+                Z, Y = update.form_change(U0, coef)
                 q += element_quadratic_forms(self.mesh, Z, Y).sum(axis=0)
-            grad_s = -q / width
+            grad_s = -q
             grad_s[touched] *= kept
             grads.append(grad_s)
         return np.array(values), df.backprop_to_design(
@@ -536,24 +530,23 @@ class PlateProblem(_ProblemBase):
     def _rule_plan(self, spec):
         """(weights, groups) of dense_raw on the xi trapezoid rule spec.
 
-        A group is (view, FxK, FyK, changed) per view of condensed_groups:
+        A group is (view, GK, changed) per view of condensed_groups:
         keep = T u S, the loaded dofs T and the dofs S of every element
         whose stiffness the weakness of one of the group's points changes;
-        the unit loads at view.keep; and per point of the group its
-        change, (touched, kept) from _changed. None of it
-        depends on the design, so one plan, with the patterns its views
-        build on their first assembly, is kept and rebuilt when spec or
-        load_scale changes, as load_block is.
+        the loads load_block() at view.keep; and per point of the group its
+        change, (touched, kept) from _changed. None of it depends on the
+        design, so one plan, with the patterns its views build on their
+        first assembly, is kept and rebuilt when spec, load_scale or
+        angle_range changes.
         """
-        key = (np.atleast_1d(spec).tolist(), self.load_scale)
+        key = (np.atleast_1d(spec).tolist(), self.load_scale,
+               self.angle_range)
         if self._rule_cache[0] != key:
             pts, lam = self.space.trapezoid_rule(spec)
-            FxB, FyB = self.load_block()
-            loaded = np.flatnonzero(np.any(FxB != 0.0, axis=1)
-                                    | np.any(FyB != 0.0, axis=1))
+            G = self.load_block()
+            loaded = np.flatnonzero(np.any(G != 0.0, axis=1))
             changed = [self._changed(xi) for xi in pts]
-            groups = [(view, FxB[view.keep], FyB[view.keep],
-                       [changed[i] for i in group])
+            groups = [(view, G[view.keep], [changed[i] for i in group])
                       for group, view in condensed_groups(
                           self.mesh, loaded,
                           (self.mesh.edof[touched] for touched, _ in changed))]
@@ -578,9 +571,9 @@ class PlateProblem(_ProblemBase):
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
         values = []
-        for view, FxK, FyK, changed in groups:
-            _, _, blocks = self._weakened_blocks(
-                assemble_stiffness(view, s0), s0, changed, FxK, FyK)
+        for view, GK, changed in groups:
+            _, blocks = self._weakened_blocks(
+                assemble_stiffness(view, s0), s0, changed, GK)
             values.extend(cbar for cbar, _ in blocks)
         return np.stack(values).ravel(), weights.copy()
 
@@ -593,8 +586,8 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     """Plate benchmark; load scaled so the initial compliance is 1.
 
     The initial compliance is the angle average at the centres of the xi
-    box and of the omega interval, from load_columns and
-    angle_averaged_block, as the loop and verification compute it.
+    box and of the omega interval, from angle_loads and _weakened_blocks,
+    as the loop and verification compute it.
     """
     # written so that NaN fails it
     if not 0.0 < ell < np.inf:
@@ -608,9 +601,13 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     filt = df.build_filter(mesh, r_min)
     problem = PlateProblem(mesh, filt, simp, smoothing, ell=ell,
                            n_omega=n_omega)
-    system = assemble_stiffness(problem._whole, problem.stiffness_field(
-        problem.initial_design(), problem.space.centre()))
-    c0, _, _ = problem.angle_averaged_block(
-        system, *problem.load_columns(problem.omega_space.centre()))
+    s0 = df.interpolate_stiffness(problem.initial_design(), filt, simp,
+                                  mesh=mesh)
+    _, blocks = problem._weakened_blocks(
+        assemble_stiffness(problem._whole, s0), s0,
+        [problem._changed(problem.space.centre())],
+        problem.angle_loads(*problem.load_columns(
+            problem.omega_space.centre())))
+    ((c0, _),) = blocks
     problem.load_scale = 1.0 / np.sqrt(float(c0[0]))
     return problem

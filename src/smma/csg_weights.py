@@ -145,7 +145,7 @@ class SampleStore:
     into the arrays at call time, so the caller may change its arrays
     afterwards; the design is stored once per call, and record k's design
     is row design_index[k] of the stored designs. Reads return read-only
-    views, which keep() overwrites in place; designs returns a copy.
+    views, which keep() overwrites in place.
     """
 
     def __init__(self, space: ParamSpace):
@@ -234,12 +234,6 @@ class SampleStore:
     @property
     def iteration_born(self) -> np.ndarray:
         return self._view("born")
-
-    @property
-    def designs(self) -> np.ndarray:
-        """(K, n) design of every record, as a copy."""
-        index = self._view("design_index")
-        return self._designs[index]
 
     def design_offsets(self, u) -> np.ndarray:
         """||design_k - u||^2 / n for every record k, n the design length.

@@ -86,16 +86,16 @@ class RunConfig:
             raise ValueError("verify_every must be nonnegative (0: never)")
         if not self.tau > 0.0:
             raise ValueError("move limit tau must be positive")
+        # a growing tau moves nothing further: the box is clipped to [0, 1]
         if self.tau_schedule is not None and not (
-                self.tau_schedule[0] >= 1 and self.tau_schedule[1] > 0.0):
+                self.tau_schedule[0] >= 1
+                and 0.0 < self.tau_schedule[1] <= 1.0):
             raise ValueError("tau schedule needs a period of at least 1 "
-                             "and a positive factor")
+                             "and a factor in (0, 1]")
         # below eps, z +- tau can round to z and leave the subproblem box
-        # empty; a shrinking tau is smallest at the last iteration
-        k = self.iterations
-        if self.tau_schedule is not None and self.tau_schedule[1] >= 1.0:
-            k = 1
-        smallest = mma.tau_for_iteration(self.tau, self.tau_schedule, k)
+        # empty; tau is smallest at the last iteration
+        smallest = mma.tau_for_iteration(self.tau, self.tau_schedule,
+                                         self.iterations)
         if smallest < np.finfo(float).eps:
             raise ValueError(f"move limit tau falls to {smallest:g}, below "
                              f"machine epsilon, where it cannot move the "

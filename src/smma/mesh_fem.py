@@ -683,17 +683,17 @@ class LowRankUpdate:
         return np.sum(U1[self.rows] * (self.M @ U2[self.rows]), axis=0)
 
     def form_change(self, U0: np.ndarray,
-                    B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, Y), |S| columns each, from U0 = K0^-1 F and a symmetric B.
+                    w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, Y), |S| columns each, from U0 = K0^-1 F and column weights w.
 
         For every symmetric k and every row subset e (an element's dofs),
-        tr(k U_e B U_e^T) - tr(k U0_e B U0_e^T) = sum_j z_je^T k y_je,
+        sum_b w_b (u_be^T k u_be - u0_be^T k u0_be) = sum_j z_je^T k y_je,
         where U = K^-1 F. The states of K are U = U0 - Z C with
-        C = M P^T U0, so with W = U0 B C^T and H = C B C^T the change is
-        tr(k Z H Z^T) - 2 tr(k Z W^T): Y = Z H - 2 W.
+        C = M P^T U0, so with B = diag(w), W = U0 B C^T and H = C B C^T
+        the change is tr(k Z H Z^T) - 2 tr(k Z W^T): Y = Z H - 2 W.
         """
         C = self.M @ U0[self.rows]
-        BCt = B @ C.T
+        BCt = np.asarray(w, dtype=float)[:, None] * C.T
         return self.Z, self.Z @ (C @ BCt) - 2.0 * (U0 @ BCt)
 
 

@@ -113,9 +113,10 @@ class TestAngleReducedCompliance:
                              ids=["default", "skew"])
     @pytest.mark.parametrize("n", [1, 5])
     def test_block_path_matches_per_column(self, plate, n, angle_range):
-        # the block path the loop, verification and calibration take,
-        # against the analytic one-pair average, column by column; the
-        # default range has no cos*sin moment, the skew one has
+        # the loads the loop, verification and calibration solve: the
+        # plain compliances of columns j and n + j add up to the analytic
+        # one-pair average; the default range has no cos*sin moment, the
+        # skew one has
         plate = copy.copy(plate)
         plate.angle_range = angle_range
         rng = np.random.default_rng(n)
@@ -126,8 +127,10 @@ class TestAngleReducedCompliance:
         FyB = rng.standard_normal((mesh.n_dofs, n))
         FxB[mesh.dirichlet_dofs] = 0.0
         FyB[mesh.dirichlet_dofs] = 0.0
-        cbar, _, _ = plate.angle_averaged_block(system, FxB, FyB)
-        assert cbar.shape == (n,)
+        G = plate.angle_loads(FxB, FyB)
+        assert G.shape == (mesh.n_dofs, 2 * n)
+        c = np.einsum("db,db->b", G, system.solve(G))
+        cbar = c[:n] + c[n:]
         for j in range(n):
             want = angle_reduced_compliance(system, FxB[:, j], FyB[:, j],
                                             angle_range)
@@ -344,7 +347,7 @@ class TestPlate:
         np.testing.assert_array_equal(plate.space.centre(), xi)
         assert plate.omega_space.centre() == pytest.approx([om], rel=1e-15)
         system = assemble_stiffness(
-            plate.mesh, plate.stiffness_field(plate.initial_design(), xi))
+            plate.mesh, weakened_field(plate, plate.initial_design(), xi))
         Fx, Fy = plate.load_columns([om])
         c = angle_reduced_compliance(system, Fx[:, 0], Fy[:, 0],
                                      plate.angle_range)
@@ -390,7 +393,9 @@ class TestPlate:
                 problem._profiles([float(omega)])[:, 0], want)
             np.testing.assert_array_equal(profiles[:, j], want)
         # the load blocks over the omega nodes, column by column
-        FxB, FyB = problem.load_block()
+        FxB, FyB = problem.load_columns(problem.omega_nodes)
+        G = problem.load_block()
+        n = problem.n_omega
         top = 2 * problem._top_nodes
         for j, omega in enumerate(problem.omega_nodes):
             want = looped_profile(problem, float(omega)) * problem.load_scale
@@ -399,6 +404,8 @@ class TestPlate:
             np.testing.assert_array_equal(FyB[:, j], Fy[:, 0])
             np.testing.assert_array_equal(FxB[top, j], want)
             np.testing.assert_array_equal(FyB[top + 1, j], -want)
+            np.testing.assert_array_equal(
+                G[:, [j, n + j]], problem.angle_loads(Fx, Fy))
 
     @pytest.mark.parametrize("ell", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_ell_rejected(self, ell):
@@ -464,14 +471,29 @@ def looped_profile(plate, omega):
     return nodal
 
 
+def weakened_field(plate, rho, xi):
+    """Oracle: the element factors of K(xi), the SIMP stiffness of rho
+    times 1 - g_xi."""
+    interp = df.interpolate_stiffness(rho, plate.filt, plate.simp,
+                                      mesh=plate.mesh)
+    return interp * (1.0 - plate.weakness(xi))
+
+
 def direct_record(plate, rho, xi):
-    """Oracle: (cbar, value, gradient) from factorizing K(xi) itself and
-    the three per-pair sensitivity contractions."""
-    system = assemble_stiffness(plate.mesh, plate.stiffness_field(rho, xi))
-    cbar, Ux, Uy = plate.angle_averaged_block(system, *plate.load_block())
+    """Oracle: (cbar, value, gradient) from factorizing K(xi) itself,
+    solving the unit loads Fx and Fy of the omega nodes, and applying the
+    angle moments by the formula, with the three per-pair sensitivity
+    contractions."""
+    system = assemble_stiffness(plate.mesh, weakened_field(plate, rho, xi))
+    Fx, Fy = plate.load_columns(plate.omega_nodes)
+    Ux, Uy = system.solve(Fx), system.solve(Fy)
+    ix, iy, ixy, width = angle_integrals(*plate.angle_range)
+    cbar = (ix * np.einsum("db,db->b", Fx, Ux)
+            + iy * np.einsum("db,db->b", Fy, Uy)
+            + ixy * (np.einsum("db,db->b", Fx, Uy)
+                     + np.einsum("db,db->b", Fy, Ux))) / width
     t = cbar - plate.smoothing.c_max
     value = plate.omega_weights @ h_eval(t, plate.smoothing)
-    ix, iy, ixy, width = angle_integrals(*plate.angle_range)
     qxx = element_quadratic_forms(plate.mesh, Ux, Ux)
     qyy = element_quadratic_forms(plate.mesh, Uy, Uy)
     qxy = element_quadratic_forms(plate.mesh, Ux, Uy)
@@ -486,7 +508,7 @@ def direct_record(plate, rho, xi):
 def touched_elements(plate, rho, xi):
     s0 = df.interpolate_stiffness(rho, plate.filt, plate.simp,
                                   mesh=plate.mesh)
-    return np.nonzero(plate.stiffness_field(rho, xi) != s0)[0]
+    return np.nonzero(weakened_field(plate, rho, xi) != s0)[0]
 
 
 def assert_records_match_direct(plate, rho, xis):
@@ -601,6 +623,32 @@ class TestPlateReanalysis:
                                for xi in pts])
         np.testing.assert_allclose(values, want, rtol=1e-10)
         assert weights.sum() == pytest.approx(1.0)
+
+    def test_angle_range_and_load_scale_rebuild_both_caches(self):
+        # a fresh problem: the load block and the rule plan are kept per
+        # problem
+        plate = plate_problem(nx=16, ny=8, n_omega=4)
+        rho = np.random.default_rng(26).uniform(0.3, 0.9, plate.n_design)
+        pts, _ = plate.space.trapezoid_rule((3, 2))
+        G = plate.load_block()
+        _, groups = plate._rule_plan((3, 2))
+        assert plate.load_block() is G
+        assert plate._rule_plan((3, 2))[1] is groups
+        for attr, value in (("angle_range", (0.2, 1.3)),
+                            ("load_scale", 2.0 * plate.load_scale)):
+            setattr(plate, attr, value)
+            G = plate.load_block()
+            np.testing.assert_array_equal(G, plate.angle_loads(
+                *plate.load_columns(plate.omega_nodes)))
+            _, rebuilt = plate._rule_plan((3, 2))
+            assert rebuilt is not groups
+            groups = rebuilt
+            for view, GK, _ in groups:
+                np.testing.assert_array_equal(GK, G[view.keep])
+            want = np.concatenate([direct_record(plate, rho, xi)[0]
+                                   for xi in pts])
+            np.testing.assert_allclose(plate.dense_raw(rho, (3, 2))[0], want,
+                                       rtol=1e-10)
 
     @pytest.mark.parametrize("budget", [None, 100])
     def test_dense_raw_evaluates_the_weakness_once_per_point(

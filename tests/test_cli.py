@@ -327,6 +327,8 @@ class TestRunCommand:
         (("iterations = 3", "iterations = 80\ntau_schedule = 1 0.5"),
          "below machine epsilon"),
         (("tau = 0.5", "tau = 1e-300"), "below machine epsilon"),
+        (("iterations = 3", "iterations = 320\ntau_schedule = 1 10"),
+         "tau schedule needs a period of at least 1 and a factor in (0, 1]"),
     ], ids=["iterations-0", "batch-0", "cap-below-batch", "tau-negative",
             "tau-negative-second", "tau-zero", "tau-period-0",
             "tau-factor-negative", "pseudo-points-0",
@@ -345,7 +347,7 @@ class TestRunCommand:
             "tau-schedule-half-pair", "tau-schedule-two-pairs",
             "simp-schedule-half-pair", "simp-schedule-float-iter",
             "simp-schedule-second-value-below-1", "tau-schedule-below-eps",
-            "tau-below-eps"])
+            "tau-below-eps", "tau-schedule-growing"])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         text = TINY_WHEEL.replace(*edit)

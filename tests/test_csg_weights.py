@@ -475,9 +475,9 @@ class TestEviction:
 
 # -- the pruned owner search against the dense argmin it replaced ------------
 
-def dense_owners(store, u, points):
-    """Argmin over the whole (T, K) distance table: the oracle of _owners."""
-    designs = store.designs
+def dense_owners(store, designs, u, points):
+    """Argmin over the whole (T, K) distance table: the oracle of _owners.
+    designs holds the design each record was appended at."""
     offsets = (np.sum((designs - np.asarray(u, float)) ** 2, axis=-1)
                / designs.shape[1])
     d2 = (metric_dist2(space_coords(store.space), points[:, None, :],
@@ -486,9 +486,9 @@ def dense_owners(store, u, points):
     return np.argmin(d2, axis=1)
 
 
-def assert_owners_match(store, u, points):
+def assert_owners_match(store, designs, u, points):
     points = np.asarray(points, dtype=float)
-    want = dense_owners(store, u, points)
+    want = dense_owners(store, designs, u, points)
     np.testing.assert_array_equal(_owners(store, u, points), want)
     w = np.full(len(points), 1.0 / len(points))
     alpha = pseudoexact_weights(store, u, points, w)
@@ -513,8 +513,9 @@ _widths = st.sampled_from([0.3, 1.0, 1.7, 3.0])
 
 @st.composite
 def owner_cases(draw, periodic, widths, values, one_design=False):
-    """Records, a design and points with coordinates drawn from values,
-    on a box [0, w) per coordinate with w drawn from widths."""
+    """Records, the design of each, a design and points with coordinates
+    drawn from values, on a box [0, w) per coordinate with w drawn from
+    widths."""
     n_coords = len(periodic)
     space = ParamSpace(tuple((0.0, draw(widths)) for _ in periodic),
                        periodic)
@@ -541,7 +542,8 @@ def owner_cases(draw, periodic, widths, values, one_design=False):
     points = np.array(draw(st.lists(st.lists(values, min_size=n_coords,
                                              max_size=n_coords),
                                     min_size=T, max_size=T)))
-    return store, u, points
+    record_designs = np.array([designs[k // batch] for k in range(K)])
+    return store, record_designs, u, points
 
 
 CIRCLE = (True,)
@@ -577,8 +579,10 @@ class TestPrunedOwners:
     def test_equal_offsets_midpoint_goes_to_smallest_index(self):
         # records 0 and 1 have equal designs; 0.5 is exactly midway
         for params in ([[0.75], [0.25]], [[0.25], [0.75]]):
-            store = make_store(unit_box(), np.zeros((2, 2)), params)
-            assert_owners_match(store, np.zeros(2), [[0.5], [0.25], [0.75]])
+            designs = np.zeros((2, 2))
+            store = make_store(unit_box(), designs, params)
+            assert_owners_match(store, designs, np.zeros(2),
+                                [[0.5], [0.25], [0.75]])
             assert nearest(store, np.zeros(2), [0.5]) == 0
 
     def test_tie_with_a_smaller_index_in_a_later_chunk(self):
@@ -589,24 +593,27 @@ class TestPrunedOwners:
         designs = np.array([[0.5]] + [[0.0]] * 8)
         params = np.array([[0.5]] + [[0.0]] * 8)
         store = make_store(unit_box(), designs, params)
-        assert_owners_match(store, np.zeros(1), [[0.5], [0.0], [0.25]])
+        assert_owners_match(store, designs, np.zeros(1),
+                            [[0.5], [0.0], [0.25]])
         assert nearest(store, np.zeros(1), [0.5]) == 0
 
     def test_records_at_zero_and_just_below_period(self):
         period = 2 * np.pi
         eps = np.spacing(period)
+        designs = np.zeros((2, 3))
         for params in ([[0.0], [period - eps]], [[period - eps], [0.0]]):
-            store = make_store(circle(period), np.zeros((2, 3)), params)
+            store = make_store(circle(period), designs, params)
             pts = np.array([[0.0], [eps], [period - eps], [period - 2 * eps],
                             [np.pi], [np.pi - eps / 2], [period / 4]])
-            assert_owners_match(store, np.zeros(3), pts)
+            assert_owners_match(store, designs, np.zeros(3), pts)
 
     def test_many_records_without_pruning(self):
         rng = np.random.default_rng(21)
-        store = make_store(circle(), np.zeros((300, 2)),
+        designs = np.zeros((300, 2))
+        store = make_store(circle(), designs,
                            rng.uniform(0, 2 * np.pi, size=(300, 1)))
         pts = np.linspace(0, 2 * np.pi, 512, endpoint=False)[:, None]
-        assert_owners_match(store, np.zeros(2), pts)
+        assert_owners_match(store, designs, np.zeros(2), pts)
 
     def test_non_finite_inputs_rejected(self):
         store = make_store(unit_box(), np.zeros((3, 2)),
@@ -631,7 +638,11 @@ def assert_store_matches(store, model):
             store.values
         return
     designs, params, values, grads, born = (np.array(c) for c in zip(*model))
-    np.testing.assert_array_equal(store.designs, designs)
+    # each record's design, through the offsets the owner search reads
+    u = np.linspace(-1.0, 1.0, designs.shape[1])
+    np.testing.assert_array_equal(
+        store.design_offsets(u),
+        np.sum((designs - u) ** 2, axis=-1) / designs.shape[1])
     np.testing.assert_array_equal(store.params, params)
     np.testing.assert_array_equal(store.values, values)
     np.testing.assert_array_equal(store.gradients, grads)
@@ -759,7 +770,8 @@ class TestArrayStore:
         assert len(store) == 2
         store.clear()   # an empty store takes a new design length
         store.append(np.ones(4), [[0.5]], [1.0], np.ones((1, 4)), 3)
-        np.testing.assert_array_equal(store.designs, np.ones((1, 4)))
+        np.testing.assert_array_equal(store.design_offsets(np.zeros(4)),
+                                      [1.0])
 
     def test_keep_rejects_bad_indices(self):
         store = make_store(unit_box(), np.zeros((3, 2)),

@@ -272,6 +272,11 @@ class TestConfigValidation:
         dict(seed=-1),
         # a move limit below machine epsilon cannot move the design
         dict(tau_schedule=(1, 0.5), iterations=80), dict(tau=1e-300),
+        # a growing move limit moves nothing further once tau reaches 1,
+        # and its power overflows on a long run
+        dict(tau_schedule=(2, 1.5)),
+        dict(tau_schedule=(1, 10.0), iterations=320),
+        dict(tau_schedule=(2, float("nan"))),
     ])
     def test_rejected_values(self, bad):
         with pytest.raises(ValueError):
@@ -284,6 +289,10 @@ class TestConfigValidation:
     ])
     def test_options_of_the_method_accepted(self, good):
         RunConfig(**good)
+
+    def test_constant_schedule_accepted(self):
+        cfg = RunConfig(tau=0.5, tau_schedule=(3, 1.0), iterations=320)
+        assert cfg.tau_schedule == (3, 1.0)
 
     def test_schedule_period_one_accepted(self):
         # 40 halvings keep tau above machine epsilon (100 would not)

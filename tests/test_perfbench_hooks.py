@@ -5,7 +5,8 @@ its owner's own namespace; a renamed or deleted target makes every traced
 benchmark run fail. This check fails first. The traced verification runs
 below fail when a dense verification no longer reaches a layer the
 benchmark requires of it (`workloads.VERIFY_LAYERS`), or when a layer's
-work count can no longer be read (the factorization's `lu.nnz`). The
+work count can no longer be read (the factorization's `lu.nnz`). One
+untraced `plate-smma` repetition must match `reference.json`. The
 traced loops, the plate's and the wheel's (which replays its first
 COLAMD order), fail when an iteration no longer reaches a layer the
 benchmark requires of it (`workloads.LOOP_LAYERS`).
@@ -43,6 +44,18 @@ def test_traced_plate_verify_repetition(perfbench):
     assert not rep.failed_ops, rep.problems
     nnz = [s.counts["nnz"] for s in rep.verify_spans if s.name == "assemble"]
     assert len(nnz) == 1 and nnz[0] > 0
+
+
+def test_plate_smma_repetition_matches_the_reference(perfbench):
+    # the plate's loop and verification against the benchmark's stored
+    # values, so that a change of the plate's numbers shows in tier-1
+    import workloads
+
+    wl = workloads.WORKLOADS["plate-smma"]
+    rep = workloads.run_repetition(wl, 0, None)
+    workloads.cross_check(wl, 0, [rep], workloads.load_reference())
+    assert rep.attempted > wl.iterations
+    assert not rep.failed_ops, rep.problems
 
 
 def test_traced_wheel_verification(perfbench):
