@@ -7,7 +7,8 @@ only, so one factorization serves a whole batch of load cases. Every load
 lives on the rim dofs R, so a compliance is F_R^T (K^-1)_RR F_R: dense
 verification factorizes the stiffness condensed onto R, whose Schur
 complement gives (K^-1)_RR from an |R|-square dense solve, and contracts
-every load case with it.
+every load case with it; it builds the rim loads of its rule once per
+rule and load scale.
 
 Plate: 2l x 1l rectangle clamped at the bottom, loaded on a strip of the
 top edge at a random position omega with a random inclination alpha, and
@@ -139,6 +140,7 @@ class WheelProblem(_ProblemBase):
         self._outer_nodes = nr * na + np.arange(na)
         self._build_rim_quadrature(na)
         self._rim_view = self.mesh.condensed(self._rim_dofs)
+        self._rule_cache = (None,)    # (key, FR, weights); see dense_raw
 
     def _build_rim_quadrature(self, na: int) -> None:
         """Consistent rim traction: integrate f * n against the linear
@@ -254,18 +256,20 @@ class WheelProblem(_ProblemBase):
 
         Costs one factorization of the stiffness condensed onto the rim
         dofs R, whose |R| dense unit columns are G = (K^-1)_RR, and
-        c = F_R^T G F_R for every point.
+        c = F_R^T G F_R for every point. The rim loads F_R of the rule do
+        not depend on the design: one block and its weights are kept and
+        rebuilt when the rule's counts or load_scale change.
         """
-        pts, w = self.space.trapezoid_rule(
-            self.default_verify_spec if spec is None else spec)
-        # the loads first: the factorization then reuses the memory of
-        # their temporaries (about 12 MB at 1080 points); in the other
-        # order the allocator tends to return that memory to the system
-        # after each call and fault it in again on the next
-        FR = self.rim_loads(pts[:, 0])
+        key = (self.space.rule_counts(
+            self.default_verify_spec if spec is None else spec),
+            self.load_scale)
+        if self._rule_cache[0] != key:
+            pts, w = self.space.trapezoid_rule(key[0])
+            self._rule_cache = (key, self.rim_loads(pts[:, 0]), w)
+        _, FR, w = self._rule_cache
         system = assemble_stiffness(self._rim_view, self.stiffness_field(rho))
         G = system.unit_columns(self._rim_dofs)
-        return np.sum(FR * (G @ FR), axis=0), w
+        return np.sum(FR * (G @ FR), axis=0), w.copy()
 
 
 def wheel_problem(n_radial: int = 18, n_angular: int = 72,
@@ -539,10 +543,10 @@ class PlateProblem(_ProblemBase):
         first assembly, is kept and rebuilt when spec, load_scale or
         angle_range changes.
         """
-        key = (np.atleast_1d(spec).tolist(), self.load_scale,
+        key = (self.space.rule_counts(spec), self.load_scale,
                self.angle_range)
         if self._rule_cache[0] != key:
-            pts, lam = self.space.trapezoid_rule(spec)
+            pts, lam = self.space.trapezoid_rule(key[0])
             G = self.load_block()
             loaded = np.flatnonzero(np.any(G != 0.0, axis=1))
             changed = [self._changed(xi) for xi in pts]

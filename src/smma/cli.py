@@ -241,7 +241,7 @@ def load_design(path) -> tuple[dict, np.ndarray]:
     A malformed file raises ConfigError naming the file and the line: a
     blank or malformed header line, a header without one of the keys that
     save_design writes, a non-finite header number, and a truncated,
-    unparsable or non-finite value.
+    unparsable or non-finite value, or one outside the design box [0, 1].
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != DESIGN_MAGIC:
@@ -276,6 +276,8 @@ def load_design(path) -> tuple[dict, np.ndarray]:
                     raise bad(k, "design value is not a number") from None
                 if not np.isfinite(vals[k - i - 1]):
                     raise bad(k, "design value is not finite")
+                if not 0.0 <= vals[k - i - 1] <= 1.0:
+                    raise bad(k, "design value is outside [0, 1]")
             header["n_values"] = n
             return header, vals
         try:

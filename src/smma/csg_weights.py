@@ -101,8 +101,14 @@ class ParamSpace:
         return self._rule(counts, midpoints=False)
 
     def rule_counts(self, counts) -> tuple[int, ...]:
-        """counts, one per coordinate (an int when m = 1), each >= 1."""
-        counts = tuple(int(n) for n in np.atleast_1d(counts))
+        """counts, one per coordinate (an int when m = 1), each a whole
+        number >= 1, as a tuple of ints: 1080, 1080.0 and [1080] give the
+        same tuple, which the rule caches key on."""
+        given = np.atleast_1d(counts)
+        if not all(float(n).is_integer() for n in given):
+            raise ValueError(f"a rule needs a whole number of points on "
+                             f"each coordinate, got {given.tolist()}")
+        counts = tuple(int(n) for n in given)
         if len(counts) != len(self.bounds) or min(counts) < 1:
             raise ValueError(f"a rule needs at least 1 point on each of "
                              f"{len(self.bounds)} coordinates, got {counts}")

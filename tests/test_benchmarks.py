@@ -320,6 +320,54 @@ class TestWheelDenseRaw:
         with pytest.raises(ValueError, match="at least 1 point"):
             wheel.space.trapezoid_rule(n)
 
+    def test_fractional_rule_rejected(self, wheel):
+        # int(7.9) would verify on 7 points
+        with pytest.raises(ValueError, match="whole number of points"):
+            wheel.dense_raw(wheel.initial_design(), 7.9)
+
+    def test_dense_raw_rule_kept_per_spec_and_load_scale(self, monkeypatch):
+        wheel = wheel_problem(n_radial=8, n_angular=24)
+        rhos = [random_wheel_design(wheel, seed) for seed in (27, 28)]
+        rim_loads = wheel.rim_loads
+        built = []
+
+        def counting_rim_loads(omegas):
+            built.append(1)
+            return rim_loads(omegas)
+
+        monkeypatch.setattr(wheel, "rim_loads", counting_rim_loads)
+        # (spec, load_scale, rim load blocks the call builds): a call with
+        # the kept rule and load_scale builds none, however the counts are
+        # spelled
+        for k, (spec, scale, builds) in enumerate((
+                (96, None, 1), (96, None, 0), (96.0, None, 0),
+                ([96], None, 0), (48, None, 1), (96, None, 1),
+                (96, 0.5, 1), (96, 0.5, 0), (None, 0.5, 1), (1080, 0.5, 0))):
+            want = wheel_problem(n_radial=8, n_angular=24)
+            if scale is not None:
+                wheel.load_scale = want.load_scale = scale
+            rho = rhos[k % 2]
+            del built[:]
+            got = wheel.dense_raw(rho, spec)
+            assert len(built) == builds
+            # bit-identical to a problem that builds its rule afresh
+            for g, w in zip(got, want.dense_raw(rho, spec), strict=True):
+                np.testing.assert_array_equal(g, w)
+
+    def test_simp_clone_verifies_under_its_exponent(self):
+        wheel = wheel_problem(n_radial=8, n_angular=24)
+        rho = random_wheel_design(wheel, 29)
+        before = wheel.dense_raw(rho, 96)     # the clone shares this rule
+        clone = wheel.with_simp(5.0)
+        for g, w in zip(clone.dense_raw(rho, 96),
+                        wheel_problem(n_radial=8, n_angular=24)
+                        .with_simp(5.0).dense_raw(rho, 96), strict=True):
+            np.testing.assert_array_equal(g, w)
+        # a clone's new rule leaves the original's results alone
+        clone.dense_raw(rho, 48)
+        for g, w in zip(wheel.dense_raw(rho, 96), before, strict=True):
+            np.testing.assert_array_equal(g, w)
+
 
 class TestPlate:
     def test_weakness_center_and_support(self, plate):
@@ -720,3 +768,17 @@ class TestPlateReanalysis:
             # bit-identical to a problem that builds its rule afresh
             for g, w in zip(got, want.dense_raw(rho, spec), strict=True):
                 np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind,spec", [("wheel", 96), ("plate", (3, 2))])
+def test_dense_raw_weights_are_the_callers(request, kind, spec):
+    # both problems keep their rule's weights; a caller that writes to the
+    # arrays it got changes no later call
+    problem = request.getfixturevalue(kind)
+    rho = problem.initial_design()
+    want = [a.copy() for a in problem.dense_raw(rho, spec)]
+    for _ in range(2):
+        for a in problem.dense_raw(rho, spec):
+            a[:] = np.nan
+    for g, w in zip(problem.dense_raw(rho, spec), want, strict=True):
+        np.testing.assert_array_equal(g, w)

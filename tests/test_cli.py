@@ -507,6 +507,31 @@ class TestBadDesignFiles:
         assert "design value is not finite" in capsys.readouterr().err
         assert not (tmp_path / "v.csv").exists()
 
+    @pytest.mark.parametrize("value", ["-0.5", "1.5"])
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_value_outside_the_box_exit_2(self, tmp_path, capsys, command,
+                                          value):
+        # a density outside [0, 1] is no design: verify and render reject
+        # it, naming the line
+        text = TINY_PLATE.replace("nx = 10", "nx = 8").replace("ny = 5",
+                                                              "ny = 4")
+        cfg = write_config(tmp_path, text, out=tmp_path / "o")
+        problem = build_problem(resolve_config(parse_config(cfg.read_text())))
+        assert problem.mesh.shape == (8, 4)
+        path = tmp_path / "bad.txt"
+        save_design(path, problem, problem.initial_design())
+        lines = path.read_text().splitlines()
+        lines[-5] = value
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bad.out"
+        args = ([str(path), str(cfg)] if command == "verify"
+                else [str(path)])
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.txt:{len(lines) - 4}: design value is outside [0, 1]" \
+            in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_verify_writes_csv_idempotently(self, tmp_path):

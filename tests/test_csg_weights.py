@@ -973,12 +973,32 @@ class TestParamSpace:
         with pytest.raises(ValueError, match="at least 1 point"):
             plate_space(1.0).rule_counts(counts)
 
+    @pytest.mark.parametrize("space,counts", [
+        (WHEEL_SPACE, 72.5), (WHEEL_SPACE, 7.9), (WHEEL_SPACE, [0.5]),
+        (WHEEL_SPACE, np.nan), (WHEEL_SPACE, np.inf),
+        (plate_space(1.0), (5, 4.5)), (plate_space(1.0), (np.nan, 3)),
+    ], ids=["72.5", "7.9", "0.5", "nan", "inf", "grid-4.5", "grid-nan"])
+    def test_fractional_counts_rejected(self, space, counts):
+        # int() would truncate 72.5 to 72 and 7.9 to 7 without a word
+        with pytest.raises(ValueError, match="whole number of points"):
+            space.rule_counts(counts)
+        with pytest.raises(ValueError, match="whole number of points"):
+            space.trapezoid_rule(counts)
+
     @pytest.mark.parametrize("space,counts,want", [
         (WHEEL_SPACE, 7, (7,)), (WHEEL_SPACE, [7], (7,)),
+        (WHEEL_SPACE, 1080.0, (1080,)), (WHEEL_SPACE, np.int64(1080),
+                                         (1080,)),
+        (WHEEL_SPACE, np.array([1080.0]), (1080,)),
         (plate_space(1.0), [5, 4], (5, 4)),
+        (plate_space(1.0), (5.0, np.int32(4)), (5, 4)),
     ])
     def test_rule_counts_one_per_coordinate(self, space, counts, want):
-        assert space.rule_counts(counts) == want
+        # the rule caches key on this tuple: every spelling of one rule
+        # gives the same plain ints
+        got = space.rule_counts(counts)
+        assert got == want
+        assert all(type(n) is int for n in got)
         assert space.trapezoid_rule(counts)[0].shape == (np.prod(want),
                                                          len(want))
 
