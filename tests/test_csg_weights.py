@@ -987,10 +987,10 @@ class TestParamSpace:
 
     @pytest.mark.parametrize("space,counts,want", [
         (WHEEL_SPACE, 7, (7,)), (WHEEL_SPACE, [7], (7,)),
+        (plate_space(1.0), [5, 4], (5, 4)),
         (WHEEL_SPACE, 1080.0, (1080,)), (WHEEL_SPACE, np.int64(1080),
                                          (1080,)),
         (WHEEL_SPACE, np.array([1080.0]), (1080,)),
-        (plate_space(1.0), [5, 4], (5, 4)),
         (plate_space(1.0), (5.0, np.int32(4)), (5, 4)),
     ])
     def test_rule_counts_one_per_coordinate(self, space, counts, want):
