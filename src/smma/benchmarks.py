@@ -17,19 +17,18 @@ analytic, and it lives in the loads: with F(alpha) = cos(alpha) Fx +
 sin(alpha) Fy and the 2 x 2 angle moments Lambda, the average over alpha
 is tr(Lambda [Fx, Fy]^T K^-1 [Fx, Fy]) / width, the sum of the plain
 compliances of the two columns of [Fx, Fy] L, where L L^T = Lambda /
-width. So each design gets one block solve of 2 * n_omega loads, and a
-design gradient is a weighted sum of plain -u^T k_e u, as on the wheel.
-The omega integral is a fixed trapezoid, and only xi is sampled. The
-weakness changes the stiffness of only a few elements, and a xi reaches
-the FEM layer as those elements and their weakened factors alone. All xi
-of one call share one factorization of the unweakened design, each served
-by an exact rank-r update of it: a record's compliances and gradient come
-from the unweakened states U0 (one 2 * n_omega-column sensitivity
-contraction per call) plus a rank-r correction per xi, and no weakened
-state is formed. Dense verification needs the states only at the loaded
-dofs and at the dofs the weakness reaches, and factorizes the stiffness
-condensed onto them; it builds the views and the weakness of its rule
-once per rule, load scale and angle range.
+width, and a design gradient is a weighted sum of plain -u^T k_e u, as on
+the wheel. The omega integral is a fixed trapezoid, and only xi is
+sampled. The weakness changes the stiffness of only a few elements. All xi
+of one call share one factorization of the unweakened design and one
+block solve, and are served as stacked exact rank-r updates of it: a
+record's compliances and gradient come from the unweakened states U0 (one
+2 * n_omega-column sensitivity contraction per call) plus rank-r
+corrections (one contraction for all xi), and no weakened state is
+formed. Dense verification needs the states only at the loaded dofs and
+at the dofs the weakness reaches, and factorizes the stiffness condensed
+onto them; it builds the views and the updates' slots of its rule once per
+rule, load scale, angle range and bump radius.
 
 The two problems factorize differently (see mesh_fem). The plate's
 builder, loop and verification all take K pivot-free in the mesh's
@@ -57,6 +56,7 @@ from .mesh_fem import (
     assemble_stiffness,
     build_disc_mesh,
     build_rect_mesh,
+    change_slots,
     condensed_groups,
     element_quadratic_forms,
     low_rank_updates,
@@ -438,8 +438,8 @@ class PlateProblem(_ProblemBase):
 
     def load_block(self) -> np.ndarray:
         """angle_loads of load_columns over the omega nodes, cached per
-        (load_scale, angle_range)."""
-        key = (self.load_scale, self.angle_range)
+        (load_scale, angle_range, bump_radius)."""
+        key = (self.load_scale, self.angle_range, self.bump_radius)
         if self._load_cache[0] != key:
             self._load_cache = (key, self.angle_loads(
                 *self.load_columns(self.omega_nodes)))
@@ -447,28 +447,29 @@ class PlateProblem(_ProblemBase):
 
     # -- evaluation ------------------------------------------------------
 
-    def _changed(self, xi):
-        """(touched, kept): the elements whose stiffness xi changes, and
-        the share kept = 1 - g_xi of it that xi leaves them; where g_xi is
-        below half an ulp of 1, kept rounds to 1: no change."""
-        kept = 1.0 - self.weakness(xi)
-        touched = np.flatnonzero(kept < 1.0)
-        return touched, kept[touched]
+    def _changes(self, kept):
+        """(slots, kept) of the xi whose weakness leaves the shares kept =
+        1 - g_xi of the element stiffnesses: the ChangeSlots of the
+        elements with kept < 1 (below half an ulp, g_xi changes nothing),
+        and their kept, in the order of slots.elements."""
+        touched = [np.flatnonzero(k < 1.0) for k in kept]
+        return (change_slots(self.mesh, touched),
+                np.concatenate([k[t] for k, t in zip(kept, touched)]))
 
-    def _weakened_blocks(self, system, s0, changed, G):
+    def _weakened_blocks(self, system, s0, changes, G):
         """(U0, blocks): the unweakened states of the loads G and an
-        iterator of (cbar, update), one per xi in turn. The plate's one
-        compliance kernel: the loop, dense verification and the builder's
-        calibration all take their compliances from it.
+        iterator of (cbar, updates), one per group of low_rank_updates.
+        The plate's one compliance kernel: the loop, dense verification and
+        the builder's calibration all take their compliances from it.
 
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 and one block solve
-        of the 2n columns of G serve every xi through an exact low-rank
-        update; cbar holds the n angle-averaged compliances of K(xi), each
-        the sum of the plain compliances of columns j and n + j (see
-        angle_loads), and no state of K(xi) is formed. changed holds each
-        xi's (touched, kept) (see _changed), and its change is the factors
-        s0[touched] * kept at touched.
+        serve every xi through an exact low-rank update (see
+        low_rank_updates); cbar holds, one row per xi of the group, the n
+        angle-averaged compliances of K(xi), each the sum of the plain
+        compliances of columns j and n + j (see angle_loads), and no state
+        of K(xi) is formed. changes is _changes of the batch: each xi's
+        change is the factors s0 * kept at its touched elements.
 
         system is K0, the stiffness of the element factors s0 assembled on
         the whole view self._whole or on a view condensed onto the loaded
@@ -477,15 +478,15 @@ class PlateProblem(_ProblemBase):
         rows at view.keep for a condensed one, whose states then have one
         row per kept dof, which is all cbar reads.
         """
-        U0 = system.solve(G)
+        slots, kept = changes
+        U0, updates = low_rank_updates(system, self.mesh, s0, slots,
+                                       s0[slots.elements] * kept, G)
         c0 = np.einsum("db,db->b", G, U0)
         n = c0.size // 2
 
         def cbar(update):
-            c = c0 - update.form_drop(U0, U0)
-            return c[:n] + c[n:]
-        updates = low_rank_updates(system, self.mesh, s0, (
-            (touched, s0[touched] * kept) for touched, kept in changed))
+            c = c0 - update.form_drop(U0)
+            return c[:, :n] + c[:, n:]
         return U0, ((cbar(u), u) for u in updates)
 
     def evaluate_records(self, rho, params):
@@ -497,36 +498,38 @@ class PlateProblem(_ProblemBase):
         of K(xi) for the columns of load_block() and coef = omega weight *
         h', the same on the two columns of an omega. It comes from the
         unweakened states U0: one 2 * n_omega-column contraction per call,
-        plus a correction of the update's rank for each xi.
+        plus one contraction of the corrections of every xi's update.
         """
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
         system = assemble_stiffness(self._whole, s0)
-        changed = [self._changed(xi) for xi in xis]
+        slots, kept = changes = self._changes(
+            [1.0 - self.weakness(xi) for xi in xis])
         # the first call builds the load cache after the factorization:
-        # built before it, the cache left glibc's heap so that every later
-        # call faulted in fresh pages (default plate, 8 iterations: 5.0k
-        # to 5.6k minor faults an iteration against 2.3k to 3.3k)
-        U0, blocks = self._weakened_blocks(system, s0, changed,
+        # built before it, the cache leaves glibc's heap so that every
+        # later call faults in fresh pages (default plate, seed 3, 8
+        # iterations: 5.4k to 5.5k minor faults an iteration against 0.9k
+        # to 1.1k)
+        U0, blocks = self._weakened_blocks(system, s0, changes,
                                            self.load_block())
         q0 = element_quadratic_forms(self.mesh, U0, U0)
+        w, smoothing = self.omega_weights, self.smoothing
         values, grads = [], []
-        for (cbar, update), (touched, kept) in zip(blocks, changed):
-            t = cbar - self.smoothing.c_max
-            values.append(float(self.omega_weights
-                                @ h_eval(t, self.smoothing)))
-            coef = np.tile(self.omega_weights * h_deriv(t, self.smoothing), 2)
+        for cbar, update in blocks:
+            t = cbar - smoothing.c_max
+            values.append(h_eval(t, smoothing) @ w)
+            coef = np.tile(w * h_deriv(t, smoothing), 2)
             q = coef @ q0
-            if update.dofs.size:
-                Z, Y = update.form_change(U0, coef)
-                q += element_quadratic_forms(self.mesh, Z, Y).sum(axis=0)
-            grad_s = -q
-            grad_s[touched] *= kept
-            grads.append(grad_s)
-        return np.array(values), df.backprop_to_design(
-            np.stack(grads), rho, self.filt, self.simp, mesh=self.mesh)
+            Z, Y, owner = update.form_change(U0, coef)
+            if owner.size:
+                np.add.at(q, owner, element_quadratic_forms(self.mesh, Z, Y))
+            grads.append(-q)
+        grads = np.concatenate(grads)
+        grads[slots.owner, slots.elements] *= kept
+        return np.concatenate(values), df.backprop_to_design(
+            grads, rho, self.filt, self.simp, mesh=self.mesh)
 
     def default_baseline_spec(self, batch_size: int):
         return (5, 5)
@@ -534,26 +537,27 @@ class PlateProblem(_ProblemBase):
     def _rule_plan(self, spec):
         """(weights, groups) of dense_raw on the xi trapezoid rule spec.
 
-        A group is (view, GK, changed) per view of condensed_groups:
+        A group is (view, GK, changes) per view of condensed_groups:
         keep = T u S, the loaded dofs T and the dofs S of every element
         whose stiffness the weakness of one of the group's points changes;
-        the loads load_block() at view.keep; and per point of the group its
-        change, (touched, kept) from _changed. None of it depends on the
-        design, so one plan, with the patterns its views build on their
-        first assembly, is kept and rebuilt when spec, load_scale or
-        angle_range changes.
+        the loads load_block() at view.keep; and the group's _changes, the
+        slots of its points' updates and their kept shares. None of it
+        depends on the design, so one plan, with the patterns its views
+        build on their first assembly, is kept and rebuilt when spec,
+        load_scale, angle_range or bump_radius changes.
         """
         key = (self.space.rule_counts(spec), self.load_scale,
-               self.angle_range)
+               self.angle_range, self.bump_radius)
         if self._rule_cache[0] != key:
             pts, lam = self.space.trapezoid_rule(key[0])
             G = self.load_block()
             loaded = np.flatnonzero(np.any(G != 0.0, axis=1))
-            changed = [self._changed(xi) for xi in pts]
-            groups = [(view, G[view.keep], [changed[i] for i in group])
+            kept = [1.0 - self.weakness(xi) for xi in pts]
+            groups = [(view, G[view.keep],
+                       self._changes([kept[i] for i in group]))
                       for group, view in condensed_groups(
                           self.mesh, loaded,
-                          (self.mesh.edof[touched] for touched, _ in changed))]
+                          (self.mesh.edof[k < 1.0] for k in kept))]
             weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
             self._rule_cache = (key, weights, groups)
         return self._rule_cache[1:]
@@ -575,11 +579,11 @@ class PlateProblem(_ProblemBase):
         s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
                                       mesh=self.mesh)
         values = []
-        for view, GK, changed in groups:
+        for view, GK, changes in groups:
             _, blocks = self._weakened_blocks(
-                assemble_stiffness(view, s0), s0, changed, GK)
+                assemble_stiffness(view, s0), s0, changes, GK)
             values.extend(cbar for cbar, _ in blocks)
-        return np.stack(values).ravel(), weights.copy()
+        return np.concatenate(values).ravel(), weights.copy()
 
 
 def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
@@ -609,9 +613,9 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                                   mesh=mesh)
     _, blocks = problem._weakened_blocks(
         assemble_stiffness(problem._whole, s0), s0,
-        [problem._changed(problem.space.centre())],
+        problem._changes([1.0 - problem.weakness(problem.space.centre())]),
         problem.angle_loads(*problem.load_columns(
             problem.omega_space.centre())))
     ((c0, _),) = blocks
-    problem.load_scale = 1.0 / np.sqrt(float(c0[0]))
+    problem.load_scale = 1.0 / np.sqrt(float(c0[0, 0]))
     return problem

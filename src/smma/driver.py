@@ -207,12 +207,17 @@ def run_smma(problem, cfg: RunConfig, callback=None):
             if store is not None:
                 store.clear()   # gradients under the old exponent are stale
 
+        params = nodes if store is None else phase.space.sample(
+            rng, cfg.batch_size)
+        values, grads = phase.evaluate_records(rho, params)
+        # a NaN constraint fails every comparison in the subproblem, which
+        # would still return a design, and the log would read NaN
+        if not (np.isfinite(values).all() and np.isfinite(grads).all()):
+            raise FloatingPointError(f"iteration {k}: a record's value or "
+                                     f"gradient is not finite")
         if store is None:
-            values, grads = phase.evaluate_records(rho, nodes)
             g_hat, dg_hat = float(lam @ values), lam @ grads
         else:
-            params = phase.space.sample(rng, cfg.batch_size)
-            values, grads = phase.evaluate_records(rho, params)
             store.append(rho, params, values, grads, k)
             if quad is None:
                 alpha = cw.empirical_weights(store, rho)

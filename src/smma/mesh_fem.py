@@ -14,7 +14,8 @@ per design so that many load cases can be solved against it. A change of
 a few element factors, given as those elements and their new factors, is
 served by the same factorization through an exact low-rank (Woodbury)
 update: the changed design's compliances and element quadratic forms are
-those of the factorized design plus low-rank corrections.
+those of the factorized design plus low-rank corrections. A batch of
+changes is served at once, as stacked arrays (`low_rank_updates`).
 
 Everything that depends only on the mesh is done once per mesh. The
 `StiffnessPattern` holds the CSC structure of the reduced matrix in
@@ -54,7 +55,8 @@ assembles:
   (about 314k against 398k).
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
-of dofs in one block. The low-rank updates take their Z = K^-1 P from it.
+of dofs, after any loads it is given, in one block. The low-rank updates
+take their Z = K^-1 P and the states of their loads from it.
 
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
@@ -68,6 +70,7 @@ one row per kept dof, so no n_dofs-long block is formed.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -485,15 +488,19 @@ class FactorizedSystem:
             np.ascontiguousarray(rhs[self.free_dofs]))
         return u
 
-    def unit_columns(self, dofs) -> np.ndarray:
-        """K^-1 P, (n_rows, len(dofs)), for the unit columns P of dofs.
+    def unit_columns(self, dofs, loads=None) -> np.ndarray:
+        """K^-1 [loads, P], (n_rows, m + len(dofs)), for the m columns of
+        loads (none when omitted) and the unit columns P of dofs.
 
-        One block solve; column j is the response to a unit load at
+        One block solve; column m + j is the response to a unit load at
         dofs[j] (zero for a Dirichlet dof).
         """
         dofs = np.asarray(dofs, dtype=int)
-        P = np.zeros((self.n_rows, dofs.size))
-        P[self.rows(dofs), np.arange(dofs.size)] = 1.0
+        m = 0 if loads is None else loads.shape[1]
+        P = np.zeros((self.n_rows, m + dofs.size))
+        if m:
+            P[:, :m] = loads
+        P[self.rows(dofs), m + np.arange(dofs.size)] = 1.0
         return self.solve(P)
 
 
@@ -655,122 +662,181 @@ def condensed_groups(mesh: StructuredMesh, base, dof_sets):
 
 
 @dataclass
-class LowRankUpdate:
-    """K = K0 + P dK P^T, served exactly by the factorization of K0.
+class ChangeSlots:
+    """Where P changes of element factors land in their stacked low-rank
+    updates. It depends on the changed elements only (see change_slots)."""
 
-    P holds the unit columns of the free dofs S where K differs from K0.
-    By the Woodbury identity K^-1 = K0^-1 - Z M Z^T, with Z = K0^-1 P and
-    M = (I + dK Z_S)^-1 dK, where Z_S = P^T Z is the S-block of K0^-1.
-    An empty S is the rank-0 update K = K0. No state of K is formed:
-    compliances and quadratic forms of K come from those of K0 plus
-    |S|-column corrections.
-
-    Z and the states passed in have the rows of the factorized system:
-    n_dofs rows, or one per kept dof of a condensed system; rows locates
-    S among them.
-    """
-
-    dofs: np.ndarray   # S: sorted free dof indices
-    rows: np.ndarray   # the rows of S in Z and in the states
-    Z: np.ndarray      # (system rows, |S|)
-    M: np.ndarray      # (|S|, |S|)
-
-    def form_drop(self, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-        """F1^T K0^-1 F2 - F1^T K^-1 F2 per column, from U_i = K0^-1 F_i.
-
-        K0 is symmetric, so Z^T F_i = P^T U_i: no state of K is needed.
-        """
-        return np.sum(U1[self.rows] * (self.M @ U2[self.rows]), axis=0)
-
-    def form_change(self, U0: np.ndarray,
-                    w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, Y), |S| columns each, from U0 = K0^-1 F and column weights w.
-
-        For every symmetric k and every row subset e (an element's dofs),
-        sum_b w_b (u_be^T k u_be - u0_be^T k u0_be) = sum_j z_je^T k y_je,
-        where U = K^-1 F. The states of K are U = U0 - Z C with
-        C = M P^T U0, so with B = diag(w), W = U0 B C^T and H = C B C^T
-        the change is tr(k Z H Z^T) - 2 tr(k Z W^T): Y = Z H - 2 W.
-        """
-        C = self.M @ U0[self.rows]
-        BCt = np.asarray(w, dtype=float)[:, None] * C.T
-        return self.Z, self.Z @ (C @ BCt) - 2.0 * (U0 @ BCt)
+    elements: np.ndarray   # (E,) the elements of every change in turn
+    owner: np.ndarray      # (E,) the change of each element
+    at: np.ndarray         # (E, 8, 8) each element entry's index into the
+                           # flat (P, width + 1, width + 1) stack of dK,
+                           # whose last row and column take Dirichlet dofs
+    dofs: np.ndarray       # (P, width) each S_p, sorted, padded with -1
 
 
-def _element_update(mesh: StructuredMesh, s0: np.ndarray, elements, s):
-    """(S, dK_SS) for K0 with the factors at elements changed from s0 to s:
-    the free dofs of the elements whose factor moves, and
-    sum_e (s_e - s0_e) k_e restricted to them."""
-    # signed indices, whether a list or an unsigned array came in
-    elements = np.asarray(elements, dtype=np.intp)
-    s = np.asarray(s, dtype=float)
-    if elements.ndim != 1 or s.shape != elements.shape:
-        raise ValueError("a change needs one factor per element")
-    if np.any(elements[1:] <= elements[:-1]):
+def change_slots(mesh: StructuredMesh, element_sets) -> ChangeSlots:
+    """The ChangeSlots of one change per set of strictly increasing element
+    indices (ValueError otherwise)."""
+    # signed indices, whether lists or unsigned arrays came in
+    sets = [np.asarray(e, dtype=np.intp) for e in element_sets]
+    n = len(sets)
+    elements = np.concatenate(sets + [np.zeros(0, np.intp)])
+    owner = np.repeat(np.arange(n), [e.size for e in sets])
+    same = owner[1:] == owner[:-1]
+    if np.any(elements[1:][same] <= elements[:-1][same]):
         raise ValueError("changed elements must be strictly increasing")
     if np.any((elements < 0) | (elements >= mesh.n_elements)):
         raise ValueError("changed element out of range")
-    moved = s != s0[elements]
-    touched = elements[moved]
-    edof = mesh.edof[touched]
-    dofs, local = np.unique(edof, return_inverse=True)
-    local = local.reshape(edof.shape)
-    dK = np.zeros((dofs.size, dofs.size))
-    blocks = ((s[moved] - s0[touched])[:, None, None]
-              * mesh.element_matrices[touched])
-    np.add.at(dK, (local[:, :, None], local[:, None, :]), blocks)
+    # each change's dofs, and each free one's rank among its change's
+    keys, inverse = np.unique(owner[:, None] * mesh.n_dofs
+                              + mesh.edof[elements], return_inverse=True)
+    of, dofs = np.divmod(keys, mesh.n_dofs)
     free = ~np.isin(dofs, mesh.dirichlet_dofs)
-    return dofs[free], dK[np.ix_(free, free)]
+    counts = np.bincount(of[free], minlength=n)
+    width = counts.max(initial=0)
+    slot = np.cumsum(free) - 1 - (np.cumsum(counts) - counts)[of]
+    slot[~free] = width
+    padded = np.full((n, width), -1)
+    padded[of[free], slot[free]] = dofs[free]
+    local = slot[inverse].reshape(-1, 8)
+    return ChangeSlots(
+        elements=elements, owner=owner,
+        at=((owner[:, None, None] * (width + 1) + local[:, :, None])
+            * (width + 1) + local[:, None, :]), dofs=padded)
 
 
-def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh,
-                     s0, changes):
-    """Yield one LowRankUpdate per change, in order.
+@dataclass
+class LowRankUpdates:
+    """K_p = K0 + P_p dK_p P_p^T for P changes, served exactly and all at
+    once by the factorization of K0.
 
-    system is the factorization of K(s0), whole or condensed onto a keep
-    that holds every changed free dof. A change is (elements, factors):
-    strictly increasing element indices and their new factors (ValueError
-    otherwise); an element listed at its factor in s0 changes nothing.
-    Changes of a few elements give low-rank updates; Z for the union of
-    their dofs comes from one block solve of unit columns. When that block
-    would exceed _UPDATE_BLOCK_ENTRIES, the changes are split into
-    consecutive groups with one block solve each.
+    P_p holds the unit columns of the free dofs S_p where K_p differs from
+    K0. By the Woodbury identity K_p^-1 = K0^-1 - Z_p M_p Z_p^T, with
+    Z_p = K0^-1 P_p and M_p = (I + dK_p P_p^T Z_p)^-1 dK_p. Each S_p is
+    padded to the widest by slots with zero rows and columns in dK_p,
+    P_p^T Z_p and M_p. No state of K_p is formed. Z and the states have
+    the rows of the system: n_dofs, or one per kept dof of a condensed one.
     """
-    s0 = np.asarray(s0, dtype=float)
+
+    Z: np.ndarray      # (system rows, m): K0^-1 at the union of the S_p
+    rows: np.ndarray   # (m,) the rows of that union in Z and the states
+    slots: np.ndarray  # (P, s) the columns of each S_p in Z; m pads
+    M: np.ndarray      # (P, s, s)
+
+    def _at_slots(self, U: np.ndarray) -> np.ndarray:
+        """(P, s, b): the rows of U at each S_p, zero at a pad."""
+        rows = np.zeros((self.rows.size + 1, U.shape[1]))
+        rows[:-1] = U[self.rows]
+        return rows[self.slots]
+
+    def form_drop(self, U0: np.ndarray) -> np.ndarray:
+        """(P, b): F^T K0^-1 F - F^T K_p^-1 F per column of U0 = K0^-1 F.
+        K0 is symmetric, so Z_p^T F = P_p^T U0."""
+        A = self._at_slots(U0)
+        return np.einsum("psb,psb->pb", A, self.M @ A)
+
+    def form_change(self, U0: np.ndarray, w: np.ndarray):
+        """(Z, Y, owner): a column per slot of an S_p, and its p, from
+        U0 = K0^-1 F and the (P, b) column weights w. For every symmetric k
+        and row subset e (an element's dofs), sum_b w_pb (u_be^T k u_be -
+        u0_be^T k u0_be) = sum_j z_je^T k y_je over the columns j of p,
+        where U = K_p^-1 F = U0 - Z_p C, C = M_p P_p^T U0: with B = diag(w_p),
+        W = U0 B C^T and H = C B C^T, Y_p = Z_p H - 2 W.
+        """
+        C = self.M @ self._at_slots(U0)
+        BCt = np.asarray(w, dtype=float)[:, :, None] * C.transpose(0, 2, 1)
+        real = self.slots < self.rows.size
+        owner = np.nonzero(real)[0]
+        # every Z_p H in one product: H scattered into the rows of Z's
+        # columns, one column per real slot (a pad's row m is dropped)
+        H = np.zeros((self.rows.size + 1, owner.size))
+        H[self.slots[owner], np.arange(owner.size)[:, None]] = (
+            C @ BCt).transpose(0, 2, 1)[real]
+        return (self.Z[:, self.slots[real]],
+                self.Z @ H[:-1] - 2.0 * (U0 @ BCt.transpose(0, 2, 1)[real].T),
+                owner)
+
+
+def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
+                     slots: ChangeSlots, factors, F):
+    """(U0, updates): the states U0 = K0^-1 F and the LowRankUpdates of
+    the changes, one per consecutive group of them.
+
+    system factorizes K0 = K(s0), whole or condensed onto a keep that holds
+    every changed free dof; F has its rows. The changes set slots.elements
+    to factors (ValueError unless one each); an element at its factor in
+    s0 changes nothing. Each group takes one block solve of the unit
+    columns E_S of the union S of its S_p, and the first one's also gives
+    U0: it solves [E_T, E_S], T the dofs where F is nonzero, and forms
+    U0 = K0^-1 E_T F_T, or solves [F, E_S] when F has fewer columns than
+    T. A group grows while its block keeps within _UPDATE_BLOCK_ENTRIES;
+    a single change may exceed it alone.
+    """
+    factors = np.asarray(factors, dtype=float)
+    if factors.shape != slots.elements.shape:
+        raise ValueError("a change needs one factor per element")
+    n, width = slots.dofs.shape
+    blocks = ((factors - np.asarray(s0, dtype=float)[slots.elements])
+              [:, None, None] * mesh.element_matrices[slots.elements])
+    dK = np.bincount(slots.at.ravel(), blocks.ravel(), n * (width + 1) ** 2
+                     ).reshape(n, width + 1, width + 1)[:, :width, :width]
+    live = np.any(F, axis=1)
+    T = system.free_dofs[live] if system.condensed else np.flatnonzero(live)
+    basis = min(T.size, F.shape[1])
+
     budget = max(1, _UPDATE_BLOCK_ENTRIES // system.n_rows)
-    group: list = []
-    columns: set = set()
-    for elements, s in changes:
-        dofs, dK = _element_update(mesh, s0, elements, s)
-        grown = columns.union(dofs.tolist())
-        if group and len(grown) > budget:
-            yield from _solve_group(system, group, columns)
-            group, grown = [], set(dofs.tolist())
-        group.append((dofs, dK))
-        columns = grown
-    yield from _solve_group(system, group, columns)
+    groups, group, columns, extra = [], [], set(), basis
+    for p, dofs in enumerate(slots.dofs):
+        dofs = set(dofs[dofs >= 0].tolist())
+        if group and len(columns) + len(dofs - columns) + extra > budget:
+            groups.append(group)
+            group, columns, extra = [], set(), 0
+        group.append(p)
+        columns |= dofs
+    groups.append(group)
 
+    def stacked(group, S, Z):
+        # the group's S_p padded to the widest, a pad at S.size
+        d = slots.dofs[group]
+        d = d[:, :np.count_nonzero(d >= 0, axis=1).max(initial=0)]
+        pos = np.where(d >= 0, np.searchsorted(S, d), S.size)
+        ZS = np.zeros((S.size + 1, S.size + 1))
+        ZS[:-1, :-1] = Z[system.rows(S)]
+        dKg = dK[group][:, :d.shape[1], :d.shape[1]]
+        M = np.linalg.solve(np.eye(d.shape[1])
+                            + dKg @ ZS[pos[:, :, None], pos[:, None]], dKg)
+        return LowRankUpdates(Z=Z, rows=system.rows(S), slots=pos, M=M)
 
-def _solve_group(system: FactorizedSystem, group, columns):
-    union = np.array(sorted(columns), dtype=int)
-    Z = system.unit_columns(union)
-    union_rows = system.rows(union)
-    for dofs, dK in group:
-        at = np.searchsorted(union, dofs)
-        rows = union_rows[at]
-        Zs = Z[:, at]
-        M = np.linalg.solve(np.eye(dofs.size) + dK @ Zs[rows], dK)
-        yield LowRankUpdate(dofs=dofs, rows=rows, Z=Zs, M=M)
+    unions = [np.setdiff1d(slots.dofs[g], -1) for g in groups]
+    if T.size < F.shape[1]:
+        W = system.unit_columns(np.concatenate([T, unions[0]]))
+        U0 = W[:, :basis] @ F[system.rows(T)]
+    else:
+        W = system.unit_columns(unions[0], F)
+        U0 = W[:, :basis]
+    return U0, itertools.chain(
+        [stacked(groups[0], unions[0], W[:, basis:])],
+        (stacked(g, S, system.unit_columns(S))
+         for g, S in zip(groups[1:], unions[1:])))
 
 
 def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,
                             U2: np.ndarray) -> np.ndarray:
     """Per-element u1_e^T k0_e u2_e of each column pair of the (n_dofs, m)
     blocks U1 and U2: an (m, n_elements) array."""
-    mats = mesh.element_matrices
-    e1 = np.asarray(U1)[mesh.edof]
-    e2 = np.asarray(U2)[mesh.edof]
-    # a batched matmul, then a two-operand contraction: np.einsum runs a
-    # three-operand contraction as one unoptimized loop, several times slower
-    return np.einsum("eib,eib->be", e1, np.matmul(mats, e2))
+    U1, U2 = np.asarray(U1), np.asarray(U2)
+    out = np.empty((U1.shape[1], mesh.n_elements))
+    # 32 columns at a time: each column's forms are the same, and the
+    # (n_elements, 8, 32) temporaries stay in cache and in glibc's heap,
+    # where wider ones made every plate iteration fault in fresh pages
+    for j in range(0, U1.shape[1], 32):
+        e1 = U1[:, j:j + 32][mesh.edof]
+        # the compliance forms gather their one operand once
+        e2 = e1 if U2 is U1 else U2[:, j:j + 32][mesh.edof]
+        # a batched matmul, then a two-operand contraction: np.einsum runs
+        # a three-operand contraction as one unoptimized loop, several
+        # times slower
+        out[j:j + 32] = np.einsum("eib,eib->be", e1,
+                                  np.matmul(mesh.element_matrices, e2))
+    return out
 

@@ -9,12 +9,13 @@ omega rule. Both problems factorize the stiffness condensed onto the dofs
 the rule reads (`StructuredMesh.condensed`), ordered on the mesh's
 free-node graph, and work in those kept dofs only: the wheel contracts
 every load with the rim block of K^-1 (see `WheelProblem.dense_raw`), and
-the plate serves the grid by the low-rank updates its records use, with
-its loads restricted to the loaded dofs and the dofs the weakness
-reaches. What depends only on the rule and the load scale (the wheel's
-rim loads, the plate's views, loads and per-point changes) is built on
-the first call with that rule and kept, so a call repeated on the same
-rule does only the work that depends on the design.
+the plate serves the grid by the stacked low-rank updates its records
+use, in the loaded dofs and the dofs the weakness reaches: one block solve
+and one stacked update per factorization. What depends only on the rule
+and the load scale (the wheel's rim loads; the plate's views, loads and
+per-point update slots) is built on the first call with that rule and
+kept, so a call repeated on the same rule does only the work that depends
+on the design.
 """
 from __future__ import annotations
 

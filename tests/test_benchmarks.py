@@ -674,7 +674,8 @@ class TestPlateReanalysis:
 
     def test_angle_range_and_load_scale_rebuild_both_caches(self):
         # a fresh problem: the load block and the rule plan are kept per
-        # problem
+        # problem; bump_radius, which the loads and the weakness both
+        # read, rebuilds them too
         plate = plate_problem(nx=16, ny=8, n_omega=4)
         rho = np.random.default_rng(26).uniform(0.3, 0.9, plate.n_design)
         pts, _ = plate.space.trapezoid_rule((3, 2))
@@ -683,7 +684,8 @@ class TestPlateReanalysis:
         assert plate.load_block() is G
         assert plate._rule_plan((3, 2))[1] is groups
         for attr, value in (("angle_range", (0.2, 1.3)),
-                            ("load_scale", 2.0 * plate.load_scale)):
+                            ("load_scale", 2.0 * plate.load_scale),
+                            ("bump_radius", 0.15)):
             setattr(plate, attr, value)
             G = plate.load_block()
             np.testing.assert_array_equal(G, plate.angle_loads(
@@ -768,6 +770,191 @@ class TestPlateReanalysis:
             # bit-identical to a problem that builds its rule afresh
             for g, w in zip(got, want.dense_raw(rho, spec), strict=True):
                 np.testing.assert_array_equal(g, w)
+
+
+# the default plate: 46 loaded dofs against 64 loads, so its block holds
+# the unit columns of T and S; FINE and WIDE (4 omega nodes, 8 loads) hold
+# the loads themselves
+DEFAULT = plate_problem()
+DEFAULT_RHO = np.random.default_rng(27).uniform(0.3, 0.9, DEFAULT.n_design)
+
+
+def two_solve_kernel(plate, system, s0, xis, G):
+    """Oracle: the plate kernel in its per-xi form. One block solve of the
+    loads G, one of the unit columns of the union of the xi's update dofs,
+    and per xi its own Woodbury update on the free dofs S of the elements
+    whose factor moves: M = (I + dK Z_S)^-1 dK. Returns U0 and per xi
+    (cbar, rows of S, Z, M, touched, kept)."""
+    mesh = plate.mesh
+    U0 = system.solve(G)
+    c0 = np.einsum("db,db->b", G, U0)
+    n = c0.size // 2
+    parts = []
+    for xi in xis:
+        kept = 1.0 - plate.weakness(xi)
+        touched = np.flatnonzero(kept < 1.0)
+        s = s0[touched] * kept[touched]
+        moved = touched[s != s0[touched]]
+        edof = mesh.edof[moved]
+        dofs, local = np.unique(edof, return_inverse=True)
+        local = local.reshape(edof.shape)
+        dK = np.zeros((dofs.size, dofs.size))
+        np.add.at(dK, (local[:, :, None], local[:, None, :]),
+                  (s[s != s0[touched]] - s0[moved])[:, None, None]
+                  * mesh.element_matrices[moved])
+        free = ~np.isin(dofs, mesh.dirichlet_dofs)
+        parts.append((touched, kept[touched], dofs[free],
+                      dK[np.ix_(free, free)]))
+    union = np.unique(np.concatenate([d for _, _, d, _ in parts]))
+    Z_union = system.unit_columns(union)
+    out = []
+    for touched, kept, dofs, dK in parts:
+        rows = system.rows(dofs)
+        Z = Z_union[:, np.searchsorted(union, dofs)]
+        M = np.linalg.solve(np.eye(dofs.size) + dK @ Z[rows], dK)
+        c = c0 - np.sum(U0[rows] * (M @ U0[rows]), axis=0)
+        out.append((c[:n] + c[n:], rows, Z, M, touched, kept))
+    return U0, out
+
+
+def two_solve_records(plate, rho, xis):
+    """Oracle: evaluate_records through two_solve_kernel, with one
+    correction contraction per xi."""
+    s0 = df.interpolate_stiffness(rho, plate.filt, plate.simp,
+                                  mesh=plate.mesh)
+    system = assemble_stiffness(plate._whole, s0)
+    U0, parts = two_solve_kernel(plate, system, s0, xis, plate.load_block())
+    q0 = element_quadratic_forms(plate.mesh, U0, U0)
+    w, smoothing = plate.omega_weights, plate.smoothing
+    values, grads = [], []
+    for cbar, rows, Z, M, touched, kept in parts:
+        t = cbar - smoothing.c_max
+        values.append(w @ h_eval(t, smoothing))
+        coef = np.tile(w * h_deriv(t, smoothing), 2)
+        C = M @ U0[rows]
+        BCt = coef[:, None] * C.T
+        Y = Z @ (C @ BCt) - 2.0 * (U0 @ BCt)
+        grad = -(coef @ q0
+                 + element_quadratic_forms(plate.mesh, Z, Y).sum(axis=0))
+        grad[touched] *= kept
+        grads.append(grad)
+    return np.array(values), df.backprop_to_design(
+        np.stack(grads), rho, plate.filt, plate.simp, mesh=plate.mesh)
+
+
+def two_solve_dense(plate, rho, spec):
+    """Oracle: dense_raw's values through two_solve_kernel on the views of
+    the rule's plan, one group of consecutive points per view."""
+    pts, _ = plate.space.trapezoid_rule(spec)
+    s0 = df.interpolate_stiffness(rho, plate.filt, plate.simp,
+                                  mesh=plate.mesh)
+    values, start = [], 0
+    for view, GK, (slots, _) in plate._rule_plan(spec)[1]:
+        stop = start + slots.dofs.shape[0]
+        _, parts = two_solve_kernel(plate, assemble_stiffness(view, s0), s0,
+                                    pts[start:stop], GK)
+        values.extend(cbar for cbar, *_ in parts)
+        start = stop
+    assert start == len(pts)
+    return np.concatenate(values)
+
+
+def oracle_case(name):
+    """(problem, rho, xis) of one case of TestStackedUpdates."""
+    if name == "rank-zero":
+        # a mesh node 0.088 from the nearest centroids, beyond the radius
+        plate = plate_problem(nx=16, ny=8, n_omega=8)
+        rho = np.random.default_rng(23).uniform(0.3, 0.9, plate.n_design)
+        return plate, rho, np.array([[0.5, 0.5]])
+    if name == "dirichlet":
+        plate = plate_problem(nx=4, ny=2, n_omega=4)
+        rho = np.random.default_rng(24).uniform(0.3, 0.9, plate.n_design)
+        return plate, rho, np.array([plate.mesh.element_centroids[1],
+                                     [1.0, 0.5]])
+    plate, rho = {"wide": (WIDE, WIDE_RHO), "loads": (FINE, FINE_RHO),
+                  "loaded-dofs": (DEFAULT, DEFAULT_RHO)}[name]
+    return plate, rho, plate.space.sample(np.random.default_rng(44), 8)
+
+
+def loaded_dofs(plate):
+    return np.flatnonzero(np.any(plate.load_block(), axis=1))
+
+
+class TestStackedUpdates:
+    """The stacked kernel, one block solve and one stacked Woodbury
+    update per factorization, against the per-xi two-solve kernel it
+    replaced, at 1e-12."""
+
+    @pytest.mark.parametrize("name", ["rank-zero", "dirichlet", "wide",
+                                      "loads", "loaded-dofs"])
+    def test_records_match_the_two_solve_kernel(self, name):
+        plate, rho, xis = oracle_case(name)
+        if name == "rank-zero":
+            assert touched_elements(plate, rho, xis[0]).size == 0
+        if name == "dirichlet":
+            assert touched_elements(plate, rho, xis[0]).tolist() == [1]
+            assert np.isin(plate.mesh.edof[1],
+                           plate.mesh.dirichlet_dofs).any()
+        if name in ("loads", "loaded-dofs"):
+            # which load basis the block holds
+            assert ((loaded_dofs(plate).size < 2 * plate.n_omega)
+                    == (name == "loaded-dofs"))
+        values, grads = plate.evaluate_records(rho, xis)
+        want_values, want_grads = two_solve_records(plate, rho, xis)
+        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
+        scale = np.abs(want_grads).max()
+        assert np.abs(grads - want_grads).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["wide", "loads", "loaded-dofs"])
+    def test_dense_raw_matches_the_two_solve_kernel(self, name):
+        plate, rho, _ = oracle_case(name)
+        values, _ = plate.dense_raw(rho, (4, 3))
+        np.testing.assert_allclose(values, two_solve_dense(plate, rho, (4, 3)),
+                                   rtol=1e-12, atol=0)
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Counters of the factorizations, block solves and element
+        quadratic forms that the problems make."""
+        calls = {"assemble": 0, "solve": 0, "qforms": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(benchmarks, "assemble_stiffness",
+                            counted("assemble", benchmarks.assemble_stiffness))
+        monkeypatch.setattr(FactorizedSystem, "solve",
+                            counted("solve", FactorizedSystem.solve))
+        monkeypatch.setattr(benchmarks, "element_quadratic_forms",
+                            counted("qforms",
+                                    benchmarks.element_quadratic_forms))
+        return calls
+
+    @pytest.mark.parametrize("name", ["rank-zero", "dirichlet", "wide",
+                                      "loads", "loaded-dofs"])
+    def test_records_take_one_solve_per_factorization(self, monkeypatch,
+                                                      name):
+        plate, rho, xis = oracle_case(name)
+        calls = self.counting(monkeypatch)
+        plate.evaluate_records(rho, xis)
+        assert calls["assemble"] == calls["solve"] == 1
+        assert calls["qforms"] <= 2
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_dense_raw_takes_one_solve_per_group(self, monkeypatch, budget):
+        # a fresh problem groups the rule under the budget set below
+        plate = plate_problem(nx=60, ny=30, n_omega=4)
+        if budget is not None:
+            monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES",
+                                budget ** 2)
+        groups = len(plate._rule_plan((5, 4))[1])
+        assert (groups > 1) == (budget is not None)
+        calls = self.counting(monkeypatch)
+        plate.dense_raw(FINE_RHO, (5, 4))
+        assert calls["assemble"] == calls["solve"] == groups
+        assert calls["qforms"] == 0
 
 
 @pytest.mark.parametrize("kind,spec", [("wheel", 96), ("plate", (3, 2))])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import smma
+from smma import cli
 from smma.benchmarks import plate_problem, wheel_problem
 from smma.cli import (
     _RUN_KEYS,
@@ -123,6 +124,28 @@ class TestConfigParsing:
 
 
 class TestRunCommand:
+    def test_non_finite_record_exits_1(self, tmp_path, capsys, monkeypatch):
+        builder, keys = cli._PROBLEMS["wheel"]
+
+        def nan_at_the_third_call(**kwargs):
+            problem = builder(**kwargs)
+            evaluate, calls = problem.evaluate_records, []
+
+            def evaluate_records(rho, params):
+                values, grads = evaluate(rho, params)
+                calls.append(1)
+                return (values * np.nan if len(calls) == 3 else values,
+                        grads)
+            problem.evaluate_records = evaluate_records
+            return problem
+
+        monkeypatch.setitem(cli._PROBLEMS, "wheel",
+                            (nan_at_the_third_call, keys))
+        cfg = write_config(tmp_path, TINY_WHEEL, out=tmp_path / "out")
+        assert main(["run", str(cfg)]) == 1
+        assert ("error: iteration 3: a record's value or gradient is not "
+                "finite") in capsys.readouterr().err
+
     def test_run_writes_artifacts(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, TINY_WHEEL, out=out)

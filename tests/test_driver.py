@@ -183,6 +183,34 @@ class TestSmmaLoop:
         assert [r.tau for r in log.rows] == [1.0, 0.5, 0.5, 0.25]
 
 
+class NanToy(ToyProblem):
+    """ToyProblem whose third evaluate_records call returns a NaN value or
+    gradient."""
+
+    def __init__(self, where):
+        super().__init__()
+        self.where, self.calls = where, 0
+
+    def evaluate_records(self, rho, params):
+        values, grads = super().evaluate_records(rho, params)
+        self.calls += 1
+        if self.calls == 3:
+            values, grads = (values * np.nan, grads) if self.where == "value" \
+                else (values, grads * np.nan)
+        return values, grads
+
+
+@pytest.mark.parametrize("method", ["smma", "mma-quadrature"])
+@pytest.mark.parametrize("where", ["value", "gradient"])
+def test_non_finite_record_raises_naming_the_iteration(method, where):
+    cfg = RunConfig(method=method, iterations=5, verify_every=0)
+    rows = []
+    with pytest.raises(FloatingPointError, match="iteration 3: "):
+        run_smma(NanToy(where), cfg,
+                 callback=lambda k, rho, store, row: rows.append(row))
+    assert [row.iteration for row in rows] == [1, 2]
+
+
 class TestBaselineLoop:
     def test_smoke(self):
         problem = tiny_wheel()

@@ -17,6 +17,7 @@ from smma.mesh_fem import (
     assemble_stiffness,
     build_disc_mesh,
     build_rect_mesh,
+    change_slots,
     condensed_groups,
     element_quadratic_forms,
     low_rank_updates,
@@ -817,54 +818,109 @@ class TestLowRankUpdates:
         """Each field as the change it makes: (elements, factors)."""
         return [(np.flatnonzero(s != s0), s[s != s0]) for s in fields]
 
-    def assert_matches_direct(self, mesh, F, U0, s, update, w):
-        U = assemble_stiffness(mesh, s).solve(F)
-        drop = np.einsum("db,db->b", F, U0) - np.einsum("db,db->b", F, U)
-        np.testing.assert_allclose(update.form_drop(U0, U0), drop,
-                                   rtol=1e-10, atol=1e-12)
-        # per element sum_b w_b u_b^T k_e u_b, which the correction updates
-        want = w @ element_quadratic_forms(mesh, U, U)
+    @staticmethod
+    def updates(system, mesh, s0, changes, F):
+        """(U0, slots, [LowRankUpdates per group]) of changes."""
+        slots = change_slots(mesh, [elements for elements, _ in changes])
+        factors = np.concatenate([f for _, f in changes] + [np.zeros(0)])
+        U0, groups = low_rank_updates(system, mesh, s0, slots, factors, F)
+        return U0, slots, list(groups)
+
+    def assert_matches_direct(self, mesh, F, U0, fields, update, w):
+        """Update p of the stacked update is fields[p]."""
+        drops = update.form_drop(U0)
+        Z, Y, owner = update.form_change(U0, np.tile(w, (len(fields), 1)))
+        assert Z.shape == Y.shape == (U0.shape[0], owner.size)
+        corrections = element_quadratic_forms(mesh, Z, Y)
         q0 = w @ element_quadratic_forms(mesh, U0, U0)
-        Z, Y = update.form_change(U0, w)
-        assert Z.shape == Y.shape == (mesh.n_dofs, update.dofs.size)
-        got = q0 + element_quadratic_forms(mesh, Z, Y).sum(axis=0)
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-10 * np.abs(want).max())
+        for p, s in enumerate(fields):
+            U = assemble_stiffness(mesh, s).solve(F)
+            drop = (np.einsum("db,db->b", F, U0)
+                    - np.einsum("db,db->b", F, U))
+            np.testing.assert_allclose(drops[p], drop, rtol=1e-10,
+                                       atol=1e-12)
+            # per element sum_b w_b u_b^T k_e u_b, which the correction
+            # updates
+            want = w @ element_quadratic_forms(mesh, U, U)
+            got = q0 + corrections[owner == p].sum(axis=0)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-10 * np.abs(want).max())
 
     @pytest.mark.parametrize("mesh", [
         build_rect_mesh(5, 3, 2.0, 1.0),
         build_disc_mesh(3, 10, 0.1, 0.9),
     ], ids=["rect", "disc"])
     def test_matches_direct_solves(self, mesh):
+        # loads on every free dof: the block holds [F, E_S]
         rng = np.random.default_rng(12)
         s0 = rng.uniform(0.2, 1.0, mesh.n_elements)
         system = assemble_stiffness(mesh, s0)
         F = rng.standard_normal((mesh.n_dofs, 3))
         F[mesh.dirichlet_dofs] = 0.0
-        U0 = system.solve(F)
-        w = rng.standard_normal(3)      # indefinite column weights
+        self.assert_one_block_matches_direct(mesh, s0, system, F, rng,
+                                             F.shape[1])
+
+    @pytest.mark.parametrize("mesh", [
+        build_rect_mesh(5, 3, 2.0, 1.0),
+        build_disc_mesh(3, 10, 0.1, 0.9),
+    ], ids=["rect", "disc"])
+    def test_matches_direct_solves_on_the_loaded_dofs(self, mesh):
+        # 6 loads on 3 dofs, one of them clamped: the block holds the unit
+        # columns of T and S
+        rng = np.random.default_rng(15)
+        s0 = rng.uniform(0.2, 1.0, mesh.n_elements)
+        system = assemble_stiffness(mesh, s0)
+        F = np.zeros((mesh.n_dofs, 6))
+        T = [mesh.dirichlet_dofs[0], mesh.n_dofs - 3, mesh.n_dofs - 1]
+        F[T] = rng.standard_normal((3, 6))
+        self.assert_one_block_matches_direct(mesh, s0, system, F, rng,
+                                             len(T))
+
+    def assert_one_block_matches_direct(self, mesh, s0, system, F, rng,
+                                        basis):
+        """basis: the number of the block's columns before E_S."""
+        widths = []
+        solve = system.solve
+        system.solve = lambda rhs: widths.append(rhs.shape[1]) or solve(rhs)
+        w = rng.standard_normal(F.shape[1])     # indefinite column weights
         fields = self.fields(mesh, s0, rng, 8)
-        updates = list(low_rank_updates(system, mesh, s0,
-                                        self.changes(s0, fields)))
-        assert len(updates) == len(fields)
-        for s, update in zip(fields, updates):
-            assert update.dofs.size <= 8 * np.count_nonzero(s != s0)
-            assert not np.isin(update.dofs, mesh.dirichlet_dofs).any()
-            self.assert_matches_direct(mesh, F, U0, s, update, w)
+        U0, slots, (update,) = self.updates(system, mesh, s0,
+                                            self.changes(s0, fields), F)
+        union = np.unique(slots.dofs[slots.dofs >= 0])
+        assert widths == [basis + union.size]
+        np.testing.assert_allclose(U0, solve(F), rtol=0,
+                                   atol=1e-12 * np.abs(U0).max())
+        assert update.M.shape[0] == len(fields)
+        for s, dofs in zip(fields, slots.dofs, strict=True):
+            dofs = dofs[dofs >= 0]
+            assert dofs.size <= 8 * np.count_nonzero(s != s0)
+            assert not np.isin(dofs, mesh.dirichlet_dofs).any()
+        self.assert_matches_direct(mesh, F, U0, fields, update, w)
 
     def test_rank_zero_update_is_identity(self):
         mesh = build_rect_mesh(3, 2, 1.0, 1.0)
         s0 = np.linspace(0.5, 1.0, mesh.n_elements)
         system = assemble_stiffness(mesh, s0)
-        (update,) = low_rank_updates(system, mesh, s0,
-                                     self.changes(s0, [s0.copy()]))
-        assert update.dofs.size == 0
-        U0 = np.arange(2.0 * mesh.n_dofs).reshape(mesh.n_dofs, 2)
-        np.testing.assert_array_equal(update.form_drop(U0, U0), 0.0)
-        Z, Y = update.form_change(U0, np.ones(2))
-        assert Z.shape == Y.shape == (mesh.n_dofs, 0)
+        F = np.arange(2.0 * mesh.n_dofs).reshape(mesh.n_dofs, 2)
+        U0, slots, (update,) = self.updates(
+            system, mesh, s0, self.changes(s0, [s0.copy(), s0.copy()]), F)
+        assert slots.dofs.shape == (2, 0)
+        np.testing.assert_array_equal(update.form_drop(U0), 0.0)
+        Z, Y, owner = update.form_change(U0, np.ones((2, 2)))
+        assert Z.shape == Y.shape == (mesh.n_dofs, 0) and owner.size == 0
 
     def test_large_calls_split_into_bounded_block_solves(self, monkeypatch):
+        F = np.zeros((build_rect_mesh(6, 4, 2.0, 1.0).n_dofs, 1))
+        F[-1] = 1.0
+        self.assert_split_matches_direct(monkeypatch, F)
+
+    def test_large_calls_split_on_the_loaded_dofs(self, monkeypatch):
+        # 6 loads on 3 dofs: the first block holds E_T and E_S
+        F = np.zeros((build_rect_mesh(6, 4, 2.0, 1.0).n_dofs, 6))
+        F[[-5, -3, -1]] = np.random.default_rng(16).standard_normal((3, 6))
+        self.assert_split_matches_direct(monkeypatch, F)
+
+    def assert_split_matches_direct(self, monkeypatch, F):
         mesh = build_rect_mesh(6, 4, 2.0, 1.0)
         rng = np.random.default_rng(13)
         s0 = rng.uniform(0.2, 1.0, mesh.n_elements)
@@ -876,14 +932,17 @@ class TestLowRankUpdates:
         solve = system.solve
         system.solve = lambda rhs: widths.append(rhs.shape[1]) or solve(rhs)
         fields = self.fields(mesh, s0, rng, 12)
-        updates = list(low_rank_updates(system, mesh, s0,
-                                        self.changes(s0, fields)))
-        assert len(widths) > 1 and max(widths) <= budget
-        F = np.zeros((mesh.n_dofs, 1))
-        F[-1] = 1.0
-        U0 = solve(F)
-        for s, update in zip(fields, updates, strict=True):
-            self.assert_matches_direct(mesh, F, U0, s, update, np.ones(1))
+        U0, _, groups = self.updates(system, mesh, s0,
+                                     self.changes(s0, fields), F)
+        assert len(widths) == len(groups) > 1 and max(widths) <= budget
+        np.testing.assert_allclose(U0, solve(F), rtol=0,
+                                   atol=1e-12 * np.abs(U0).max())
+        for update in groups:
+            size = update.M.shape[0]
+            self.assert_matches_direct(mesh, F, U0, fields[:size], update,
+                                       np.ones(F.shape[1]))
+            fields = fields[size:]
+        assert not fields
 
     def test_element_at_its_factor_changes_nothing(self):
         mesh = build_rect_mesh(5, 3, 2.0, 1.0)
@@ -891,12 +950,19 @@ class TestLowRankUpdates:
         system = assemble_stiffness(mesh, s0)
         elements = np.array([2, 6, 7])
         factors = s0[elements] * np.array([0.5, 1.0, 2.0])
-        (listed,) = low_rank_updates(system, mesh, s0, [(elements, factors)])
-        (bare,) = low_rank_updates(system, mesh, s0,
-                                   [(elements[[0, 2]], factors[[0, 2]])])
-        np.testing.assert_array_equal(listed.dofs, bare.dofs)
-        assert listed.Z.tobytes() == bare.Z.tobytes()
-        assert listed.M.tobytes() == bare.M.tobytes()
+        F = np.zeros((mesh.n_dofs, 2))
+        F[-4:] = np.arange(8.0).reshape(4, 2)
+        forms = []
+        for change in ((elements, factors),
+                       (elements[[0, 2]], factors[[0, 2]])):
+            U0, _, (update,) = self.updates(system, mesh, s0, [change], F)
+            Z, Y, _ = update.form_change(U0, np.ones((1, 2)))
+            forms.append((update.form_drop(U0),
+                          element_quadratic_forms(mesh, Z, Y).sum(axis=0)))
+        (listed_drop, listed), (bare_drop, bare) = forms
+        np.testing.assert_allclose(listed_drop, bare_drop, rtol=1e-13)
+        np.testing.assert_allclose(listed, bare, rtol=0,
+                                   atol=1e-13 * np.abs(bare).max())
 
     @pytest.mark.parametrize("elements,factors,message", [
         ([4, 2], [0.5, 0.5], "strictly increasing"),
@@ -914,5 +980,7 @@ class TestLowRankUpdates:
         mesh = build_rect_mesh(5, 3, 2.0, 1.0)
         s0 = np.ones(mesh.n_elements)
         system = assemble_stiffness(mesh, s0)
+        F = np.ones((mesh.n_dofs, 1))
         with pytest.raises(ValueError, match=message):
-            list(low_rank_updates(system, mesh, s0, [(elements, factors)]))
+            low_rank_updates(system, mesh, s0,
+                             change_slots(mesh, [elements]), factors, F)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smma.mma_core import (
+    ELASTIC_PENALTY,
     MmaState,
     SeparableApprox,
     apply_move_limits,
@@ -215,6 +218,40 @@ class TestSolveSubproblem:
         assert res.constraint_violation > 0.0
         assert np.isfinite(res.design).all()
         assert sp.lo[0] <= res.design[0] <= sp.hi[0]
+
+
+@st.composite
+def separable_subproblems(draw):
+    """A subproblem of random convex separable approximations: a design z
+    in the box, asymptotes between 0.01 and 2 away from it on each side,
+    gradients of either sign, a move limit and a constraint limit."""
+    n = draw(st.integers(1, 12))
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(
+            st.floats(lo, hi, allow_nan=False), min_size=n, max_size=n)))
+    z = vector(0.05, 0.95)
+    state = MmaState(lower=z - vector(0.01, 2.0), upper=z + vector(0.01, 2.0),
+                     z_prev1=None, z_prev2=None,
+                     tau=draw(st.floats(0.01, 1.0)), iteration=1)
+    obj = build_approx(z, draw(st.floats(-2.0, 2.0)), vector(-5.0, 5.0),
+                       state.lower, state.upper)
+    con = build_approx(z, draw(st.floats(-1.0, 1.0)), vector(-5.0, 5.0),
+                       state.lower, state.upper)
+    return build_subproblem(z, state, obj, con, draw(st.floats(-0.5, 0.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sp=separable_subproblems())
+def test_subproblem_solution_properties(sp):
+    res = solve_subproblem(sp)
+    assert np.all((sp.lo <= res.design) & (res.design <= sp.hi))
+    assert res.kkt_residual < 1e-8
+    # feasible, unless the elastic cap engaged
+    if res.constraint_violation == 0.0:
+        assert sp.constraint.value(res.design) <= sp.limit
+    else:
+        assert res.multiplier == ELASTIC_PENALTY
 
 
 class TestSubproblemBox:
