@@ -447,25 +447,32 @@ class PlateProblem(_ProblemBase):
 
     # -- evaluation ------------------------------------------------------
 
-    def _changes(self, kept):
-        """(slots, kept) of the xi whose weakness leaves the shares kept =
-        1 - g_xi of the element stiffnesses: the ChangeSlots of the
-        elements with kept < 1 (below half an ulp, g_xi changes nothing),
-        and their kept, in the order of slots.elements."""
-        touched = [np.flatnonzero(k < 1.0) for k in kept]
-        return (change_slots(self.mesh, touched),
-                np.concatenate([k[t] for k, t in zip(kept, touched)]))
+    def _changed(self, xi):
+        """(touched, kept): the elements whose stiffness xi changes, and
+        the share kept = 1 - g_xi of it that xi leaves them; where g_xi is
+        below half an ulp of 1, kept rounds to 1: no change."""
+        kept = 1.0 - self.weakness(xi)
+        touched = np.flatnonzero(kept < 1.0)
+        return touched, kept[touched]
+
+    def _changes(self, changed):
+        """(slots, kept) of the xi whose _changed are changed: the
+        ChangeSlots of their touched elements, and the kept of those
+        elements in the order of slots.elements."""
+        return (change_slots(self.mesh, [touched for touched, _ in changed]),
+                np.concatenate([kept for _, kept in changed]))
 
     def _weakened_blocks(self, system, s0, changes, G):
         """(U0, blocks): the unweakened states of the loads G and an
-        iterator of (cbar, updates), one per group of low_rank_updates.
-        The plate's one compliance kernel: the loop, dense verification and
-        the builder's calibration all take their compliances from it.
+        iterator of (cbar, updates), one per LowRankUpdates of
+        low_rank_updates, in order. The plate's one compliance kernel: the
+        loop, dense verification and the builder's calibration all take
+        their compliances from it.
 
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 and one block solve
         serve every xi through an exact low-rank update (see
-        low_rank_updates); cbar holds, one row per xi of the group, the n
+        low_rank_updates); cbar holds, one row per xi of updates, the n
         angle-averaged compliances of K(xi), each the sum of the plain
         compliances of columns j and n + j (see angle_loads), and no state
         of K(xi) is formed. changes is _changes of the batch: each xi's
@@ -506,7 +513,7 @@ class PlateProblem(_ProblemBase):
                                       mesh=self.mesh)
         system = assemble_stiffness(self._whole, s0)
         slots, kept = changes = self._changes(
-            [1.0 - self.weakness(xi) for xi in xis])
+            [self._changed(xi) for xi in xis])
         # the first call builds the load cache after the factorization:
         # built before it, the cache leaves glibc's heap so that every
         # later call faults in fresh pages (default plate, seed 3, 8
@@ -552,12 +559,12 @@ class PlateProblem(_ProblemBase):
             pts, lam = self.space.trapezoid_rule(key[0])
             G = self.load_block()
             loaded = np.flatnonzero(np.any(G != 0.0, axis=1))
-            kept = [1.0 - self.weakness(xi) for xi in pts]
+            changed = [self._changed(xi) for xi in pts]
             groups = [(view, G[view.keep],
-                       self._changes([kept[i] for i in group]))
+                       self._changes([changed[i] for i in group]))
                       for group, view in condensed_groups(
                           self.mesh, loaded,
-                          (self.mesh.edof[k < 1.0] for k in kept))]
+                          (self.mesh.edof[touched] for touched, _ in changed))]
             weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
             self._rule_cache = (key, weights, groups)
         return self._rule_cache[1:]
@@ -613,7 +620,7 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                                   mesh=mesh)
     _, blocks = problem._weakened_blocks(
         assemble_stiffness(problem._whole, s0), s0,
-        problem._changes([1.0 - problem.weakness(problem.space.centre())]),
+        problem._changes([problem._changed(problem.space.centre())]),
         problem.angle_loads(*problem.load_columns(
             problem.omega_space.centre())))
     ((c0, _),) = blocks

@@ -55,8 +55,8 @@ assembles:
   (about 314k against 398k).
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
-of dofs, after any loads it is given, in one block. The low-rank updates
-take their Z = K^-1 P and the states of their loads from it.
+of dofs in one block. The low-rank updates solve their Z = K^-1 P the same
+way, in one block with the states of their loads.
 
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
@@ -70,7 +70,6 @@ one row per kept dof, so no n_dofs-long block is formed.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -488,19 +487,15 @@ class FactorizedSystem:
             np.ascontiguousarray(rhs[self.free_dofs]))
         return u
 
-    def unit_columns(self, dofs, loads=None) -> np.ndarray:
-        """K^-1 [loads, P], (n_rows, m + len(dofs)), for the m columns of
-        loads (none when omitted) and the unit columns P of dofs.
+    def unit_columns(self, dofs) -> np.ndarray:
+        """K^-1 P, (n_rows, len(dofs)), for the unit columns P of dofs.
 
-        One block solve; column m + j is the response to a unit load at
+        One block solve; column j is the response to a unit load at
         dofs[j] (zero for a Dirichlet dof).
         """
         dofs = np.asarray(dofs, dtype=int)
-        m = 0 if loads is None else loads.shape[1]
-        P = np.zeros((self.n_rows, m + dofs.size))
-        if m:
-            P[:, :m] = loads
-        P[self.rows(dofs), m + np.arange(dofs.size)] = 1.0
+        P = np.zeros((self.n_rows, dofs.size))
+        P[self.rows(dofs), np.arange(dofs.size)] = 1.0
         return self.solve(P)
 
 
@@ -628,10 +623,11 @@ def _splu(K: sp.csc_matrix, **options):
             f"stiffness factorization failed: {exc}") from exc
 
 
-# unit columns of K0^-1 solved in one block, and the dense block of a
-# condensed system: at most this many float64 entries (32 MB; the solve
-# holds a few copies), so that a call with many fields on a large mesh
-# does not hold n_dofs columns, nor more than 2048 kept dofs, at once
+# unit columns of K0^-1 solved in one block, the dense block of a
+# condensed system, and each stacked operand of a LowRankUpdates and of its
+# form_change: at most this many float64 entries (32 MB; the solve holds a
+# few copies), so that a call with many fields on a large mesh does not
+# hold n_dofs columns, nor more than 2048 kept dofs, at once
 _UPDATE_BLOCK_ENTRIES = 2 ** 22
 
 
@@ -664,14 +660,14 @@ def condensed_groups(mesh: StructuredMesh, base, dof_sets):
 @dataclass
 class ChangeSlots:
     """Where P changes of element factors land in their stacked low-rank
-    updates. It depends on the changed elements only (see change_slots)."""
+    updates. It depends on the changed elements only (see change_slots).
+    A pad is one past the end: the dof n_dofs, the slot width."""
 
     elements: np.ndarray   # (E,) the elements of every change in turn
-    owner: np.ndarray      # (E,) the change of each element
-    at: np.ndarray         # (E, 8, 8) each element entry's index into the
-                           # flat (P, width + 1, width + 1) stack of dK,
-                           # whose last row and column take Dirichlet dofs
-    dofs: np.ndarray       # (P, width) each S_p, sorted, padded with -1
+    owner: np.ndarray      # (E,) the change of each element, ascending
+    local: np.ndarray      # (E, 8) each element dof's slot in its change's
+                           # row of dofs; a pad for a Dirichlet dof
+    dofs: np.ndarray       # (P, width) each S_p, sorted, then pads
 
 
 def change_slots(mesh: StructuredMesh, element_sets) -> ChangeSlots:
@@ -696,13 +692,10 @@ def change_slots(mesh: StructuredMesh, element_sets) -> ChangeSlots:
     width = counts.max(initial=0)
     slot = np.cumsum(free) - 1 - (np.cumsum(counts) - counts)[of]
     slot[~free] = width
-    padded = np.full((n, width), -1)
+    padded = np.full((n, width), mesh.n_dofs)
     padded[of[free], slot[free]] = dofs[free]
-    local = slot[inverse].reshape(-1, 8)
-    return ChangeSlots(
-        elements=elements, owner=owner,
-        at=((owner[:, None, None] * (width + 1) + local[:, :, None])
-            * (width + 1) + local[:, None, :]), dofs=padded)
+    return ChangeSlots(elements=elements, owner=owner,
+                       local=slot[inverse].reshape(-1, 8), dofs=padded)
 
 
 @dataclass
@@ -759,65 +752,93 @@ class LowRankUpdates:
 
 def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
                      slots: ChangeSlots, factors, F):
-    """(U0, updates): the states U0 = K0^-1 F and the LowRankUpdates of
-    the changes, one per consecutive group of them.
+    """(U0, updates): the states U0 = K0^-1 F, and an iterator of
+    LowRankUpdates that serves the changes in order, each some consecutive
+    ones.
 
     system factorizes K0 = K(s0), whole or condensed onto a keep that holds
     every changed free dof; F has its rows. The changes set slots.elements
     to factors (ValueError unless one each); an element at its factor in
-    s0 changes nothing. Each group takes one block solve of the unit
-    columns E_S of the union S of its S_p, and the first one's also gives
-    U0: it solves [E_T, E_S], T the dofs where F is nonzero, and forms
-    U0 = K0^-1 E_T F_T, or solves [F, E_S] when F has fewer columns than
-    T. A group grows while its block keeps within _UPDATE_BLOCK_ENTRIES;
-    a single change may exceed it alone.
+    s0 changes nothing and is dropped. The changes are split into
+    consecutive groups, each with one block solve of the unit columns E_S
+    of the union S of its S_p. The first one's also gives U0: it solves
+    [E_T, E_S], T the dofs where F is nonzero, and forms U0 = K0^-1 E_T F_T,
+    or solves [F, E_S] when F has fewer columns than T. A group grows while
+    its block keeps within _UPDATE_BLOCK_ENTRIES (a single change may
+    exceed it alone), and its LowRankUpdates each take as many changes as
+    keep their stacked operands, and the (Z, Y) of form_change, within it.
     """
+    s0 = np.asarray(s0, dtype=float)
     factors = np.asarray(factors, dtype=float)
     if factors.shape != slots.elements.shape:
         raise ValueError("a change needs one factor per element")
-    n, width = slots.dofs.shape
-    blocks = ((factors - np.asarray(s0, dtype=float)[slots.elements])
-              [:, None, None] * mesh.element_matrices[slots.elements])
-    dK = np.bincount(slots.at.ravel(), blocks.ravel(), n * (width + 1) ** 2
-                     ).reshape(n, width + 1, width + 1)[:, :width, :width]
+    n = slots.dofs.shape[0]
+    moved = factors != s0[slots.elements]
+    if not moved.all():
+        slots = change_slots(mesh, np.split(
+            slots.elements[moved],
+            np.cumsum(np.bincount(slots.owner[moved], minlength=n))[:-1]))
+        factors = factors[moved]
     live = np.any(F, axis=1)
     T = system.free_dofs[live] if system.condensed else np.flatnonzero(live)
     basis = min(T.size, F.shape[1])
 
     budget = max(1, _UPDATE_BLOCK_ENTRIES // system.n_rows)
-    groups, group, columns, extra = [], [], set(), basis
+    bounds, columns, extra = [0], set(), basis
     for p, dofs in enumerate(slots.dofs):
-        dofs = set(dofs[dofs >= 0].tolist())
-        if group and len(columns) + len(dofs - columns) + extra > budget:
-            groups.append(group)
-            group, columns, extra = [], set(), 0
-        group.append(p)
+        dofs = set(dofs[dofs < mesh.n_dofs].tolist())
+        if p > bounds[-1] and (len(columns) + len(dofs - columns) + extra
+                               > budget):
+            bounds.append(p)
+            columns, extra = set(), 0
         columns |= dofs
-    groups.append(group)
+    bounds.append(n)
 
-    def stacked(group, S, Z):
-        # the group's S_p padded to the widest, a pad at S.size
-        d = slots.dofs[group]
-        d = d[:, :np.count_nonzero(d >= 0, axis=1).max(initial=0)]
-        pos = np.where(d >= 0, np.searchsorted(S, d), S.size)
-        ZS = np.zeros((S.size + 1, S.size + 1))
-        ZS[:-1, :-1] = Z[system.rows(S)]
-        dKg = dK[group][:, :d.shape[1], :d.shape[1]]
-        M = np.linalg.solve(np.eye(d.shape[1])
-                            + dKg @ ZS[pos[:, :, None], pos[:, None]], dKg)
-        return LowRankUpdates(Z=Z, rows=system.rows(S), slots=pos, M=M)
+    def served():
+        for p0, p1 in zip(bounds, bounds[1:]):
+            # the group's union S and its S_p as columns of S, padded with
+            # S.size to the widest; its block, for the first group [F, E_S]
+            # or [E_T, E_S]
+            d = slots.dofs[p0:p1]
+            S, at = np.unique(d, return_inverse=True)
+            S = S[S < mesh.n_dofs]
+            s = np.count_nonzero(d < mesh.n_dofs, axis=1).max(initial=0)
+            at = at.reshape(d.shape)[:, :s]
+            k, rows = (basis if p0 == 0 else 0), system.rows(S)
+            P = np.zeros((system.n_rows, k + S.size))
+            if k == F.shape[1]:
+                P[:, :k] = F
+            elif k:
+                P[system.rows(T), np.arange(k)] = 1.0
+            P[rows, k + np.arange(S.size)] = 1.0
+            W = system.solve(P)
+            del P   # not held while the updates are used
+            if p0 == 0:
+                yield (W[:, :k] if k == F.shape[1]
+                       else W[:, :k] @ F[system.rows(T)])
+            Z = W[:, k:]
+            ZS = np.zeros((S.size + 1, S.size + 1))
+            ZS[:-1, :-1] = Z[rows]
+            step = max(1, _UPDATE_BLOCK_ENTRIES
+                       // max(1, s * max(system.n_rows, F.shape[1])))
+            for q in range(p0, p1, step):
+                pos = at[q - p0:q - p0 + step]
+                # dK of changes q .. q + len(pos) - 1, their pads left zero
+                e = slice(*np.searchsorted(slots.owner, [q, q + len(pos)]))
+                local = slots.local[e]
+                pair = (local < s)[:, :, None] & (local < s)[:, None, :]
+                flat = (((slots.owner[e] - q)[:, None, None] * s
+                         + local[:, :, None]) * s + local[:, None, :])
+                blocks = ((factors[e] - s0[slots.elements[e]])[:, None, None]
+                          * mesh.element_matrices[slots.elements[e]])
+                dK = np.bincount(flat[pair], blocks[pair], pos.size * s
+                                 ).reshape(len(pos), s, s)
+                M = np.linalg.solve(
+                    np.eye(s) + dK @ ZS[pos[:, :, None], pos[:, None]], dK)
+                yield LowRankUpdates(Z=Z, rows=rows, slots=pos, M=M)
 
-    unions = [np.setdiff1d(slots.dofs[g], -1) for g in groups]
-    if T.size < F.shape[1]:
-        W = system.unit_columns(np.concatenate([T, unions[0]]))
-        U0 = W[:, :basis] @ F[system.rows(T)]
-    else:
-        W = system.unit_columns(unions[0], F)
-        U0 = W[:, :basis]
-    return U0, itertools.chain(
-        [stacked(groups[0], unions[0], W[:, basis:])],
-        (stacked(g, S, system.unit_columns(S))
-         for g, S in zip(groups[1:], unions[1:])))
+    updates = served()
+    return next(updates), updates
 
 
 def element_quadratic_forms(mesh: StructuredMesh, U1: np.ndarray,

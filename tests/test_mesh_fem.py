@@ -820,7 +820,7 @@ class TestLowRankUpdates:
 
     @staticmethod
     def updates(system, mesh, s0, changes, F):
-        """(U0, slots, [LowRankUpdates per group]) of changes."""
+        """(U0, slots, [LowRankUpdates, in order]) of changes."""
         slots = change_slots(mesh, [elements for elements, _ in changes])
         factors = np.concatenate([f for _, f in changes] + [np.zeros(0)])
         U0, groups = low_rank_updates(system, mesh, s0, slots, factors, F)
@@ -886,13 +886,13 @@ class TestLowRankUpdates:
         fields = self.fields(mesh, s0, rng, 8)
         U0, slots, (update,) = self.updates(system, mesh, s0,
                                             self.changes(s0, fields), F)
-        union = np.unique(slots.dofs[slots.dofs >= 0])
+        union = np.unique(slots.dofs[slots.dofs < mesh.n_dofs])
         assert widths == [basis + union.size]
         np.testing.assert_allclose(U0, solve(F), rtol=0,
                                    atol=1e-12 * np.abs(U0).max())
         assert update.M.shape[0] == len(fields)
         for s, dofs in zip(fields, slots.dofs, strict=True):
-            dofs = dofs[dofs >= 0]
+            dofs = dofs[dofs < mesh.n_dofs]
             assert dofs.size <= 8 * np.count_nonzero(s != s0)
             assert not np.isin(dofs, mesh.dirichlet_dofs).any()
         self.assert_matches_direct(mesh, F, U0, fields, update, w)
@@ -912,20 +912,34 @@ class TestLowRankUpdates:
     def test_large_calls_split_into_bounded_block_solves(self, monkeypatch):
         F = np.zeros((build_rect_mesh(6, 4, 2.0, 1.0).n_dofs, 1))
         F[-1] = 1.0
-        self.assert_split_matches_direct(monkeypatch, F)
+        widths, updates = self.assert_split_matches_direct(monkeypatch, F, 20)
+        assert 1 < len(widths) <= updates
 
     def test_large_calls_split_on_the_loaded_dofs(self, monkeypatch):
         # 6 loads on 3 dofs: the first block holds E_T and E_S
         F = np.zeros((build_rect_mesh(6, 4, 2.0, 1.0).n_dofs, 6))
         F[[-5, -3, -1]] = np.random.default_rng(16).standard_normal((3, 6))
-        self.assert_split_matches_direct(monkeypatch, F)
+        widths, updates = self.assert_split_matches_direct(monkeypatch, F, 20)
+        assert 1 < len(widths) <= updates
 
-    def assert_split_matches_direct(self, monkeypatch, F):
+    def test_large_groups_split_into_bounded_stacked_updates(self,
+                                                             monkeypatch):
+        # one block solve keeps within this budget, one stacked update of
+        # every change would not
+        F = np.zeros((build_rect_mesh(6, 4, 2.0, 1.0).n_dofs, 3))
+        F[[-5, -3, -1]] = np.random.default_rng(17).standard_normal((3, 3))
+        widths, updates = self.assert_split_matches_direct(monkeypatch, F,
+                                                           100)
+        assert len(widths) == 1 < updates
+
+    def assert_split_matches_direct(self, monkeypatch, F, budget):
+        """(block widths, number of LowRankUpdates) of 12 changes under a
+        budget of that many n_dofs-long columns, within which every block
+        and every stacked operand keeps."""
         mesh = build_rect_mesh(6, 4, 2.0, 1.0)
         rng = np.random.default_rng(13)
         s0 = rng.uniform(0.2, 1.0, mesh.n_elements)
         system = assemble_stiffness(mesh, s0)
-        budget = 20
         monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES",
                             budget * mesh.n_dofs)
         widths = []
@@ -934,15 +948,19 @@ class TestLowRankUpdates:
         fields = self.fields(mesh, s0, rng, 12)
         U0, _, groups = self.updates(system, mesh, s0,
                                      self.changes(s0, fields), F)
-        assert len(widths) == len(groups) > 1 and max(widths) <= budget
+        assert max(widths) <= budget
         np.testing.assert_allclose(U0, solve(F), rtol=0,
                                    atol=1e-12 * np.abs(U0).max())
         for update in groups:
-            size = update.M.shape[0]
+            size, s, _ = update.M.shape
+            Z, Y, _ = update.form_change(U0, np.ones((size, F.shape[1])))
+            assert (max(update.M.size, size * s * F.shape[1], Z.size, Y.size)
+                    <= budget * mesh.n_dofs)
             self.assert_matches_direct(mesh, F, U0, fields[:size], update,
                                        np.ones(F.shape[1]))
             fields = fields[size:]
         assert not fields
+        return widths, len(groups)
 
     def test_element_at_its_factor_changes_nothing(self):
         mesh = build_rect_mesh(5, 3, 2.0, 1.0)
@@ -952,17 +970,15 @@ class TestLowRankUpdates:
         factors = s0[elements] * np.array([0.5, 1.0, 2.0])
         F = np.zeros((mesh.n_dofs, 2))
         F[-4:] = np.arange(8.0).reshape(4, 2)
-        forms = []
-        for change in ((elements, factors),
-                       (elements[[0, 2]], factors[[0, 2]])):
-            U0, _, (update,) = self.updates(system, mesh, s0, [change], F)
-            Z, Y, _ = update.form_change(U0, np.ones((1, 2)))
-            forms.append((update.form_drop(U0),
-                          element_quadratic_forms(mesh, Z, Y).sum(axis=0)))
-        (listed_drop, listed), (bare_drop, bare) = forms
-        np.testing.assert_allclose(listed_drop, bare_drop, rtol=1e-13)
-        np.testing.assert_allclose(listed, bare, rtol=0,
-                                   atol=1e-13 * np.abs(bare).max())
+        (listed_U0, _, (listed,)), (bare_U0, _, (bare,)) = (
+            self.updates(system, mesh, s0, [change], F)
+            for change in ((elements, factors),
+                           (elements[[0, 2]], factors[[0, 2]])))
+        np.testing.assert_array_equal(listed.rows, bare.rows)
+        np.testing.assert_array_equal(listed.slots, bare.slots)
+        assert listed_U0.tobytes() == bare_U0.tobytes()
+        assert listed.Z.tobytes() == bare.Z.tobytes()
+        assert listed.M.tobytes() == bare.M.tobytes()
 
     @pytest.mark.parametrize("elements,factors,message", [
         ([4, 2], [0.5, 0.5], "strictly increasing"),
