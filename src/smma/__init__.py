@@ -7,9 +7,9 @@ Submodules:
     csg_weights   sample store and nearest-neighbor integration weights
     mma_core      moving-asymptote approximations and subproblem solver
     driver        one MMA loop for sMMA, limited-memory sMMA and the
-                  fixed-quadrature baseline
+                  fixed-quadrature baseline, and dense-quadrature
+                  ground-truth evaluation
     benchmarks    wheel and plate problem builders
-    verify        dense-quadrature ground-truth evaluation
     cli           command-line entry point
 """
 

@@ -20,11 +20,12 @@ compliances of the two columns of [Fx, Fy] L, where L L^T = Lambda /
 width, and a design gradient is a weighted sum of plain -u^T k_e u, as on
 the wheel. The omega integral is a fixed trapezoid, and only xi is
 sampled. The weakness changes the stiffness of only a few elements. All xi
-of one call share one factorization of the unweakened design and one
-block solve, and are served as stacked exact rank-r updates of it: a
-record's compliances and gradient come from the unweakened states U0 (one
+of one call share one factorization of the unweakened design, and are
+served as stacked exact rank-r updates of it, chunk by chunk, with one
+block solve per group of chunks (an 8-xi batch is one chunk): a record's
+compliances and gradient come from the unweakened states U0 (one
 2 * n_omega-column sensitivity contraction per call) plus rank-r
-corrections (one contraction for all xi), and no weakened state is
+corrections (at most one contraction per chunk), and no weakened state is
 formed. Dense verification needs the states only at the loaded dofs and
 at the dofs the weakness reaches, and factorizes the stiffness condensed
 onto them; it builds the views and the updates' slots of its rule once per
@@ -124,6 +125,10 @@ class _ProblemBase:
     def rvol_gradient(self) -> np.ndarray:
         return df.rvol_gradient(self.filt, self.mesh.element_volumes)
 
+    def stiffness_field(self, rho) -> np.ndarray:
+        return df.interpolate_stiffness(rho, self.filt, self.simp,
+                                        mesh=self.mesh)
+
 
 class WheelProblem(_ProblemBase):
     name = "wheel"
@@ -175,7 +180,6 @@ class WheelProblem(_ProblemBase):
         vals = np.concatenate([w * (1 - phi) * nx, w * (1 - phi) * ny,
                                w * phi * nx, w * phi * ny])
         self._rim_beta = np.arctan2(np.cos(theta), np.sin(theta))
-        self._rim_order = np.argsort(self._rim_beta)
         self._rim_dofs, rim_rows = np.unique(rows, return_inverse=True)
         self._rim_op = sp.coo_matrix(
             (vals, (rim_rows, cols)),
@@ -191,26 +195,24 @@ class WheelProblem(_ProblemBase):
     def rim_loads(self, omegas) -> np.ndarray:
         """(|R|, n) loads on the rim dofs R, one column per omega.
 
-        The intensity is evaluated only at the rim angles within
-        _LOAD_WINDOW of each omega. 1 + tanh(...) is exactly 0 beyond
+        The intensity is evaluated only on the rim edges within
+        _LOAD_WINDOW of each omega. The samples lie edge by edge at angles
+        theta, at rim angle beta = pi/2 - theta, so the traction peaks at
+        theta = pi/2 - omega: the window lies in that angle's edge and the
+        k edges to either side of it. 1 + tanh(...) is exactly 0 beyond
         0.1958 rad, so the result equals the full evaluation bit for bit:
-        the sparse product adds the same nonzero terms in the same order.
+        the sparse product adds the same nonzero terms in the same order,
+        and a zero term leaves a sum as it is.
         """
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
-        beta = self._rim_beta
-        sorted_beta = beta[self._rim_order]
-        # beta lies in [-pi, pi]: search around the copies of omega in
-        # [-pi, pi) and one period to either side (disjoint windows)
-        centre = np.mod(omegas + np.pi, 2.0 * np.pi) - np.pi
-        centres = np.concatenate([centre - 2.0 * np.pi, centre,
-                                  centre + 2.0 * np.pi])
-        lo = np.searchsorted(sorted_beta, centres - _LOAD_WINDOW, "left")
-        hi = np.searchsorted(sorted_beta, centres + _LOAD_WINDOW, "right")
-        counts = hi - lo
-        cols = np.repeat(np.tile(np.arange(omegas.size), 3), counts)
-        starts = np.cumsum(counts) - counts
-        pos = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
-        rows = self._rim_order[pos]
+        beta, na = self._rim_beta, self.mesh.shape[1]
+        per = beta.size // na                 # samples per edge
+        k = int(np.ceil(_LOAD_WINDOW * na / (2.0 * np.pi)))
+        peak = np.floor(np.mod(0.5 * np.pi - omegas, 2.0 * np.pi)
+                        * (na / (2.0 * np.pi))).astype(np.intp)
+        edges = np.mod(peak[:, None] + np.arange(-k, k + 1), na)
+        rows = (edges[:, :, None] * per + np.arange(per)).ravel()
+        cols = np.repeat(np.arange(omegas.size), (2 * k + 1) * per)
         f = self.intensity(beta[rows], omegas[cols]) * self.load_scale
         block = sp.csr_matrix((f, (rows, cols)),
                               shape=(beta.size, omegas.size))
@@ -223,10 +225,6 @@ class WheelProblem(_ProblemBase):
         return F
 
     # -- evaluation ----------------------------------------------------
-
-    def stiffness_field(self, rho) -> np.ndarray:
-        return df.interpolate_stiffness(rho, self.filt, self.simp,
-                                        mesh=self.mesh)
 
     def compliances(self, rho, omegas, want_grads: bool = False):
         """Compliances (and their design gradients) for a batch of omegas."""
@@ -470,12 +468,13 @@ class PlateProblem(_ProblemBase):
         their compliances from it.
 
         K(xi) differs from the unweakened K0 only on the few elements the
-        weakness reaches, so one factorization of K0 and one block solve
-        serve every xi through an exact low-rank update (see
-        low_rank_updates); cbar holds, one row per xi of updates, the n
-        angle-averaged compliances of K(xi), each the sum of the plain
-        compliances of columns j and n + j (see angle_loads), and no state
-        of K(xi) is formed. changes is _changes of the batch: each xi's
+        weakness reaches, so one factorization of K0 serves every xi
+        through an exact low-rank update (see low_rank_updates): one block
+        solve per group of its LowRankUpdates, and one stacked solve and
+        one drop per LowRankUpdates. cbar holds, one row per xi of updates,
+        the n angle-averaged compliances of K(xi), each the sum of the
+        plain compliances of columns j and n + j (see angle_loads), and no
+        state of K(xi) is formed. changes is _changes of the batch: each xi's
         change is the factors s0 * kept at its touched elements.
 
         system is K0, the stiffness of the element factors s0 assembled on
@@ -492,7 +491,7 @@ class PlateProblem(_ProblemBase):
         n = c0.size // 2
 
         def cbar(update):
-            c = c0 - update.form_drop(U0)
+            c = c0 - update.drop
             return c[:, :n] + c[:, n:]
         return U0, ((cbar(u), u) for u in updates)
 
@@ -505,12 +504,12 @@ class PlateProblem(_ProblemBase):
         of K(xi) for the columns of load_block() and coef = omega weight *
         h', the same on the two columns of an omega. It comes from the
         unweakened states U0: one 2 * n_omega-column contraction per call,
-        plus one contraction of the corrections of every xi's update.
+        plus at most one contraction of the corrections per LowRankUpdates
+        (an 8-xi batch is one).
         """
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
-        s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
-                                      mesh=self.mesh)
+        s0 = self.stiffness_field(rho)
         system = assemble_stiffness(self._whole, s0)
         slots, kept = changes = self._changes(
             [self._changed(xi) for xi in xis])
@@ -583,8 +582,7 @@ class PlateProblem(_ProblemBase):
         weights, groups = self._rule_plan(
             self.default_verify_spec if spec is None else spec)
         rho = np.asarray(rho, dtype=float)
-        s0 = df.interpolate_stiffness(rho, self.filt, self.simp,
-                                      mesh=self.mesh)
+        s0 = self.stiffness_field(rho)
         values = []
         for view, GK, changes in groups:
             _, blocks = self._weakened_blocks(
@@ -616,8 +614,7 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     filt = df.build_filter(mesh, r_min)
     problem = PlateProblem(mesh, filt, simp, smoothing, ell=ell,
                            n_omega=n_omega)
-    s0 = df.interpolate_stiffness(problem.initial_design(), filt, simp,
-                                  mesh=mesh)
+    s0 = problem.stiffness_field(problem.initial_design())
     _, blocks = problem._weakened_blocks(
         assemble_stiffness(problem._whole, s0), s0,
         problem._changes([problem._changed(problem.space.centre())]),

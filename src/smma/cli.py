@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import plate_problem, wheel_problem
-from .driver import METHODS, RunConfig, run_smma, simp_at
-from .verify import dense_cc
+from .driver import METHODS, RunConfig, dense_cc, run_smma, simp_at
 
 DESIGN_MAGIC = "smma-design 1"
 # geometry keys of each mesh kind in a design header

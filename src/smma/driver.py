@@ -28,6 +28,20 @@ belong to the old exponent.
 
 RNG draw order is fixed: per iteration, one (B, m) space.sample draw, in
 C order: batch member by batch member, coordinates in the space's order.
+
+dense_cc is the dense-quadrature ground truth for any design, on the
+trapezoid rule of the problem's ParamSpace: periodic, so equispaced, on
+the wheel's circle, and a tensor grid on the plate's weakness box crossed
+with its fixed omega rule. Each problem's dense_raw factorizes the
+stiffness condensed onto the dofs the rule reads, once per call (once per
+group of grid points on a plate grid past 2048 kept dofs), and works in
+those dofs only: the wheel contracts every load with the rim block of
+K^-1, and the plate serves the grid by the stacked low-rank updates of
+its records, with one block solve per group of `low_rank_updates` and one
+stacked solve and one drop per chunk (the default 50 x 50 rule is 13 + 1
+chunks on its two views). What depends only on the rule and the load
+scale is built on the first call with that rule and kept, so a repeated
+call does only the work that depends on the design.
 """
 from __future__ import annotations
 
@@ -39,7 +53,7 @@ import numpy as np
 from . import csg_weights as cw
 from . import mma_core as mma
 from .design_field import SimpParams
-from .verify import dense_cc
+from .smoothing import aggregate_cc
 
 METHODS = ("smma", "smma-limited", "mma-quadrature")
 
@@ -170,6 +184,16 @@ def _mma_step(problem, cfg: RunConfig, state, rho, free, g_val, g_grad):
     rho_next = rho.copy()
     rho_next[free] = result.design
     return state, rho_next
+
+
+def dense_cc(design, problem, spec=None) -> tuple[float, float, float]:
+    """(G_smooth, G_steepened, G_nonsmooth) at dense quadrature.
+
+    spec: one point count per parameter coordinate (wheel: n, plate:
+    (n1, n2)); the problem's default when omitted. Deterministic.
+    """
+    values, weights = problem.dense_raw(design, spec)
+    return aggregate_cc(values, weights, problem.smoothing)
 
 
 def run_smma(problem, cfg: RunConfig, callback=None):

@@ -709,40 +709,30 @@ class LowRankUpdates:
     padded to the widest by slots with zero rows and columns in dK_p,
     P_p^T Z_p and M_p. No state of K_p is formed. Z and the states have
     the rows of the system: n_dofs, or one per kept dof of a condensed one.
+    K0 is symmetric, so Z_p^T F = P_p^T U0 for U0 = K0^-1 F, and
+    K_p^-1 F = U0 - Z_p C_p.
     """
 
     Z: np.ndarray      # (system rows, m): K0^-1 at the union of the S_p
-    rows: np.ndarray   # (m,) the rows of that union in Z and the states
     slots: np.ndarray  # (P, s) the columns of each S_p in Z; m pads
-    M: np.ndarray      # (P, s, s)
-
-    def _at_slots(self, U: np.ndarray) -> np.ndarray:
-        """(P, s, b): the rows of U at each S_p, zero at a pad."""
-        rows = np.zeros((self.rows.size + 1, U.shape[1]))
-        rows[:-1] = U[self.rows]
-        return rows[self.slots]
-
-    def form_drop(self, U0: np.ndarray) -> np.ndarray:
-        """(P, b): F^T K0^-1 F - F^T K_p^-1 F per column of U0 = K0^-1 F.
-        K0 is symmetric, so Z_p^T F = P_p^T U0."""
-        A = self._at_slots(U0)
-        return np.einsum("psb,psb->pb", A, self.M @ A)
+    C: np.ndarray      # (P, s, b): M_p P_p^T U0, zero at a pad
+    drop: np.ndarray   # (P, b): F^T K0^-1 F - F^T K_p^-1 F per column of F
 
     def form_change(self, U0: np.ndarray, w: np.ndarray):
         """(Z, Y, owner): a column per slot of an S_p, and its p, from
         U0 = K0^-1 F and the (P, b) column weights w. For every symmetric k
         and row subset e (an element's dofs), sum_b w_pb (u_be^T k u_be -
         u0_be^T k u0_be) = sum_j z_je^T k y_je over the columns j of p,
-        where U = K_p^-1 F = U0 - Z_p C, C = M_p P_p^T U0: with B = diag(w_p),
-        W = U0 B C^T and H = C B C^T, Y_p = Z_p H - 2 W.
+        where U = U0 - Z_p C_p: with B = diag(w_p), W = U0 B C^T and
+        H = C B C^T, Y_p = Z_p H - 2 W.
         """
-        C = self.M @ self._at_slots(U0)
+        C, m = self.C, self.Z.shape[1]
         BCt = np.asarray(w, dtype=float)[:, :, None] * C.transpose(0, 2, 1)
-        real = self.slots < self.rows.size
+        real = self.slots < m
         owner = np.nonzero(real)[0]
         # every Z_p H in one product: H scattered into the rows of Z's
         # columns, one column per real slot (a pad's row m is dropped)
-        H = np.zeros((self.rows.size + 1, owner.size))
+        H = np.zeros((m + 1, owner.size))
         H[self.slots[owner], np.arange(owner.size)[:, None]] = (
             C @ BCt).transpose(0, 2, 1)[real]
         return (self.Z[:, self.slots[real]],
@@ -814,11 +804,15 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
             W = system.solve(P)
             del P   # not held while the updates are used
             if p0 == 0:
-                yield (W[:, :k] if k == F.shape[1]
-                       else W[:, :k] @ F[system.rows(T)])
+                U0 = (W[:, :k] if k == F.shape[1]
+                      else W[:, :k] @ F[system.rows(T)])
+                yield U0
             Z = W[:, k:]
+            # K0^-1 and U0 at S, zero in the pad row (and column)
             ZS = np.zeros((S.size + 1, S.size + 1))
             ZS[:-1, :-1] = Z[rows]
+            US = np.zeros((S.size + 1, U0.shape[1]))
+            US[:-1] = U0[rows]
             step = max(1, _UPDATE_BLOCK_ENTRIES
                        // max(1, s * max(system.n_rows, F.shape[1])))
             for q in range(p0, p1, step):
@@ -835,7 +829,10 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
                                  ).reshape(len(pos), s, s)
                 M = np.linalg.solve(
                     np.eye(s) + dK @ ZS[pos[:, :, None], pos[:, None]], dK)
-                yield LowRankUpdates(Z=Z, rows=rows, slots=pos, M=M)
+                A = US[pos]
+                C = M @ A
+                yield LowRankUpdates(Z=Z, slots=pos, C=C,
+                                     drop=np.einsum("psb,psb->pb", A, C))
 
     updates = served()
     return next(updates), updates

@@ -242,15 +242,23 @@ class TestWindowedRimLoads:
     """rim_loads evaluates the traction only near each omega; the result
     equals the full evaluation bit for bit."""
 
-    @pytest.mark.parametrize("problem", [DEFAULT_WHEEL,
-                                         wheel_problem(n_radial=4,
-                                                       n_angular=10)],
-                             ids=["72", "10"])
+    @pytest.mark.parametrize("problem", [
+        DEFAULT_WHEEL,
+        wheel_problem(n_radial=4, n_angular=10),
+        # the fewest rim edges the builder allows: a window of 3 of 8
+        wheel_problem(n_radial=4, n_angular=8),
+        wheel_problem(n_radial=4, n_angular=13),
+    ], ids=["72", "10", "8", "13"])
     def test_matches_full_evaluation(self, problem):
         rng = np.random.default_rng(41)
+        # the peaks on edge boundaries, and one ulp to either side
+        na = problem.mesh.shape[1]
+        peaks = np.pi / 2.0 - np.arange(na) * (2.0 * np.pi / na)
         batches = [problem.space.pseudo_rule(1080)[0][:, 0],
                    np.array([0.0, np.pi, 2.0 * np.pi - 1e-12,
-                             -np.pi + 1e-9])]
+                             -np.pi + 1e-9]),
+                   peaks, np.nextafter(peaks, np.inf),
+                   np.nextafter(peaks, -np.inf)]
         batches += [rng.uniform(0.0, 2.0 * np.pi, 8) for _ in range(40)]
         for omegas in batches:
             np.testing.assert_array_equal(problem.rim_loads(omegas),

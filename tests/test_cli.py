@@ -21,8 +21,7 @@ from smma.cli import (
     resolve_config,
     save_design,
 )
-from smma.driver import RunConfig
-from smma.verify import dense_cc
+from smma.driver import RunConfig, dense_cc
 
 TINY_WHEEL = """
 # tiny wheel run

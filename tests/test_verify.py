@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smma.benchmarks import plate_problem, wheel_problem
-from smma.verify import dense_cc
+from smma.driver import dense_cc
 
 
 @pytest.fixture(scope="module")
