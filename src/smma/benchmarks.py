@@ -28,8 +28,11 @@ compliances and gradient come from the unweakened states U0 (one
 corrections (at most one contraction per chunk), and no weakened state is
 formed. Dense verification needs the states only at the loaded dofs and
 at the dofs the weakness reaches, and factorizes the stiffness condensed
-onto them; it builds the views and the updates' slots of its rule once per
-rule, load scale, angle range and bump radius.
+onto them. The condensed system holds the inverse of its Schur
+complement, so the loads take one product with it and the updates' unit
+columns a gather of its columns. Verification builds the views and the
+updates' slots of its rule once per rule, load scale, angle range and bump
+radius, from one batched pass of the weakness over the rule's points.
 
 The two problems factorize differently (see mesh_fem). The plate's
 builder, loop and verification all take K pivot-free in the mesh's
@@ -49,6 +52,7 @@ import copy
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from . import design_field as df
 from .csg_weights import ParamSpace
@@ -337,6 +341,7 @@ class PlateProblem(_ProblemBase):
         nx, ny = mesh.shape
         self._top_nodes = ny * (nx + 1) + np.arange(nx + 1)
         self._top_x = mesh.nodes[self._top_nodes, 0]
+        self._centroids = cKDTree(mesh.element_centroids)
         self._gauss = np.polynomial.legendre.leggauss(8)
         self._bump_panels = 32
         self._load_cache = (None,)    # (key, G) at omega_nodes
@@ -358,9 +363,14 @@ class PlateProblem(_ProblemBase):
     def weakness(self, xi) -> np.ndarray:
         """Stiffness reduction field g_xi at the element centroids."""
         xi = np.asarray(xi, dtype=float)
+        return self._weakness_at(
+            np.sum((self.mesh.element_centroids - xi) ** 2, axis=1))
+
+    def _weakness_at(self, d2) -> np.ndarray:
+        """g at the squared distances d2 from a weakness centre: the one
+        weakness formula, zero from bump_radius on."""
         r2 = self.bump_radius ** 2
-        d2 = np.sum((self.mesh.element_centroids - xi) ** 2, axis=1)
-        out = np.zeros(self.mesh.n_elements)
+        out = np.zeros(d2.shape)
         inside = d2 < r2
         out[inside] = 0.99 * np.exp(-d2[inside] / (r2 * (r2 - d2[inside])))
         return out
@@ -439,26 +449,44 @@ class PlateProblem(_ProblemBase):
         (load_scale, angle_range, bump_radius)."""
         key = (self.load_scale, self.angle_range, self.bump_radius)
         if self._load_cache[0] != key:
+            # full columns on purpose: building the loaded rows alone gives
+            # the same bytes, but its small temporaries leave glibc's mmap
+            # threshold low, so the plate loop maps its 2-4 MB blocks afresh
+            # every iteration (iter_ms_p50 about 20% higher, default plate)
             self._load_cache = (key, self.angle_loads(
                 *self.load_columns(self.omega_nodes)))
         return self._load_cache[1]
 
     # -- evaluation ------------------------------------------------------
 
-    def _changed(self, xi):
-        """(touched, kept): the elements whose stiffness xi changes, and
-        the share kept = 1 - g_xi of it that xi leaves them; where g_xi is
-        below half an ulp of 1, kept rounds to 1: no change."""
-        kept = 1.0 - self.weakness(xi)
-        touched = np.flatnonzero(kept < 1.0)
-        return touched, kept[touched]
+    def _changed(self, xis):
+        """(touched, kept), one array each per xi of the (n, 2) xis: the
+        elements whose stiffness xi changes, ascending, and the share
+        kept = 1 - g_xi of it that xi leaves them; where g_xi is below half
+        an ulp of 1, kept rounds to 1: no change.
 
-    def _changes(self, changed):
-        """(slots, kept) of the xi whose _changed are changed: the
+        One pass for the whole batch: the centroid tree gives the elements
+        within a slightly wider radius than bump_radius, and _weakness_at
+        decides on them as weakness(xi) does, so touched and the bits of
+        kept are those of 1 - weakness(xi).
+        """
+        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        near = cKDTree(xis).sparse_distance_matrix(
+            self._centroids, self.bump_radius * (1.0 + 1e-6),
+            output_type="ndarray")
+        order = np.lexsort((near["j"], near["i"]))
+        at, elements = near["i"][order], near["j"][order]
+        kept = 1.0 - self._weakness_at(np.sum(
+            (self.mesh.element_centroids[elements] - xis[at]) ** 2, axis=1))
+        hit = kept < 1.0
+        bounds = np.searchsorted(at[hit], np.arange(1, len(xis)))
+        return np.split(elements[hit], bounds), np.split(kept[hit], bounds)
+
+    def _changes(self, touched, kept):
+        """(slots, kept) of the xi whose _changed are (touched, kept): the
         ChangeSlots of their touched elements, and the kept of those
         elements in the order of slots.elements."""
-        return (change_slots(self.mesh, [touched for touched, _ in changed]),
-                np.concatenate([kept for _, kept in changed]))
+        return change_slots(self.mesh, touched), np.concatenate(kept)
 
     def _weakened_blocks(self, system, s0, changes, G):
         """(U0, blocks): the unweakened states of the loads G and an
@@ -470,12 +498,14 @@ class PlateProblem(_ProblemBase):
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 serves every xi
         through an exact low-rank update (see low_rank_updates): one block
-        solve per group of its LowRankUpdates, and one stacked solve and
-        one drop per LowRankUpdates. cbar holds, one row per xi of updates,
-        the n angle-averaged compliances of K(xi), each the sum of the
-        plain compliances of columns j and n + j (see angle_loads), and no
-        state of K(xi) is formed. changes is _changes of the batch: each xi's
-        change is the factors s0 * kept at its touched elements.
+        solve per group of its LowRankUpdates (on a condensed view, one
+        product with the loads and a gather of unit columns), and one
+        stacked solve and one drop per LowRankUpdates. cbar holds, one row
+        per xi of updates, the n angle-averaged compliances of K(xi), each
+        the sum of the plain compliances of columns j and n + j (see
+        angle_loads), and no state of K(xi) is formed. changes is _changes
+        of the batch: each xi's change is the factors s0 * kept at its
+        touched elements.
 
         system is K0, the stiffness of the element factors s0 assembled on
         the whole view self._whole or on a view condensed onto the loaded
@@ -511,8 +541,7 @@ class PlateProblem(_ProblemBase):
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         s0 = self.stiffness_field(rho)
         system = assemble_stiffness(self._whole, s0)
-        slots, kept = changes = self._changes(
-            [self._changed(xi) for xi in xis])
+        slots, kept = changes = self._changes(*self._changed(xis))
         # the first call builds the load cache after the factorization:
         # built before it, the cache leaves glibc's heap so that every
         # later call faults in fresh pages (default plate, seed 3, 8
@@ -550,7 +579,8 @@ class PlateProblem(_ProblemBase):
         slots of its points' updates and their kept shares. None of it
         depends on the design, so one plan, with the patterns its views
         build on their first assembly, is kept and rebuilt when spec,
-        load_scale, angle_range or bump_radius changes.
+        load_scale, angle_range or bump_radius changes. The weakness of
+        every point comes from one call of _changed.
         """
         key = (self.space.rule_counts(spec), self.load_scale,
                self.angle_range, self.bump_radius)
@@ -558,12 +588,13 @@ class PlateProblem(_ProblemBase):
             pts, lam = self.space.trapezoid_rule(key[0])
             G = self.load_block()
             loaded = np.flatnonzero(np.any(G != 0.0, axis=1))
-            changed = [self._changed(xi) for xi in pts]
+            touched, kept = self._changed(pts)
             groups = [(view, G[view.keep],
-                       self._changes([changed[i] for i in group]))
+                       self._changes([touched[i] for i in group],
+                                     [kept[i] for i in group]))
                       for group, view in condensed_groups(
                           self.mesh, loaded,
-                          (self.mesh.edof[touched] for touched, _ in changed))]
+                          (self.mesh.edof[t] for t in touched))]
             weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
             self._rule_cache = (key, weights, groups)
         return self._rule_cache[1:]
@@ -575,9 +606,11 @@ class PlateProblem(_ProblemBase):
         condensed onto keep = T u S: the loaded dofs T and the dofs S of
         every element whose stiffness the weakness of a grid point
         changes. The loads, states and low-rank updates have one row per
-        kept dof. Past 2048 kept dofs, consecutive groups of points get
-        one factorization each (see condensed_groups). The views and the
-        weakness of the grid are built once per grid (see _rule_plan).
+        kept dof, and come from the inverse of the Schur complement onto
+        keep that the condensed system holds. Past 2048 kept dofs,
+        consecutive groups of points get one factorization each (see
+        condensed_groups). The views and the weakness of the grid are
+        built once per grid (see _rule_plan).
         """
         weights, groups = self._rule_plan(
             self.default_verify_spec if spec is None else spec)
@@ -617,7 +650,7 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     s0 = problem.stiffness_field(problem.initial_design())
     _, blocks = problem._weakened_blocks(
         assemble_stiffness(problem._whole, s0), s0,
-        problem._changes([problem._changed(problem.space.centre())]),
+        problem._changes(*problem._changed(problem.space.centre())),
         problem.angle_loads(*problem.load_columns(
             problem.omega_space.centre())))
     ((c0, _),) = blocks

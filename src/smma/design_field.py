@@ -8,7 +8,6 @@ contribute nothing to the design gradient.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +62,24 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
         return FilterMatrix(matrix=sp.identity(n, format="csr"), r_min=r_min)
 
     C = mesh.element_centroids
-    pairs = cKDTree(C).query_ball_point(C, r_min)
-    rows = np.repeat(np.arange(n), [len(p) for p in pairs])
-    cols = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
-                       count=rows.size)
-    w = r_min - np.linalg.norm(C[cols] - C[rows], axis=1)
-    keep = w > 0.0
-    rows, cols, vals = rows[keep], cols[keep], w[keep]
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    # each pair within r_min once; its weight serves both of its entries,
+    # since C[i] - C[j] is exactly -(C[j] - C[i]), and an element's weight
+    # with itself is r_min
+    pairs = cKDTree(C).query_pairs(r_min, output_type="ndarray")
+    w = r_min - np.linalg.norm(C[pairs[:, 1]] - C[pairs[:, 0]], axis=1)
+    pairs, w = pairs[w > 0.0], w[w > 0.0]
+    own = np.arange(n)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], own])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], own])
+    # sorted by row, then column, as a CSR matrix holds them (one key per
+    # entry, sorted by radix on the narrowest type that holds it)
+    key = (rows * n + cols).astype(np.min_scalar_type(n * n))
+    order = np.argsort(key, kind="stable")
+    vals = np.concatenate([w, w, np.full(n, r_min)])[order]
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    M = sp.csr_matrix((vals, cols[order].astype(np.intc), indptr),
+                      shape=(n, n))
     rowsum = np.asarray(M.sum(axis=1)).ravel()
     # a row holding only its own element (r_min below the spacing) is an
     # identity row; its one weight, r_min, may be too small to invert

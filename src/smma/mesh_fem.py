@@ -50,22 +50,27 @@ assembles:
   minimum degree on the graph of the free nodes (George & Liu, "The
   evolution of the minimum degree ordering algorithm", SIAM Review 1989),
   each node expanded to its x and y dofs: the mesh computes it on first
-  read, from one factorization of a node-level matrix with half the rows
-  of K. On the plate it leaves fewer nonzeros in L and U than COLAMD
+  read, from one symbolic ILU pass over a node-level matrix with half the
+  rows of K. On the plate it leaves fewer nonzeros in L and U than COLAMD
   (about 314k against 398k).
 
 `FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
 of dofs in one block. The low-rank updates solve their Z = K^-1 P the same
-way, in one block with the states of their loads.
+way, in one block with the states of their loads; on a condensed system
+they gather Z from S^-1.
 
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
 onto them instead (static condensation; Guyan, "Reduction of stiffness and
 mass matrices", AIAA J. 1965): the trailing block L22 U22 of the
 factorization is then the Schur complement S of the other dofs, and the
-rows of K^-1 at keep are those of S^-1: a dense |keep|-square solve
-instead of one full-length solve per column. Its loads and states have
-one row per kept dof, so no n_dofs-long block is formed.
+rows of K^-1 at keep are those of S^-1. K is SPD and factorized
+pivot-free in a symmetric order, so S = R^T R with R = D22^-1/2 U22, its
+Cholesky factor: the system holds S^-1, formed once from R by LAPACK
+(dpotri). A load takes one product with it, and the low-rank updates
+gather their unit columns from it, instead of one full-length solve per
+column. Its loads and states have one row per kept dof, so no
+n_dofs-long block is formed.
 """
 from __future__ import annotations
 
@@ -74,8 +79,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpotri
+from scipy.sparse.linalg import spilu, splu
 
 _GAUSS = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
@@ -132,7 +137,9 @@ def _entry_ids_csc(edof: np.ndarray, free: np.ndarray,
     The conversion buckets the entries by column in input order, then
     sorts each column by row with csr_sort_indices. That sort is not
     stable, so it is run here on the entry ids: it compares rows only, so
-    the ids land where the values would.
+    the ids land where the values would. The bucketing is a stable sort by
+    column, on the narrowest integer type that holds the column count:
+    numpy sorts those by radix.
     """
     n = free.size
     reduced = np.full(n_dofs, -1, dtype=np.intc)
@@ -142,7 +149,7 @@ def _entry_ids_csc(edof: np.ndarray, free: np.ndarray,
     cols = np.tile(red, (1, 8)).ravel()
     entries = np.flatnonzero((rows >= 0) & (cols >= 0))
     rows, cols = rows[entries], cols[entries]
-    by_col = np.argsort(cols, kind="stable")
+    by_col = np.argsort(cols.astype(np.min_scalar_type(n)), kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intc)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
     raw = sp.csc_matrix((entries[by_col].astype(float), rows[by_col],
@@ -252,7 +259,8 @@ class StructuredMesh:
         e = self.elements
         if np.any(e < 0) or np.any(e >= self.nodes.shape[0]):
             raise ValueError("element connectivity out of node range")
-        if any(len(set(row)) != 4 for row in e.tolist()):
+        corners = np.sort(e, axis=1)
+        if np.any(corners[:, 1:] == corners[:, :-1]):
             raise ValueError("element with repeated node indices")
         if self.dirichlet_dofs.size == 0:
             raise ValueError("mesh requires a nonempty Dirichlet set")
@@ -411,18 +419,18 @@ class CondensedMesh:
 
 @dataclass
 class TrailingBlock:
-    """The dense trailing block L22 U22 of a factorization without
-    pivoting; it solves with the Schur complement S = L22 U22. nnz is the
-    whole factorization's stored nonzeros of L and U."""
+    """S^-1 for the Schur complement S = L22 U22 of a factorization without
+    pivoting, formed from the Cholesky factor of S (see
+    _factorize_condensed). nnz is the whole factorization's stored
+    nonzeros of L and U."""
 
-    L: np.ndarray      # unit lower triangular
-    U: np.ndarray      # upper triangular
+    inverse: np.ndarray    # (|keep|, |keep|) symmetric, C-ordered
     nnz: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = solve_triangular(self.L, rhs, lower=True, unit_diagonal=True,
-                             check_finite=False)
-        return solve_triangular(self.U, y, check_finite=False)
+        # one product, with the columns of S^-1 at the rows a load holds
+        live = np.flatnonzero(np.any(rhs.reshape(rhs.shape[0], -1), axis=1))
+        return self.inverse[:, live] @ rhs[live]
 
 
 @dataclass
@@ -440,9 +448,10 @@ class FactorizedSystem:
     symmetric_order.
 
     A condensed system (from a CondensedMesh) has free_dofs = unknowns =
-    keep and lu the TrailingBlock of S. Its loads and states have one row
-    per kept dof, in the order of keep: a load on keep gives the
-    displacements of K at keep.
+    keep and lu the TrailingBlock that holds S^-1, formed from the Cholesky
+    factor of its trailing block. Its loads and states have one row per
+    kept dof, in the order of keep: a load on keep gives the displacements
+    of K at keep, by one product with S^-1.
     """
 
     lu: object
@@ -490,8 +499,9 @@ class FactorizedSystem:
     def unit_columns(self, dofs) -> np.ndarray:
         """K^-1 P, (n_rows, len(dofs)), for the unit columns P of dofs.
 
-        One block solve; column j is the response to a unit load at
-        dofs[j] (zero for a Dirichlet dof).
+        One block solve (on a condensed system, the product of P with the
+        columns of S^-1 at dofs); column j is the response to a unit load
+        at dofs[j] (zero for a Dirichlet dof).
         """
         dofs = np.asarray(dofs, dtype=int)
         P = np.zeros((self.n_rows, dofs.size))
@@ -540,7 +550,11 @@ def _factorize_condensed(view: CondensedMesh,
     Every condensed assembly takes K in the mesh's symmetric_order, rows
     and columns alike, with keep moved last (view.pattern), and factorizes
     it as it stands with diagonal pivots. Any other pivot raises
-    FactorizationError.
+    FactorizationError. K is SPD, so the factorization is K = L D L^T with
+    U = D L^T, and the Schur complement onto keep is S = L22 U22 = R^T R,
+    R = D22^-1/2 U22: its Cholesky factor, read from U alone. The system
+    keeps S^-1 from LAPACK dpotri; a trailing pivot that is not positive,
+    or a failed inversion, raises FactorizationError.
     """
     mesh = view.mesh
     n = mesh.free_dofs.size
@@ -555,11 +569,28 @@ def _factorize_condensed(view: CondensedMesh,
         return FactorizedSystem(lu=lu, free_dofs=dofs, unknowns=dofs,
                                 n_dofs=mesh.n_dofs)
     m = n - view.keep.size
-    block = TrailingBlock(L=lu.L[m:, m:].toarray(), U=lu.U[m:, m:].toarray(),
-                          nnz=lu.nnz)
-    return FactorizedSystem(lu=block, free_dofs=view.keep,
-                            unknowns=view.keep, n_dofs=mesh.n_dofs,
-                            condensed=True)
+    R = lu.U[m:, m:].toarray()
+    pivots = np.diagonal(R)
+    # written so that NaN fails it
+    if not np.all(pivots > 0.0):
+        raise FactorizationError("condensed factorization has a trailing "
+                                 "pivot that is not positive")
+    R /= np.sqrt(pivots)[:, None]
+    # R^T, Fortran-ordered, is the lower Cholesky factor of S: dpotri
+    # overwrites its lower triangle with that of S^-1, and leaves the zeros
+    # above it; their transpose holds S^-1 in its upper triangle
+    lower, info = dpotri(R.T, lower=1, overwrite_c=1)
+    if info != 0:
+        raise FactorizationError(f"Schur complement inversion failed "
+                                 f"(LAPACK dpotri info {info})")
+    inverse = lower.T
+    # mirror the upper triangle onto the zeros below it: x + 0 is x, and
+    # halving the doubled diagonal is exact
+    inverse += inverse.T
+    inverse.flat[::inverse.shape[0] + 1] *= 0.5
+    return FactorizedSystem(lu=TrailingBlock(inverse=inverse, nnz=lu.nnz),
+                            free_dofs=view.keep, unknowns=view.keep,
+                            n_dofs=mesh.n_dofs, condensed=True)
 
 
 def _node_graph_order(mesh: StructuredMesh) -> np.ndarray:
@@ -568,10 +599,12 @@ def _node_graph_order(mesh: StructuredMesh) -> np.ndarray:
     mesh.free_dofs.
 
     Two free nodes are adjacent when an element holds both. The order
-    depends on that structure only. The values make the matrix strictly
-    diagonally dominant, so the factorization that computes the order
-    cannot fail: each element adds 4 to a node's diagonal and -1 for each
-    of at most 3 other nodes to its row.
+    depends on that structure only, so it comes from one symbolic pass: an
+    incomplete factorization that drops every entry it can computes the
+    same column order as splu, in about half the time. The values make the
+    matrix strictly diagonally dominant, so that pass cannot fail: each
+    element adds 4 to a node's diagonal and -1 for each of at most 3 other
+    nodes to its row.
     """
     nodes, node_of = np.unique(mesh.free_dofs // 2, return_inverse=True)
     position = np.full(mesh.nodes.shape[0], -1)
@@ -583,7 +616,8 @@ def _node_graph_order(mesh: StructuredMesh) -> np.ndarray:
     rows, cols = rows[both], cols[both]
     graph = sp.csc_matrix((np.where(rows == cols, 4.0, -1.0), (rows, cols)),
                           shape=(nodes.size, nodes.size))
-    lu = _splu(graph, permc_spec="MMD_AT_PLUS_A")
+    lu = spilu(graph, permc_spec="MMD_AT_PLUS_A", drop_tol=np.inf,
+               fill_factor=1)
     # perm_c[i] is the step at which node i is eliminated
     return np.argsort(lu.perm_c[node_of], kind="stable")
 
@@ -753,10 +787,12 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
     consecutive groups, each with one block solve of the unit columns E_S
     of the union S of its S_p. The first one's also gives U0: it solves
     [E_T, E_S], T the dofs where F is nonzero, and forms U0 = K0^-1 E_T F_T,
-    or solves [F, E_S] when F has fewer columns than T. A group grows while
-    its block keeps within _UPDATE_BLOCK_ENTRIES (a single change may
-    exceed it alone), and its LowRankUpdates each take as many changes as
-    keep their stacked operands, and the (Z, Y) of form_change, within it.
+    or solves [F, E_S] when F has fewer columns than T. A condensed system
+    holds S^-1 instead: U0 is its one product with F, and a group's E_S a
+    gather of its columns. A group grows while its block keeps within
+    _UPDATE_BLOCK_ENTRIES (a single change may exceed it alone), and its
+    LowRankUpdates each take as many changes as keep their stacked
+    operands, and the (Z, Y) of form_change, within it.
     """
     s0 = np.asarray(s0, dtype=float)
     factors = np.asarray(factors, dtype=float)
@@ -794,20 +830,30 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
             S = S[S < mesh.n_dofs]
             s = np.count_nonzero(d < mesh.n_dofs, axis=1).max(initial=0)
             at = at.reshape(d.shape)[:, :s]
-            k, rows = (basis if p0 == 0 else 0), system.rows(S)
-            P = np.zeros((system.n_rows, k + S.size))
-            if k == F.shape[1]:
-                P[:, :k] = F
-            elif k:
-                P[system.rows(T), np.arange(k)] = 1.0
-            P[rows, k + np.arange(S.size)] = 1.0
-            W = system.solve(P)
-            del P   # not held while the updates are used
-            if p0 == 0:
-                U0 = (W[:, :k] if k == F.shape[1]
-                      else W[:, :k] @ F[system.rows(T)])
-                yield U0
-            Z = W[:, k:]
+            rows = system.rows(S)
+            if system.condensed:
+                # S^-1 is held: the loads take one product, and E_S is a
+                # gather of its columns, where a product with E_S would
+                # cost as much as the dense solves S^-1 replaces
+                if p0 == 0:
+                    U0 = system.solve(F)
+                    yield U0
+                Z = system.lu.inverse[:, rows]
+            else:
+                k = basis if p0 == 0 else 0
+                P = np.zeros((system.n_rows, k + S.size))
+                if k == F.shape[1]:
+                    P[:, :k] = F
+                elif k:
+                    P[system.rows(T), np.arange(k)] = 1.0
+                P[rows, k + np.arange(S.size)] = 1.0
+                W = system.solve(P)
+                del P   # not held while the updates are used
+                if p0 == 0:
+                    U0 = (W[:, :k] if k == F.shape[1]
+                          else W[:, :k] @ F[system.rows(T)])
+                    yield U0
+                Z = W[:, k:]
             # K0^-1 and U0 at S, zero in the pad row (and column)
             ZS = np.zeros((S.size + 1, S.size + 1))
             ZS[:-1, :-1] = Z[rows]

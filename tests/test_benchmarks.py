@@ -708,27 +708,34 @@ class TestPlateReanalysis:
             np.testing.assert_allclose(plate.dense_raw(rho, (3, 2))[0], want,
                                        rtol=1e-10)
 
+    @staticmethod
+    def counting_changed(monkeypatch, plate):
+        """The points of each call of the batched weakness kernel."""
+        points = []
+        changed = plate._changed
+
+        def counted(xis):
+            points.append(len(np.atleast_2d(xis)))
+            return changed(xis)
+
+        monkeypatch.setattr(plate, "_changed", counted)
+        return points
+
     @pytest.mark.parametrize("budget", [None, 100])
     def test_dense_raw_evaluates_the_weakness_once_per_point(
             self, monkeypatch, budget):
         # a fresh problem: the rule's weakness is kept per problem
         plate = plate_problem(nx=60, ny=30, n_omega=4)
-        calls = []
-        weakness = plate.weakness
-
-        def counting_weakness(xi):
-            calls.append(1)
-            return weakness(xi)
-
-        monkeypatch.setattr(plate, "weakness", counting_weakness)
+        points = self.counting_changed(monkeypatch, plate)
         if budget is not None:
             # several groups of points, one factorization each
             monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES", budget ** 2)
         plate.dense_raw(FINE_RHO, (5, 4))
-        assert len(calls) == 20
+        # one batched pass over the rule's 20 points
+        assert points == [20]
         # a second call on the same rule evaluates none
         plate.dense_raw(FINE_RHO[::-1], (5, 4))
-        assert len(calls) == 20
+        assert points == [20]
 
     def test_dense_raw_groups_within_the_block_budget(self, monkeypatch):
         rho = np.random.default_rng(25).uniform(0.3, 0.9, FINE.n_design)
@@ -755,14 +762,7 @@ class TestPlateReanalysis:
         plate = plate_problem(nx=60, ny=30, n_omega=4)
         rng = np.random.default_rng(26)
         rhos = [rng.uniform(0.3, 0.9, plate.n_design) for _ in range(2)]
-        weakness = plate.weakness
-        evaluated = []
-
-        def counting_weakness(xi):
-            evaluated.append(1)
-            return weakness(xi)
-
-        monkeypatch.setattr(plate, "weakness", counting_weakness)
+        evaluated = self.counting_changed(monkeypatch, plate)
         # (spec, load_scale, points whose weakness the call evaluates): a
         # call with the kept spec and load_scale evaluates none
         for k, (spec, scale, points) in enumerate((
@@ -774,10 +774,64 @@ class TestPlateReanalysis:
             rho = rhos[k % 2]
             del evaluated[:]
             got = plate.dense_raw(rho, spec)
-            assert len(evaluated) == points
+            assert sum(evaluated) == points
             # bit-identical to a problem that builds its rule afresh
             for g, w in zip(got, want.dense_raw(rho, spec), strict=True):
                 np.testing.assert_array_equal(g, w)
+
+
+def changed_per_xi(plate, xis):
+    """Oracle: (touched, kept) per xi from the weakness over every element,
+    one xi at a time."""
+    touched, kept = [], []
+    for xi in xis:
+        k = 1.0 - plate.weakness(xi)
+        touched.append(np.flatnonzero(k < 1.0))
+        kept.append(k[touched[-1]])
+    return touched, kept
+
+
+def weakness_cases():
+    """(name, plate, xis) for the batched weakness kernel."""
+    pts, _ = DEFAULT.space.trapezoid_rule((50, 50))
+    yield "default-50x50", DEFAULT, pts
+    for name, plate in (("default", DEFAULT), ("wide", WIDE)):
+        c = plate.mesh.element_centroids
+        (x0, x1), (y0, y1) = plate.space.bounds
+        corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
+        # centres where the disc crosses the plate's edges and corners
+        r = plate.bump_radius
+        edges = np.array([[0.5 * r, 0.5], [1.0, 0.5 * r], [1.0, 1.0 - r / 3],
+                          [2.0 - 0.1 * r, 0.7], [0.0, 0.0], [2.0, 1.0]])
+        yield f"{name}-centroids", plate, c[::3]
+        yield f"{name}-corners", plate, corners
+        yield f"{name}-edges", plate, edges
+        # midway between neighbouring centroids: on an element edge
+        yield f"{name}-midpoints", plate, 0.5 * (c[:-1] + c[1:])[::5]
+
+
+class TestBatchedWeakness:
+    """The plate's batched weakness kernel against the per-xi path it
+    replaced, bit for bit."""
+
+    def test_changed_matches_the_per_xi_weakness(self):
+        for name, plate, xis in weakness_cases():
+            touched, kept = plate._changed(xis)
+            want_touched, want_kept = changed_per_xi(plate, xis)
+            assert len(touched) == len(kept) == len(xis), name
+            for t, k, wt, wk in zip(touched, kept, want_touched, want_kept,
+                                    strict=True):
+                np.testing.assert_array_equal(t, wt, err_msg=name)
+                assert k.tobytes() == wk.tobytes(), name
+            assert sum(t.size for t in touched) > 0, name
+
+    def test_one_xi_and_one_list_xi(self):
+        xi = DEFAULT.mesh.element_centroids[40]
+        for arg in (xi, xi.tolist(), [xi.tolist()]):
+            (touched,), (kept,) = DEFAULT._changed(arg)
+            ((want_touched,), (want_kept,)) = changed_per_xi(DEFAULT, [xi])
+            np.testing.assert_array_equal(touched, want_touched)
+            assert kept.tobytes() == want_kept.tobytes()
 
 
 # the default plate: 46 loaded dofs against 64 loads, so its block holds

@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import spilu, splu
 
 from smma import driver, mesh_fem
 from smma.benchmarks import plate_problem, wheel_problem
@@ -80,8 +81,10 @@ class TestRectMesh:
 @pytest.mark.parametrize("change,message", [
     ({"elements": np.array([[0, 1, 4, 3]])}, "out of node range"),
     ({"elements": np.array([[0, 1, 3, 3]])}, "repeated node indices"),
+    ({"elements": np.array([[3, 1, 0, 3]])}, "repeated node indices"),
     ({"dirichlet_dofs": np.zeros(0, dtype=int)}, "nonempty Dirichlet set"),
-], ids=["node-out-of-range", "repeated-node", "no-dirichlet"])
+], ids=["node-out-of-range", "repeated-node", "repeated-node-apart",
+        "no-dirichlet"])
 def test_mesh_constructor_rejects_bad_connectivity(change, message):
     mesh = build_rect_mesh(1, 1, 1.0, 1.0)
     with pytest.raises(ValueError, match=message):
@@ -252,6 +255,19 @@ def recorded_splu(monkeypatch):
     return calls
 
 
+def recorded_orders(monkeypatch, calls):
+    """Swap mesh_fem.spilu, the node-graph order's symbolic pass, for a
+    wrapper that appends (graph, "spilu " + permc_spec, factorization) to
+    calls, the list of recorded_splu."""
+
+    def record(A, permc_spec=None, **options):
+        calls.append((A, f"spilu {permc_spec}",
+                      spilu(A, permc_spec=permc_spec, **options)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(mesh_fem, "spilu", record)
+
+
 class TestPatternAssembly:
     """The per-mesh pattern and column order against the coo -> csc
     assembly factorized with SuperLU's own ordering."""
@@ -333,13 +349,15 @@ class TestPatternAssembly:
 
     def test_plate_never_runs_colamd(self, monkeypatch):
         calls = recorded_splu(monkeypatch)
+        recorded_orders(monkeypatch, calls)
         problem = plate_problem(nx=12, ny=6, n_omega=4)
         cfg = driver.RunConfig(method="smma", iterations=2, seed=0,
                                verify_every=1, verify_spec=(3, 3))
         driver.run_smma(problem, cfg)
-        # the node-graph order once, then one factorization per iteration
-        # and per verification, all of them in that order
-        assert [spec for _, spec, _ in calls] == (["MMD_AT_PLUS_A"]
+        # the node-graph order once, from one symbolic ILU pass, then one
+        # factorization per iteration and per verification, all of them
+        # in that order
+        assert [spec for _, spec, _ in calls] == (["spilu MMD_AT_PLUS_A"]
                                                   + ["NATURAL"] * 5)
         assert problem.mesh.colamd is None
 
@@ -358,6 +376,74 @@ class TestPatternAssembly:
         f = np.zeros(mesh.n_dofs)
         f[free[-1]] = 1.0
         np.testing.assert_array_equal(first.solve(f), later.solve(f))
+
+
+def splu_node_graph_order(mesh):
+    """Oracle: the node-graph order from a full splu factorization of the
+    free-node graph, as the mesh computed it before its symbolic pass."""
+    nodes, node_of = np.unique(mesh.free_dofs // 2, return_inverse=True)
+    position = np.full(mesh.nodes.shape[0], -1)
+    position[nodes] = np.arange(nodes.size)
+    e = position[mesh.elements]
+    rows = np.repeat(e, 4, axis=1).ravel()
+    cols = np.tile(e, (1, 4)).ravel()
+    both = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[both], cols[both]
+    graph = sp.csc_matrix((np.where(rows == cols, 4.0, -1.0), (rows, cols)),
+                          shape=(nodes.size, nodes.size))
+    lu = splu(graph, permc_spec="MMD_AT_PLUS_A")
+    return np.argsort(lu.perm_c[node_of], kind="stable")
+
+
+def entry_ids_by_comparison_sort(edof, free, n_dofs):
+    """Oracle: the pattern's entry ids with the column bucketing sorted on
+    the full-width column indices, as before the radix sort."""
+    n = free.size
+    reduced = np.full(n_dofs, -1, dtype=np.intc)
+    reduced[free] = np.arange(n, dtype=np.intc)
+    red = reduced[edof]
+    rows = np.repeat(red, 8, axis=1).ravel()
+    cols = np.tile(red, (1, 8)).ravel()
+    entries = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols = rows[entries], cols[entries]
+    by_col = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    raw = sp.csc_matrix((entries[by_col].astype(float), rows[by_col],
+                         indptr), shape=(n, n))
+    raw.sort_indices()
+    return raw
+
+
+# the meshes of test_filter_matches_loop_build, and a finer one of each kind
+SETUP_MESHES = {
+    "plate": lambda: build_rect_mesh(60, 30, 2.0, 1.0),
+    "wheel": lambda: build_disc_mesh(18, 72, 0.1, 0.95),
+    "rect-7x4": lambda: build_rect_mesh(7, 4, 2.0, 1.0),
+    "disc-3x12": lambda: build_disc_mesh(3, 12, 0.1, 0.9),
+    "rect-120x60": lambda: build_rect_mesh(120, 60, 2.0, 1.0),
+    "disc-36x144": lambda: build_disc_mesh(36, 144, 0.1, 0.95),
+}
+
+
+class TestSetupOracles:
+    """What a mesh builds once, against the slower paths it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SETUP_MESHES))
+    def test_node_order_is_the_splu_order(self, name):
+        mesh = SETUP_MESHES[name]()
+        np.testing.assert_array_equal(mesh.symmetric_order,
+                                      splu_node_graph_order(mesh))
+
+    @pytest.mark.parametrize("name", sorted(SETUP_MESHES))
+    def test_radix_sorted_pattern_is_byte_identical(self, name):
+        mesh = SETUP_MESHES[name]()
+        args = mesh.edof, mesh.free_dofs, mesh.n_dofs
+        got = mesh_fem._entry_ids_csc(*args)
+        want = entry_ids_by_comparison_sort(*args)
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # a plate and a wheel small enough to factorize in a few ms; the plate's
@@ -503,21 +589,23 @@ class TestCondensed:
 
     def test_orders_recorded_once(self, monkeypatch):
         calls = recorded_splu(monkeypatch)
+        recorded_orders(monkeypatch, calls)
         specs = lambda: [spec for _, spec, _ in calls]   # noqa: E731
         wheel = wheel_problem(n_radial=6, n_angular=16)
         # the wheel's builder calibrates with one COLAMD factorization
         assert specs() == ["COLAMD"]
         del calls[:]
         plate = plate_problem(nx=12, ny=6, n_omega=4)
-        # the plate's records the node-graph order, then calibrates with
-        # the whole system in it
-        assert specs() == ["MMD_AT_PLUS_A", "NATURAL"]
+        # the plate's records the node-graph order from one symbolic ILU
+        # pass, then calibrates with the whole system in it
+        assert specs() == ["spilu MMD_AT_PLUS_A", "NATURAL"]
         built = calls[:]
-        # three verifications each: one MMD per mesh, so the plate's reuse
-        # the order its builder recorded
+        # three verifications each: one MMD pass per mesh, so the plate's
+        # reuse the order its builder recorded
+        mmd = ["spilu MMD_AT_PLUS_A"]
         for problem, spec, before, want in (
-                (wheel, 30, [], ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3),
-                (plate, (3, 3), built, ["MMD_AT_PLUS_A"] + ["NATURAL"] * 4)):
+                (wheel, 30, [], mmd + ["NATURAL"] * 3),
+                (plate, (3, 3), built, mmd + ["NATURAL"] * 4)):
             calls[:] = before
             mesh = problem.mesh
             clone = problem.with_simp(3.0)
@@ -539,6 +627,81 @@ class TestCondensed:
                 identity = np.arange(lu.shape[0])
                 np.testing.assert_array_equal(lu.perm_r, identity)
                 np.testing.assert_array_equal(lu.perm_c, identity)
+
+
+def triangular_schur_inverse(view, s):
+    """Oracle: S^-1 by two dense triangular solves with the trailing
+    blocks L22 and U22 of the pivot-free factorization of the view's K,
+    as a condensed system formed it before it held S^-1."""
+    mesh = view.mesh
+    K = mesh_fem._assembled(mesh, view.pattern, s)
+    lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    m = mesh.free_dofs.size - view.keep.size
+    L, U = lu.L[m:, m:].toarray(), lu.U[m:, m:].toarray()
+    y = solve_triangular(L, np.eye(view.keep.size), lower=True,
+                         unit_diagonal=True, check_finite=False)
+    return solve_triangular(U, y, check_finite=False)
+
+
+def schur_views():
+    """(name, view, s) of the default wheel's rim and the views of the
+    default plate's 5 x 5 and 50 x 50 rules, at a random design."""
+    rng = np.random.default_rng(31)
+    wheel, plate = wheel_problem(), plate_problem()
+    for name, problem, views in (
+            ("wheel-rim", wheel, [wheel._rim_view]),
+            ("plate-5x5", plate,
+             [view for view, _, _ in plate._rule_plan((5, 5))[1]]),
+            ("plate-50x50", plate,
+             [view for view, _, _ in plate._rule_plan((50, 50))[1]])):
+        s = problem.stiffness_field(rng.uniform(0.3, 0.9, problem.n_design))
+        for k, view in enumerate(views):
+            yield f"{name}-{k}", view, s
+
+
+class TestSchurInverse:
+    """A condensed system holds S^-1 from the Cholesky factor of its
+    trailing block; the two triangular solves it replaced are the oracle."""
+
+    def test_matches_the_triangular_solves(self):
+        names = []
+        for name, view, s in schur_views():
+            names.append(name)
+            inverse = assemble_stiffness(view, s).lu.inverse
+            want = triangular_schur_inverse(view, s)
+            assert inverse.flags.c_contiguous
+            np.testing.assert_array_equal(inverse, inverse.T)
+            np.testing.assert_allclose(inverse, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
+        # the 50 x 50 rule takes two views
+        assert names == ["wheel-rim-0", "plate-5x5-0", "plate-50x50-0",
+                         "plate-50x50-1"]
+
+    @pytest.mark.parametrize("pivot", [0.0, -1.0, np.nan])
+    def test_trailing_pivot_not_positive_raises(self, monkeypatch, pivot):
+        mesh = build_rect_mesh(3, 2, 3.0, 2.0)
+        view = mesh.condensed(mesh.free_dofs[-2:])
+        n = mesh.free_dofs.size
+
+        def indefinite(K, permc_spec=None, **options):
+            lu = splu(K, permc_spec=permc_spec, **options)
+            U = lu.U.tolil()
+            U[n - 1, n - 1] = pivot
+            return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c,
+                                   U=U.tocsc(), nnz=lu.nnz)
+
+        monkeypatch.setattr(mesh_fem, "splu", indefinite)
+        with pytest.raises(FactorizationError, match="not positive"):
+            assemble_stiffness(view, np.ones(mesh.n_elements))
+
+    def test_failed_inversion_raises(self, monkeypatch):
+        mesh = build_rect_mesh(3, 2, 3.0, 2.0)
+        view = mesh.condensed(mesh.free_dofs[-2:])
+        monkeypatch.setattr(mesh_fem, "dpotri",
+                            lambda c, **options: (c, 2))
+        with pytest.raises(FactorizationError, match="dpotri info 2"):
+            assemble_stiffness(view, np.ones(mesh.n_elements))
 
 
 NO_DOFS = np.zeros(0, dtype=int)
