@@ -5,9 +5,9 @@ outer rim, loaded by a sharply localized normal traction whose direction
 omega is uniform on the circle. Uncertainty enters the right-hand side
 only, so one factorization serves a whole batch of load cases. Every load
 lives on the rim dofs R, so a compliance is F_R^T (K^-1)_RR F_R: dense
-verification factorizes the stiffness condensed onto R, whose Schur
-complement gives (K^-1)_RR from an |R|-square dense solve, and contracts
-every load case with it; it builds the rim loads of its rule once per
+verification factorizes the stiffness condensed onto R, whose system
+holds (K^-1)_RR, the inverse of its Schur complement: the rule's loads
+take one product with it; it builds the rim loads of its rule once per
 rule and load scale.
 
 Plate: 2l x 1l rectangle clamped at the bottom, loaded on a strip of the
@@ -21,8 +21,9 @@ width, and a design gradient is a weighted sum of plain -u^T k_e u, as on
 the wheel. The omega integral is a fixed trapezoid, and only xi is
 sampled. The weakness changes the stiffness of only a few elements. All xi
 of one call share one factorization of the unweakened design, and are
-served as stacked exact rank-r updates of it, chunk by chunk, with one
-block solve per group of chunks (an 8-xi batch is one chunk): a record's
+served as stacked exact rank-r updates of it, chunk by chunk, each chunk
+one LowRankUpdates with one block solve (on a condensed view, a gather),
+one stacked solve and one drop (an 8-xi batch is one chunk): a record's
 compliances and gradient come from the unweakened states U0 (one
 2 * n_omega-column sensitivity contraction per call) plus rank-r
 corrections (at most one contraction per chunk), and no weakened state is
@@ -257,10 +258,11 @@ class WheelProblem(_ProblemBase):
         """Raw compliances on an equispaced circle rule (periodic trapezoid).
 
         Costs one factorization of the stiffness condensed onto the rim
-        dofs R, whose |R| dense unit columns are G = (K^-1)_RR, and
-        c = F_R^T G F_R for every point. The rim loads F_R of the rule do
-        not depend on the design: one block and its weights are kept and
-        rebuilt when the rule's counts or load_scale change.
+        dofs R, whose system holds G = (K^-1)_RR, and c = F_R^T G F_R for
+        every point, from one product of G with the rule's loads. The rim
+        loads F_R of the rule do not depend on the design: one block and
+        its weights are kept and rebuilt when the rule's counts or
+        load_scale change.
         """
         key = (self.space.rule_counts(
             self.default_verify_spec if spec is None else spec),
@@ -270,8 +272,7 @@ class WheelProblem(_ProblemBase):
             self._rule_cache = (key, self.rim_loads(pts[:, 0]), w)
         _, FR, w = self._rule_cache
         system = assemble_stiffness(self._rim_view, self.stiffness_field(rho))
-        G = system.unit_columns(self._rim_dofs)
-        return np.sum(FR * (G @ FR), axis=0), w.copy()
+        return np.sum(FR * system.solve(FR), axis=0), w.copy()
 
 
 def wheel_problem(n_radial: int = 18, n_angular: int = 72,
@@ -498,14 +499,14 @@ class PlateProblem(_ProblemBase):
         K(xi) differs from the unweakened K0 only on the few elements the
         weakness reaches, so one factorization of K0 serves every xi
         through an exact low-rank update (see low_rank_updates): one block
-        solve per group of its LowRankUpdates (on a condensed view, one
-        product with the loads and a gather of unit columns), and one
-        stacked solve and one drop per LowRankUpdates. cbar holds, one row
-        per xi of updates, the n angle-averaged compliances of K(xi), each
-        the sum of the plain compliances of columns j and n + j (see
-        angle_loads), and no state of K(xi) is formed. changes is _changes
-        of the batch: each xi's change is the factors s0 * kept at its
-        touched elements.
+        solve (on a condensed view, a gather of unit columns), one stacked
+        solve and one drop per LowRankUpdates, the first block with the
+        states of the loads (on a condensed view, one product with them).
+        cbar holds, one row per xi of updates, the n angle-averaged
+        compliances of K(xi), each the sum of the plain compliances of
+        columns j and n + j (see angle_loads), and no state of K(xi) is
+        formed. changes is _changes of the batch: each xi's change is the
+        factors s0 * kept at its touched elements.
 
         system is K0, the stiffness of the element factors s0 assembled on
         the whole view self._whole or on a view condensed onto the loaded
@@ -534,8 +535,8 @@ class PlateProblem(_ProblemBase):
         of K(xi) for the columns of load_block() and coef = omega weight *
         h', the same on the two columns of an omega. It comes from the
         unweakened states U0: one 2 * n_omega-column contraction per call,
-        plus at most one contraction of the corrections per LowRankUpdates
-        (an 8-xi batch is one).
+        plus at most one contraction of the corrections per LowRankUpdates,
+        each with its own block solve (an 8- or 64-xi batch is one).
         """
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))

@@ -37,13 +37,14 @@ stiffness condensed onto the dofs the rule reads, once per call (once per
 group of grid points on a plate grid past 2048 kept dofs), and works in
 those dofs only: the wheel contracts every load with the rim block of
 K^-1, and the plate serves the grid by the stacked low-rank updates of
-its records, with one stacked solve and one drop per chunk (the default
-50 x 50 rule is 13 + 1 chunks on its two views). A condensed system holds
-the inverse of its Schur complement, formed once from its Cholesky factor
-by LAPACK: loads take one product with it, and the plate's updates gather
-their unit columns from it. What depends only on the rule and the load
-scale is built on the first call with that rule and kept, so a repeated
-call does only the work that depends on the design.
+its records, with one gather of unit columns, one stacked solve and one
+drop per chunk (the default 50 x 50 rule is 13 + 1 chunks on its two
+views). A condensed system holds the inverse of its Schur complement,
+formed once from its Cholesky factor by LAPACK: loads take one product
+with it, and the plate's updates gather their unit columns from it. What
+depends only on the rule and the load scale is built on the first call
+with that rule and kept, so a repeated call does only the work that
+depends on the design.
 """
 from __future__ import annotations
 

@@ -54,10 +54,10 @@ assembles:
   rows of K. On the plate it leaves fewer nonzeros in L and U than COLAMD
   (about 314k against 398k).
 
-`FactorizedSystem.unit_columns` solves for the columns of K^-1 at a set
-of dofs in one block. The low-rank updates solve their Z = K^-1 P the same
-way, in one block with the states of their loads; on a condensed system
-they gather Z from S^-1.
+The low-rank updates take their Z = K^-1 P, the columns of K^-1 at the
+dofs they change, from one block solve per LowRankUpdates, the first one
+with the states of their loads; on a condensed system they gather Z from
+S^-1.
 
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
@@ -496,18 +496,6 @@ class FactorizedSystem:
             np.ascontiguousarray(rhs[self.free_dofs]))
         return u
 
-    def unit_columns(self, dofs) -> np.ndarray:
-        """K^-1 P, (n_rows, len(dofs)), for the unit columns P of dofs.
-
-        One block solve (on a condensed system, the product of P with the
-        columns of S^-1 at dofs); column j is the response to a unit load
-        at dofs[j] (zero for a Dirichlet dof).
-        """
-        dofs = np.asarray(dofs, dtype=int)
-        P = np.zeros((self.n_rows, dofs.size))
-        P[self.rows(dofs), np.arange(dofs.size)] = 1.0
-        return self.solve(P)
-
 
 def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
                        stiffness_per_element) -> FactorizedSystem:
@@ -657,11 +645,12 @@ def _splu(K: sp.csc_matrix, **options):
             f"stiffness factorization failed: {exc}") from exc
 
 
-# unit columns of K0^-1 solved in one block, the dense block of a
-# condensed system, and each stacked operand of a LowRankUpdates and of its
-# form_change: at most this many float64 entries (32 MB; the solve holds a
-# few copies), so that a call with many fields on a large mesh does not
-# hold n_dofs columns, nor more than 2048 kept dofs, at once
+# the block of one LowRankUpdates (its unit columns of K0^-1, with the
+# first one's basis columns), the dense block of a condensed system, and
+# each stacked operand of a LowRankUpdates and of its form_change: at most
+# this many float64 entries (32 MB; the solve holds a few copies), so that
+# a call with many fields on a large mesh does not hold n_dofs columns,
+# nor more than 2048 kept dofs, at once
 _UPDATE_BLOCK_ENTRIES = 2 ** 22
 
 
@@ -782,65 +771,47 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
 
     system factorizes K0 = K(s0), whole or condensed onto a keep that holds
     every changed free dof; F has its rows. The changes set slots.elements
-    to factors (ValueError unless one each); an element at its factor in
-    s0 changes nothing and is dropped. The changes are split into
-    consecutive groups, each with one block solve of the unit columns E_S
-    of the union S of its S_p. The first one's also gives U0: it solves
-    [E_T, E_S], T the dofs where F is nonzero, and forms U0 = K0^-1 E_T F_T,
-    or solves [F, E_S] when F has fewer columns than T. A condensed system
-    holds S^-1 instead: U0 is its one product with F, and a group's E_S a
-    gather of its columns. A group grows while its block keeps within
-    _UPDATE_BLOCK_ENTRIES (a single change may exceed it alone), and its
-    LowRankUpdates each take as many changes as keep their stacked
-    operands, and the (Z, Y) of form_change, within it.
+    to factors (ValueError unless one each). Each LowRankUpdates takes the
+    unit columns E_S of the union S of its S_p from one block solve, and
+    the first one's also gives U0: it solves [E_T, E_S], T the dofs where F
+    is nonzero, and forms U0 = K0^-1 E_T F_T, or solves [F, E_S] when F has
+    fewer columns than T. A condensed system holds S^-1 instead: U0 is its
+    one product with F, and E_S a gather of its columns. Each takes as
+    many changes as keep its block, with the first one's basis columns,
+    and its stacked operands, the (Z, Y) of form_change included, within
+    _UPDATE_BLOCK_ENTRIES; a single change may exceed it alone.
     """
     s0 = np.asarray(s0, dtype=float)
     factors = np.asarray(factors, dtype=float)
     if factors.shape != slots.elements.shape:
         raise ValueError("a change needs one factor per element")
-    n = slots.dofs.shape[0]
-    moved = factors != s0[slots.elements]
-    if not moved.all():
-        slots = change_slots(mesh, np.split(
-            slots.elements[moved],
-            np.cumsum(np.bincount(slots.owner[moved], minlength=n))[:-1]))
-        factors = factors[moved]
     live = np.any(F, axis=1)
     T = system.free_dofs[live] if system.condensed else np.flatnonzero(live)
     basis = min(T.size, F.shape[1])
-
-    budget = max(1, _UPDATE_BLOCK_ENTRIES // system.n_rows)
-    bounds, columns, extra = [0], set(), basis
-    for p, dofs in enumerate(slots.dofs):
-        dofs = set(dofs[dofs < mesh.n_dofs].tolist())
-        if p > bounds[-1] and (len(columns) + len(dofs - columns) + extra
-                               > budget):
-            bounds.append(p)
-            columns, extra = set(), 0
-        columns |= dofs
-    bounds.append(n)
+    n, s = slots.dofs.shape
+    step = max(1, (_UPDATE_BLOCK_ENTRIES // max(system.n_rows, F.shape[1])
+                   - basis) // max(1, s))
 
     def served():
-        for p0, p1 in zip(bounds, bounds[1:]):
-            # the group's union S and its S_p as columns of S, padded with
-            # S.size to the widest; its block, for the first group [F, E_S]
-            # or [E_T, E_S]
-            d = slots.dofs[p0:p1]
-            S, at = np.unique(d, return_inverse=True)
+        # one chunk at least: the first one's block gives U0
+        for q in range(0, max(n, 1), step):
+            # the chunk's union S and its S_p as columns of S, padded with
+            # S.size; its block, for the first chunk [F, E_S] or [E_T, E_S]
+            d = slots.dofs[q:q + step]
+            S, pos = np.unique(d, return_inverse=True)
+            pos = pos.reshape(d.shape)
             S = S[S < mesh.n_dofs]
-            s = np.count_nonzero(d < mesh.n_dofs, axis=1).max(initial=0)
-            at = at.reshape(d.shape)[:, :s]
             rows = system.rows(S)
             if system.condensed:
                 # S^-1 is held: the loads take one product, and E_S is a
                 # gather of its columns, where a product with E_S would
                 # cost as much as the dense solves S^-1 replaces
-                if p0 == 0:
+                if q == 0:
                     U0 = system.solve(F)
                     yield U0
                 Z = system.lu.inverse[:, rows]
             else:
-                k = basis if p0 == 0 else 0
+                k = basis if q == 0 else 0
                 P = np.zeros((system.n_rows, k + S.size))
                 if k == F.shape[1]:
                     P[:, :k] = F
@@ -848,37 +819,33 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
                     P[system.rows(T), np.arange(k)] = 1.0
                 P[rows, k + np.arange(S.size)] = 1.0
                 W = system.solve(P)
-                del P   # not held while the updates are used
-                if p0 == 0:
+                del P   # not held while the update is used
+                if q == 0:
                     U0 = (W[:, :k] if k == F.shape[1]
                           else W[:, :k] @ F[system.rows(T)])
                     yield U0
                 Z = W[:, k:]
+            # dK of changes q .. q + len(d) - 1, their pads left zero
+            e = slice(*np.searchsorted(slots.owner, [q, q + len(d)]))
+            local = slots.local[e]
+            pair = (local < s)[:, :, None] & (local < s)[:, None, :]
+            flat = (((slots.owner[e] - q)[:, None, None] * s
+                     + local[:, :, None]) * s + local[:, None, :])
+            blocks = ((factors[e] - s0[slots.elements[e]])[:, None, None]
+                      * mesh.element_matrices[slots.elements[e]])
+            dK = np.bincount(flat[pair], blocks[pair], d.size * s
+                             ).reshape(len(d), s, s)
             # K0^-1 and U0 at S, zero in the pad row (and column)
             ZS = np.zeros((S.size + 1, S.size + 1))
             ZS[:-1, :-1] = Z[rows]
             US = np.zeros((S.size + 1, U0.shape[1]))
             US[:-1] = U0[rows]
-            step = max(1, _UPDATE_BLOCK_ENTRIES
-                       // max(1, s * max(system.n_rows, F.shape[1])))
-            for q in range(p0, p1, step):
-                pos = at[q - p0:q - p0 + step]
-                # dK of changes q .. q + len(pos) - 1, their pads left zero
-                e = slice(*np.searchsorted(slots.owner, [q, q + len(pos)]))
-                local = slots.local[e]
-                pair = (local < s)[:, :, None] & (local < s)[:, None, :]
-                flat = (((slots.owner[e] - q)[:, None, None] * s
-                         + local[:, :, None]) * s + local[:, None, :])
-                blocks = ((factors[e] - s0[slots.elements[e]])[:, None, None]
-                          * mesh.element_matrices[slots.elements[e]])
-                dK = np.bincount(flat[pair], blocks[pair], pos.size * s
-                                 ).reshape(len(pos), s, s)
-                M = np.linalg.solve(
-                    np.eye(s) + dK @ ZS[pos[:, :, None], pos[:, None]], dK)
-                A = US[pos]
-                C = M @ A
-                yield LowRankUpdates(Z=Z, slots=pos, C=C,
-                                     drop=np.einsum("psb,psb->pb", A, C))
+            M = np.linalg.solve(
+                np.eye(s) + dK @ ZS[pos[:, :, None], pos[:, None]], dK)
+            A = US[pos]
+            C = M @ A
+            yield LowRankUpdates(Z=Z, slots=pos, C=C,
+                                 drop=np.einsum("psb,psb->pb", A, C))
 
     updates = served()
     return next(updates), updates

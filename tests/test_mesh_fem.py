@@ -163,6 +163,15 @@ class TestTemplate:
             assert np.all(w > -1e-10)
 
 
+def unit_columns(system, dofs):
+    """K^-1 P, (system rows, len(dofs)), for the unit columns P of dofs,
+    from one block solve; a Dirichlet dof's column is zero."""
+    dofs = np.asarray(dofs, dtype=int)
+    P = np.zeros((system.n_rows, dofs.size))
+    P[system.rows(dofs), np.arange(dofs.size)] = 1.0
+    return system.solve(P)
+
+
 class TestAssemble:
     def test_single_element_restriction(self):
         mesh = build_rect_mesh(1, 1, 1.0, 1.0)
@@ -170,7 +179,7 @@ class TestAssemble:
         k0 = mesh.element_matrices[0]
         free = mesh.free_dofs
         local = [list(mesh.edof[0]).index(g) for g in free]
-        Kinv = sys.unit_columns(free)[free]
+        Kinv = unit_columns(sys, free)[free]
         np.testing.assert_allclose(np.linalg.inv(Kinv),
                                    k0[np.ix_(local, local)], atol=1e-12)
 
@@ -496,14 +505,14 @@ class TestCondensed:
         np.testing.assert_array_equal(system.unknowns, keep)
         assert system.condensed and system.n_rows == keep.size
         assert system.lu.nnz > 0
-        want = assemble_stiffness(mesh, s).unit_columns(keep)[keep]
+        want = unit_columns(assemble_stiffness(mesh, s), keep)[keep]
         scale = np.abs(want).max()
-        got = system.unit_columns(keep)
+        got = unit_columns(system, keep)
         assert got.shape == (keep.size, keep.size)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
         # some of the kept dofs, in their rows of keep
         some = keep[::3]
-        got = system.unit_columns(some)
+        got = unit_columns(system, some)
         assert got.shape == (keep.size, some.size)
         np.testing.assert_allclose(got, want[:, ::3], rtol=0,
                                    atol=1e-12 * scale)
@@ -571,7 +580,7 @@ class TestCondensed:
                     system.solve(np.zeros(shape))
         for dof in (mesh.free_dofs[0], mesh.dirichlet_dofs[0], mesh.n_dofs):
             with pytest.raises(ValueError, match="kept dofs only"):
-                system.unit_columns([keep[0], dof])
+                system.rows([keep[0], dof])
 
     def test_pivot_off_the_diagonal_raises(self, monkeypatch):
         mesh = build_rect_mesh(3, 2, 3.0, 2.0)
@@ -742,7 +751,7 @@ class TestWholeSystem:
         np.testing.assert_allclose(whole.solve(F[:, 1]), want[:, 1],
                                    rtol=0, atol=1e-12 * scale)
         dofs = np.array([free[-1], fixed[0], free[0], free[free.size // 2]])
-        Z = whole.unit_columns(dofs)
+        Z = unit_columns(whole, dofs)
         assert Z.shape == (mesh.n_dofs, dofs.size)
         np.testing.assert_array_equal(Z[:, 1], 0.0)
         np.testing.assert_array_equal(Z[fixed], 0.0)
@@ -751,7 +760,7 @@ class TestWholeSystem:
         want = np.zeros_like(P)
         want[free] = splu(coo_stiffness(mesh, s)).solve(P[free])
         scale = np.abs(want).max()
-        for oracle in (want, colamd.unit_columns(dofs)):
+        for oracle in (want, unit_columns(colamd, dofs)):
             np.testing.assert_allclose(Z, oracle, rtol=0, atol=1e-12 * scale)
 
 
@@ -847,7 +856,7 @@ class TestSolve:
         sys = assemble_stiffness(mesh, rng.uniform(0.3, 1.0, mesh.n_elements))
         dofs = np.array([mesh.free_dofs[5], mesh.dirichlet_dofs[0],
                          mesh.free_dofs[0]])
-        Z = sys.unit_columns(dofs)
+        Z = unit_columns(sys, dofs)
         assert Z.shape == (mesh.n_dofs, 3)
         np.testing.assert_array_equal(Z[:, 1], 0.0)
         for j in (0, 2):
@@ -986,8 +995,8 @@ class TestLowRankUpdates:
         """(U0, slots, [LowRankUpdates, in order]) of changes."""
         slots = change_slots(mesh, [elements for elements, _ in changes])
         factors = np.concatenate([f for _, f in changes] + [np.zeros(0)])
-        U0, groups = low_rank_updates(system, mesh, s0, slots, factors, F)
-        return U0, slots, list(groups)
+        U0, updates = low_rank_updates(system, mesh, s0, slots, factors, F)
+        return U0, slots, list(updates)
 
     def assert_matches_direct(self, mesh, F, U0, fields, update, w):
         """Update p of the stacked update is fields[p]."""
@@ -1085,15 +1094,14 @@ class TestLowRankUpdates:
         widths, updates = self.assert_split_matches_direct(monkeypatch, F, 20)
         assert 1 < len(widths) <= updates
 
-    def test_large_groups_split_into_bounded_stacked_updates(self,
-                                                             monkeypatch):
-        # one block solve keeps within this budget, one stacked update of
-        # every change would not
+    def test_each_stacked_update_takes_one_block_solve(self, monkeypatch):
+        # a budget that one stacked update of every change would exceed:
+        # each of the several updates solves its own block
         F = np.zeros((build_rect_mesh(6, 4, 2.0, 1.0).n_dofs, 3))
         F[[-5, -3, -1]] = np.random.default_rng(17).standard_normal((3, 3))
         widths, updates = self.assert_split_matches_direct(monkeypatch, F,
                                                            100)
-        assert len(widths) == 1 < updates
+        assert len(widths) == updates > 1
 
     def assert_split_matches_direct(self, monkeypatch, F, budget):
         """(block widths, number of LowRankUpdates) of 12 changes under a
@@ -1109,12 +1117,12 @@ class TestLowRankUpdates:
         solve = system.solve
         system.solve = lambda rhs: widths.append(rhs.shape[1]) or solve(rhs)
         fields = self.fields(mesh, s0, rng, 12)
-        U0, _, groups = self.updates(system, mesh, s0,
-                                     self.changes(s0, fields), F)
+        U0, _, updates = self.updates(system, mesh, s0,
+                                      self.changes(s0, fields), F)
         assert max(widths) <= budget
         np.testing.assert_allclose(U0, solve(F), rtol=0,
                                    atol=1e-12 * np.abs(U0).max())
-        for update in groups:
+        for update in updates:
             size, s, _ = update.C.shape
             Z, Y, _ = update.form_change(U0, np.ones((size, F.shape[1])))
             # C and the M it is formed from
@@ -1124,25 +1132,26 @@ class TestLowRankUpdates:
                                        np.ones(F.shape[1]))
             fields = fields[size:]
         assert not fields
-        return widths, len(groups)
+        return widths, len(updates)
 
     def test_element_at_its_factor_changes_nothing(self):
+        # element 6 is listed at its factor in s0: its dofs widen the
+        # change, and its zero block of dK leaves the update exact
         mesh = build_rect_mesh(5, 3, 2.0, 1.0)
-        s0 = np.random.default_rng(14).uniform(0.2, 1.0, mesh.n_elements)
+        rng = np.random.default_rng(14)
+        s0 = rng.uniform(0.2, 1.0, mesh.n_elements)
         system = assemble_stiffness(mesh, s0)
         elements = np.array([2, 6, 7])
-        factors = s0[elements] * np.array([0.5, 1.0, 2.0])
+        s = s0.copy()
+        s[elements] *= np.array([0.5, 1.0, 2.0])
         F = np.zeros((mesh.n_dofs, 2))
         F[-4:] = np.arange(8.0).reshape(4, 2)
-        (listed_U0, _, (listed,)), (bare_U0, _, (bare,)) = (
-            self.updates(system, mesh, s0, [change], F)
-            for change in ((elements, factors),
-                           (elements[[0, 2]], factors[[0, 2]])))
-        np.testing.assert_array_equal(listed.slots, bare.slots)
-        assert listed_U0.tobytes() == bare_U0.tobytes()
-        assert listed.Z.tobytes() == bare.Z.tobytes()
-        assert listed.C.tobytes() == bare.C.tobytes()
-        assert listed.drop.tobytes() == bare.drop.tobytes()
+        U0, slots, (update,) = self.updates(system, mesh, s0,
+                                            [(elements, s[elements])], F)
+        np.testing.assert_array_equal(slots.dofs[0], np.setdiff1d(
+            mesh.edof[elements], mesh.dirichlet_dofs))
+        self.assert_matches_direct(mesh, F, U0, [s], update,
+                                   rng.standard_normal(F.shape[1]))
 
     @pytest.mark.parametrize("elements,factors,message", [
         ([4, 2], [0.5, 0.5], "strictly increasing"),
