@@ -22,8 +22,9 @@ the wheel. The omega integral is a fixed trapezoid, and only xi is
 sampled. The weakness changes the stiffness of only a few elements. All xi
 of one call share one factorization of the unweakened design, and are
 served as stacked exact rank-r updates of it, chunk by chunk, each chunk
-one LowRankUpdates with one block solve (on a condensed view, a gather),
-one stacked solve and one drop (an 8-xi batch is one chunk): a record's
+one LowRankUpdates with one block solve, whose two halves run on two
+CPUs where the process may use two (on a condensed view, a gather), one
+stacked solve and one drop (an 8-xi batch is one chunk): a record's
 compliances and gradient come from the unweakened states U0 (one
 2 * n_omega-column sensitivity contraction per call) plus rank-r
 corrections (at most one contraction per chunk), and no weakened state is

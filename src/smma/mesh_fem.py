@@ -59,6 +59,21 @@ dofs they change, from one block solve per LowRankUpdates, the first one
 with the states of their loads; on a condensed system they gather Z from
 S^-1.
 
+A wide SuperLU block (at least _SPLIT_COLUMNS columns: the plate loop's
+block of about 100 unit columns, not the wheel loop's 8 loads, the
+builders' calibration solves or verification) is solved as two halves of
+its columns, by the calling thread and a one-thread pool where the process
+may use two CPUs (its affinity mask, else os.cpu_count()); the pool is
+made on first use and dropped in a forked child. SuperLU solves each
+right-hand side alone (Li, "An overview of SuperLU", ACM TOMS 2005), but
+the BLAS kernels it calls may round a column differently with the width
+of the block (scipy's OpenBLAS on an AVX-512 Xeon does, in the last bit),
+so a split block matches the one-block solve to rounding. The halves
+depend on the block alone, so every host gets the same bits, which one
+part per CPU would not give. The pool's thread calls SuperLU, not
+FactorizedSystem.solve, so that a wrapper of that method (the benchmark's
+tracer, which is not thread-safe) sees one call per block.
+
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
 onto them instead (static condensation; Guyan, "Reduction of stiffness and
@@ -75,6 +90,8 @@ n_dofs-long block is formed.
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +100,38 @@ from scipy.linalg.lapack import dpotri
 from scipy.sparse.linalg import spilu, splu
 
 _GAUSS = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
+
+# A SuperLU block of at least this many columns is solved as two halves
+# (see FactorizedSystem.solve).
+_SPLIT_COLUMNS = 32
+# The thread that solves the second half, created on the first split solve.
+_pool: ThreadPoolExecutor | None = None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_pool() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=1,
+                                   thread_name_prefix="smma-solve")
+    return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child has none of its parent's threads, so a submit to the
+    # parent's pool would never run: the child makes its own
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class FactorizationError(RuntimeError):
@@ -484,6 +533,20 @@ class FactorizedSystem:
         """Solve K U = rhs for one (n_rows,) or many (n_rows, m) loads.
 
         Returned displacements are zero at Dirichlet dofs.
+
+        A SuperLU block of m >= _SPLIT_COLUMNS loads is solved as two
+        halves of its columns, [0, m // 2) and [m // 2, m), each scattered
+        into the result. When the process may run on more than one CPU
+        (its affinity mask, else os.cpu_count()), the calling thread solves
+        the first half while a pool thread solves the second, and the call
+        returns, or raises, once both are done; scipy's SuperLU.solve
+        releases the interpreter lock, so they run at once. The halves
+        depend on m alone, so the result has the same bits on every host;
+        it matches the one-block solve to rounding (the BLAS kernels
+        SuperLU calls may round a column differently with the block's
+        width). The pool thread calls lu.solve, never this method, so that
+        a wrapper of this method (a tracer) sees one call per block, from
+        the caller's thread.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_rows:
@@ -492,9 +555,25 @@ class FactorizedSystem:
         if self.condensed:
             return self.lu.solve(rhs)
         u = np.zeros_like(rhs)
-        u[self.unknowns] = self.lu.solve(
-            np.ascontiguousarray(rhs[self.free_dofs]))
+        b = np.ascontiguousarray(rhs[self.free_dofs])
+        m = 1 if b.ndim == 1 else b.shape[1]
+        if m < _SPLIT_COLUMNS:
+            u[self.unknowns] = self.lu.solve(b)
+            return u
+        if _usable_cpus() == 1:
+            self._solve_part(u, b, 0, m // 2)
+            self._solve_part(u, b, m // 2, m)
+            return u
+        future = _solve_pool().submit(self._solve_part, u, b, m // 2, m)
+        try:
+            self._solve_part(u, b, 0, m // 2)
+        finally:
+            wait([future])
+        future.result()
         return u
+
+    def _solve_part(self, u, b, lo, hi) -> None:
+        u[self.unknowns, lo:hi] = self.lu.solve(b[:, lo:hi])
 
 
 def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,

@@ -1,4 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import Future
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -883,6 +889,154 @@ class TestSolve:
         u = sys.solve(f)
         assert np.all(np.isfinite(u))
         assert f @ u > 0
+
+
+class CountingPool:
+    """A stand-in for the solve pool that runs each part at once and
+    counts them."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class CountingLU:
+    """A factorization that records the width of each block it solves."""
+
+    def __init__(self, lu):
+        self.lu, self.widths = lu, []
+
+    def solve(self, b):
+        self.widths.append(b.shape[1] if b.ndim == 2 else 1)
+        return self.lu.solve(b)
+
+
+def one_block(system, rhs):
+    """The state of rhs from one SuperLU solve of the whole block."""
+    u = np.zeros_like(rhs)
+    u[system.unknowns] = system.lu.solve(
+        np.ascontiguousarray(rhs[system.free_dofs]))
+    return u
+
+
+class TestSplitSolve:
+    """A SuperLU block of 32 or more columns is solved as two halves, by
+    two threads where the process may use two CPUs. The CPU count is set,
+    so that the threads run on any host."""
+
+    @staticmethod
+    def solve_on(monkeypatch, system, rhs, cpus):
+        """The state and the widths of the SuperLU solves with cpus."""
+        monkeypatch.setattr(mesh_fem, "_usable_cpus", lambda: cpus)
+        counted = dataclasses.replace(system, lu=CountingLU(system.lu))
+        return counted.solve(rhs), sorted(counted.lu.widths)
+
+    def assert_halves(self, monkeypatch, system, rhs):
+        m = rhs.shape[1]
+        serial, widths = self.solve_on(monkeypatch, system, rhs, 1)
+        assert widths == [m // 2, m - m // 2]
+        for cpus in (2, 3):
+            u, widths = self.solve_on(monkeypatch, system, rhs, cpus)
+            assert widths == [m // 2, m - m // 2]
+            assert u.tobytes() == serial.tobytes()
+        # the BLAS kernels SuperLU calls may round a column differently
+        # with the block's width
+        whole = one_block(system, rhs)
+        np.testing.assert_allclose(serial, whole, rtol=0,
+                                   atol=1e-15 * np.abs(whole).max())
+
+    @pytest.mark.parametrize("m", [32, 33, 47, 101])
+    def test_plate_unit_blocks(self, monkeypatch, m):
+        mesh = RULE_PLATE.mesh
+        s = np.random.default_rng(m).uniform(0.05, 1.0, mesh.n_elements)
+        system = assemble_stiffness(mesh.condensed(NO_DOFS), s)
+        dofs = np.random.default_rng(0).choice(mesh.free_dofs, m,
+                                               replace=False)
+        P = np.zeros((system.n_rows, m))
+        P[dofs, np.arange(m)] = 1.0
+        self.assert_halves(monkeypatch, system, P)
+
+    def test_colamd_block_scatters_to_the_unknowns(self, monkeypatch):
+        mesh = SMALL_WHEEL.mesh
+        rng = np.random.default_rng(21)
+        assemble_stiffness(mesh, rng.uniform(0.2, 1.0, mesh.n_elements))
+        system = assemble_stiffness(mesh, rng.uniform(0.2, 1.0,
+                                                      mesh.n_elements))
+        assert not np.array_equal(system.unknowns, system.free_dofs)
+        F = np.zeros((mesh.n_dofs, 40))
+        F[mesh.free_dofs] = rng.standard_normal((mesh.free_dofs.size, 40))
+        self.assert_halves(monkeypatch, system, F)
+
+    @pytest.mark.parametrize("m", [1, 31])
+    def test_narrow_blocks_are_one_solve(self, monkeypatch, m):
+        mesh = RULE_PLATE.mesh
+        system = assemble_stiffness(mesh.condensed(NO_DOFS),
+                                    np.ones(mesh.n_elements))
+        F = np.zeros((mesh.n_dofs, m))
+        F[mesh.free_dofs[-m:], np.arange(m)] = 1.0
+        for rhs in (F, F[:, 0]):
+            u, widths = self.solve_on(monkeypatch, system, rhs, 2)
+            assert len(widths) == 1
+            assert u.tobytes() == one_block(system, rhs).tobytes()
+
+    def test_narrow_solves_never_reach_the_pool(self, monkeypatch):
+        # the wheel loop's 8 loads and the plate builder's calibration
+        # solve in one piece; the plate loop's block splits
+        monkeypatch.setattr(mesh_fem, "_usable_cpus", lambda: 2)
+        pool = CountingPool()
+        monkeypatch.setattr(mesh_fem, "_pool", pool)
+        widths = []
+        solve = FactorizedSystem.solve
+        monkeypatch.setattr(
+            FactorizedSystem, "solve",
+            lambda system, rhs: widths.append(np.shape(rhs)[1:]) or solve(
+                system, rhs))
+        rho = SMALL_WHEEL.initial_design()
+        SMALL_WHEEL.evaluate_records(
+            rho, SMALL_WHEEL.space.sample(np.random.default_rng(0), 8))
+        plate = plate_problem()
+        assert widths and pool.submitted == 0, widths
+        plate.evaluate_records(
+            plate.initial_design(),
+            plate.space.sample(np.random.default_rng(0), 8))
+        assert widths[-1][0] >= 32 and pool.submitted == 1
+
+    def test_forked_child_solves_split_blocks(self):
+        # the parent's pool has threads the child lacks: the child makes
+        # its own rather than waiting on them
+        script = textwrap.dedent("""
+            import os, signal, sys, time
+            import numpy as np
+            from smma import mesh_fem
+            from smma.mesh_fem import assemble_stiffness, build_rect_mesh
+
+            mesh_fem._usable_cpus = lambda: 2
+            mesh = build_rect_mesh(6, 4, 2.0, 1.0)
+            system = assemble_stiffness(mesh, np.ones(mesh.n_elements))
+            F = np.zeros((mesh.n_dofs, 40))
+            F[mesh.free_dofs[:40], np.arange(40)] = 1.0
+            U = system.solve(F)
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if np.array_equal(system.solve(F), U) else 1)
+            for _ in range(300):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    sys.exit(os.waitstatus_to_exitcode(status))
+                time.sleep(0.1)
+            os.kill(pid, signal.SIGKILL)
+            sys.exit("the child's split solve did not return in 30 s")
+        """)
+        src = Path(mesh_fem.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              timeout=60, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestCompliance:
