@@ -23,18 +23,18 @@ sampled. The weakness changes the stiffness of only a few elements. All xi
 of one call share one factorization of the unweakened design, and are
 served as stacked exact rank-r updates of it, chunk by chunk, each chunk
 one LowRankUpdates with one block solve, whose two halves run on two
-CPUs where the process may use two (on a condensed view, a gather), one
-stacked solve and one drop (an 8-xi batch is one chunk): a record's
-compliances and gradient come from the unweakened states U0 (one
-2 * n_omega-column sensitivity contraction per call) plus rank-r
-corrections (at most one contraction per chunk), and no weakened state is
-formed. Dense verification needs the states only at the loaded dofs and
-at the dofs the weakness reaches, and factorizes the stiffness condensed
-onto them. The condensed system holds the inverse of its Schur
-complement, so the loads take one product with it and the updates' unit
-columns a gather of its columns. Verification builds the views and the
-updates' slots of its rule once per rule, load scale, angle range and bump
-radius, from one batched pass of the weakness over the rule's points.
+threads (on a condensed view, a gather), one stacked solve and one drop
+(an 8-xi batch is one chunk): a record's compliances and gradient come
+from the unweakened states U0 (one 2 * n_omega-column sensitivity
+contraction per call) plus rank-r corrections (at most one contraction
+per chunk), and no weakened state is formed. Dense verification needs
+the states only at the loaded dofs and at the dofs the weakness reaches,
+and factorizes the stiffness condensed onto them. The condensed system
+holds the inverse of its Schur complement, so the loads take one product
+with it and the updates' unit columns a gather of its columns.
+Verification builds the views and the updates' slots of its rule once
+per rule, load scale, angle range and bump radius, from one batched pass
+of the weakness over the rule's points.
 
 The two problems factorize differently (see mesh_fem). The plate's
 builder, loop and verification all take K pivot-free in the mesh's

@@ -62,17 +62,17 @@ S^-1.
 A wide SuperLU block (at least _SPLIT_COLUMNS columns: the plate loop's
 block of about 100 unit columns, not the wheel loop's 8 loads, the
 builders' calibration solves or verification) is solved as two halves of
-its columns, by the calling thread and a one-thread pool where the process
-may use two CPUs (its affinity mask, else os.cpu_count()); the pool is
-made on first use and dropped in a forked child. SuperLU solves each
-right-hand side alone (Li, "An overview of SuperLU", ACM TOMS 2005), but
-the BLAS kernels it calls may round a column differently with the width
-of the block (scipy's OpenBLAS on an AVX-512 Xeon does, in the last bit),
-so a split block matches the one-block solve to rounding. The halves
-depend on the block alone, so every host gets the same bits, which one
-part per CPU would not give. The pool's thread calls SuperLU, not
-FactorizedSystem.solve, so that a wrapper of that method (the benchmark's
-tracer, which is not thread-safe) sees one call per block.
+its columns, one by the calling thread and one by a thread started for
+the call; scipy's SuperLU.solve releases the interpreter lock, so on two
+CPUs they run at once. SuperLU solves each right-hand side alone (Li, "An
+overview of SuperLU", ACM TOMS 2005), but the BLAS kernels it calls may
+round a column differently with the width of the block (scipy's OpenBLAS
+on an AVX-512 Xeon does, in the last bit), so a split block matches the
+one-block solve to rounding. The halves depend on the block alone, not on
+the host's CPU count, so every host gets the same bits. The helper thread
+calls SuperLU, not FactorizedSystem.solve, so that a wrapper of that
+method (the benchmark's tracer, which is not thread-safe) sees one call
+per block.
 
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
@@ -90,9 +90,8 @@ n_dofs-long block is formed.
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from threading import Thread
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,34 +103,6 @@ _GAUSS = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 # A SuperLU block of at least this many columns is solved as two halves
 # (see FactorizedSystem.solve).
 _SPLIT_COLUMNS = 32
-# The thread that solves the second half, created on the first split solve.
-_pool: ThreadPoolExecutor | None = None
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _solve_pool() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=1,
-                                   thread_name_prefix="smma-solve")
-    return _pool
-
-
-def _drop_pool() -> None:
-    # a forked child has none of its parent's threads, so a submit to the
-    # parent's pool would never run: the child makes its own
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class FactorizationError(RuntimeError):
@@ -536,17 +507,16 @@ class FactorizedSystem:
 
         A SuperLU block of m >= _SPLIT_COLUMNS loads is solved as two
         halves of its columns, [0, m // 2) and [m // 2, m), each scattered
-        into the result. When the process may run on more than one CPU
-        (its affinity mask, else os.cpu_count()), the calling thread solves
-        the first half while a pool thread solves the second, and the call
-        returns, or raises, once both are done; scipy's SuperLU.solve
-        releases the interpreter lock, so they run at once. The halves
+        into the result: the calling thread solves the first while a thread
+        started here solves the second, and the call returns, or raises,
+        once both are done. scipy's SuperLU.solve releases the interpreter
+        lock, so the halves run at once where two CPUs are free. The halves
         depend on m alone, so the result has the same bits on every host;
         it matches the one-block solve to rounding (the BLAS kernels
         SuperLU calls may round a column differently with the block's
-        width). The pool thread calls lu.solve, never this method, so that
-        a wrapper of this method (a tracer) sees one call per block, from
-        the caller's thread.
+        width). The helper thread calls lu.solve, never this method, so
+        that a wrapper of this method (a tracer) sees one call per block,
+        from the caller's thread.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_rows:
@@ -560,16 +530,22 @@ class FactorizedSystem:
         if m < _SPLIT_COLUMNS:
             u[self.unknowns] = self.lu.solve(b)
             return u
-        if _usable_cpus() == 1:
-            self._solve_part(u, b, 0, m // 2)
-            self._solve_part(u, b, m // 2, m)
-            return u
-        future = _solve_pool().submit(self._solve_part, u, b, m // 2, m)
+        raised = []
+
+        def second_half():
+            try:
+                self._solve_part(u, b, m // 2, m)
+            except Exception as exc:
+                raised.append(exc)
+
+        helper = Thread(target=second_half, name="smma-solve")
+        helper.start()
         try:
             self._solve_part(u, b, 0, m // 2)
         finally:
-            wait([future])
-        future.result()
+            helper.join()
+        if raised:
+            raise raised[0]
         return u
 
     def _solve_part(self, u, b, lo, hi) -> None:

@@ -1,10 +1,5 @@
 import dataclasses
-import os
-import subprocess
-import sys
-import textwrap
-from concurrent.futures import Future
-from pathlib import Path
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -891,20 +886,6 @@ class TestSolve:
         assert f @ u > 0
 
 
-class CountingPool:
-    """A stand-in for the solve pool that runs each part at once and
-    counts them."""
-
-    def __init__(self):
-        self.submitted = 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class CountingLU:
     """A factorization that records the width of each block it solves."""
 
@@ -916,6 +897,20 @@ class CountingLU:
         return self.lu.solve(b)
 
 
+class FailingLU:
+    """A factorization whose solve fails on the calling thread, or on
+    the helper thread."""
+
+    def __init__(self, lu, on_helper):
+        self.lu, self.on_helper = lu, on_helper
+
+    def solve(self, b):
+        on_helper = threading.current_thread() is not threading.main_thread()
+        if on_helper == self.on_helper:
+            raise RuntimeError("solve failed")
+        return self.lu.solve(b)
+
+
 def one_block(system, rhs):
     """The state of rhs from one SuperLU solve of the whole block."""
     u = np.zeros_like(rhs)
@@ -924,34 +919,44 @@ def one_block(system, rhs):
     return u
 
 
+def serial_halves(system, rhs):
+    """The state of rhs from its two halves, solved one after the other
+    on this thread."""
+    u = np.zeros_like(rhs)
+    b = np.ascontiguousarray(rhs[system.free_dofs])
+    m = b.shape[1]
+    system._solve_part(u, b, 0, m // 2)
+    system._solve_part(u, b, m // 2, m)
+    return u
+
+
+def solve_threads():
+    return [t for t in threading.enumerate() if t.name == "smma-solve"]
+
+
 class TestSplitSolve:
-    """A SuperLU block of 32 or more columns is solved as two halves, by
-    two threads where the process may use two CPUs. The CPU count is set,
-    so that the threads run on any host."""
+    """A SuperLU block of 32 or more columns is solved as two halves, one
+    on the calling thread and one on a helper thread."""
 
     @staticmethod
-    def solve_on(monkeypatch, system, rhs, cpus):
-        """The state and the widths of the SuperLU solves with cpus."""
-        monkeypatch.setattr(mesh_fem, "_usable_cpus", lambda: cpus)
+    def counted_solve(system, rhs):
+        """The state and the widths of the SuperLU solves."""
         counted = dataclasses.replace(system, lu=CountingLU(system.lu))
         return counted.solve(rhs), sorted(counted.lu.widths)
 
-    def assert_halves(self, monkeypatch, system, rhs):
+    def assert_halves(self, system, rhs):
         m = rhs.shape[1]
-        serial, widths = self.solve_on(monkeypatch, system, rhs, 1)
+        u, widths = self.counted_solve(system, rhs)
         assert widths == [m // 2, m - m // 2]
-        for cpus in (2, 3):
-            u, widths = self.solve_on(monkeypatch, system, rhs, cpus)
-            assert widths == [m // 2, m - m // 2]
-            assert u.tobytes() == serial.tobytes()
+        assert u.tobytes() == serial_halves(system, rhs).tobytes()
         # the BLAS kernels SuperLU calls may round a column differently
         # with the block's width
         whole = one_block(system, rhs)
-        np.testing.assert_allclose(serial, whole, rtol=0,
+        np.testing.assert_allclose(u, whole, rtol=0,
                                    atol=1e-15 * np.abs(whole).max())
 
     @pytest.mark.parametrize("m", [32, 33, 47, 101])
-    def test_plate_unit_blocks(self, monkeypatch, m):
+    def test_plate_unit_blocks(self, m):
         mesh = RULE_PLATE.mesh
         s = np.random.default_rng(m).uniform(0.05, 1.0, mesh.n_elements)
         system = assemble_stiffness(mesh.condensed(NO_DOFS), s)
@@ -959,9 +964,9 @@ class TestSplitSolve:
                                                replace=False)
         P = np.zeros((system.n_rows, m))
         P[dofs, np.arange(m)] = 1.0
-        self.assert_halves(monkeypatch, system, P)
+        self.assert_halves(system, P)
 
-    def test_colamd_block_scatters_to_the_unknowns(self, monkeypatch):
+    def test_colamd_block_scatters_to_the_unknowns(self):
         mesh = SMALL_WHEEL.mesh
         rng = np.random.default_rng(21)
         assemble_stiffness(mesh, rng.uniform(0.2, 1.0, mesh.n_elements))
@@ -970,26 +975,43 @@ class TestSplitSolve:
         assert not np.array_equal(system.unknowns, system.free_dofs)
         F = np.zeros((mesh.n_dofs, 40))
         F[mesh.free_dofs] = rng.standard_normal((mesh.free_dofs.size, 40))
-        self.assert_halves(monkeypatch, system, F)
+        self.assert_halves(system, F)
 
     @pytest.mark.parametrize("m", [1, 31])
-    def test_narrow_blocks_are_one_solve(self, monkeypatch, m):
+    def test_narrow_blocks_are_one_solve(self, m):
         mesh = RULE_PLATE.mesh
         system = assemble_stiffness(mesh.condensed(NO_DOFS),
                                     np.ones(mesh.n_elements))
         F = np.zeros((mesh.n_dofs, m))
         F[mesh.free_dofs[-m:], np.arange(m)] = 1.0
         for rhs in (F, F[:, 0]):
-            u, widths = self.solve_on(monkeypatch, system, rhs, 2)
+            u, widths = self.counted_solve(system, rhs)
             assert len(widths) == 1
             assert u.tobytes() == one_block(system, rhs).tobytes()
 
-    def test_narrow_solves_never_reach_the_pool(self, monkeypatch):
+    @pytest.mark.parametrize("on_helper", [False, True])
+    def test_a_failed_half_raises_after_both_end(self, on_helper):
+        mesh = build_rect_mesh(6, 4, 2.0, 1.0)
+        system = assemble_stiffness(mesh, np.ones(mesh.n_elements))
+        failing = dataclasses.replace(system,
+                                      lu=FailingLU(system.lu, on_helper))
+        F = np.zeros((mesh.n_dofs, 40))
+        F[mesh.free_dofs[:40], np.arange(40)] = 1.0
+        with pytest.raises(RuntimeError, match="solve failed"):
+            failing.solve(F)
+        assert not solve_threads()
+
+    def test_narrow_solves_start_no_thread(self, monkeypatch):
         # the wheel loop's 8 loads and the plate builder's calibration
         # solve in one piece; the plate loop's block splits
-        monkeypatch.setattr(mesh_fem, "_usable_cpus", lambda: 2)
-        pool = CountingPool()
-        monkeypatch.setattr(mesh_fem, "_pool", pool)
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(mesh_fem, "Thread", CountingThread)
         widths = []
         solve = FactorizedSystem.solve
         monkeypatch.setattr(
@@ -1000,43 +1022,12 @@ class TestSplitSolve:
         SMALL_WHEEL.evaluate_records(
             rho, SMALL_WHEEL.space.sample(np.random.default_rng(0), 8))
         plate = plate_problem()
-        assert widths and pool.submitted == 0, widths
+        assert widths and not started, widths
         plate.evaluate_records(
             plate.initial_design(),
             plate.space.sample(np.random.default_rng(0), 8))
-        assert widths[-1][0] >= 32 and pool.submitted == 1
-
-    def test_forked_child_solves_split_blocks(self):
-        # the parent's pool has threads the child lacks: the child makes
-        # its own rather than waiting on them
-        script = textwrap.dedent("""
-            import os, signal, sys, time
-            import numpy as np
-            from smma import mesh_fem
-            from smma.mesh_fem import assemble_stiffness, build_rect_mesh
-
-            mesh_fem._usable_cpus = lambda: 2
-            mesh = build_rect_mesh(6, 4, 2.0, 1.0)
-            system = assemble_stiffness(mesh, np.ones(mesh.n_elements))
-            F = np.zeros((mesh.n_dofs, 40))
-            F[mesh.free_dofs[:40], np.arange(40)] = 1.0
-            U = system.solve(F)
-            pid = os.fork()
-            if pid == 0:
-                os._exit(0 if np.array_equal(system.solve(F), U) else 1)
-            for _ in range(300):
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if done:
-                    sys.exit(os.waitstatus_to_exitcode(status))
-                time.sleep(0.1)
-            os.kill(pid, signal.SIGKILL)
-            sys.exit("the child's split solve did not return in 30 s")
-        """)
-        src = Path(mesh_fem.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              timeout=60, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        assert widths[-1][0] >= 32 and started == ["smma-solve"]
+        assert not solve_threads()
 
 
 class TestCompliance:
