@@ -22,19 +22,16 @@ the wheel. The omega integral is a fixed trapezoid, and only xi is
 sampled. The weakness changes the stiffness of only a few elements. All xi
 of one call share one factorization of the unweakened design, and are
 served as stacked exact rank-r updates of it, chunk by chunk, each chunk
-one LowRankUpdates with one block solve, whose two halves run on two
-threads (on a condensed view, a gather), one stacked solve and one drop
-(an 8-xi batch is one chunk): a record's compliances and gradient come
-from the unweakened states U0 (one 2 * n_omega-column sensitivity
-contraction per call) plus rank-r corrections (at most one contraction
-per chunk), and no weakened state is formed. Dense verification needs
-the states only at the loaded dofs and at the dofs the weakness reaches,
-and factorizes the stiffness condensed onto them. The condensed system
-holds the inverse of its Schur complement, so the loads take one product
-with it and the updates' unit columns a gather of its columns.
-Verification builds the views and the updates' slots of its rule once
-per rule, load scale, angle range and bump radius, from one batched pass
-of the weakness over the rule's points.
+one LowRankUpdates with one block solve (see mesh_fem for how it is
+served), one stacked solve and one drop (an 8-xi batch is one chunk): a
+record's compliances and gradient come from the unweakened states U0
+(one 2 * n_omega-column sensitivity contraction per call) plus rank-r
+corrections (at most one contraction per chunk), and no weakened state
+is formed. Dense verification needs the states only at the loaded dofs
+and at the dofs the weakness reaches, and factorizes the stiffness
+condensed onto them. Verification builds the views and the updates'
+slots of its rule once per rule, load scale, angle range and bump
+radius, from one batched pass of the weakness over the rule's points.
 
 The two problems factorize differently (see mesh_fem). The plate's
 builder, loop and verification all take K pivot-free in the mesh's
@@ -255,7 +252,7 @@ class WheelProblem(_ProblemBase):
     def default_baseline_spec(self, batch_size: int):
         return batch_size
 
-    def dense_raw(self, rho, spec=None):
+    def dense_raw(self, rho, spec):
         """Raw compliances on an equispaced circle rule (periodic trapezoid).
 
         Costs one factorization of the stiffness condensed onto the rim
@@ -265,9 +262,7 @@ class WheelProblem(_ProblemBase):
         its weights are kept and rebuilt when the rule's counts or
         load_scale change.
         """
-        key = (self.space.rule_counts(
-            self.default_verify_spec if spec is None else spec),
-            self.load_scale)
+        key = (self.space.rule_counts(spec), self.load_scale)
         if self._rule_cache[0] != key:
             pts, w = self.space.trapezoid_rule(key[0])
             self._rule_cache = (key, self.rim_loads(pts[:, 0]), w)
@@ -601,7 +596,7 @@ class PlateProblem(_ProblemBase):
             self._rule_cache = (key, weights, groups)
         return self._rule_cache[1:]
 
-    def dense_raw(self, rho, spec=None):
+    def dense_raw(self, rho, spec):
         """Angle-averaged compliances on a xi trapezoid grid x omega nodes.
 
         The grid points are served by one factorization of the design
@@ -614,8 +609,7 @@ class PlateProblem(_ProblemBase):
         condensed_groups). The views and the weakness of the grid are
         built once per grid (see _rule_plan).
         """
-        weights, groups = self._rule_plan(
-            self.default_verify_spec if spec is None else spec)
+        weights, groups = self._rule_plan(spec)
         rho = np.asarray(rho, dtype=float)
         s0 = self.stiffness_field(rho)
         values = []

@@ -10,6 +10,12 @@ seed in place of the lists, and without `out`, which reproduces the run
 exactly.
 
 Exit codes: 0 ok, 1 runtime failure, 2 bad config/arguments.
+
+BLAS threads: scipy's OpenBLAS starts one thread per CPU unless told
+otherwise, and the plate loop runs about twice as fast with one. On a
+2-CPU host an iteration took 40-60 ms with OPENBLAS_NUM_THREADS=1 set
+before launch, against 95-105 ms without it (perfbench/run.py pins it).
+The CLI leaves the setting to the caller.
 """
 from __future__ import annotations
 

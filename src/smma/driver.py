@@ -12,9 +12,10 @@ random draws.
 
 Problems are duck-typed; they provide (see benchmarks for the two built-in
 ones): initial_design, free_mask, smoothing, simp, with_simp,
-evaluate_records, space, default_baseline_spec, dense_raw, rvol, pvol,
-rvol_gradient, default_simp_schedule, default_pseudo_points. space, a
-csg_weights.ParamSpace, gives the draws, the distance and both rules.
+evaluate_records, space, default_baseline_spec, default_verify_spec,
+dense_raw, rvol, pvol, rvol_gradient, default_simp_schedule,
+default_pseudo_points. space, a csg_weights.ParamSpace, gives the draws,
+the distance and both rules.
 
 Record contract: evaluate_records(rho, params) returns, per parameter, the
 integrand already composed with the smoothed indicator h and its design
@@ -32,19 +33,15 @@ C order: batch member by batch member, coordinates in the space's order.
 dense_cc is the dense-quadrature ground truth for any design, on the
 trapezoid rule of the problem's ParamSpace: periodic, so equispaced, on
 the wheel's circle, and a tensor grid on the plate's weakness box crossed
-with its fixed omega rule. Each problem's dense_raw factorizes the
-stiffness condensed onto the dofs the rule reads, once per call (once per
-group of grid points on a plate grid past 2048 kept dofs), and works in
-those dofs only: the wheel contracts every load with the rim block of
-K^-1, and the plate serves the grid by the stacked low-rank updates of
-its records, with one gather of unit columns, one stacked solve and one
-drop per chunk (the default 50 x 50 rule is 13 + 1 chunks on its two
-views). A condensed system holds the inverse of its Schur complement,
-formed once from its Cholesky factor by LAPACK: loads take one product
-with it, and the plate's updates gather their unit columns from it. What
-depends only on the rule and the load scale is built on the first call
-with that rule and kept, so a repeated call does only the work that
-depends on the design.
+with its fixed omega rule (default_verify_spec when no rule is given).
+Each problem's dense_raw factorizes the stiffness condensed onto the dofs
+the rule reads, once per call (once per group of grid points on a plate
+grid past 2048 kept dofs), and works in those dofs only (see mesh_fem for
+the condensed system): the wheel contracts every load with the rim block
+of K^-1, and the plate serves the grid by the stacked low-rank updates of
+its records. What depends only on the rule and the load scale is built on
+the first call with that rule and kept, so a repeated call does only the
+work that depends on the design.
 """
 from __future__ import annotations
 
@@ -193,8 +190,11 @@ def dense_cc(design, problem, spec=None) -> tuple[float, float, float]:
     """(G_smooth, G_steepened, G_nonsmooth) at dense quadrature.
 
     spec: one point count per parameter coordinate (wheel: n, plate:
-    (n1, n2)); the problem's default when omitted. Deterministic.
+    (n1, n2)); the problem's default_verify_spec when omitted.
+    Deterministic.
     """
+    if spec is None:
+        spec = problem.default_verify_spec
     values, weights = problem.dense_raw(design, spec)
     return aggregate_cc(values, weights, problem.smoothing)
 

@@ -59,20 +59,10 @@ dofs they change, from one block solve per LowRankUpdates, the first one
 with the states of their loads; on a condensed system they gather Z from
 S^-1.
 
-A wide SuperLU block (at least _SPLIT_COLUMNS columns: the plate loop's
-block of about 100 unit columns, not the wheel loop's 8 loads, the
-builders' calibration solves or verification) is solved as two halves of
-its columns, one by the calling thread and one by a thread started for
-the call; scipy's SuperLU.solve releases the interpreter lock, so on two
-CPUs they run at once. SuperLU solves each right-hand side alone (Li, "An
-overview of SuperLU", ACM TOMS 2005), but the BLAS kernels it calls may
-round a column differently with the width of the block (scipy's OpenBLAS
-on an AVX-512 Xeon does, in the last bit), so a split block matches the
-one-block solve to rounding. The halves depend on the block alone, not on
-the host's CPU count, so every host gets the same bits. The helper thread
-calls SuperLU, not FactorizedSystem.solve, so that a wrapper of that
-method (the benchmark's tracer, which is not thread-safe) sees one call
-per block.
+A wide SuperLU block (the plate loop's block of about 100 unit columns,
+not the wheel loop's 8 loads, the builders' calibration solves or
+verification) is solved as two halves of its columns on two threads (see
+FactorizedSystem.solve).
 
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
@@ -81,11 +71,11 @@ mass matrices", AIAA J. 1965): the trailing block L22 U22 of the
 factorization is then the Schur complement S of the other dofs, and the
 rows of K^-1 at keep are those of S^-1. K is SPD and factorized
 pivot-free in a symmetric order, so S = R^T R with R = D22^-1/2 U22, its
-Cholesky factor: the system holds S^-1, formed once from R by LAPACK
-(dpotri). A load takes one product with it, and the low-rank updates
-gather their unit columns from it, instead of one full-length solve per
-column. Its loads and states have one row per kept dof, so no
-n_dofs-long block is formed.
+Cholesky factor: next to its SuperLU factorization, the system keeps
+S^-1, formed once from R by LAPACK (dpotri). A load takes one product
+with it, and the low-rank updates gather their unit columns from it,
+instead of one full-length solve per column. Its loads and states have
+one row per kept dof, so no n_dofs-long block is formed.
 """
 from __future__ import annotations
 
@@ -96,7 +86,7 @@ from threading import Thread
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotri
-from scipy.sparse.linalg import spilu, splu
+from scipy.sparse.linalg import SuperLU, spilu, splu
 
 _GAUSS = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
@@ -438,47 +428,37 @@ class CondensedMesh:
 
 
 @dataclass
-class TrailingBlock:
-    """S^-1 for the Schur complement S = L22 U22 of a factorization without
-    pivoting, formed from the Cholesky factor of S (see
-    _factorize_condensed). nnz is the whole factorization's stored
-    nonzeros of L and U."""
-
-    inverse: np.ndarray    # (|keep|, |keep|) symmetric, C-ordered
-    nnz: int
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # one product, with the columns of S^-1 at the rows a load holds
-        live = np.flatnonzero(np.any(rhs.reshape(rhs.shape[0], -1), axis=1))
-        return self.inverse[:, live] @ rhs[live]
-
-
-@dataclass
 class FactorizedSystem:
     """Direct factorization of the Dirichlet-reduced stiffness matrix.
 
-    Loads and states have one row per dof of the mesh (n_dofs rows). Row i
-    of the reduced system is the equation of dof free_dofs[i], and its
-    unknown j is the displacement of dof unknowns[j]. A COLAMD system (the
-    wheel's) has free_dofs in free-dof order and unknowns equal to them in
-    the mesh's first factorization, and the unknowns free_dofs[q] that it
-    recorded in mesh.colamd in every later one. The whole
-    system in the symmetric order (a CondensedMesh with an empty keep, the
-    plate's) has free_dofs = unknowns = the mesh's free dofs in
-    symmetric_order.
+    lu is SuperLU's factorization. Loads and states have one row per dof
+    of the mesh (n_dofs rows). Row i of the reduced system is the equation
+    of dof free_dofs[i], and its unknown j is the displacement of dof
+    unknowns[j]. A COLAMD system (the wheel's) has free_dofs in free-dof
+    order and unknowns equal to them in the mesh's first factorization,
+    and the unknowns free_dofs[q] that it recorded in mesh.colamd in every
+    later one. The whole system in the symmetric order (a CondensedMesh
+    with an empty keep, the plate's) has free_dofs = unknowns = the mesh's
+    free dofs in symmetric_order.
 
-    A condensed system (from a CondensedMesh) has free_dofs = unknowns =
-    keep and lu the TrailingBlock that holds S^-1, formed from the Cholesky
-    factor of its trailing block. Its loads and states have one row per
-    kept dof, in the order of keep: a load on keep gives the displacements
-    of K at keep, by one product with S^-1.
+    A condensed system (from a CondensedMesh with a nonempty keep) has
+    free_dofs = unknowns = keep, and keeps next to lu the inverse S^-1 of
+    the Schur complement onto keep, formed from the Cholesky factor of its
+    trailing block (see _factorize_condensed); inverse is None on every
+    other system. Its loads and states have one row per kept dof, in the
+    order of keep: a load on keep gives the displacements of K at keep, by
+    one product with S^-1.
     """
 
-    lu: object
+    lu: SuperLU
     free_dofs: np.ndarray
     unknowns: np.ndarray
     n_dofs: int
-    condensed: bool = False
+    inverse: np.ndarray | None = None  # (|keep|, |keep|) S^-1, C-ordered
+
+    @property
+    def condensed(self) -> bool:
+        return self.inverse is not None
 
     @property
     def n_rows(self) -> int:
@@ -503,29 +483,36 @@ class FactorizedSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K U = rhs for one (n_rows,) or many (n_rows, m) loads.
 
-        Returned displacements are zero at Dirichlet dofs.
+        Returned displacements are zero at Dirichlet dofs. A condensed
+        system takes one product with S^-1.
 
         A SuperLU block of m >= _SPLIT_COLUMNS loads is solved as two
         halves of its columns, [0, m // 2) and [m // 2, m), each scattered
         into the result: the calling thread solves the first while a thread
         started here solves the second, and the call returns, or raises,
         once both are done. scipy's SuperLU.solve releases the interpreter
-        lock, so the halves run at once where two CPUs are free. The halves
-        depend on m alone, so the result has the same bits on every host;
-        it matches the one-block solve to rounding (the BLAS kernels
-        SuperLU calls may round a column differently with the block's
-        width). The helper thread calls lu.solve, never this method, so
-        that a wrapper of this method (a tracer) sees one call per block,
-        from the caller's thread.
+        lock, so the halves run at once where two CPUs are free. SuperLU
+        solves each right-hand side alone (Li, "An overview of SuperLU",
+        ACM TOMS 2005), but the BLAS kernels it calls may round a column
+        differently with the block's width (scipy's OpenBLAS on an AVX-512
+        Xeon does, in the last bit), so the result matches the one-block
+        solve to rounding. The halves depend on m alone, not on the host's
+        CPU count, so every host gets the same bits. The helper thread
+        calls lu.solve, never this method, so that a wrapper of this method
+        (the benchmark's tracer, which is not thread-safe) sees one call
+        per block, from the caller's thread.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_rows:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, the system "
                              f"{self.n_rows}")
         if self.condensed:
-            return self.lu.solve(rhs)
+            # one product, with the columns of S^-1 at the rows a load holds
+            live = np.flatnonzero(np.any(rhs.reshape(rhs.shape[0], -1),
+                                         axis=1))
+            return self.inverse[:, live] @ rhs[live]
         u = np.zeros_like(rhs)
-        b = np.ascontiguousarray(rhs[self.free_dofs])
+        b = rhs[self.free_dofs]
         m = 1 if b.ndim == 1 else b.shape[1]
         if m < _SPLIT_COLUMNS:
             u[self.unknowns] = self.lu.solve(b)
@@ -596,8 +583,9 @@ def _factorize_condensed(view: CondensedMesh,
     FactorizationError. K is SPD, so the factorization is K = L D L^T with
     U = D L^T, and the Schur complement onto keep is S = L22 U22 = R^T R,
     R = D22^-1/2 U22: its Cholesky factor, read from U alone. The system
-    keeps S^-1 from LAPACK dpotri; a trailing pivot that is not positive,
-    or a failed inversion, raises FactorizationError.
+    keeps the factorization, and S^-1 from LAPACK dpotri; a trailing pivot
+    that is not positive, or a failed inversion, raises
+    FactorizationError.
     """
     mesh = view.mesh
     n = mesh.free_dofs.size
@@ -631,9 +619,8 @@ def _factorize_condensed(view: CondensedMesh,
     # halving the doubled diagonal is exact
     inverse += inverse.T
     inverse.flat[::inverse.shape[0] + 1] *= 0.5
-    return FactorizedSystem(lu=TrailingBlock(inverse=inverse, nnz=lu.nnz),
-                            free_dofs=view.keep, unknowns=view.keep,
-                            n_dofs=mesh.n_dofs, condensed=True)
+    return FactorizedSystem(lu=lu, free_dofs=view.keep, unknowns=view.keep,
+                            n_dofs=mesh.n_dofs, inverse=inverse)
 
 
 def _node_graph_order(mesh: StructuredMesh) -> np.ndarray:
@@ -828,9 +815,9 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
     every changed free dof; F has its rows. The changes set slots.elements
     to factors (ValueError unless one each). Each LowRankUpdates takes the
     unit columns E_S of the union S of its S_p from one block solve, and
-    the first one's also gives U0: it solves [E_T, E_S], T the dofs where F
+    the first one's also gives U0: it solves [E_T, E_S], T the rows where F
     is nonzero, and forms U0 = K0^-1 E_T F_T, or solves [F, E_S] when F has
-    fewer columns than T. A condensed system holds S^-1 instead: U0 is its
+    fewer columns than T. A condensed system keeps S^-1 instead: U0 is its
     one product with F, and E_S a gather of its columns. Each takes as
     many changes as keep its block, with the first one's basis columns,
     and its stacked operands, the (Z, Y) of form_change included, within
@@ -840,8 +827,7 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
     factors = np.asarray(factors, dtype=float)
     if factors.shape != slots.elements.shape:
         raise ValueError("a change needs one factor per element")
-    live = np.any(F, axis=1)
-    T = system.free_dofs[live] if system.condensed else np.flatnonzero(live)
+    T = np.flatnonzero(np.any(F, axis=1))
     basis = min(T.size, F.shape[1])
     n, s = slots.dofs.shape
     step = max(1, (_UPDATE_BLOCK_ENTRIES // max(system.n_rows, F.shape[1])
@@ -864,20 +850,20 @@ def low_rank_updates(system: FactorizedSystem, mesh: StructuredMesh, s0,
                 if q == 0:
                     U0 = system.solve(F)
                     yield U0
-                Z = system.lu.inverse[:, rows]
+                Z = system.inverse[:, rows]
             else:
                 k = basis if q == 0 else 0
                 P = np.zeros((system.n_rows, k + S.size))
                 if k == F.shape[1]:
                     P[:, :k] = F
                 elif k:
-                    P[system.rows(T), np.arange(k)] = 1.0
+                    P[T, np.arange(k)] = 1.0
                 P[rows, k + np.arange(S.size)] = 1.0
                 W = system.solve(P)
                 del P   # not held while the update is used
                 if q == 0:
                     U0 = (W[:, :k] if k == F.shape[1]
-                          else W[:, :k] @ F[system.rows(T)])
+                          else W[:, :k] @ F[T])
                     yield U0
                 Z = W[:, k:]
             # dK of changes q .. q + len(d) - 1, their pads left zero

@@ -351,7 +351,7 @@ class TestWheelDenseRaw:
         for k, (spec, scale, builds) in enumerate((
                 (96, None, 1), (96, None, 0), (96.0, None, 0),
                 ([96], None, 0), (48, None, 1), (96, None, 1),
-                (96, 0.5, 1), (96, 0.5, 0), (None, 0.5, 1), (1080, 0.5, 0))):
+                (96, 0.5, 1), (96, 0.5, 0), (1080, 0.5, 1), (1080, 0.5, 0))):
             want = wheel_problem(n_radial=8, n_angular=24)
             if scale is not None:
                 wheel.load_scale = want.load_scale = scale
