@@ -268,7 +268,7 @@ class WheelProblem(_ProblemBase):
             self._rule_cache = (key, self.rim_loads(pts[:, 0]), w)
         _, FR, w = self._rule_cache
         system = assemble_stiffness(self._rim_view, self.stiffness_field(rho))
-        return np.sum(FR * system.solve(FR), axis=0), w.copy()
+        return np.einsum("db,db->b", FR, system.solve(FR)), w.copy()
 
 
 def wheel_problem(n_radial: int = 18, n_angular: int = 72,

@@ -114,10 +114,15 @@ def plane_stress_matrix(poisson: float) -> np.ndarray:
 def q4_unit_stiffness(coords: np.ndarray, poisson: float) -> np.ndarray:
     """8x8 element stiffness for unit Young's modulus, 2x2 Gauss points.
 
-    coords: (4, 2) node coordinates, counterclockwise.
+    coords: (..., 4, 2) node coordinates, counterclockwise; the result is
+    (..., 8, 8). A stack of elements is evaluated at each Gauss point by
+    one stacked matmul, det and solve, which give each element the bits
+    of its own (4, 2) call.
     """
+    coords = np.asarray(coords, dtype=float)
+    stack = coords.shape[:-2]
     D = plane_stress_matrix(poisson)
-    k = np.zeros((8, 8))
+    k = np.zeros(stack + (8, 8))
     for xi in _GAUSS:
         for eta in _GAUSS:
             dN = 0.25 * np.array([
@@ -125,16 +130,18 @@ def q4_unit_stiffness(coords: np.ndarray, poisson: float) -> np.ndarray:
                 [-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)],
             ])
             J = dN @ coords
-            detJ = float(np.linalg.det(J))
-            if detJ <= 0.0:
+            with np.errstate(invalid="ignore"):
+                detJ = np.linalg.det(J)
+            # written so that NaN (a NaN corner) fails it
+            if not np.all(detJ > 0.0):
                 raise ValueError("element Jacobian is not strictly positive")
-            dNxy = np.linalg.solve(J, dN)
-            B = np.zeros((3, 8))
-            B[0, 0::2] = dNxy[0]
-            B[1, 1::2] = dNxy[1]
-            B[2, 0::2] = dNxy[1]
-            B[2, 1::2] = dNxy[0]
-            k += (B.T @ D @ B) * detJ
+            dNxy = np.linalg.solve(J, np.broadcast_to(dN, stack + (2, 4)))
+            B = np.zeros(stack + (3, 8))
+            B[..., 0, 0::2] = dNxy[..., 0, :]
+            B[..., 1, 1::2] = dNxy[..., 1, :]
+            B[..., 2, 0::2] = dNxy[..., 1, :]
+            B[..., 2, 1::2] = dNxy[..., 0, :]
+            k += (B.swapaxes(-1, -2) @ D @ B) * detJ[..., None, None]
     return k
 
 
@@ -346,7 +353,18 @@ def build_disc_mesh(n_radial: int, n_angular: int, r_inner_fixed: float,
     at density 1 (the given rim material). Element index is
     i_band * n_angular + j_sector; sector j = n_angular - 1 wraps around
     to share nodes with sector 0. Each element's stiffness matrix is its
-    band's sector-0 matrix k0 rotated into place, T k0 T^T.
+    band's sector-0 matrix k0 rotated into place, T k0 T^T, where T holds
+    the sector's 2x2 rotation R on its diagonal. T is never formed: each
+    2x2 node block (a, b) of k0 is rotated alone,
+
+        k[2a + i, 2b + l] = sum over (jo, ko) of
+                            (R[i, jo] * k0[2a + jo, 2b + ko]) * R[l, ko],
+
+    from its four nonzero terms, added in the order (jo, ko) = (0, 0),
+    (0, 1), (1, 0), (1, 1). That is the order in which the three-operand
+    np.einsum("eij,ejk,elk->eil", T, k0, T) adds them (the tests' oracle),
+    so the matrices are its bits exactly, while the einsum runs all 64
+    terms of each entry, 60 of them zero.
     """
     if n_radial < 1:
         raise ValueError("n_radial must be at least 1")
@@ -383,21 +401,25 @@ def build_disc_mesh(n_radial: int, n_angular: int, r_inner_fixed: float,
 
     rim_radius = np.hypot(centroids[:, 0], centroids[:, 1])
     # one unit-stiffness matrix per radius band, evaluated at sector 0;
-    # sector j is congruent to it under rotation by j*dtheta
-    k0 = np.stack([
-        q4_unit_stiffness(nodes[elements[b * n_angular]], poisson)
-        for b in range(n_radial)])
-    c, s = np.cos(sectors * dtheta), np.sin(sectors * dtheta)
-    T = np.zeros((bands.size, 8, 8))
-    for i in range(4):
-        T[:, 2 * i, 2 * i] = c
-        T[:, 2 * i, 2 * i + 1] = -s
-        T[:, 2 * i + 1, 2 * i] = s
-        T[:, 2 * i + 1, 2 * i + 1] = c
+    # sector j is congruent to it under rotation by theta[j]
+    k0 = q4_unit_stiffness(corner[::n_angular], poisson)
+    # each term is a (band, a, i, b, l, sector) array, sector innermost
+    blocks = k0.reshape(n_radial, 4, 1, 2, 4, 1, 2, 1)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])        # rot[i, jo, sector]
+    # added in the einsum's order (see above)
+    terms = (
+        (rot[:, jo, None, None] * blocks[:, :, :, jo, :, :, ko]) * rot[:, ko]
+        for jo, ko in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    k = next(terms)
+    for term in terms:
+        k += term
+    k = np.ascontiguousarray(
+        k.reshape(n_radial, 8, 8, n_angular).transpose(0, 3, 1, 2))
     return StructuredMesh(
         kind="disc", nodes=nodes, elements=elements,
         element_centroids=centroids, element_volumes=volumes,
-        element_matrices=np.einsum("eij,ejk,elk->eil", T, k0[bands], T),
+        element_matrices=k.reshape(-1, 8, 8),
         dirichlet_dofs=dirichlet, solid=np.nonzero(rim_radius > r_rim)[0],
         shape=(n_radial, n_angular),
         geometry={"r_inner": r_inner_fixed, "r_rim": r_rim})
@@ -507,9 +529,13 @@ class FactorizedSystem:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, the system "
                              f"{self.n_rows}")
         if self.condensed:
-            # one product, with the columns of S^-1 at the rows a load holds
+            # one product, with the columns of S^-1 at the rows a load
+            # holds; gathered only when some row is empty, since gathering
+            # every row copies both operands whole
             live = np.flatnonzero(np.any(rhs.reshape(rhs.shape[0], -1),
                                          axis=1))
+            if live.size == rhs.shape[0]:
+                return self.inverse @ rhs
             return self.inverse[:, live] @ rhs[live]
         u = np.zeros_like(rhs)
         b = rhs[self.free_dofs]

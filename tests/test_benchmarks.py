@@ -301,6 +301,20 @@ class TestWheelDenseRaw:
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(w, want_w)
 
+    @pytest.mark.parametrize("design", ["initial", "random"])
+    def test_contraction_is_the_summed_product(self, design):
+        # the two-operand einsum adds each column's products in row order,
+        # as the sum of the full product block does
+        problem = DEFAULT_WHEEL
+        rho = (problem.initial_design() if design == "initial"
+               else random_wheel_design(problem, 32))
+        values, _ = problem.dense_raw(rho, 1080)
+        FR = problem._rule_cache[1]
+        system = assemble_stiffness(problem._rim_view,
+                                    problem.stiffness_field(rho))
+        want = np.sum(FR * system.solve(FR), axis=0)
+        assert np.array_equal(values.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("n", [1080, 72])
     def test_one_assembly_and_one_solve(self, monkeypatch, n):
         assembled, solved = [], []

@@ -92,7 +92,41 @@ def test_mesh_constructor_rejects_bad_connectivity(change, message):
         dataclasses.replace(mesh, **change)
 
 
+def same_bytes(a, b):
+    """Equal as int64 views, so that signed zeros and NaN payloads count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def disc_matrices_einsum(mesh, poisson=0.3):
+    """Reference: one q4_unit_stiffness call per band at sector 0, rotated
+    into place by the 8x8 block rotation T in one three-operand einsum."""
+    n_radial, n_angular = mesh.shape
+    k0 = np.stack([
+        q4_unit_stiffness(mesh.nodes[mesh.elements[b * n_angular]], poisson)
+        for b in range(n_radial)])
+    bands = np.repeat(np.arange(n_radial), n_angular)
+    sectors = np.tile(np.arange(n_angular), n_radial)
+    dtheta = 2.0 * np.pi / n_angular
+    c, s = np.cos(sectors * dtheta), np.sin(sectors * dtheta)
+    T = np.zeros((bands.size, 8, 8))
+    for i in range(4):
+        T[:, 2 * i, 2 * i] = c
+        T[:, 2 * i, 2 * i + 1] = -s
+        T[:, 2 * i + 1, 2 * i] = s
+        T[:, 2 * i + 1, 2 * i + 1] = c
+    return np.einsum("eij,ejk,elk->eil", T, k0[bands], T)
+
+
 class TestDiscMesh:
+    @pytest.mark.parametrize("shape", [(18, 72), (1, 8), (1, 9), (3, 8),
+                                       (3, 9)])
+    def test_element_matrices_are_the_einsum_bytes(self, shape):
+        mesh = build_disc_mesh(*shape, 0.1, 0.95 if shape[0] > 1 else 0.5)
+        assert mesh.element_matrices.flags.c_contiguous
+        assert same_bytes(mesh.element_matrices, disc_matrices_einsum(mesh))
+
     def test_wheel_resolution_counts(self):
         mesh = build_disc_mesh(18, 72, 0.1, 0.95)
         assert mesh.n_elements == 18 * 72
@@ -151,6 +185,32 @@ class TestTemplate:
                 np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]]), nu)
             np.testing.assert_allclose(k0, analytic_unit_square_ke(nu),
                                        atol=1e-14)
+
+    def test_stack_matches_single_element_calls(self):
+        rng = np.random.default_rng(29)
+        square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
+        corners = square + rng.uniform(-0.2, 0.2, (3, 5, 4, 2))
+        stacked = q4_unit_stiffness(corners, 0.3)
+        assert stacked.shape == (3, 5, 8, 8)
+        for idx in np.ndindex(3, 5):
+            assert same_bytes(stacked[idx],
+                              q4_unit_stiffness(corners[idx], 0.3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corner_rejected(self, bad):
+        # NaN fails the Jacobian check instead of giving a NaN matrix
+        square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
+        coords = square.copy()
+        coords[3, 1] = bad
+        with pytest.raises(ValueError, match="not strictly positive"):
+            q4_unit_stiffness(coords, 0.3)
+        with pytest.raises(ValueError, match="not strictly positive"):
+            q4_unit_stiffness(np.stack([square, coords]), 0.3)
+
+    def test_inverted_element_rejected(self):
+        coords = np.array([[0., 0.], [0., 1.], [1., 1.], [1., 0.]])  # cw
+        with pytest.raises(ValueError, match="not strictly positive"):
+            q4_unit_stiffness(coords, 0.3)
 
     def test_symmetric_psd_three_rigid_modes(self):
         for coords in (
@@ -704,6 +764,28 @@ class TestSchurInverse:
                     permc_spec="NATURAL", diag_pivot_thresh=0.0)
         assert system.condensed and isinstance(system.lu, SuperLU)
         assert system.lu.nnz == want.nnz
+
+    @pytest.mark.parametrize("live", ["all", "some"])
+    def test_solve_is_the_gathered_product(self, live):
+        # the wheel's rim loads fill every kept row: the product takes S^-1
+        # and the loads as they are, with the bits of the gathered product
+        problem = wheel_problem()
+        rng = np.random.default_rng(33)
+        s = problem.stiffness_field(rng.uniform(0.3, 0.9, problem.n_design))
+        system = assemble_stiffness(problem._rim_view, s)
+        F = problem.rim_loads(np.linspace(0.0, 2.0 * np.pi, 40,
+                                          endpoint=False))
+        if live == "some":
+            F[rng.permutation(F.shape[0])[:F.shape[0] // 3]] = 0.0
+        rows = np.flatnonzero(np.any(F, axis=1))
+        assert (rows.size == F.shape[0]) == (live == "all")
+        assert same_bytes(system.solve(F),
+                          system.inverse[:, rows] @ F[rows])
+        # one load holds only the rim edges near its peak
+        f = F[:, 7]
+        rows = np.flatnonzero(f)
+        assert 0 < rows.size < f.size
+        assert same_bytes(system.solve(f), system.inverse[:, rows] @ f[rows])
 
     @pytest.mark.parametrize("pivot", [0.0, -1.0, np.nan])
     def test_trailing_pivot_not_positive_raises(self, monkeypatch, pivot):
