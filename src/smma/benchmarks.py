@@ -457,15 +457,16 @@ class PlateProblem(_ProblemBase):
     # -- evaluation ------------------------------------------------------
 
     def _changed(self, xis):
-        """(touched, kept), one array each per xi of the (n, 2) xis: the
-        elements whose stiffness xi changes, ascending, and the share
-        kept = 1 - g_xi of it that xi leaves them; where g_xi is below half
-        an ulp of 1, kept rounds to 1: no change.
+        """(slots, kept) of the (n, 2) xis: the ChangeSlots of one change
+        per xi, of the elements whose stiffness xi changes, ascending, and
+        the share kept = 1 - g_xi of it that xi leaves each of
+        slots.elements; where g_xi is below half an ulp of 1, kept rounds
+        to 1: no change.
 
         One pass for the whole batch: the centroid tree gives the elements
         within a slightly wider radius than bump_radius, and _weakness_at
-        decides on them as weakness(xi) does, so touched and the bits of
-        kept are those of 1 - weakness(xi).
+        decides on them as weakness(xi) does, so the elements and the bits
+        of kept are those of 1 - weakness(xi).
         """
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         near = cKDTree(xis).sparse_distance_matrix(
@@ -476,14 +477,8 @@ class PlateProblem(_ProblemBase):
         kept = 1.0 - self._weakness_at(np.sum(
             (self.mesh.element_centroids[elements] - xis[at]) ** 2, axis=1))
         hit = kept < 1.0
-        bounds = np.searchsorted(at[hit], np.arange(1, len(xis)))
-        return np.split(elements[hit], bounds), np.split(kept[hit], bounds)
-
-    def _changes(self, touched, kept):
-        """(slots, kept) of the xi whose _changed are (touched, kept): the
-        ChangeSlots of their touched elements, and the kept of those
-        elements in the order of slots.elements."""
-        return change_slots(self.mesh, touched), np.concatenate(kept)
+        return (change_slots(self.mesh, at[hit], elements[hit], len(xis)),
+                kept[hit])
 
     def _weakened_blocks(self, system, s0, changes, G):
         """(U0, blocks): the unweakened states of the loads G and an
@@ -501,8 +496,8 @@ class PlateProblem(_ProblemBase):
         cbar holds, one row per xi of updates, the n angle-averaged
         compliances of K(xi), each the sum of the plain compliances of
         columns j and n + j (see angle_loads), and no state of K(xi) is
-        formed. changes is _changes of the batch: each xi's change is the
-        factors s0 * kept at its touched elements.
+        formed. changes is the (slots, kept) of the batch's _changed: each
+        xi's change is the factors s0 * kept at its elements.
 
         system is K0, the stiffness of the element factors s0 assembled on
         the whole view self._whole or on a view condensed onto the loaded
@@ -538,7 +533,7 @@ class PlateProblem(_ProblemBase):
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         s0 = self.stiffness_field(rho)
         system = assemble_stiffness(self._whole, s0)
-        slots, kept = changes = self._changes(*self._changed(xis))
+        slots, kept = changes = self._changed(xis)
         # the first call builds the load cache after the factorization:
         # built before it, the cache leaves glibc's heap so that every
         # later call faults in fresh pages (default plate, seed 3, 8
@@ -572,8 +567,9 @@ class PlateProblem(_ProblemBase):
         A group is (view, GK, changes) per view of condensed_groups:
         keep = T u S, the loaded dofs T and the dofs S of every element
         whose stiffness the weakness of one of the group's points changes;
-        the loads load_block() at view.keep; and the group's _changes, the
-        slots of its points' updates and their kept shares. None of it
+        the loads load_block() at view.keep; and the (slots, kept) of the
+        group's points, their slice of the rule's _changed, with slots
+        built afresh so that each group has its own slot width. None of it
         depends on the design, so one plan, with the patterns its views
         build on their first assembly, is kept and rebuilt when spec,
         load_scale, angle_range or bump_radius changes. The weakness of
@@ -585,13 +581,13 @@ class PlateProblem(_ProblemBase):
             pts, lam = self.space.trapezoid_rule(key[0])
             G = self.load_block()
             loaded = np.flatnonzero(np.any(G != 0.0, axis=1))
-            touched, kept = self._changed(pts)
-            groups = [(view, G[view.keep],
-                       self._changes([touched[i] for i in group],
-                                     [kept[i] for i in group]))
-                      for group, view in condensed_groups(
-                          self.mesh, loaded,
-                          (self.mesh.edof[t] for t in touched))]
+            slots, kept = self._changed(pts)
+            groups = []
+            for lo, hi, view in condensed_groups(self.mesh, loaded, slots):
+                e = slice(*np.searchsorted(slots.owner, [lo, hi]))
+                groups.append((view, G[view.keep], (change_slots(
+                    self.mesh, slots.owner[e] - lo, slots.elements[e],
+                    hi - lo), kept[e])))
             weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
             self._rule_cache = (key, weights, groups)
         return self._rule_cache[1:]
@@ -646,7 +642,7 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
     s0 = problem.stiffness_field(problem.initial_design())
     _, blocks = problem._weakened_blocks(
         assemble_stiffness(problem._whole, s0), s0,
-        problem._changes(*problem._changed(problem.space.centre())),
+        problem._changed(problem.space.centre()),
         problem.angle_loads(*problem.load_columns(
             problem.omega_space.centre())))
     ((c0, _),) = blocks

@@ -244,9 +244,10 @@ def load_design(path) -> tuple[dict, np.ndarray]:
     """(header, values) of a file written by save_design.
 
     A malformed file raises ConfigError naming the file and the line: a
-    blank or malformed header line, a header without one of the keys that
-    save_design writes, a non-finite header number, and a truncated,
-    unparsable or non-finite value, or one outside the design box [0, 1].
+    blank, malformed or repeated header line, a header without one of the
+    keys that save_design writes, a non-finite header number, a truncated,
+    unparsable or non-finite value, or one outside the design box [0, 1],
+    and a line after the values.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != DESIGN_MAGIC:
@@ -283,8 +284,12 @@ def load_design(path) -> tuple[dict, np.ndarray]:
                     raise bad(k, "design value is not finite")
                 if not 0.0 <= vals[k - i - 1] <= 1.0:
                     raise bad(k, "design value is outside [0, 1]")
+            if i + n + 1 < len(lines):
+                raise bad(i + n + 1, "line after the design values")
             header["n_values"] = n
             return header, vals
+        if key in header:
+            raise bad(i, f"repeated {key!r} line")
         try:
             if key == "kind":
                 if parts[1] not in DESIGN_GEOMETRY:

@@ -52,7 +52,8 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
     """Linear hat filter: w_ij = max(0, r_min - dist(i, j)), rows normalized.
 
     A radius below the centroid spacing (including r_min = 0) yields the
-    identity matrix.
+    identity matrix. A radius whose weights sum past the largest float
+    (from about 1e306 on the default plate) raises ValueError.
     """
     if not 0.0 <= r_min < np.inf:
         raise ValueError(f"filter radius must be nonnegative and finite, "
@@ -80,7 +81,11 @@ def build_filter(mesh: StructuredMesh, r_min: float) -> FilterMatrix:
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     M = sp.csr_matrix((vals, cols[order].astype(np.intc), indptr),
                       shape=(n, n))
-    rowsum = np.asarray(M.sum(axis=1)).ravel()
+    with np.errstate(over="ignore"):   # raised below, not warned
+        rowsum = np.asarray(M.sum(axis=1)).ravel()
+    if not np.all(np.isfinite(rowsum)):
+        raise ValueError(f"filter radius {r_min} is too large: its weights "
+                         f"overflow")
     # a row holding only its own element (r_min below the spacing) is an
     # identity row; its one weight, r_min, may be too small to invert
     alone = np.diff(M.indptr) == 1

@@ -61,8 +61,8 @@ S^-1.
 
 A wide SuperLU block (the plate loop's block of about 100 unit columns,
 not the wheel loop's 8 loads, the builders' calibration solves or
-verification) is solved as two halves of its columns on two threads (see
-FactorizedSystem.solve).
+verification) is solved as two halves of its columns, the second on a
+one-worker thread pool (see FactorizedSystem.solve).
 
 With keep empty, `CondensedMesh` is the whole system in the symmetric
 order. A reader of K^-1 at a few dofs only (dense verification) condenses
@@ -80,8 +80,8 @@ one row per kept dof, so no n_dofs-long block is formed.
 from __future__ import annotations
 
 import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from threading import Thread
 
 import numpy as np
 import scipy.sparse as sp
@@ -510,19 +510,19 @@ class FactorizedSystem:
 
         A SuperLU block of m >= _SPLIT_COLUMNS loads is solved as two
         halves of its columns, [0, m // 2) and [m // 2, m), each scattered
-        into the result: the calling thread solves the first while a thread
-        started here solves the second, and the call returns, or raises,
-        once both are done. scipy's SuperLU.solve releases the interpreter
-        lock, so the halves run at once where two CPUs are free. SuperLU
-        solves each right-hand side alone (Li, "An overview of SuperLU",
-        ACM TOMS 2005), but the BLAS kernels it calls may round a column
-        differently with the block's width (scipy's OpenBLAS on an AVX-512
-        Xeon does, in the last bit), so the result matches the one-block
-        solve to rounding. The halves depend on m alone, not on the host's
-        CPU count, so every host gets the same bits. The helper thread
-        calls lu.solve, never this method, so that a wrapper of this method
-        (the benchmark's tracer, which is not thread-safe) sees one call
-        per block, from the caller's thread.
+        into the result: the calling thread solves the first while a
+        one-worker ThreadPoolExecutor solves the second, and the call
+        returns, or raises, once both are done. scipy's SuperLU.solve
+        releases the interpreter lock, so the halves run at once where two
+        CPUs are free. SuperLU solves each right-hand side alone (Li, "An
+        overview of SuperLU", ACM TOMS 2005), but the BLAS kernels it calls
+        may round a column differently with the block's width (scipy's
+        OpenBLAS on an AVX-512 Xeon does, in the last bit), so the result
+        matches the one-block solve to rounding. The halves depend on m
+        alone, not on the host's CPU count, so every host gets the same
+        bits. Both halves call lu.solve, never this method, so that a
+        wrapper of this method (the benchmark's tracer, which is not
+        thread-safe) sees one call per block, from the caller's thread.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_rows:
@@ -543,26 +543,17 @@ class FactorizedSystem:
         if m < _SPLIT_COLUMNS:
             u[self.unknowns] = self.lu.solve(b)
             return u
-        raised = []
 
-        def second_half():
-            try:
-                self._solve_part(u, b, m // 2, m)
-            except Exception as exc:
-                raised.append(exc)
+        def solve_into(part):
+            u[self.unknowns, part] = self.lu.solve(b[:, part])
 
-        helper = Thread(target=second_half, name="smma-solve")
-        helper.start()
-        try:
-            self._solve_part(u, b, 0, m // 2)
-        finally:
-            helper.join()
-        if raised:
-            raise raised[0]
+        # leaving the block joins the worker, even when the first half
+        # raised; result() raises the second half's exception
+        with ThreadPoolExecutor(1, thread_name_prefix="smma-solve") as pool:
+            second = pool.submit(solve_into, slice(m // 2, m))
+            solve_into(slice(0, m // 2))
+        second.result()
         return u
-
-    def _solve_part(self, u, b, lo, hi) -> None:
-        u[self.unknowns, lo:hi] = self.lu.solve(b[:, lo:hi])
 
 
 def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
@@ -722,30 +713,27 @@ def _splu(K: sp.csc_matrix, **options):
 _UPDATE_BLOCK_ENTRIES = 2 ** 22
 
 
-def condensed_groups(mesh: StructuredMesh, base, dof_sets):
-    """Split dof_sets into consecutive groups, one condensed view each.
+def condensed_groups(mesh: StructuredMesh, base, slots: ChangeSlots):
+    """Split the changes of slots into consecutive groups, one condensed
+    view each.
 
-    Yields (indices, view): the positions of a group's sets in dof_sets,
-    and mesh condensed onto the free dofs among base and those sets. A
-    group grows while its view keeps |keep|^2 within
-    _UPDATE_BLOCK_ENTRIES; a single set may exceed it alone.
+    Yields (lo, hi, view): the group's changes lo .. hi - 1, and mesh
+    condensed onto the free dofs among base and the dofs S_p of those
+    changes (slots.dofs). A group grows while its view keeps |keep|^2
+    within _UPDATE_BLOCK_ENTRIES; a single change may exceed it alone.
     """
-    is_free = np.zeros(mesh.n_dofs, dtype=bool)
-    is_free[mesh.free_dofs] = True
-    start = np.zeros(mesh.n_dofs, dtype=bool)
-    start[base] = True
-    start &= is_free
-    kept, group = start.copy(), []
-    for i, dofs in enumerate(dof_sets):
-        dofs = dofs[is_free[dofs]]
-        grown = np.count_nonzero(kept) + np.unique(dofs[~kept[dofs]]).size
-        if group and grown ** 2 > _UPDATE_BLOCK_ENTRIES:
-            yield group, mesh.condensed(np.flatnonzero(kept))
-            kept, group = start.copy(), []
+    # a pad's dof n_dofs is kept from the start, so that it is never counted
+    start = np.zeros(mesh.n_dofs + 1, dtype=bool)
+    start[np.append(np.intersect1d(base, mesh.free_dofs), mesh.n_dofs)] = True
+    kept, lo = start.copy(), 0
+    for p, dofs in enumerate(slots.dofs):
+        grown = np.count_nonzero(kept) - 1 + np.count_nonzero(~kept[dofs])
+        if p > lo and grown ** 2 > _UPDATE_BLOCK_ENTRIES:
+            yield lo, p, mesh.condensed(np.flatnonzero(kept[:-1]))
+            kept, lo = start.copy(), p
         kept[dofs] = True
-        group.append(i)
-    if group:
-        yield group, mesh.condensed(np.flatnonzero(kept))
+    if lo < len(slots.dofs):
+        yield lo, len(slots.dofs), mesh.condensed(np.flatnonzero(kept[:-1]))
 
 
 @dataclass
@@ -761,14 +749,17 @@ class ChangeSlots:
     dofs: np.ndarray       # (P, width) each S_p, sorted, then pads
 
 
-def change_slots(mesh: StructuredMesh, element_sets) -> ChangeSlots:
-    """The ChangeSlots of one change per set of strictly increasing element
-    indices (ValueError otherwise)."""
+def change_slots(mesh: StructuredMesh, owner, elements, n) -> ChangeSlots:
+    """The ChangeSlots of n changes, change owner[i] holding element
+    elements[i]. owner ascends within range(n), and each change's elements
+    strictly increase (ValueError otherwise); a change may hold none."""
     # signed indices, whether lists or unsigned arrays came in
-    sets = [np.asarray(e, dtype=np.intp) for e in element_sets]
-    n = len(sets)
-    elements = np.concatenate(sets + [np.zeros(0, np.intp)])
-    owner = np.repeat(np.arange(n), [e.size for e in sets])
+    owner = np.asarray(owner, dtype=np.intp)
+    elements = np.asarray(elements, dtype=np.intp)
+    if (owner.shape != elements.shape or np.any(owner[1:] < owner[:-1])
+            or owner.size and not 0 <= owner[0] <= owner[-1] < n):
+        raise ValueError(f"change owners must ascend within range({n}), "
+                         f"one per changed element")
     same = owner[1:] == owner[:-1]
     if np.any(elements[1:][same] <= elements[:-1][same]):
         raise ValueError("changed elements must be strictly increasing")

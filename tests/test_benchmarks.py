@@ -57,6 +57,15 @@ def test_record_gradients_are_c_ordered_rows(request, kind):
     assert grads.flags.c_contiguous
 
 
+@pytest.mark.parametrize("kind", ["wheel", "plate"])
+def test_empty_batch_gives_no_records(request, kind):
+    problem = request.getfixturevalue(kind)
+    rho = problem.initial_design()
+    none = problem.space.sample(np.random.default_rng(0), 1)[:0]
+    values, grads = problem.evaluate_records(rho, none)
+    assert values.shape == (0,) and grads.shape == (0, rho.size)
+
+
 class TestAngleIntegrals:
     def test_closed_forms_on_quarter_interval(self):
         ix, iy, ixy, width = angle_integrals(np.pi / 4, 3 * np.pi / 4)
@@ -825,28 +834,34 @@ def weakness_cases():
         yield f"{name}-midpoints", plate, 0.5 * (c[:-1] + c[1:])[::5]
 
 
+def assert_changed_per_xi(plate, xis, name=""):
+    """_changed of xis holds, change by change, the elements and the bits
+    of kept of changed_per_xi; xis may be one xi, or a list."""
+    slots, kept = plate._changed(xis)
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    want_touched, want_kept = changed_per_xi(plate, xis)
+    assert slots.dofs.shape[0] == len(xis), name
+    assert kept.shape == slots.elements.shape == slots.owner.shape, name
+    for p, (wt, wk) in enumerate(zip(want_touched, want_kept, strict=True)):
+        mine = slots.owner == p
+        np.testing.assert_array_equal(slots.elements[mine], wt, err_msg=name)
+        assert kept[mine].tobytes() == wk.tobytes(), name
+    return slots
+
+
 class TestBatchedWeakness:
     """The plate's batched weakness kernel against the per-xi path it
     replaced, bit for bit."""
 
     def test_changed_matches_the_per_xi_weakness(self):
         for name, plate, xis in weakness_cases():
-            touched, kept = plate._changed(xis)
-            want_touched, want_kept = changed_per_xi(plate, xis)
-            assert len(touched) == len(kept) == len(xis), name
-            for t, k, wt, wk in zip(touched, kept, want_touched, want_kept,
-                                    strict=True):
-                np.testing.assert_array_equal(t, wt, err_msg=name)
-                assert k.tobytes() == wk.tobytes(), name
-            assert sum(t.size for t in touched) > 0, name
+            slots = assert_changed_per_xi(plate, xis, name)
+            assert slots.elements.size > 0, name
 
     def test_one_xi_and_one_list_xi(self):
         xi = DEFAULT.mesh.element_centroids[40]
         for arg in (xi, xi.tolist(), [xi.tolist()]):
-            (touched,), (kept,) = DEFAULT._changed(arg)
-            ((want_touched,), (want_kept,)) = changed_per_xi(DEFAULT, [xi])
-            np.testing.assert_array_equal(touched, want_touched)
-            assert kept.tobytes() == want_kept.tobytes()
+            assert assert_changed_per_xi(DEFAULT, arg).elements.size > 0
 
 
 # the default plate: 46 loaded dofs against 64 loads, so its block holds

@@ -391,6 +391,8 @@ class TestRunCommand:
          "c_max must be positive and finite"),
         (("nx = 10", "nx = 10\nrmin = nan"),
          "filter radius must be nonnegative and finite"),
+        (("nx = 10", "nx = 10\nrmin = 1e308"),
+         "filter radius 1e+308 is too large"),
         (("nx = 10", "nx = 10\nell = nan"), "ell must be positive and finite"),
         (("nx = 10", "nx = 10\nell = inf"), "ell must be positive and finite"),
         (("nx = 10", "nx = 10\nell = 0"), "ell must be positive and finite"),
@@ -403,8 +405,8 @@ class TestRunCommand:
          "line 8: 'baseline_spec': a rule needs at least 1 point on each of "
          "2 coordinates, got (2, 2, 2)"),
     ], ids=["verify-grid-0", "baseline-grid-negative", "nx-0", "n-omega-0",
-            "c-max-nan", "rmin-nan", "ell-nan", "ell-inf", "ell-0",
-            "baseline-grid-with-smma", "verify-spec-one-count",
+            "c-max-nan", "rmin-nan", "rmin-huge", "ell-nan", "ell-inf",
+            "ell-0", "baseline-grid-with-smma", "verify-spec-one-count",
             "baseline-spec-three-counts"])
     def test_bad_plate_grid_exit_2(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
@@ -496,7 +498,9 @@ class TestBadDesignFiles:
         ("shape 0 10", "n_radial must be at least 1"),
         ("r_rim 1.5", "need 0 < r_inner_fixed < r_rim < 1"),
         ("simp 0.5", "SIMP exponent must be >= 1"),
-    ], ids=["rmin-negative", "shape-0", "r-rim-1.5", "simp-0.5"])
+        ("rmin 1e308", "filter radius 1e+308 is too large"),
+    ], ids=["rmin-negative", "shape-0", "r-rim-1.5", "simp-0.5",
+            "rmin-huge"])
     def test_out_of_range_header_number(self, tmp_path, capsys, line,
                                         message):
         lines = saved_design_lines(tmp_path)
@@ -517,6 +521,19 @@ class TestBadDesignFiles:
         lines = saved_design_lines(tmp_path)[:-1]
         assert "truncated design values" in self.render_error(
             tmp_path, capsys, lines)
+
+    def test_line_after_the_values(self, tmp_path, capsys):
+        # one value more than declared, then text: the first extra line
+        lines = saved_design_lines(tmp_path) + ["0.7", "garbage"]
+        err = self.render_error(tmp_path, capsys, lines)
+        assert f"bad.txt:{len(lines) - 1}: line after the design values" in err
+
+    def test_repeated_header_key(self, tmp_path, capsys):
+        lines = saved_design_lines(tmp_path)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("simp "))
+        lines.insert(i + 1, "simp 4.0")
+        err = self.render_error(tmp_path, capsys, lines)
+        assert f"bad.txt:{i + 2}: repeated 'simp' line" in err
 
     def test_verify_rejects_nan_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_WHEEL, out=tmp_path / "o")

@@ -63,6 +63,16 @@ class TestFilter:
         assert f.matrix.data.min() >= 0.0
         assert (f.matrix.diagonal() > 0.0).all()
 
+    def test_huge_radius_rejected(self):
+        # every row holds all 35 elements, each weighing about r_min: at
+        # 1e307 their sum overflows, which raises ValueError and no
+        # RuntimeWarning (the suite makes one an error)
+        mesh = build_rect_mesh(7, 5, 7.0, 5.0)
+        rowsums = np.asarray(build_filter(mesh, 1e306).matrix.sum(axis=1))
+        np.testing.assert_allclose(rowsums, 1.0, atol=1e-12)
+        with pytest.raises(ValueError, match=r"filter radius 1e\+307 is too"):
+            build_filter(mesh, 1e307)
+
     def test_three_element_strip_hat_weights(self):
         # hat weights at spacing h with r = 1.5h: (0.5h, 1.5h, 0.5h),
         # normalized to (0.2, 0.6, 0.2)

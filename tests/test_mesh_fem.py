@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -524,6 +525,14 @@ SMALL_WHEEL = wheel_problem(n_radial=8, n_angular=24)
 RULE_PLATE = plate_problem(nx=60, ny=30, n_omega=4)
 
 
+def slots_of(mesh, element_sets):
+    """The ChangeSlots of one change per set of element indices."""
+    sizes = [np.size(e) for e in element_sets]
+    return change_slots(mesh, np.repeat(np.arange(len(sizes)), sizes),
+                        np.concatenate([np.zeros(0, int), *element_sets]),
+                        len(sizes))
+
+
 def condensed_keep(name):
     """(mesh, keep) for the named view of a small plate or wheel."""
     problem = SMALL_PLATE if name.startswith("rect") else SMALL_WHEEL
@@ -537,8 +546,10 @@ def condensed_keep(name):
         mesh = problem.mesh
         loaded = np.flatnonzero(np.any(problem.load_block() != 0.0, axis=1))
         pts, _ = problem.space.trapezoid_rule((5, 5))
-        reached = [mesh.edof[1.0 - problem.weakness(xi) < 1.0] for xi in pts]
-        ((_, view),) = condensed_groups(mesh, loaded, reached)
+        reached = [np.flatnonzero(1.0 - problem.weakness(xi) < 1.0)
+                   for xi in pts]
+        ((_, _, view),) = condensed_groups(mesh, loaded,
+                                           slots_of(mesh, reached))
         return mesh, view.keep
     if name.endswith("single"):
         return mesh, free[free.size // 3:free.size // 3 + 1]
@@ -997,16 +1008,20 @@ class CountingLU:
 
 
 class FailingLU:
-    """A factorization whose solve fails on the calling thread, or on
-    the helper thread."""
+    """A factorization whose solve fails at once on the calling thread, or
+    on the pool's worker, while the other half takes a while; ended names
+    the halves in the order they end."""
 
     def __init__(self, lu, on_helper):
-        self.lu, self.on_helper = lu, on_helper
+        self.lu, self.on_helper, self.ended = lu, on_helper, []
 
     def solve(self, b):
         on_helper = threading.current_thread() is not threading.main_thread()
         if on_helper == self.on_helper:
+            self.ended.append("failed")
             raise RuntimeError("solve failed")
+        time.sleep(0.05)
+        self.ended.append("solved")
         return self.lu.solve(b)
 
 
@@ -1023,19 +1038,21 @@ def serial_halves(system, rhs):
     on this thread."""
     u = np.zeros_like(rhs)
     b = np.ascontiguousarray(rhs[system.free_dofs])
-    m = b.shape[1]
-    system._solve_part(u, b, 0, m // 2)
-    system._solve_part(u, b, m // 2, m)
+    half = b.shape[1] // 2
+    u[system.unknowns, :half] = system.lu.solve(b[:, :half])
+    u[system.unknowns, half:] = system.lu.solve(b[:, half:])
     return u
 
 
 def solve_threads():
-    return [t for t in threading.enumerate() if t.name == "smma-solve"]
+    """The live threads of the split solve's pool."""
+    return [t for t in threading.enumerate()
+            if t.name.startswith("smma-solve")]
 
 
 class TestSplitSolve:
     """A SuperLU block of 32 or more columns is solved as two halves, one
-    on the calling thread and one on a helper thread."""
+    on the calling thread and one on a one-worker pool."""
 
     @staticmethod
     def counted_solve(system, rhs):
@@ -1098,25 +1115,33 @@ class TestSplitSolve:
         F[mesh.free_dofs[:40], np.arange(40)] = 1.0
         with pytest.raises(RuntimeError, match="solve failed"):
             failing.solve(F)
+        # the failure surfaced once the slow half had ended too
+        assert failing.lu.ended == ["failed", "solved"]
         assert not solve_threads()
 
     def test_narrow_solves_start_no_thread(self, monkeypatch):
         # the wheel loop's 8 loads and the plate builder's calibration
-        # solve in one piece; the plate loop's block splits
+        # solve in one piece; the plate loop's block splits, on one worker
+        # that is joined before solve returns
         started = []
+        start = threading.Thread.start
 
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self.name)
-                super().start()
+        def counting_start(thread):
+            if thread.name.startswith("smma-solve"):
+                started.append(thread.name)
+            start(thread)
 
-        monkeypatch.setattr(mesh_fem, "Thread", CountingThread)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
         widths = []
         solve = FactorizedSystem.solve
-        monkeypatch.setattr(
-            FactorizedSystem, "solve",
-            lambda system, rhs: widths.append(np.shape(rhs)[1:]) or solve(
-                system, rhs))
+
+        def counted_solve(system, rhs):
+            widths.append(np.shape(rhs)[1:])
+            u = solve(system, rhs)
+            assert not solve_threads()
+            return u
+
+        monkeypatch.setattr(FactorizedSystem, "solve", counted_solve)
         rho = SMALL_WHEEL.initial_design()
         SMALL_WHEEL.evaluate_records(
             rho, SMALL_WHEEL.space.sample(np.random.default_rng(0), 8))
@@ -1125,8 +1150,7 @@ class TestSplitSolve:
         plate.evaluate_records(
             plate.initial_design(),
             plate.space.sample(np.random.default_rng(0), 8))
-        assert widths[-1][0] >= 32 and started == ["smma-solve"]
-        assert not solve_threads()
+        assert widths[-1][0] >= 32 and len(started) == 1, started
 
 
 class TestCompliance:
@@ -1237,7 +1261,7 @@ class TestLowRankUpdates:
     @staticmethod
     def updates(system, mesh, s0, changes, F):
         """(U0, slots, [LowRankUpdates, in order]) of changes."""
-        slots = change_slots(mesh, [elements for elements, _ in changes])
+        slots = slots_of(mesh, [elements for elements, _ in changes])
         factors = np.concatenate([f for _, f in changes] + [np.zeros(0)])
         U0, updates = low_rank_updates(system, mesh, s0, slots, factors, F)
         return U0, slots, list(updates)
@@ -1415,5 +1439,59 @@ class TestLowRankUpdates:
         system = assemble_stiffness(mesh, s0)
         F = np.ones((mesh.n_dofs, 1))
         with pytest.raises(ValueError, match=message):
-            low_rank_updates(system, mesh, s0,
-                             change_slots(mesh, [elements]), factors, F)
+            slots = change_slots(mesh, np.zeros(len(elements), int),
+                                 elements, 1)
+            low_rank_updates(system, mesh, s0, slots, factors, F)
+
+    @pytest.mark.parametrize("owner", [
+        [1, 0], [-1, 0], [0, 2], [0]],
+        ids=["descending", "negative", "past-the-end", "short"])
+    def test_bad_owner_rejected(self, owner):
+        mesh = build_rect_mesh(5, 3, 2.0, 1.0)
+        with pytest.raises(ValueError, match=r"ascend within range\(2\)"):
+            change_slots(mesh, owner, [2, 4], 2)
+
+    def test_flat_changes_match_one_change_each(self):
+        # change 1 holds no element: its row is all pads
+        mesh = build_rect_mesh(5, 3, 2.0, 1.0)
+        slots = change_slots(mesh, [0, 0, 2, 2, 2], [1, 7, 0, 4, 14], 4)
+        assert slots.dofs.shape[0] == 4
+        np.testing.assert_array_equal(slots.dofs[[1, 3]], mesh.n_dofs)
+        for p, elements in ((0, [1, 7]), (2, [0, 4, 14])):
+            alone = slots_of(mesh, [elements])
+            real = slots.dofs[p] < mesh.n_dofs
+            np.testing.assert_array_equal(slots.dofs[p][real],
+                                          alone.dofs[0])
+
+
+class TestCondensedGroups:
+    """Consecutive changes share a condensed view while it stays within
+    the block budget."""
+
+    def test_ranges_cover_the_changes_within_the_budget(self, monkeypatch):
+        mesh = RULE_PLATE.mesh
+        rng = np.random.default_rng(31)
+        sets = [np.sort(rng.choice(mesh.n_elements, k, replace=False))
+                for k in (3, 0, 5, 2, 4, 1, 6, 2)]
+        slots = slots_of(mesh, sets)
+        # base holds Dirichlet dofs too, which no view keeps
+        base = np.concatenate([mesh.dirichlet_dofs[:4], mesh.free_dofs[:10]])
+        budget = 60
+        monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES", budget ** 2)
+        groups = list(condensed_groups(mesh, base, slots))
+        assert len(groups) >= 2
+        assert [lo for lo, _, _ in groups] == [0] + [
+            hi for _, hi, _ in groups[:-1]]
+        assert groups[-1][1] == len(sets)
+
+        def keep_of(lo, hi):
+            return np.intersect1d(
+                np.concatenate([base, slots.dofs[lo:hi].ravel()]),
+                mesh.free_dofs)
+
+        for lo, hi, view in groups:
+            np.testing.assert_array_equal(view.keep, keep_of(lo, hi))
+            assert view.keep.size <= budget or hi - lo == 1
+            # a group stops where the next change would pass the budget
+            if hi < len(sets):
+                assert keep_of(lo, hi + 1).size > budget
