@@ -10,7 +10,14 @@ Submodules:
                   fixed-quadrature baseline, and dense-quadrature
                   ground-truth evaluation
     benchmarks    wheel and plate problem builders
-    cli           command-line entry point
+    cli           command-line entry point (run as python -m smma or
+                  the smma script, which enter through __main__)
 """
 
 __version__ = "0.1.0"
+
+# the thread counts of the BLAS and OpenMP libraries numpy and scipy may
+# load; the command line sets each to 1 unless its caller set it (see
+# __main__), and a run manifest records them
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")

@@ -29,9 +29,11 @@ record's compliances and gradient come from the unweakened states U0
 corrections (at most one contraction per chunk), and no weakened state
 is formed. Dense verification needs the states only at the loaded dofs
 and at the dofs the weakness reaches, and factorizes the stiffness
-condensed onto them. Verification builds the views and the updates'
-slots of its rule once per rule, load scale, angle range and bump
-radius, from one batched pass of the weakness over the rule's points.
+condensed onto them. Verification builds the views, the updates' slots
+and the loads of its rule once per rule, load scale, angle range and bump
+radius, from one batched pass of the weakness over the rule's points; it
+builds the loads at the top-node dofs only, and leaves the full-column
+load block the loop keeps to the loop.
 
 The two problems factorize differently (see mesh_fem). The plate's
 builder, loop and verification all take K pivot-free in the mesh's
@@ -567,9 +569,12 @@ class PlateProblem(_ProblemBase):
         A group is (view, GK, changes) per view of condensed_groups:
         keep = T u S, the loaded dofs T and the dofs S of every element
         whose stiffness the weakness of one of the group's points changes;
-        the loads load_block() at view.keep; and the (slots, kept) of the
-        group's points, their slice of the rule's _changed, with slots
-        built afresh so that each group has its own slot width. None of it
+        the loads at view.keep, the rows of load_block() there; and the
+        (slots, kept) of the group's points: the rule's _changed when the
+        group is the whole rule, else its slice, with slots built afresh so
+        that each group has its own slot width. The loads are built at the
+        top-node dofs alone, the only rows load_block() fills; the load
+        cache itself belongs to the loop (see evaluate_records). None of it
         depends on the design, so one plan, with the patterns its views
         build on their first assembly, is kept and rebuilt when spec,
         load_scale, angle_range or bump_radius changes. The weakness of
@@ -579,15 +584,29 @@ class PlateProblem(_ProblemBase):
                self.angle_range, self.bump_radius)
         if self._rule_cache[0] != key:
             pts, lam = self.space.trapezoid_rule(key[0])
-            G = self.load_block()
-            loaded = np.flatnonzero(np.any(G != 0.0, axis=1))
-            slots, kept = self._changed(pts)
+            # load_columns and angle_loads at the top nodes' x and y dofs
+            top = (2 * self._top_nodes[:, None] + np.arange(2)).ravel()
+            prof = self._profiles(self.omega_nodes) * self.load_scale
+            Fx = np.zeros((top.size, prof.shape[1]))
+            Fy = np.zeros_like(Fx)
+            Fx[0::2] = prof
+            Fy[1::2] = -prof
+            G = self.angle_loads(Fx, Fy)
+            rule = slots, kept = self._changed(pts)
             groups = []
-            for lo, hi, view in condensed_groups(self.mesh, loaded, slots):
-                e = slice(*np.searchsorted(slots.owner, [lo, hi]))
-                groups.append((view, G[view.keep], (change_slots(
-                    self.mesh, slots.owner[e] - lo, slots.elements[e],
-                    hi - lo), kept[e])))
+            for lo, hi, view in condensed_groups(
+                    self.mesh, top[np.any(G != 0.0, axis=1)], slots):
+                GK = np.zeros((view.keep.size, G.shape[1]))
+                at = np.isin(top, view.keep)
+                GK[np.searchsorted(view.keep, top[at])] = G[at]
+                if hi - lo == len(pts):
+                    changes = rule
+                else:
+                    e = slice(*np.searchsorted(slots.owner, [lo, hi]))
+                    changes = (change_slots(
+                        self.mesh, slots.owner[e] - lo, slots.elements[e],
+                        hi - lo), kept[e])
+                groups.append((view, GK, changes))
             weights = (lam[:, None] * self.omega_weights[None, :]).ravel()
             self._rule_cache = (key, weights, groups)
         return self._rule_cache[1:]

@@ -7,27 +7,34 @@ and seed, log_timing and out. `run` sweeps the cartesian product of the
 lists, writing one directory per run with the iteration CSV, the final
 design file, and a manifest: the config with the run's one batch, tau and
 seed in place of the lists, and without `out`, which reproduces the run
-exactly.
+exactly. The manifest's comment lines record how the run ran: the BLAS
+thread variables, and the numpy and scipy versions with the BLAS each
+was built with.
 
 Exit codes: 0 ok, 1 runtime failure, 2 bad config/arguments.
 
 BLAS threads: scipy's OpenBLAS starts one thread per CPU unless told
 otherwise, and the plate loop runs about twice as fast with one. On a
 2-CPU host an iteration took 40-60 ms with OPENBLAS_NUM_THREADS=1 set
-before launch, against 95-105 ms without it (perfbench/run.py pins it).
-The CLI leaves the setting to the caller.
+before launch, against 95-105 ms without it. So `python -m smma` and the
+`smma` script (smma.__main__) set each of smma.THREAD_VARS to 1 before
+numpy is imported, unless the caller has set it: a value in the caller's
+environment wins. Calling main() from Python, or `python -m smma.cli`,
+leaves the setting to the caller.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import THREAD_VARS, __version__
 from .benchmarks import plate_problem, wheel_problem
 from .driver import METHODS, RunConfig, dense_cc, run_smma, simp_at
 
@@ -399,12 +406,29 @@ def _write_manifest(path, entries: dict[str, _Entry], cfg: RunConfig) -> None:
     config that reproduces this run byte-identically."""
     own = {"batch": str(cfg.batch_size), "tau": _fmt_float(cfg.tau),
            "seed": str(cfg.seed)}
-    lines = [f"# smma {__version__} run manifest"]
+    lines = [f"# smma {__version__} run manifest", *_environment_lines()]
     for key, e in entries.items():
         if key != "out":
             lines.append(f"{key} = {own.pop(key, e.raw)}")
     lines.extend(f"{key} = {value}" for key, value in own.items())
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _environment_lines() -> list[str]:
+    """Comment lines: each of THREAD_VARS as this process sees it, and the
+    numpy and scipy versions with the BLAS each was built with."""
+    lines = [f"# {var}={os.environ[var]}" if var in os.environ
+             else f"# {var} unset" for var in THREAD_VARS]
+    for module in (np, scipy):
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"][
+                "blas"]
+            built = f"{blas['name']} {blas['version']}"
+        except (TypeError, KeyError):   # no such config in this version
+            built = "unknown"
+        lines.append(f"# {module.__name__} {module.__version__}, "
+                     f"BLAS {built}")
+    return lines
 
 
 def cmd_verify(design_path: str, config_path: str, spec: list[int] | None,
@@ -504,9 +528,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -18,12 +18,15 @@ those of the factorized design plus low-rank corrections. A batch of
 changes is served at once, as stacked arrays (`low_rank_updates`).
 
 Everything that depends only on the mesh is done once per mesh. The
-`StiffnessPattern` holds the CSC structure of the reduced matrix in
+mesh's `StiffnessPattern` holds the CSC structure of the reduced matrix in
 free-dof order and, for each stored entry, the element entries summed into
 it, in the order in which scipy's coo -> csc conversion sums them; an
 assembly only scales the element blocks and adds. This base pattern is
 never rebound: every factorization order is a permutation of it,
-`pattern.permuted(rows, columns)` being the pattern of K[rows][:, columns].
+`pattern.permuted(rows, columns)` being the pattern of K[rows][:, columns],
+which holds for each stored entry only its index in the base pattern. An
+assembly in any order sums the base pattern's entries once and gathers
+those sums.
 
 A mesh is factorized in one of two orders, chosen by what its caller
 assembles:
@@ -177,18 +180,24 @@ def _entry_ids_csc(edof: np.ndarray, free: np.ndarray,
 
 @dataclass
 class StiffnessPattern:
-    """CSC structure of a mesh's Dirichlet-reduced stiffness matrix.
+    """CSC structure of a mesh's Dirichlet-reduced stiffness matrix, in
+    free-dof order or in a permutation of it.
 
-    Stored entry k of K is the sum of the element entries slots[k], read
-    as indices into the flattened (n_elements, 8, 8) scaled blocks and
-    added left to right; -1 pads a row. That is the order in which scipy's
-    coo -> csc conversion sums duplicates, so K.data is bit-identical to
-    it. On a Q4 mesh a row holds at most 4 entries (4 elements per node).
+    Stored entry k of K is entry source[k] of the mesh's own pattern, the
+    one in free-dof order, whose source is the identity. Only that pattern
+    holds slots: its stored entry k is the sum of the element entries
+    slots[:, k], read as indices into the flattened (n_elements, 8, 8)
+    scaled blocks and added in order; -1 pads a column. That is the order
+    in which scipy's coo -> csc conversion sums duplicates, so K.data is
+    bit-identical to it in every order. On a Q4 mesh a column of slots
+    holds at most 4 entries (4 elements per node).
     """
 
     indptr: np.ndarray             # (n + 1,) int32
     indices: np.ndarray            # (nnz,) int32 rows, sorted per column
-    slots: np.ndarray              # (nnz, width) element entries, -1 padded
+    source: np.ndarray             # (nnz,) entries of the mesh's pattern
+    # (width, nnz) element entries, -1 padded; on the mesh's pattern only
+    slots: np.ndarray | None = None
 
     @classmethod
     def of(cls, edof: np.ndarray, free: np.ndarray,
@@ -202,15 +211,17 @@ class StiffnessPattern:
         stored = np.cumsum(first) - 1
         rank = np.arange(raw.nnz)
         rank -= starts[stored]
-        slots = np.full((starts.size, rank.max() + 1), -1)
-        slots[stored, rank] = raw.data
+        slots = np.full((rank.max() + 1, starts.size), -1)
+        slots[rank, stored] = raw.data
         return cls(indptr=np.searchsorted(starts, raw.indptr).astype(np.intc),
-                   indices=raw.indices[starts], slots=slots)
+                   indices=raw.indices[starts],
+                   source=np.arange(starts.size), slots=slots)
 
     def permuted(self, rows: np.ndarray,
                  columns: np.ndarray) -> "StiffnessPattern":
         """The pattern of K[rows][:, columns], for permutations rows and
-        columns of range(n)."""
+        columns of range(n); its entries index the mesh's pattern, as this
+        one's do, and it holds no slots."""
         n = self.indptr.size - 1
         position = np.empty(n, dtype=np.intc)
         position[rows] = np.arange(n, dtype=np.intc)
@@ -225,7 +236,7 @@ class StiffnessPattern:
                              indptr), shape=(n, n))
         ids.sort_indices()
         return StiffnessPattern(indptr=indptr, indices=ids.indices,
-                                slots=self.slots[ids.data.astype(np.intp)])
+                                source=self.source[ids.data.astype(np.intp)])
 
 
 @dataclass
@@ -684,16 +695,18 @@ def _checked_factors(mesh: StructuredMesh, stiffness_per_element):
 
 def _assembled(mesh: StructuredMesh, pattern: StiffnessPattern,
                s: np.ndarray) -> sp.csc_matrix:
-    """K(s) in the layout of pattern."""
+    """K(s) in the layout of pattern: the sums of the mesh pattern's slots,
+    taken once in free-dof order, gathered at pattern.source. Each entry
+    is the same sum in the same order in every layout."""
     # the pad -0.0 adds nothing: x + (-0.0) is x, signed zeros included
     scaled = np.append((mesh.element_matrices * s[:, None, None]).ravel(),
-                       -0.0)[pattern.slots]
-    data = scaled[:, 0].copy()
-    for k in range(1, scaled.shape[1]):
-        data += scaled[:, k]
+                       -0.0)[mesh.pattern.slots]
+    sums = scaled[0].copy()
+    for row in scaled[1:]:
+        sums += row
     n = pattern.indptr.size - 1
-    return sp.csc_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(n, n))
+    return sp.csc_matrix((sums[pattern.source], pattern.indices,
+                          pattern.indptr), shape=(n, n))
 
 
 def _splu(K: sp.csc_matrix, **options):
@@ -721,19 +734,28 @@ def condensed_groups(mesh: StructuredMesh, base, slots: ChangeSlots):
     condensed onto the free dofs among base and the dofs S_p of those
     changes (slots.dofs). A group grows while its view keeps |keep|^2
     within _UPDATE_BLOCK_ENTRIES; a single change may exceed it alone.
+
+    Each group takes array passes over the changes from lo on: the first
+    appearance of each dof outside base, then a cumulative count of them
+    per change gives |keep| as the group grows change by change.
     """
-    # a pad's dof n_dofs is kept from the start, so that it is never counted
-    start = np.zeros(mesh.n_dofs + 1, dtype=bool)
-    start[np.append(np.intersect1d(base, mesh.free_dofs), mesh.n_dofs)] = True
-    kept, lo = start.copy(), 0
-    for p, dofs in enumerate(slots.dofs):
-        grown = np.count_nonzero(kept) - 1 + np.count_nonzero(~kept[dofs])
-        if p > lo and grown ** 2 > _UPDATE_BLOCK_ENTRIES:
-            yield lo, p, mesh.condensed(np.flatnonzero(kept[:-1]))
-            kept, lo = start.copy(), p
-        kept[dofs] = True
-    if lo < len(slots.dofs):
-        yield lo, len(slots.dofs), mesh.condensed(np.flatnonzero(kept[:-1]))
+    start = np.intersect1d(base, mesh.free_dofs)
+    n, width = slots.dofs.shape
+    lo = 0
+    while lo < n:
+        dofs, first = np.unique(slots.dofs[lo:], return_index=True)
+        # pads (the dof n_dofs) and base dofs are never counted
+        new = (dofs < mesh.n_dofs) & ~np.isin(dofs, start)
+        dofs, first = dofs[new], first[new]
+        size = start.size + np.cumsum(
+            np.bincount(first // width, minlength=n - lo))
+        # the group ends before its first later change that passes the
+        # budget
+        over = np.flatnonzero(size[1:] ** 2 > _UPDATE_BLOCK_ENTRIES)
+        hi = lo + 1 + over[0] if over.size else n
+        yield lo, hi, mesh.condensed(
+            np.union1d(start, dofs[first < (hi - lo) * width]))
+        lo = hi
 
 
 @dataclass

@@ -18,6 +18,7 @@ from smma.mesh_fem import (
     FactorizedSystem,
     assemble_stiffness,
     build_rect_mesh,
+    change_slots,
     element_quadratic_forms,
 )
 from smma.smoothing import h_deriv, h_eval
@@ -704,17 +705,63 @@ class TestPlateReanalysis:
         np.testing.assert_allclose(values, want, rtol=1e-10)
         assert weights.sum() == pytest.approx(1.0)
 
-    def test_angle_range_and_load_scale_rebuild_both_caches(self):
+    @staticmethod
+    def recorded_changed(monkeypatch, plate):
+        """The (slots, kept) of each call of the batched weakness kernel."""
+        calls = []
+        changed = plate._changed
+
+        def recorded(xis):
+            calls.append(changed(xis))
+            return calls[-1]
+
+        monkeypatch.setattr(plate, "_changed", recorded)
+        return calls
+
+    @staticmethod
+    def assert_plan_serves_the_rule(plate, groups, changes):
+        """Each group's loads are the rows of load_block() at its keep, byte
+        for byte. A one-group plan passes on the rule's own changes; each
+        group of a wider one has its own ChangeSlots, those of its slice of
+        the rule's."""
+        G = plate.load_block()
+        for view, GK, _ in groups:
+            assert GK.shape == (view.keep.size, G.shape[1])
+            assert GK.tobytes() == G[view.keep].tobytes()
+        slots, kept = changes
+        if len(groups) == 1:
+            assert groups[0][2][0] is slots and groups[0][2][1] is kept
+            return
+        lo = 0
+        for _, _, (own, own_kept) in groups:
+            hi = lo + len(own.dofs)
+            e = slice(*np.searchsorted(slots.owner, [lo, hi]))
+            want = change_slots(plate.mesh, slots.owner[e] - lo,
+                                slots.elements[e], hi - lo)
+            for name in ("elements", "owner", "local", "dofs"):
+                np.testing.assert_array_equal(getattr(own, name),
+                                              getattr(want, name))
+            np.testing.assert_array_equal(own_kept, kept[e])
+            lo = hi
+        assert lo == len(slots.dofs)
+
+    def test_angle_range_and_load_scale_rebuild_both_caches(
+            self, monkeypatch):
         # a fresh problem: the load block and the rule plan are kept per
         # problem; bump_radius, which the loads and the weakness both
         # read, rebuilds them too
         plate = plate_problem(nx=16, ny=8, n_omega=4)
+        rule = self.recorded_changed(monkeypatch, plate)
         rho = np.random.default_rng(26).uniform(0.3, 0.9, plate.n_design)
         pts, _ = plate.space.trapezoid_rule((3, 2))
-        G = plate.load_block()
+        # a cold verification plans its loads without the loop's cache
+        plate.dense_raw(rho, (3, 2))
+        assert plate._load_cache == (None,)
         _, groups = plate._rule_plan((3, 2))
+        G = plate.load_block()
         assert plate.load_block() is G
         assert plate._rule_plan((3, 2))[1] is groups
+        self.assert_plan_serves_the_rule(plate, groups, rule[-1])
         for attr, value in (("angle_range", (0.2, 1.3)),
                             ("load_scale", 2.0 * plate.load_scale),
                             ("bump_radius", 0.15)):
@@ -725,12 +772,16 @@ class TestPlateReanalysis:
             _, rebuilt = plate._rule_plan((3, 2))
             assert rebuilt is not groups
             groups = rebuilt
-            for view, GK, _ in groups:
-                np.testing.assert_array_equal(GK, G[view.keep])
+            self.assert_plan_serves_the_rule(plate, groups, rule[-1])
             want = np.concatenate([direct_record(plate, rho, xi)[0]
                                    for xi in pts])
             np.testing.assert_allclose(plate.dense_raw(rho, (3, 2))[0], want,
                                        rtol=1e-10)
+        # several groups, under a smaller block budget
+        monkeypatch.setattr(mesh_fem, "_UPDATE_BLOCK_ENTRIES", 40 ** 2)
+        _, groups = plate._rule_plan((3, 3))
+        assert len(groups) >= 2
+        self.assert_plan_serves_the_rule(plate, groups, rule[-1])
 
     @staticmethod
     def counting_changed(monkeypatch, plate):

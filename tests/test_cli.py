@@ -248,6 +248,57 @@ class TestRunCommand:
         assert done.returncode == 2
         assert done.stderr.startswith("config error:")
 
+    @staticmethod
+    def child_env(**values):
+        """This process's environment without the thread variables, plus
+        values, with the package on the path."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in smma.THREAD_VARS}
+        return dict(env, PYTHONPATH=str(Path(smma.__file__).parents[1]),
+                    **values)
+
+    @pytest.mark.parametrize("caller", [None, "2"],
+                             ids=["default", "caller-set"])
+    def test_package_entry_sets_one_thread_unless_set(self, tmp_path,
+                                                      caller):
+        env = self.child_env(**({} if caller is None
+                                else {"OPENBLAS_NUM_THREADS": caller}))
+        cfg = write_config(tmp_path, TINY_WHEEL, out=tmp_path / "out")
+        done = subprocess.run([sys.executable, "-m", "smma", "run", str(cfg)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        # the manifest records the variables as the child saw them
+        run_dir = tmp_path / "out" / "wheel_smma_b2_tau0.5_seed0"
+        manifest = (run_dir / "manifest.txt").read_text().splitlines()
+        assert manifest[1:6] == [
+            f"# {var}={caller or '1' if var == 'OPENBLAS_NUM_THREADS' else '1'}"
+            for var in smma.THREAD_VARS]
+        assert manifest[6].startswith(f"# numpy {np.__version__}, BLAS ")
+        assert manifest[7].startswith("# scipy ")
+        # its comment lines are no config: in the environment they record
+        # (BLAS threads can move a last bit), it reruns to the same log
+        redo = tmp_path / "redo"
+        done = subprocess.run([sys.executable, "-m", "smma", "run",
+                               str(run_dir / "manifest.txt"), "--out",
+                               str(redo)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        for name in ("log.csv", "design.txt"):
+            assert (run_dir / name).read_bytes() == \
+                (redo / run_dir.name / name).read_bytes()
+
+    def test_importing_the_package_sets_no_thread_variable(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import os, smma, smma.__main__, smma.cli; "
+             "print([os.environ.get(v) for v in smma.THREAD_VARS])"],
+            capture_output=True, text=True, env=self.child_env(),
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str([None] * len(smma.THREAD_VARS))
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("method = smma\n")   # problem key missing

@@ -600,6 +600,21 @@ class TestCondensed:
         np.testing.assert_allclose(u, U[:, 0], rtol=0,
                                    atol=1e-12 * scale * load)
 
+    @staticmethod
+    def assert_assembles_as_coo(mesh, pattern, s, rows, columns):
+        """pattern, a permutation holding one index into the mesh's
+        pattern per entry and no slots, assembles K[rows][:, columns] of
+        the coo -> csc sum byte for byte."""
+        assert pattern.slots is None
+        assert pattern.source.shape == pattern.indices.shape
+        K = mesh_fem._assembled(mesh, pattern, s)
+        want = coo_stiffness(mesh, s)[rows][:, columns].tocsc()
+        want.sort_indices()
+        assert same_bytes(K.data, want.data)
+        for attr in ("indices", "indptr"):
+            np.testing.assert_array_equal(getattr(K, attr),
+                                          getattr(want, attr))
+
     def test_pattern_is_the_symmetric_permutation(self):
         # and any other: rows and columns in independent random orders
         rng = np.random.default_rng(6)
@@ -616,12 +631,20 @@ class TestCondensed:
                 assert (mesh.colamd is not None) == ordered
                 rows, columns = rng.permutation(n), rng.permutation(n)
                 for r, c in ((rows, columns), (rows, rows)):
-                    K = mesh_fem._assembled(mesh, base.permuted(r, c), s)
-                    want = coo_stiffness(mesh, s)[r][:, c].tocsc()
-                    want.sort_indices()
-                    for attr in ("data", "indices", "indptr"):
-                        np.testing.assert_array_equal(getattr(K, attr),
-                                                      getattr(want, attr))
+                    self.assert_assembles_as_coo(mesh, base.permuted(r, c),
+                                                 s, r, c)
+                    # a permutation of a permutation indexes the base too
+                    r2, c2 = rng.permutation(n), rng.permutation(n)
+                    self.assert_assembles_as_coo(
+                        mesh, base.permuted(r, c).permuted(r2, c2), s,
+                        r[r2], c[c2])
+        # the wheel's COLAMD layout, its columns in the recorded order q
+        mesh = wheel_problem().mesh
+        pattern, unknowns = mesh.colamd
+        free = mesh.free_dofs
+        s = rng.uniform(0.1, 1.0, mesh.n_elements)
+        self.assert_assembles_as_coo(mesh, pattern, s, np.arange(free.size),
+                                     np.searchsorted(free, unknowns))
 
     @pytest.mark.parametrize("keep,message", [
         (lambda mesh: mesh.dirichlet_dofs[:1], "outside the free dofs"),
@@ -1464,9 +1487,66 @@ class TestLowRankUpdates:
                                           alone.dofs[0])
 
 
+def condensed_groups_by_change(mesh, base, slots):
+    """(lo, hi, keep) of condensed_groups, grown change by change: the
+    oracle of its array passes."""
+    # a pad's dof n_dofs is kept from the start, so that it is never counted
+    start = np.zeros(mesh.n_dofs + 1, dtype=bool)
+    start[np.append(np.intersect1d(base, mesh.free_dofs), mesh.n_dofs)] = True
+    kept, lo = start.copy(), 0
+    for p, dofs in enumerate(slots.dofs):
+        grown = np.count_nonzero(kept) - 1 + np.count_nonzero(~kept[dofs])
+        if p > lo and grown ** 2 > mesh_fem._UPDATE_BLOCK_ENTRIES:
+            yield lo, p, np.flatnonzero(kept[:-1])
+            kept, lo = start.copy(), p
+        kept[dofs] = True
+    if lo < len(slots.dofs):
+        yield lo, len(slots.dofs), np.flatnonzero(kept[:-1])
+
+
 class TestCondensedGroups:
     """Consecutive changes share a condensed view while it stays within
     the block budget."""
+
+    @staticmethod
+    def assert_matches_the_oracle(mesh, base, slots):
+        """condensed_groups yields the oracle's ranges and keeps; returns
+        the number of groups."""
+        got = list(condensed_groups(mesh, base, slots))
+        want = list(condensed_groups_by_change(mesh, base, slots))
+        assert [(lo, hi) for lo, hi, _ in got] == [
+            (lo, hi) for lo, hi, _ in want]
+        for (_, _, view), (_, _, keep) in zip(got, want):
+            assert view.keep.dtype == keep.dtype
+            np.testing.assert_array_equal(view.keep, keep)
+        return len(got)
+
+    @pytest.mark.parametrize("spec,groups", [((5, 5), 1), ((9, 9), 1),
+                                             ((50, 50), 2)])
+    def test_plate_rules_match_the_per_change_loop(self, spec, groups):
+        plate = RULE_PLATE
+        loaded = np.flatnonzero(np.any(plate.load_block() != 0.0, axis=1))
+        slots, _ = plate._changed(plate.space.trapezoid_rule(spec)[0])
+        assert self.assert_matches_the_oracle(plate.mesh, loaded,
+                                              slots) == groups
+
+    def test_a_change_past_the_budget_alone_matches_the_loop(self):
+        mesh = RULE_PLATE.mesh
+        # the bottom 19 element rows hold more than 2048 free dofs
+        big = np.arange(19 * mesh.shape[0])
+        assert mesh_fem._UPDATE_BLOCK_ENTRIES < np.intersect1d(
+            mesh.edof[big], mesh.free_dofs).size ** 2
+        small = [np.array([1500, 1501]), np.array([1700]), np.zeros(0, int),
+                 np.array([1200, 1260, 1320])]
+        base = mesh.free_dofs[-40:]
+        # and changes that hold no dof at all: slots of width 0
+        for sets, groups in (([big, *small], 2),
+                             ([*small[:2], big, *small[2:]], 3),
+                             ([*small, big], 2), ([big], 1), ([big, big], 2),
+                             ([small[2], small[2]], 1)):
+            for b in (base, base[:0]):
+                assert self.assert_matches_the_oracle(
+                    mesh, b, slots_of(mesh, sets)) == groups
 
     def test_ranges_cover_the_changes_within_the_budget(self, monkeypatch):
         mesh = RULE_PLATE.mesh
