@@ -271,9 +271,11 @@ class TestRunCommand:
         # the manifest records the variables as the child saw them
         run_dir = tmp_path / "out" / "wheel_smma_b2_tau0.5_seed0"
         manifest = (run_dir / "manifest.txt").read_text().splitlines()
-        assert manifest[1:6] == [
-            f"# {var}={caller or '1' if var == 'OPENBLAS_NUM_THREADS' else '1'}"
-            for var in smma.THREAD_VARS]
+        seen = dict.fromkeys(smma.THREAD_VARS, "1")
+        if caller is not None:
+            seen["OPENBLAS_NUM_THREADS"] = caller
+        assert manifest[1:6] == [f"# {var}={value}"
+                                 for var, value in seen.items()]
         assert manifest[6].startswith(f"# numpy {np.__version__}, BLAS ")
         assert manifest[7].startswith("# scipy ")
         # its comment lines are no config: in the environment they record
