@@ -36,12 +36,12 @@ builds the loads at the top-node dofs only, and leaves the full-column
 load block the loop keeps to the loop.
 
 The two problems factorize differently (see mesh_fem). The plate's
-builder, loop and verification all take K pivot-free in the mesh's
-node-graph order: the builder and the loop assemble the whole system
-through one view with nothing kept (mesh.condensed of no dofs), which the
-SIMP clones share. The wheel's builder and loop assemble on the mesh with
-SuperLU's COLAMD order, which its benchmark reference pins to the last
-bit; only its verification is condensed.
+builder and loop factorize the whole system as a block Cholesky over the
+node lines of its mesh (mesh.lines, which the SIMP clones share), and its
+verification condenses pivot-free in the mesh's node-graph order, which
+the builder computes. The wheel's builder and loop assemble on the mesh
+with SuperLU's COLAMD order, which its benchmark reference pins to the
+last bit; only its verification is condensed.
 
 Both builders rescale their load so the initial design's compliance at the
 distribution-mean parameter equals 1, making the default cap c_max = 1.5
@@ -304,9 +304,8 @@ class PlateProblem(_ProblemBase):
     folds the angle average into 2 * n loads. load_block() is angle_loads
     of load_columns over the omega nodes. The loop, dense verification and
     the builder's calibration all take their compliances from
-    _weakened_blocks. The builder and the loop factorize through _whole,
-    the mesh condensed onto no dofs: the whole system, pivot-free in the
-    mesh's symmetric order.
+    _weakened_blocks. The builder and the loop factorize the whole system
+    on the mesh's lines (mesh.lines, see mesh_fem.LineBlocks).
     """
 
     name = "plate"
@@ -345,8 +344,6 @@ class PlateProblem(_ProblemBase):
         self._bump_panels = 32
         self._load_cache = (None,)    # (key, G) at omega_nodes
         self._rule_cache = (None,)    # (key, weights, groups); see _rule_plan
-        # the whole stiffness in the mesh's symmetric order
-        self._whole = mesh.condensed(np.zeros(0, dtype=int))
 
     # -- loads and material modifier ------------------------------------
 
@@ -502,11 +499,11 @@ class PlateProblem(_ProblemBase):
         xi's change is the factors s0 * kept at its elements.
 
         system is K0, the stiffness of the element factors s0 assembled on
-        the whole view self._whole or on a view condensed onto the loaded
-        dofs and the dofs of every element whose stiffness a xi changes.
-        G is in the rows of system: load_block() for the whole view, its
-        rows at view.keep for a condensed one, whose states then have one
-        row per kept dof, which is all cbar reads.
+        the mesh's lines (the whole system) or on a view condensed onto the
+        loaded dofs and the dofs of every element whose stiffness a xi
+        changes. G is in the rows of system: load_block() for the whole
+        system, its rows at view.keep for a condensed one, whose states
+        then have one row per kept dof, which is all cbar reads.
         """
         slots, kept = changes
         U0, updates = low_rank_updates(system, self.mesh, s0, slots,
@@ -534,7 +531,7 @@ class PlateProblem(_ProblemBase):
         rho = np.asarray(rho, dtype=float)
         xis = np.atleast_2d(np.asarray(params, dtype=float))
         s0 = self.stiffness_field(rho)
-        system = assemble_stiffness(self._whole, s0)
+        system = assemble_stiffness(self.mesh.lines, s0)
         slots, kept = changes = self._changed(xis)
         # the first call builds the load cache after the factorization:
         # built before it, the cache leaves glibc's heap so that every
@@ -644,7 +641,9 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
 
     The initial compliance is the angle average at the centres of the xi
     box and of the omega interval, from angle_loads and _weakened_blocks,
-    as the loop and verification compute it.
+    as the loop and verification compute it. The mesh's node-graph order,
+    which verification's condensed views read, is computed here too, so
+    that the first verification does not pay for it.
     """
     # written so that NaN fails it
     if not 0.0 < ell < np.inf:
@@ -660,10 +659,11 @@ def plate_problem(nx: int = 60, ny: int = 30, ell: float = 1.0,
                            n_omega=n_omega)
     s0 = problem.stiffness_field(problem.initial_design())
     _, blocks = problem._weakened_blocks(
-        assemble_stiffness(problem._whole, s0), s0,
+        assemble_stiffness(mesh.lines, s0), s0,
         problem._changed(problem.space.centre()),
         problem.angle_loads(*problem.load_columns(
             problem.omega_space.centre())))
     ((c0, _),) = blocks
     problem.load_scale = 1.0 / np.sqrt(float(c0[0, 0]))
+    _ = mesh.symmetric_order
     return problem

@@ -28,7 +28,7 @@ which holds for each stored entry only its index in the base pattern. An
 assembly in any order sums the base pattern's entries once and gathers
 those sums.
 
-A mesh is factorized in one of two orders, chosen by what its caller
+A mesh is factorized in one of three ways, chosen by what its caller
 assembles:
 
 - `assemble_stiffness(mesh, s)`, the wheel's builder and loop: SuperLU's
@@ -44,33 +44,39 @@ assembles:
   K has many equal entries.) The rows of the reduced system stay in
   free-dof order. The wheel keeps this path because its benchmark
   reference pins the wheel's chaotic trajectory to its last bits; it is
-  also the test oracle of the other path.
-- `assemble_stiffness(mesh.condensed(keep), s)`, the plate's builder and
-  loop (keep empty) and dense verification of both problems: K taken in
-  one symmetric fill-reducing order, rows and columns alike, with the dofs
-  of keep moved last, and factorized with diagonal pivots, which K, being
-  SPD, allows; any other pivot raises FactorizationError. The order is
-  minimum degree on the graph of the free nodes (George & Liu, "The
-  evolution of the minimum degree ordering algorithm", SIAM Review 1989),
-  each node expanded to its x and y dofs: the mesh computes it on first
-  read, from one symbolic ILU pass over a node-level matrix with half the
-  rows of K. On the plate it leaves fewer nonzeros in L and U than COLAMD
-  (about 314k against 398k).
+  also the test oracle of the other paths.
+- `assemble_stiffness(mesh.lines, s)`, the plate's builder and loop: the
+  free dofs of a rect mesh lie on node lines across its shorter side (61
+  vertical lines of 60 dofs on the default 60 x 30 plate), and an element
+  joins two neighbouring lines only, so K is block tridiagonal over them,
+  with dense blocks (George & Liu, "Computer Solution of Large Sparse
+  Positive Definite Systems", 1981, ch. 6). The mesh's LineBlocks layout
+  places each stored entry of its pattern in its block, and K is
+  factorized as a block Cholesky K = L L^T (Golub & Van Loan, "Matrix
+  Computations", 4.5): LAPACK dpotrf on each diagonal block, BLAS dtrsm
+  for each coupling block and one product for each Schur update. A solve
+  is one forward and one backward sweep over the lines, of dtrsm and
+  dgemm calls (see LineCholesky). Every step is a level-3 call on a
+  dense block, where SuperLU's multi-column solve is made of small
+  supernode calls; a non-SPD block raises FactorizationError.
+- `assemble_stiffness(mesh.condensed(keep), s)`, dense verification of
+  both problems: K taken in one symmetric fill-reducing order, rows and
+  columns alike, with the dofs of keep moved last, and factorized by
+  SuperLU with diagonal pivots, which K, being SPD, allows; any other
+  pivot raises FactorizationError. The order is minimum degree on the
+  graph of the free nodes (George & Liu, "The evolution of the minimum
+  degree ordering algorithm", SIAM Review 1989), each node expanded to
+  its x and y dofs: the mesh computes it on first read, from one
+  symbolic ILU pass over a node-level matrix with half the rows of K.
 
 The low-rank updates take their Z = K^-1 P, the columns of K^-1 at the
 dofs they change, from one block solve per LowRankUpdates, the first one
 with the states of their loads; on a condensed system they gather Z from
 S^-1.
 
-A wide SuperLU block (the plate loop's block of about 100 unit columns,
-not the wheel loop's 8 loads, the builders' calibration solves or
-verification) is solved as two halves of its columns, the second on a
-one-worker thread pool (see FactorizedSystem.solve).
-
-With keep empty, `CondensedMesh` is the whole system in the symmetric
-order. A reader of K^-1 at a few dofs only (dense verification) condenses
-onto them instead (static condensation; Guyan, "Reduction of stiffness and
-mass matrices", AIAA J. 1965): the trailing block L22 U22 of the
+A reader of K^-1 at a few dofs only (dense verification) condenses onto
+them (static condensation; Guyan, "Reduction of stiffness and mass
+matrices", AIAA J. 1965): the trailing block L22 U22 of the
 factorization is then the Schur complement S of the other dofs, and the
 rows of K^-1 at keep are those of S^-1. K is SPD and factorized
 pivot-free in a symmetric order, so S = R^T R with R = D22^-1/2 U22, its
@@ -83,19 +89,15 @@ one row per kept dof, so no n_dofs-long block is formed.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse.linalg import SuperLU, spilu, splu
 
 _GAUSS = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
-
-# A SuperLU block of at least this many columns is solved as two halves
-# (see FactorizedSystem.solve).
-_SPLIT_COLUMNS = 32
 
 
 class FactorizationError(RuntimeError):
@@ -283,6 +285,12 @@ class StructuredMesh:
         adjacent, as positions in free_dofs (see _node_graph_order)."""
         return _node_graph_order(self)
 
+    @functools.cached_property
+    def lines(self) -> "LineBlocks":
+        """The layout of K in blocks over the node lines of a rect mesh
+        (see LineBlocks); ValueError on a disc mesh."""
+        return LineBlocks.of(self)
+
     def __post_init__(self):
         e = self.elements
         if np.any(e < 0) or np.any(e >= self.nodes.shape[0]):
@@ -299,16 +307,14 @@ class StructuredMesh:
                                            self.n_dofs)
 
     def condensed(self, keep) -> "CondensedMesh":
-        """This mesh's stiffness condensed onto keep, sorted free dofs.
-
-        An empty keep is the whole system in symmetric_order: the plate's
-        factorization. COLAMD (assemble_stiffness on the mesh itself)
-        serves only the wheel's builder and loop, whose benchmark
-        reference pins their last bits.
-        """
+        """This mesh's stiffness condensed onto keep, sorted free dofs; an
+        empty keep raises ValueError (the whole system is assemble_stiffness
+        on the mesh itself or on its lines)."""
         keep = np.asarray(keep)
         if keep.ndim != 1 or keep.dtype.kind not in "iu":
             raise ValueError("keep must be a 1-D array of dof indices")
+        if keep.size == 0:
+            raise ValueError("keep must hold at least one dof")
         # no np.diff: it wraps around on unsigned dofs
         if np.any(keep[1:] <= keep[:-1]):
             raise ValueError("keep must be sorted and free of duplicates")
@@ -443,8 +449,7 @@ class CondensedMesh:
     assemble_stiffness(view, s) factorizes K(s) in the order of the mesh's
     symmetric_order with keep moved last, and returns the system of the
     Schur complement onto keep, whose loads and states have one row per
-    kept dof (see FactorizedSystem). An empty keep returns the whole
-    system in the symmetric order, with one row per dof of the mesh.
+    kept dof (see FactorizedSystem).
     """
 
     mesh: StructuredMesh
@@ -461,29 +466,162 @@ class CondensedMesh:
 
 
 @dataclass
+class LineBlocks:
+    """A rect mesh's stiffness as blocks over its node lines.
+
+    The lines run across the mesh's shorter side: one per node column, or
+    one per node row when ny > nx, which keeps a line's dofs the fewer.
+    The free dofs of each line, in free-dof order, are one block of
+    block_size rows; a line without free dofs (the clamped bottom row) has
+    none. A Q4 element joins two neighbouring lines at most, so K is block
+    tridiagonal over them. Stored entry source[k] of the mesh's pattern is
+    entry place[k] of the flattened (2 n_blocks - 1, block_size,
+    block_size) blocks: the diagonal blocks K[line i, line i], then the
+    sub-diagonal blocks K[line i + 1, line i]. The entries above the
+    diagonal blocks, the transposes of the sub-diagonal ones, are not
+    placed.
+    """
+
+    mesh: StructuredMesh
+    dofs: np.ndarray       # (n,) the free dofs, line by line
+    n_blocks: int
+    source: np.ndarray     # (placed,) entries of the mesh's pattern
+    place: np.ndarray      # (placed,) their flat indices in the blocks
+
+    @property
+    def block_size(self) -> int:
+        return self.dofs.size // self.n_blocks
+
+    @classmethod
+    def of(cls, mesh: StructuredMesh) -> "LineBlocks":
+        if mesh.kind != "rect":
+            raise ValueError("line blocks need a rect mesh")
+        nx, ny = mesh.shape
+        free = mesh.free_dofs
+        row, column = np.divmod(free // 2, nx + 1)  # node iy*(nx+1) + ix
+        _, line = np.unique(column if ny <= nx else row, return_inverse=True)
+        counts = np.bincount(line)
+        bs = counts[0]
+        if np.any(counts != bs):
+            raise ValueError("the mesh's lines hold different numbers of "
+                             "free dofs")
+        # free ascends, so a stable sort keeps free-dof order in each line
+        order = np.argsort(line, kind="stable")
+        position = np.empty(free.size, dtype=np.intp)
+        position[order] = np.arange(free.size)
+        pattern = mesh.pattern
+        columns = np.repeat(np.arange(free.size), np.diff(pattern.indptr))
+        row_line, row_at = np.divmod(position[pattern.indices], bs)
+        column_line, column_at = np.divmod(position[columns], bs)
+        lower = np.flatnonzero(row_line >= column_line)
+        block = np.where(row_line == column_line, 0, counts.size)[lower]
+        block += column_line[lower]
+        return cls(mesh=mesh, dofs=free[order], n_blocks=counts.size,
+                   source=lower,
+                   place=(block * bs + row_at[lower]) * bs + column_at[lower])
+
+    def blocks(self, s: np.ndarray) -> np.ndarray:
+        """The (2 n_blocks - 1, block_size, block_size) blocks of K(s),
+        each placed entry the sum that _assembled gives it."""
+        bs = self.block_size
+        out = np.zeros((2 * self.n_blocks - 1) * bs * bs)
+        out[self.place] = _entry_sums(self.mesh, s)[self.source]
+        return out.reshape(-1, bs, bs)
+
+
+class LineCholesky:
+    """The block Cholesky factor L of a block-tridiagonal SPD K = L L^T,
+    with the part of SuperLU's interface that its readers use: solve(b)
+    and nnz.
+
+    blocks holds the n_blocks diagonal blocks L_ii (lower triangular), then
+    the coupling blocks L_(i+1)i, each C-ordered. A C-ordered block is the
+    Fortran-ordered array of its transpose, so every BLAS and LAPACK call
+    takes its operands' .T in place, with no copy.
+    """
+
+    def __init__(self, blocks: np.ndarray, n_blocks: int):
+        """Factorize in place the blocks of K (see LineBlocks.blocks),
+        reading the lower triangles of its diagonal blocks; a block that is
+        not positive definite raises FactorizationError."""
+        self.blocks, self.n_blocks = blocks, n_blocks
+        diagonal, coupling = blocks[:n_blocks], blocks[n_blocks:]
+        for i, block in enumerate(diagonal):
+            if i:
+                # the Schur update K_ii - L_i(i-1) L_i(i-1)^T
+                block -= coupling[i - 1] @ coupling[i - 1].T
+            # block.T is K_ii^T, whose upper triangle becomes L_ii^T
+            _, info = dpotrf(block.T, lower=0, overwrite_a=1)
+            if info != 0:
+                raise FactorizationError(
+                    f"line block {i} is not positive definite (LAPACK "
+                    f"dpotrf info {info})")
+            if i + 1 < n_blocks:
+                # L_(i+1)i = K_(i+1)i L_ii^-T: L_ii X^T = K_(i+1)i^T
+                dtrsm(1.0, block.T, coupling[i].T, trans_a=1, overwrite_b=1)
+
+    @property
+    def nnz(self) -> int:
+        """The entries of L that the blocks hold: each diagonal block's
+        lower triangle, each coupling block whole."""
+        bs = self.blocks.shape[1]
+        return (self.n_blocks * bs * (bs + 1) // 2
+                + (self.n_blocks - 1) * bs * bs)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x = K^-1 b for one (n,) or many (n, m) right-hand sides, rows
+        line by line: L y = b forward over the lines, then L^T x = y
+        backward. Each line's rows x_i are a C-ordered (bs, m) block, whose
+        .T is x_i^T in Fortran order, so every step acts on x_i^T from the
+        right."""
+        b = np.asarray(b, dtype=float)
+        nb = self.n_blocks
+        diagonal, coupling = self.blocks[:nb], self.blocks[nb:]
+        x = b.reshape(nb, self.blocks.shape[1], -1).copy()
+        if x.shape[2] == 0:   # the BLAS wrappers reject empty operands
+            return x.reshape(b.shape)
+        for i in range(nb):
+            if i:
+                # x_i^T -= x_(i-1)^T L_i(i-1)^T
+                dgemm(-1.0, x[i - 1].T, coupling[i - 1].T, 1.0, x[i].T,
+                      overwrite_c=1)
+            # x_i^T L_ii^T = x_i^T
+            dtrsm(1.0, diagonal[i].T, x[i].T, side=1, overwrite_b=1)
+        for i in reversed(range(nb)):
+            if i + 1 < nb:
+                # x_i^T -= x_(i+1)^T L_(i+1)i
+                dgemm(-1.0, x[i + 1].T, coupling[i].T, 1.0, x[i].T,
+                      trans_b=1, overwrite_c=1)
+            # x_i^T L_ii = x_i^T
+            dtrsm(1.0, diagonal[i].T, x[i].T, side=1, trans_a=1,
+                  overwrite_b=1)
+        return x.reshape(b.shape)
+
+
+@dataclass
 class FactorizedSystem:
     """Direct factorization of the Dirichlet-reduced stiffness matrix.
 
-    lu is SuperLU's factorization. Loads and states have one row per dof
-    of the mesh (n_dofs rows). Row i of the reduced system is the equation
-    of dof free_dofs[i], and its unknown j is the displacement of dof
-    unknowns[j]. A COLAMD system (the wheel's) has free_dofs in free-dof
-    order and unknowns equal to them in the mesh's first factorization,
-    and the unknowns free_dofs[q] that it recorded in mesh.colamd in every
-    later one. The whole system in the symmetric order (a CondensedMesh
-    with an empty keep, the plate's) has free_dofs = unknowns = the mesh's
-    free dofs in symmetric_order.
+    lu is SuperLU's factorization, or on a rect mesh's lines its
+    LineCholesky. Loads and states have one row per dof of the mesh
+    (n_dofs rows). Row i of the reduced system is the equation of dof
+    free_dofs[i], and its unknown j is the displacement of dof unknowns[j].
+    A COLAMD system (the wheel's) has free_dofs in free-dof order and
+    unknowns equal to them in the mesh's first factorization, and the
+    unknowns free_dofs[q] that it recorded in mesh.colamd in every later
+    one. A line system (the plate's) has free_dofs = unknowns = the free
+    dofs line by line (LineBlocks.dofs).
 
-    A condensed system (from a CondensedMesh with a nonempty keep) has
-    free_dofs = unknowns = keep, and keeps next to lu the inverse S^-1 of
-    the Schur complement onto keep, formed from the Cholesky factor of its
-    trailing block (see _factorize_condensed); inverse is None on every
-    other system. Its loads and states have one row per kept dof, in the
-    order of keep: a load on keep gives the displacements of K at keep, by
-    one product with S^-1.
+    A condensed system (from a CondensedMesh) has free_dofs = unknowns =
+    keep, and keeps next to lu the inverse S^-1 of the Schur complement
+    onto keep, formed from the Cholesky factor of its trailing block (see
+    _factorize_condensed); inverse is None on every other system. Its
+    loads and states have one row per kept dof, in the order of keep: a
+    load on keep gives the displacements of K at keep, by one product with
+    S^-1.
     """
 
-    lu: SuperLU
+    lu: SuperLU | LineCholesky
     free_dofs: np.ndarray
     unknowns: np.ndarray
     n_dofs: int
@@ -517,23 +655,8 @@ class FactorizedSystem:
         """Solve K U = rhs for one (n_rows,) or many (n_rows, m) loads.
 
         Returned displacements are zero at Dirichlet dofs. A condensed
-        system takes one product with S^-1.
-
-        A SuperLU block of m >= _SPLIT_COLUMNS loads is solved as two
-        halves of its columns, [0, m // 2) and [m // 2, m), each scattered
-        into the result: the calling thread solves the first while a
-        one-worker ThreadPoolExecutor solves the second, and the call
-        returns, or raises, once both are done. scipy's SuperLU.solve
-        releases the interpreter lock, so the halves run at once where two
-        CPUs are free. SuperLU solves each right-hand side alone (Li, "An
-        overview of SuperLU", ACM TOMS 2005), but the BLAS kernels it calls
-        may round a column differently with the block's width (scipy's
-        OpenBLAS on an AVX-512 Xeon does, in the last bit), so the result
-        matches the one-block solve to rounding. The halves depend on m
-        alone, not on the host's CPU count, so every host gets the same
-        bits. Both halves call lu.solve, never this method, so that a
-        wrapper of this method (the benchmark's tracer, which is not
-        thread-safe) sees one call per block, from the caller's thread.
+        system takes one product with S^-1, any other one lu.solve of the
+        rows at free_dofs.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_rows:
@@ -549,25 +672,11 @@ class FactorizedSystem:
                 return self.inverse @ rhs
             return self.inverse[:, live] @ rhs[live]
         u = np.zeros_like(rhs)
-        b = rhs[self.free_dofs]
-        m = 1 if b.ndim == 1 else b.shape[1]
-        if m < _SPLIT_COLUMNS:
-            u[self.unknowns] = self.lu.solve(b)
-            return u
-
-        def solve_into(part):
-            u[self.unknowns, part] = self.lu.solve(b[:, part])
-
-        # leaving the block joins the worker, even when the first half
-        # raised; result() raises the second half's exception
-        with ThreadPoolExecutor(1, thread_name_prefix="smma-solve") as pool:
-            second = pool.submit(solve_into, slice(m // 2, m))
-            solve_into(slice(0, m // 2))
-        second.result()
+        u[self.unknowns] = self.lu.solve(rhs[self.free_dofs])
         return u
 
 
-def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
+def assemble_stiffness(mesh: StructuredMesh | LineBlocks | CondensedMesh,
                        stiffness_per_element) -> FactorizedSystem:
     """Assemble K = sum_e s_e * k0_e, eliminate Dirichlet dofs, factorize.
 
@@ -578,9 +687,14 @@ def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
     free_dofs[q]; later ones assemble that pattern and keep its order
     ("NATURAL"), which yields the same L, U and solves as ordering afresh.
 
-    mesh may be a CondensedMesh, an empty keep included; see
-    _factorize_condensed.
+    mesh may be a rect mesh's LineBlocks, factorized as a LineCholesky,
+    or a CondensedMesh; see _factorize_condensed.
     """
+    if isinstance(mesh, LineBlocks):
+        s = _checked_factors(mesh.mesh, stiffness_per_element)
+        return FactorizedSystem(lu=LineCholesky(mesh.blocks(s), mesh.n_blocks),
+                                free_dofs=mesh.dofs, unknowns=mesh.dofs,
+                                n_dofs=mesh.mesh.n_dofs)
     if isinstance(mesh, CondensedMesh):
         return _factorize_condensed(
             mesh, _checked_factors(mesh.mesh, stiffness_per_element))
@@ -602,8 +716,7 @@ def assemble_stiffness(mesh: StructuredMesh | CondensedMesh,
 
 def _factorize_condensed(view: CondensedMesh,
                          s: np.ndarray) -> FactorizedSystem:
-    """The Schur complement of K(s) onto view.keep, from one factorization;
-    for an empty keep, the whole system.
+    """The Schur complement of K(s) onto view.keep, from one factorization.
 
     Every condensed assembly takes K in the mesh's symmetric_order, rows
     and columns alike, with keep moved last (view.pattern), and factorizes
@@ -623,10 +736,6 @@ def _factorize_condensed(view: CondensedMesh,
     if not (np.array_equal(lu.perm_r, identity)
             and np.array_equal(lu.perm_c, identity)):
         raise FactorizationError("condensed factorization left the diagonal")
-    if view.keep.size == 0:
-        dofs = mesh.free_dofs[mesh.symmetric_order]
-        return FactorizedSystem(lu=lu, free_dofs=dofs, unknowns=dofs,
-                                n_dofs=mesh.n_dofs)
     m = n - view.keep.size
     R = lu.U[m:, m:].toarray()
     pivots = np.diagonal(R)
@@ -693,20 +802,26 @@ def _checked_factors(mesh: StructuredMesh, stiffness_per_element):
     return s
 
 
-def _assembled(mesh: StructuredMesh, pattern: StiffnessPattern,
-               s: np.ndarray) -> sp.csc_matrix:
-    """K(s) in the layout of pattern: the sums of the mesh pattern's slots,
-    taken once in free-dof order, gathered at pattern.source. Each entry
-    is the same sum in the same order in every layout."""
+def _entry_sums(mesh: StructuredMesh, s: np.ndarray) -> np.ndarray:
+    """The stored entries of K(s) in the mesh's own pattern: the sums of
+    its slots. Every layout of K (_assembled, LineBlocks.blocks) gathers
+    these, so each entry is the same sum in the same order in all."""
     # the pad -0.0 adds nothing: x + (-0.0) is x, signed zeros included
     scaled = np.append((mesh.element_matrices * s[:, None, None]).ravel(),
                        -0.0)[mesh.pattern.slots]
     sums = scaled[0].copy()
     for row in scaled[1:]:
         sums += row
+    return sums
+
+
+def _assembled(mesh: StructuredMesh, pattern: StiffnessPattern,
+               s: np.ndarray) -> sp.csc_matrix:
+    """K(s) in the layout of pattern: _entry_sums gathered at
+    pattern.source."""
     n = pattern.indptr.size - 1
-    return sp.csc_matrix((sums[pattern.source], pattern.indices,
-                          pattern.indptr), shape=(n, n))
+    return sp.csc_matrix((_entry_sums(mesh, s)[pattern.source],
+                          pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def _splu(K: sp.csc_matrix, **options):
@@ -733,7 +848,8 @@ def condensed_groups(mesh: StructuredMesh, base, slots: ChangeSlots):
     Yields (lo, hi, view): the group's changes lo .. hi - 1, and mesh
     condensed onto the free dofs among base and the dofs S_p of those
     changes (slots.dofs). A group grows while its view keeps |keep|^2
-    within _UPDATE_BLOCK_ENTRIES; a single change may exceed it alone.
+    within _UPDATE_BLOCK_ENTRIES; a single change may exceed it alone. A
+    group that would keep no dof raises ValueError (see mesh.condensed).
 
     Each group takes array passes over the changes from lo on: the first
     appearance of each dof outside base, then a cumulative count of them

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from smma import benchmarks, mesh_fem
+from smma import benchmarks, driver, mesh_fem
 from smma import design_field as df
 from smma.benchmarks import (
     DEFAULT_ANGLE_RANGE,
@@ -529,6 +530,61 @@ class TestPlate:
             plate.dense_raw(plate.initial_design(), grid)
 
 
+def superlu_whole(view, s):
+    """assemble_stiffness, with the whole system on a mesh's lines taken
+    from a plain COLAMD splu of the mesh pattern's assembly: the oracle of
+    the line blocks."""
+    if not isinstance(view, mesh_fem.LineBlocks):
+        return assemble_stiffness(view, s)
+    mesh = view.mesh
+    lu = splu(mesh_fem._assembled(mesh, mesh.pattern, s), permc_spec="COLAMD")
+    return FactorizedSystem(lu=lu, free_dofs=mesh.free_dofs,
+                            unknowns=mesh.free_dofs, n_dofs=mesh.n_dofs)
+
+
+class TestLineFactorization:
+    """The plate's builder and loop factorize on the mesh's lines; SuperLU
+    on the same K stays their oracle."""
+
+    def test_builder_computes_the_node_graph_order(self):
+        problem = plate_problem()
+        # verification's condensed views read it, so set-up pays for it
+        assert "symmetric_order" in vars(problem.mesh)
+        assert "lines" in vars(problem.mesh)
+
+    @staticmethod
+    def recorded_run(oracle):
+        """(records, final design) of a 2-iteration tall-plate run, every
+        evaluate_records output in order; with the SuperLU whole system
+        when oracle."""
+        records = []
+        evaluate = benchmarks.PlateProblem.evaluate_records
+
+        def recorded(problem, rho, params):
+            records.append(evaluate(problem, rho, params))
+            return records[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(benchmarks.PlateProblem, "evaluate_records", recorded)
+            if oracle:
+                mp.setattr(benchmarks, "assemble_stiffness", superlu_whole)
+            problem = plate_problem(nx=6, ny=14, n_omega=4)
+            rho, _ = driver.run_smma(problem, driver.RunConfig(
+                method="smma", iterations=2, seed=0, verify_every=0))
+        return records, rho
+
+    def test_loop_records_match_the_superlu_oracle(self):
+        got, rho = self.recorded_run(oracle=False)
+        want, rho_want = self.recorded_run(oracle=True)
+        assert len(got) == len(want) == 2
+        for (values, grads), (v_want, g_want) in zip(got, want):
+            np.testing.assert_allclose(values, v_want, rtol=0,
+                                       atol=1e-10 * np.abs(v_want).max())
+            np.testing.assert_allclose(grads, g_want, rtol=0,
+                                       atol=1e-10 * np.abs(g_want).max())
+        np.testing.assert_allclose(rho, rho_want, rtol=0, atol=1e-10)
+
+
 def looped_profile(plate, omega):
     """Oracle: the consistent top-edge profile, one panel at a time."""
     x = plate._top_x
@@ -968,7 +1024,7 @@ def two_solve_records(plate, rho, xis):
     correction contraction per xi."""
     s0 = df.interpolate_stiffness(rho, plate.filt, plate.simp,
                                   mesh=plate.mesh)
-    system = assemble_stiffness(plate._whole, s0)
+    system = assemble_stiffness(plate.mesh.lines, s0)
     U0, parts = two_solve_kernel(plate, system, s0, xis, plate.load_block())
     q0 = element_quadratic_forms(plate.mesh, U0, U0)
     w, smoothing = plate.omega_weights, plate.smoothing

@@ -1,6 +1,4 @@
 import dataclasses
-import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -407,14 +405,13 @@ class TestPatternAssembly:
 
     def test_simp_clone_reuses_the_ordering(self, monkeypatch):
         problem = plate_problem(nx=12, ny=6, n_omega=4)
-        view = problem._whole
-        assert "pattern" in vars(view)   # built by the calibration solve
-        pattern = view.pattern
+        # the line layout, built by the calibration solve
+        lines = vars(problem.mesh)["lines"]
         calls = recorded_splu(monkeypatch)
         clone = problem.with_simp(3.0)
         clone.evaluate_records(clone.initial_design(), [[1.0, 0.5]])
-        assert [spec for _, spec, _ in calls] == ["NATURAL"]
-        assert clone._whole is view and view.pattern is pattern
+        assert calls == []
+        assert clone.mesh.lines is lines
         # the plate never ran COLAMD, which would record its order here
         assert problem.mesh.colamd is None
 
@@ -425,11 +422,11 @@ class TestPatternAssembly:
         cfg = driver.RunConfig(method="smma", iterations=2, seed=0,
                                verify_every=1, verify_spec=(3, 3))
         driver.run_smma(problem, cfg)
-        # the node-graph order once, from one symbolic ILU pass, then one
-        # factorization per iteration and per verification, all of them
-        # in that order
+        # the node-graph order once, from one symbolic ILU pass in the
+        # builder, then one SuperLU factorization per verification, in
+        # that order; the builder and the loop factorize on the lines
         assert [spec for _, spec, _ in calls] == (["spilu MMD_AT_PLUS_A"]
-                                                  + ["NATURAL"] * 5)
+                                                  + ["NATURAL"] * 2)
         assert problem.mesh.colamd is None
 
     def test_rows_are_free_dofs_and_unknowns_follow_the_order(self):
@@ -655,8 +652,9 @@ class TestCondensed:
         (lambda mesh: np.array([mesh.n_dofs]), "outside the free dofs"),
         (lambda mesh: mesh.free_dofs[:2].astype(float), "1-D array of dof"),
         (lambda mesh: mesh.free_dofs[:4].reshape(2, 2), "1-D array of dof"),
+        (lambda mesh: np.zeros(0, dtype=int), "at least one dof"),
     ], ids=["dirichlet", "duplicate", "unsorted", "unsigned-unsorted",
-            "out-of-range", "float", "two-dimensional"])
+            "out-of-range", "float", "two-dimensional", "empty"])
     def test_bad_keep_rejected(self, keep, message):
         mesh = build_rect_mesh(3, 2, 3.0, 2.0)
         with pytest.raises(ValueError, match=message):
@@ -701,15 +699,15 @@ class TestCondensed:
         del calls[:]
         plate = plate_problem(nx=12, ny=6, n_omega=4)
         # the plate's records the node-graph order from one symbolic ILU
-        # pass, then calibrates with the whole system in it
-        assert specs() == ["spilu MMD_AT_PLUS_A", "NATURAL"]
+        # pass; it calibrates on the mesh's lines
+        assert specs() == ["spilu MMD_AT_PLUS_A"]
         built = calls[:]
         # three verifications each: one MMD pass per mesh, so the plate's
         # reuse the order its builder recorded
         mmd = ["spilu MMD_AT_PLUS_A"]
         for problem, spec, before, want in (
                 (wheel, 30, [], mmd + ["NATURAL"] * 3),
-                (plate, (3, 3), built, mmd + ["NATURAL"] * 4)):
+                (plate, (3, 3), built, mmd + ["NATURAL"] * 3)):
             calls[:] = before
             mesh = problem.mesh
             clone = problem.with_simp(3.0)
@@ -847,33 +845,51 @@ class TestSchurInverse:
             assemble_stiffness(view, np.ones(mesh.n_elements))
 
 
-NO_DOFS = np.zeros(0, dtype=int)
+def colamd_oracle(mesh, s):
+    """The whole system from a plain COLAMD splu of the mesh pattern's
+    assembly: the oracle of the line blocks."""
+    lu = splu(mesh_fem._assembled(mesh, mesh.pattern, s), permc_spec="COLAMD")
+    return FactorizedSystem(lu=lu, free_dofs=mesh.free_dofs,
+                            unknowns=mesh.free_dofs, n_dofs=mesh.n_dofs)
+
+
+def line_designs(problem):
+    """(name, element factors) of the initial design, a {0, 1} design and
+    a uniform random design of problem."""
+    rng = np.random.default_rng(41)
+    return [(name, problem.stiffness_field(rho)) for name, rho in (
+        ("initial", problem.initial_design()),
+        ("0-1", rng.integers(0, 2, problem.n_design).astype(float)),
+        ("uniform", rng.uniform(0.0, 1.0, problem.n_design)))]
+
+
+LINE_MESHES = {
+    "rect-1x1": lambda: build_rect_mesh(1, 1, 1.0, 1.0),
+    "rect-7x4": lambda: build_rect_mesh(7, 4, 2.0, 1.0),
+    "tall-6x14": lambda: build_rect_mesh(6, 14, 1.0, 2.0),
+    "plate-16x8": lambda: SMALL_PLATE.mesh,
+}
 
 
 class TestWholeSystem:
-    """The whole system in the symmetric order (a view condensed onto no
-    dofs: the plate's builder and loop) against the COLAMD path and the
-    coo -> csc assembly factorized by SuperLU, which stay the oracles."""
+    """The whole system on a rect mesh's lines (the plate's builder and
+    loop) against the COLAMD path and the coo -> csc assembly factorized
+    by SuperLU, which stay the oracles."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: build_rect_mesh(1, 1, 1.0, 1.0),
-        lambda: build_rect_mesh(7, 4, 2.0, 1.0),
-        lambda: build_disc_mesh(3, 12, 0.1, 0.9),
-        lambda: SMALL_PLATE.mesh,
-    ], ids=["rect-1x1", "rect-7x4", "disc-3x12", "plate-16x8"])
+    @pytest.mark.parametrize("make", LINE_MESHES.values(), ids=LINE_MESHES)
     def test_matches_colamd_and_coo(self, make):
         mesh = make()
         rng = np.random.default_rng(8)
-        s = rng.uniform(0.05, 1.0, mesh.n_elements)
-        whole = assemble_stiffness(mesh.condensed(NO_DOFS), s)
+        s = rng.uniform(E_VOID, 1.0, mesh.n_elements)
+        whole = assemble_stiffness(mesh.lines, s)
+        assert isinstance(whole.lu, mesh_fem.LineCholesky)
         assert not whole.condensed and whole.n_rows == mesh.n_dofs
-        ordered = mesh.free_dofs[mesh.symmetric_order]
-        np.testing.assert_array_equal(whole.free_dofs, ordered)
-        np.testing.assert_array_equal(whole.unknowns, ordered)
-        colamd = assemble_stiffness(mesh, s)
+        np.testing.assert_array_equal(whole.free_dofs, mesh.lines.dofs)
+        np.testing.assert_array_equal(whole.unknowns, mesh.lines.dofs)
+        colamd = colamd_oracle(mesh, s)
         free, fixed = mesh.free_dofs, mesh.dirichlet_dofs
         # loads at Dirichlet rows too: they are read at the free rows only
-        F = rng.standard_normal((mesh.n_dofs, 3))
+        F = rng.standard_normal((mesh.n_dofs, 5))
         want = np.zeros_like(F)
         want[free] = splu(coo_stiffness(mesh, s)).solve(F[free])
         scale = np.abs(want).max()
@@ -882,26 +898,131 @@ class TestWholeSystem:
         for oracle in (want, colamd.solve(F)):
             np.testing.assert_allclose(got, oracle, rtol=0,
                                        atol=1e-12 * scale)
-        np.testing.assert_allclose(whole.solve(F[:, 1]), want[:, 1],
+        np.testing.assert_allclose(whole.solve(F[:, 2]), want[:, 2],
                                    rtol=0, atol=1e-12 * scale)
+        assert whole.solve(F[:, :0]).shape == (mesh.n_dofs, 0)
         dofs = np.array([free[-1], fixed[0], free[0], free[free.size // 2]])
         Z = unit_columns(whole, dofs)
-        assert Z.shape == (mesh.n_dofs, dofs.size)
         np.testing.assert_array_equal(Z[:, 1], 0.0)
         np.testing.assert_array_equal(Z[fixed], 0.0)
-        P = np.zeros((mesh.n_dofs, dofs.size))
-        P[dofs, np.arange(dofs.size)] = 1.0
-        want = np.zeros_like(P)
-        want[free] = splu(coo_stiffness(mesh, s)).solve(P[free])
-        scale = np.abs(want).max()
-        for oracle in (want, unit_columns(colamd, dofs)):
-            np.testing.assert_allclose(Z, oracle, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(Z, unit_columns(colamd, dofs), rtol=0,
+                                   atol=1e-12 * np.abs(Z).max())
+
+
+class TestLineBlocks:
+    """The plate's block Cholesky over the node lines of a rect mesh
+    against the COLAMD factorization of the same entries, which stays the
+    oracle."""
+
+    @pytest.mark.parametrize("nx,ny,lines,nodes", [
+        (60, 30, "column", 30), (6, 14, "row", 7), (7, 7, "column", 7),
+        (1, 1, "column", 1), (1, 2, "row", 2)])
+    def test_lines_run_across_the_shorter_side(self, nx, ny, lines, nodes):
+        mesh = build_rect_mesh(nx, ny, 2.0, 1.0)
+        layout = mesh.lines
+        assert mesh.lines is layout
+        bs = layout.block_size
+        assert bs == 2 * nodes
+        assert layout.n_blocks == (nx + 1 if lines == "column" else ny)
+        np.testing.assert_array_equal(np.sort(layout.dofs), mesh.free_dofs)
+        iy, ix = np.divmod(layout.dofs.reshape(layout.n_blocks, bs) // 2,
+                           nx + 1)
+        # each block is one node line, in free-dof order
+        on_line = ix if lines == "column" else iy
+        assert np.all(on_line == on_line[:, :1])
+        assert np.all(np.diff(on_line[:, 0]) == 1)
+        assert np.all(np.diff(layout.dofs.reshape(layout.n_blocks, bs)) > 0)
+
+    def test_a_disc_mesh_has_no_lines(self):
+        with pytest.raises(ValueError, match="rect mesh"):
+            build_disc_mesh(2, 8, 0.1, 0.9).lines
+
+    @pytest.mark.parametrize("make", LINE_MESHES.values(), ids=LINE_MESHES)
+    def test_blocks_hold_the_patterns_entries(self, make):
+        mesh = make()
+        layout = mesh.lines
+        s = np.random.default_rng(40).uniform(E_VOID, 1.0, mesh.n_elements)
+        K = mesh_fem._assembled(mesh, mesh.pattern, s)
+        blocks = layout.blocks(s)
+        nb, bs = layout.n_blocks, layout.block_size
+        assert blocks.shape == (2 * nb - 1, bs, bs)
+        # the placed entries are _assembled's, byte for byte
+        assert (blocks.reshape(-1)[layout.place].tobytes()
+                == K.data[layout.source].tobytes())
+        # and they are K's diagonal and sub-diagonal line blocks, whole
+        position = np.empty(mesh.free_dofs.size, dtype=int)
+        position[np.searchsorted(mesh.free_dofs, layout.dofs)] = np.arange(
+            layout.dofs.size)
+        dense = np.zeros((layout.dofs.size,) * 2)
+        dense[np.ix_(position, position)] = K.toarray()
+        lines = dense.reshape(nb, bs, nb, bs)
+        for i in range(nb):
+            assert blocks[i].tobytes() == lines[i, :, i].tobytes()
+            if i + 1 < nb:
+                assert (blocks[nb + i].tobytes()
+                        == lines[i + 1, :, i].tobytes())
+        # nothing beyond the neighbouring lines: K is block tridiagonal
+        gap = np.abs(np.arange(nb)[:, None] - np.arange(nb))
+        assert not np.any(lines.transpose(0, 2, 1, 3)[gap > 1])
+        # every stored entry of K is placed, except the transposes of the
+        # sub-diagonal blocks
+        upper = np.count_nonzero(np.triu(np.ones((nb, nb)), 1)[
+            np.repeat(np.arange(nb), bs)][:, np.repeat(np.arange(nb), bs)]
+            * (dense != 0.0))
+        assert layout.place.size + upper == K.nnz
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 14), (60, 30)],
+                             ids=["1x1", "tall-6x14", "plate-60x30"])
+    def test_unit_columns_on_plate_designs(self, shape):
+        problem = (RULE_PLATE if shape == RULE_PLATE.mesh.shape
+                   else plate_problem(*shape, n_omega=4))
+        mesh = problem.mesh
+        free = mesh.free_dofs
+        dofs = free[np.linspace(0, free.size - 1, min(free.size, 102),
+                                dtype=int)]
+        for name, s in line_designs(problem):
+            system = assemble_stiffness(mesh.lines, s)
+            oracle = colamd_oracle(mesh, s)
+            want = unit_columns(oracle, dofs)
+            got = unit_columns(system, dofs)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
+            # the residual of the line solve is no worse than SuperLU's
+            K = coo_stiffness(mesh, s)
+            P = np.zeros((free.size, dofs.size))
+            P[np.searchsorted(free, dofs), np.arange(dofs.size)] = 1.0
+            norm = np.linalg.norm
+            assert (norm(K @ got[free] - P)
+                    <= 2.0 * norm(K @ want[free] - P) + 1e-15), name
+
+    def test_a_block_that_is_not_positive_definite_raises(self):
+        mesh = build_rect_mesh(5, 3, 2.0, 1.0)
+        layout = mesh.lines
+        blocks = layout.blocks(np.ones(mesh.n_elements))
+        mesh_fem.LineCholesky(blocks.copy(), layout.n_blocks)
+        bad = blocks.copy()
+        bad[2] *= -1.0
+        with pytest.raises(FactorizationError, match="line block 2"):
+            mesh_fem.LineCholesky(bad, layout.n_blocks)
+        # a coupling too strong for its lines: the Schur update leaves the
+        # next block indefinite
+        bad = blocks.copy()
+        bad[layout.n_blocks] *= 10.0
+        with pytest.raises(FactorizationError, match="line block 1"):
+            mesh_fem.LineCholesky(bad, layout.n_blocks)
+
+    def test_nnz_counts_the_entries_of_the_factor(self):
+        # perfbench's tracer reads lu.nnz as factor_nnz
+        mesh = build_rect_mesh(60, 30, 2.0, 1.0)
+        system = assemble_stiffness(mesh.lines, np.ones(mesh.n_elements))
+        assert system.lu.nnz == 61 * 60 * 61 // 2 + 60 * 60 * 60
 
 
 @st.composite
 def pivot_free_cases(draw):
     """A rect or disc mesh, element factors from the SIMP void stiffness
-    to 1, and an empty or a nonempty random keep."""
+    to 1, and a nonempty random keep."""
     if draw(st.booleans()):
         mesh = build_rect_mesh(draw(st.integers(1, 8)),
                                draw(st.integers(1, 8)), 2.0, 1.0)
@@ -910,16 +1031,15 @@ def pivot_free_cases(draw):
                                draw(st.integers(8, 16)), 0.1, 0.9)
     n = mesh.n_elements
     s = draw(st.lists(st.floats(E_VOID, 1.0), min_size=n, max_size=n))
-    keep = draw(st.just([]) | st.lists(
-        st.sampled_from(mesh.free_dofs.tolist()), min_size=1, max_size=24,
-        unique=True))
+    keep = draw(st.lists(st.sampled_from(mesh.free_dofs.tolist()),
+                         min_size=1, max_size=24, unique=True))
     return mesh, np.array(s), np.array(sorted(keep), dtype=int)
 
 
 class TestPivotFree:
     """K is SPD, so its factorization needs no pivot in exact arithmetic;
-    the plate's loop and every verification rely on it staying on the
-    diagonal in floating point, down to the void stiffness."""
+    every verification relies on it staying on the diagonal in floating
+    point, down to the void stiffness."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=pivot_free_cases())
@@ -932,13 +1052,6 @@ class TestPivotFree:
         K, _, lu = calls[-1]
         rng = np.random.default_rng(9)
         free = mesh.free_dofs
-        if keep.size == 0:
-            f = rng.standard_normal(mesh.n_dofs)
-            u = system.solve(f)
-            residual = coo_stiffness(mesh, s) @ u[free] - f[free]
-            assert (np.linalg.norm(residual)
-                    <= 1e-10 * np.linalg.norm(f[free]))
-            return
         # a load on keep, last in K's order: the condensed solve is the
         # trailing block of the whole factorization's solve
         b = np.zeros(free.size)
@@ -1017,163 +1130,6 @@ class TestSolve:
         u = sys.solve(f)
         assert np.all(np.isfinite(u))
         assert f @ u > 0
-
-
-class CountingLU:
-    """A factorization that records the width of each block it solves."""
-
-    def __init__(self, lu):
-        self.lu, self.widths = lu, []
-
-    def solve(self, b):
-        self.widths.append(b.shape[1] if b.ndim == 2 else 1)
-        return self.lu.solve(b)
-
-
-class FailingLU:
-    """A factorization whose solve fails at once on the calling thread, or
-    on the pool's worker, while the other half takes a while; ended names
-    the halves in the order they end."""
-
-    def __init__(self, lu, on_helper):
-        self.lu, self.on_helper, self.ended = lu, on_helper, []
-
-    def solve(self, b):
-        on_helper = threading.current_thread() is not threading.main_thread()
-        if on_helper == self.on_helper:
-            self.ended.append("failed")
-            raise RuntimeError("solve failed")
-        time.sleep(0.05)
-        self.ended.append("solved")
-        return self.lu.solve(b)
-
-
-def one_block(system, rhs):
-    """The state of rhs from one SuperLU solve of the whole block."""
-    u = np.zeros_like(rhs)
-    u[system.unknowns] = system.lu.solve(
-        np.ascontiguousarray(rhs[system.free_dofs]))
-    return u
-
-
-def serial_halves(system, rhs):
-    """The state of rhs from its two halves, solved one after the other
-    on this thread."""
-    u = np.zeros_like(rhs)
-    b = np.ascontiguousarray(rhs[system.free_dofs])
-    half = b.shape[1] // 2
-    u[system.unknowns, :half] = system.lu.solve(b[:, :half])
-    u[system.unknowns, half:] = system.lu.solve(b[:, half:])
-    return u
-
-
-def solve_threads():
-    """The live threads of the split solve's pool."""
-    return [t for t in threading.enumerate()
-            if t.name.startswith("smma-solve")]
-
-
-class TestSplitSolve:
-    """A SuperLU block of 32 or more columns is solved as two halves, one
-    on the calling thread and one on a one-worker pool."""
-
-    @staticmethod
-    def counted_solve(system, rhs):
-        """The state and the widths of the SuperLU solves."""
-        counted = dataclasses.replace(system, lu=CountingLU(system.lu))
-        return counted.solve(rhs), sorted(counted.lu.widths)
-
-    def assert_halves(self, system, rhs):
-        m = rhs.shape[1]
-        u, widths = self.counted_solve(system, rhs)
-        assert widths == [m // 2, m - m // 2]
-        assert u.tobytes() == serial_halves(system, rhs).tobytes()
-        # the BLAS kernels SuperLU calls may round a column differently
-        # with the block's width
-        whole = one_block(system, rhs)
-        np.testing.assert_allclose(u, whole, rtol=0,
-                                   atol=1e-15 * np.abs(whole).max())
-
-    @pytest.mark.parametrize("m", [32, 33, 47, 101])
-    def test_plate_unit_blocks(self, m):
-        mesh = RULE_PLATE.mesh
-        s = np.random.default_rng(m).uniform(0.05, 1.0, mesh.n_elements)
-        system = assemble_stiffness(mesh.condensed(NO_DOFS), s)
-        dofs = np.random.default_rng(0).choice(mesh.free_dofs, m,
-                                               replace=False)
-        P = np.zeros((system.n_rows, m))
-        P[dofs, np.arange(m)] = 1.0
-        self.assert_halves(system, P)
-
-    def test_colamd_block_scatters_to_the_unknowns(self):
-        mesh = SMALL_WHEEL.mesh
-        rng = np.random.default_rng(21)
-        assemble_stiffness(mesh, rng.uniform(0.2, 1.0, mesh.n_elements))
-        system = assemble_stiffness(mesh, rng.uniform(0.2, 1.0,
-                                                      mesh.n_elements))
-        assert not np.array_equal(system.unknowns, system.free_dofs)
-        F = np.zeros((mesh.n_dofs, 40))
-        F[mesh.free_dofs] = rng.standard_normal((mesh.free_dofs.size, 40))
-        self.assert_halves(system, F)
-
-    @pytest.mark.parametrize("m", [1, 31])
-    def test_narrow_blocks_are_one_solve(self, m):
-        mesh = RULE_PLATE.mesh
-        system = assemble_stiffness(mesh.condensed(NO_DOFS),
-                                    np.ones(mesh.n_elements))
-        F = np.zeros((mesh.n_dofs, m))
-        F[mesh.free_dofs[-m:], np.arange(m)] = 1.0
-        for rhs in (F, F[:, 0]):
-            u, widths = self.counted_solve(system, rhs)
-            assert len(widths) == 1
-            assert u.tobytes() == one_block(system, rhs).tobytes()
-
-    @pytest.mark.parametrize("on_helper", [False, True])
-    def test_a_failed_half_raises_after_both_end(self, on_helper):
-        mesh = build_rect_mesh(6, 4, 2.0, 1.0)
-        system = assemble_stiffness(mesh, np.ones(mesh.n_elements))
-        failing = dataclasses.replace(system,
-                                      lu=FailingLU(system.lu, on_helper))
-        F = np.zeros((mesh.n_dofs, 40))
-        F[mesh.free_dofs[:40], np.arange(40)] = 1.0
-        with pytest.raises(RuntimeError, match="solve failed"):
-            failing.solve(F)
-        # the failure surfaced once the slow half had ended too
-        assert failing.lu.ended == ["failed", "solved"]
-        assert not solve_threads()
-
-    def test_narrow_solves_start_no_thread(self, monkeypatch):
-        # the wheel loop's 8 loads and the plate builder's calibration
-        # solve in one piece; the plate loop's block splits, on one worker
-        # that is joined before solve returns
-        started = []
-        start = threading.Thread.start
-
-        def counting_start(thread):
-            if thread.name.startswith("smma-solve"):
-                started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
-        widths = []
-        solve = FactorizedSystem.solve
-
-        def counted_solve(system, rhs):
-            widths.append(np.shape(rhs)[1:])
-            u = solve(system, rhs)
-            assert not solve_threads()
-            return u
-
-        monkeypatch.setattr(FactorizedSystem, "solve", counted_solve)
-        rho = SMALL_WHEEL.initial_design()
-        SMALL_WHEEL.evaluate_records(
-            rho, SMALL_WHEEL.space.sample(np.random.default_rng(0), 8))
-        plate = plate_problem()
-        assert widths and not started, widths
-        plate.evaluate_records(
-            plate.initial_design(),
-            plate.space.sample(np.random.default_rng(0), 8))
-        assert widths[-1][0] >= 32 and len(started) == 1, started
 
 
 class TestCompliance:
@@ -1539,14 +1495,18 @@ class TestCondensedGroups:
         small = [np.array([1500, 1501]), np.array([1700]), np.zeros(0, int),
                  np.array([1200, 1260, 1320])]
         base = mesh.free_dofs[-40:]
-        # and changes that hold no dof at all: slots of width 0
         for sets, groups in (([big, *small], 2),
                              ([*small[:2], big, *small[2:]], 3),
-                             ([*small, big], 2), ([big], 1), ([big, big], 2),
-                             ([small[2], small[2]], 1)):
+                             ([*small, big], 2), ([big], 1), ([big, big], 2)):
             for b in (base, base[:0]):
                 assert self.assert_matches_the_oracle(
                     mesh, b, slots_of(mesh, sets)) == groups
+        # and changes that hold no dof at all: slots of width 0; with no
+        # base either, their group would keep nothing, and its view raises
+        empty = slots_of(mesh, [small[2], small[2]])
+        assert self.assert_matches_the_oracle(mesh, base, empty) == 1
+        with pytest.raises(ValueError, match="at least one dof"):
+            list(condensed_groups(mesh, base[:0], empty))
 
     def test_ranges_cover_the_changes_within_the_budget(self, monkeypatch):
         mesh = RULE_PLATE.mesh
